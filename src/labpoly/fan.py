@@ -51,12 +51,14 @@ def dual_cone(p: LabeledPolytope, face: Face) -> Cone:
 
     Equivalently (and this is what makes it the right dual object) it is the
     set of linear functionals minimized over the polytope exactly on the face;
-    a debug assertion checks that characterization on the vertices.
+    that characterization is checked on the vertices, and a failure raises
+    RuntimeError naming the face.
     """
     gens = tuple(p.halfspaces[i].normal for i in face.active)
     cone = make_cone(gens)
-    assert cone_vertex_duality_holds(p, face, cone), \
-        f"cone of face {face.active} fails the minimization characterization"
+    if not cone_vertex_duality_holds(p, face, cone):
+        raise RuntimeError(
+            f"cone of face {list(face.active)} fails the minimization characterization")
     return cone
 
 
@@ -66,20 +68,17 @@ def cone_vertex_duality_holds(p: LabeledPolytope, face: Face, cone: Cone) -> boo
     Inward normals satisfy <y, beta> >= eta with equality on the facet, so on
     every face vertex each generator must hit the minimum of <y, .> over all
     vertices, and for the face's own normals the minimum is attained only on
-    the face's vertices.
+    the face's vertices: a vertex off the face must miss the minimum of some
+    generator.
     """
+    lows = [min(dot(g, v) for v in p.vertices) for g in cone.generators]
     on_face = set(face.vertices)
-    for g in cone.generators:
-        values = [dot(g, v) for v in p.vertices]
-        lo = min(values)
-        if any(dot(g, p.vertices[vi]) != lo for vi in on_face):
-            return False
-    # points strictly off the face must violate minimality for some generator
     for vi, v in enumerate(p.vertices):
+        at_min = all(dot(g, v) == lo for g, lo in zip(cone.generators, lows))
         if vi in on_face:
-            continue
-        if cone.generators and all(dot(g, v) == min(dot(g, u) for u in p.vertices)
-                                   for g in cone.generators):
+            if not at_min:
+                return False
+        elif at_min and cone.generators:
             return False
     return True
 

@@ -134,6 +134,36 @@ def det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(a) -> tuple:
+    """``(det(A), adj(A))`` of a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on ``[A | I]``: every division is
+    exact, and the left block ends as ``det(PA) * I`` for the row permutation
+    P, so the right block is ``det(PA) * A^-1``.  ``A * adj(A) == det(A) * I``.
+    Raises ValueError if A is singular.
+    """
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                raise ValueError("matrix is singular")
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                row, f = m[i], m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, row_k)]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
+
+
 def primitive_vector(v) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 

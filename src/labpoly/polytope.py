@@ -23,10 +23,14 @@ from itertools import combinations
 from typing import Optional
 
 from .lattice import (
+    adjugate,
     dot,
     format_rational,
     kernel_basis,
+    mat_vec,
+    matrix,
     parse_rational,
+    primitive_vector,
     rational_rank,
     solve_rational,
     vec_neg,
@@ -69,16 +73,22 @@ class Face:
 
 @dataclass(frozen=True)
 class LabeledPolytope:
+    """A validated labeled polytope; build it with :func:`validate`.
+
+    ``edges[vi]`` holds one ``(facet, direction)`` pair per facet tight at
+    vertex ``vi``, ordered by facet index: the primitive integer direction of
+    the edge that leaves that facet and stays on the others.
+    """
+
     dim: int
     halfspaces: tuple
     vertices: tuple
     faces: tuple
+    edges: tuple
 
     def vertex_active(self, vi: int) -> tuple:
         """Indices of the facets tight at vertex ``vi``."""
-        v = self.vertices[vi]
-        return tuple(i for i, h in enumerate(self.halfspaces)
-                     if dot(v, h.normal) == h.offset)
+        return tuple(j for j, _ in self.edges[vi])
 
     def face_by_active(self, active) -> Face:
         key = tuple(sorted(active))
@@ -122,10 +132,16 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     """Check the data and build a LabeledPolytope, or raise ValidationError.
 
     ``halfspaces`` is an iterable of HalfSpace or (normal, offset, label)
-    triples.  Non-primitive normals are divided down (with the offset scaled
-    to keep the same halfspace) and a warning is issued.  Checks, in order:
-    labels >= 1, nonzero integer normals, no duplicate normals, boundedness,
-    nonempty full-dimensional, simple at every vertex, no redundant facet.
+    triples.  Normals must have integer entries and offsets must be exact
+    (int, Fraction or a rational string; a float is rejected).  Non-primitive
+    normals are divided down (with the offset scaled to keep the same
+    halfspace) and a warning is issued.  Checks, in order: labels >= 1,
+    nonzero integer normals, no duplicate normals, boundedness, nonempty
+    full-dimensional, simple at every vertex, no redundant facet.
+
+    Vertices and edges come from a walk over the vertex graph (:func:`_walk`);
+    an input the walk cannot finish is invalid, and :func:`_scan` then finds
+    which check it fails.
     """
     dim = int(dim)
     if dim < 1:
@@ -141,11 +157,18 @@ def validate(dim, halfspaces) -> LabeledPolytope:
             raise ValidationError(f"label must be an integer on facet {i}")
         if label < 1:
             raise ValidationError(f"label < 1 on facet {i}")
-        normal = tuple(int(e) for e in normal)
+        try:
+            (normal,) = matrix((normal,))
+        except ValueError:
+            raise ValidationError(f"normal of facet {i} must have integer entries") from None
         if len(normal) != dim:
             raise ValidationError(f"normal of facet {i} has length {len(normal)}, expected {dim}")
         if not any(normal):
             raise ValidationError(f"zero normal on facet {i}")
+        if isinstance(offset, (float, bool)):
+            raise ValidationError(
+                f"offset of facet {i} must be exact (int, Fraction or 'p/q'), "
+                f"got {offset!r}")
         offset = Fraction(offset)
         g = math.gcd(*normal)
         if g > 1:
@@ -154,7 +177,6 @@ def validate(dim, halfspaces) -> LabeledPolytope:
             normal = tuple(e // g for e in normal)
         hs.append(HalfSpace(normal, offset, label))
 
-    n_facets = len(hs)
     seen = {}
     for i, h in enumerate(hs):
         if h.normal in seen:
@@ -162,15 +184,116 @@ def validate(dim, halfspaces) -> LabeledPolytope:
                 f"redundant halfspace {i}: same normal as facet {seen[h.normal]}")
         seen[h.normal] = i
 
-    normals = tuple(h.normal for h in hs)
-    if n_facets < dim + 1 or rational_rank(normals) < dim:
+    if len(hs) < dim + 1 or rational_rank(tuple(h.normal for h in hs)) < dim:
         raise ValidationError("unbounded")
+    walked = _walk(dim, hs)
+    if walked is None:
+        _scan(dim, hs)
+        raise RuntimeError("the vertex walk failed on a polytope the subset scan accepts")
+    vertices, active_sets, edges = walked
+    _check_vertices(dim, len(hs), vertices, active_sets)
+    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices,
+                           faces=_face_lattice(dim, active_sets), edges=edges)
+
+
+def _walk(dim, hs):
+    """(vertices, tight sets, edges) by pivoting over the vertex graph, or None.
+
+    Start at the first facet subset, in ``combinations`` order, whose basic
+    solution is feasible.  At a vertex with tight set T, the adjugate of the
+    tight normals (rows) gives every edge at once: column j of ``sign(det) *
+    adj`` is zero on T - {j} and positive on facet j, so it points along the
+    edge that leaves facet j.  An exact ratio test finds the facet i that
+    blocks the edge, and the neighbour has tight set T - {j} + {i}.  Offsets
+    are scaled to a common denominator once, so all of this, the start
+    search included, runs on integers (see :func:`_basic_solution`).
+
+    Returns None as soon as the walk meets what a labeled simple polytope
+    cannot produce: no feasible basis, a vertex with more than ``dim`` tight
+    facets, or an edge no facet blocks.  (A tie in a ratio test needs no check
+    of its own: the facets that tie are all tight at the neighbour, which
+    fails the tight-facet count when it is visited.)  Otherwise the
+    normals have rank ``dim``, every visited vertex is simple and every edge
+    at it is blocked, and that proves the polytope bounded (the simplex-method
+    argument): the edges at a simple vertex span its tangent cone, so for a
+    functional unbounded above some edge increases it; that edge is blocked,
+    so it ends at a visited vertex with a strictly larger value (simple means
+    the step is positive), and finitely many vertices cannot go on forever.
+    The same path, for a functional maximized at a single vertex only, shows
+    that the walk reaches every vertex.
+    """
+    scale = math.lcm(*(h.offset.denominator for h in hs))
+    normals = [h.normal for h in hs]
+    offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
+    for start in combinations(range(len(hs)), dim):
+        try:
+            if min(_basic_solution(normals, offsets, start)[3]) >= 0:
+                break
+        except ValueError:  # singular basis
+            continue
+    else:
+        return None
+
+    found = []
+    seen = {start}
+    todo = [start]
+    while todo:
+        basis = todo.pop()
+        d, adj, num, slack = _basic_solution(normals, offsets, basis)
+        if slack.count(0) != dim:
+            return None
+        sign = 1 if d > 0 else -1
+        edges = []
+        for col, j in enumerate(basis):
+            direction = primitive_vector(tuple(sign * row[col] for row in adj))
+            best, best_rate = None, 0
+            for i, y in enumerate(normals):
+                rate = -dot(y, direction)
+                # facet i is hit after slack[i] / rate; compare by cross-multiplying
+                if rate > 0 and (best is None or slack[i] * best_rate < slack[best] * rate):
+                    best, best_rate = i, rate
+            if best is None:
+                return None
+            edges.append((j, direction))
+            neighbour = tuple(sorted(set(basis) - {j} | {best}))
+            if neighbour not in seen:
+                seen.add(neighbour)
+                todo.append(neighbour)
+        vertex = tuple(Fraction(x, d * scale) for x in num)
+        found.append((vertex, basis, tuple(edges)))
+    found.sort()
+    return (tuple(v for v, _, _ in found), tuple(t for _, t, _ in found),
+            tuple(e for _, _, e in found))
+
+
+def _basic_solution(normals, offsets, basis):
+    """``(d, adj, num, slack)`` of the vertex where the facets in ``basis`` are tight.
+
+    ``d`` and ``adj`` are the determinant and adjugate of the basis normals
+    (rows), the vertex is ``num / (d * scale)`` with ``offsets`` the integer
+    offsets times ``scale``, and ``slack[i]`` is ``<y_i, v> - eta_i`` times
+    ``|d| * scale``, an integer.  Raises ValueError on a singular basis.
+    """
+    d, adj = adjugate(tuple(normals[i] for i in basis))
+    sign = 1 if d > 0 else -1
+    num = mat_vec(adj, tuple(offsets[i] for i in basis))
+    return d, adj, num, [sign * (dot(y, num) - d * b) for y, b in zip(normals, offsets)]
+
+
+def _scan(dim, hs):
+    """(vertices, tight sets) by trying every facet subset; raises if invalid.
+
+    The brute-force route: a recession ray search over (dim-1)-subsets, then a
+    Fraction solve of every dim-subset.  :func:`validate` runs it only on an
+    input the walk rejects, so that it reports the first check that fails.
+    """
+    normals = tuple(h.normal for h in hs)
     ray = _recession_direction(normals, dim)
     if ray is not None:
         raise ValidationError(f"unbounded in direction {ray}")
 
     vertices = set()
-    for subset in combinations(range(n_facets), dim):
+    for subset in combinations(range(len(hs)), dim):
         rows = tuple(hs[i].normal for i in subset)
         rhs = tuple(hs[i].offset for i in subset)
         point = solve_rational(rows, rhs)
@@ -181,34 +304,40 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     if not vertices:
         raise ValidationError("not full-dimensional: the polytope is empty")
     vertices = tuple(sorted(vertices))
+    active_sets = tuple(tuple(i for i, h in enumerate(hs) if dot(v, h.normal) == h.offset)
+                        for v in vertices)
+    _check_vertices(dim, len(hs), vertices, active_sets)
+    return vertices, active_sets
+
+
+def _check_vertices(dim, n_facets, vertices, active_sets):
+    """Full dimension, simplicity and irredundancy, given every vertex."""
     if len(vertices) > 1:
         diffs = tuple(vec_sub(v, vertices[0]) for v in vertices[1:])
         if rational_rank(diffs) < dim:
             raise ValidationError("not full-dimensional")
-    elif dim > 0:
+    else:
         raise ValidationError("not full-dimensional")
 
-    active_sets = []
-    for v in vertices:
-        act = tuple(i for i, h in enumerate(hs) if dot(v, h.normal) == h.offset)
+    for v, act in zip(vertices, active_sets):
         if len(act) != dim:
             raise ValidationError(f"not simple at vertex {format_point(v)}")
-        active_sets.append(act)
 
     tight_somewhere = set().union(*active_sets)
     for i in range(n_facets):
         if i not in tight_somewhere:
             raise ValidationError(f"redundant halfspace {i}")
 
+
+def _face_lattice(dim, active_sets):
+    """Faces sorted by (codimension, tight set), from the vertices' tight sets."""
     face_map = {}
     for vi, act in enumerate(active_sets):
         for r in range(dim + 1):
             for sub in combinations(act, r):
                 face_map.setdefault(sub, []).append(vi)
-    faces = tuple(Face(active=key, vertices=tuple(vs))
-                  for key, vs in sorted(face_map.items(), key=lambda kv: (len(kv[0]), kv[0])))
-
-    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices, faces=faces)
+    return tuple(Face(active=key, vertices=tuple(vs))
+                 for key, vs in sorted(face_map.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 def _recession_direction(normals, dim):
@@ -257,23 +386,10 @@ def edge_directions(p: LabeledPolytope, vi: int) -> tuple:
     Returns one (dropped_facet, direction) pair per facet through the vertex:
     dropping facet j and staying tight on the rest moves along the unique edge
     whose primitive integer direction d satisfies <y_j, d> > 0 (inward).
-    Pairs are ordered by dropped facet index.
+    Pairs are ordered by dropped facet index.  They are found once, by the
+    vertex walk in :func:`validate`.
     """
-    act = p.vertex_active(vi)
-    out = []
-    for j in act:
-        rows = tuple(p.halfspaces[i].normal for i in act if i != j)
-        kb = kernel_basis(rows, p.dim)
-        if len(kb) != 1:
-            raise RuntimeError(f"degenerate edge at vertex {vi} dropping facet {j}")
-        d = kb[0]
-        s = dot(p.halfspaces[j].normal, d)
-        if s == 0:
-            raise RuntimeError(f"edge direction orthogonal to dropped facet {j}")
-        if s < 0:
-            d = vec_neg(d)
-        out.append((j, d))
-    return tuple(out)
+    return p.edges[vi]
 
 
 def edge_direction_map(p: LabeledPolytope, vi: int) -> dict:

@@ -58,6 +58,15 @@ def box(dims, labels=None):
     return validate(n, hs)
 
 
+def polygon(k, labels=None):
+    """Lattice k-gon with vertices (i, i^2), i < k: k - 1 edges on the
+    parabola and one closing edge back to the origin."""
+    labels = labels or [1] * k
+    hs = [((-(2 * i + 1), 1), Fraction(-i * (i + 1)), labels[i]) for i in range(k - 1)]
+    hs.append(((k - 1, -1), Fraction(0), labels[k - 1]))
+    return validate(2, hs)
+
+
 def square(side=1, labels=None):
     return box([side, side], labels)
 

@@ -10,7 +10,7 @@ from labpoly.fan import (
     fans_equal,
     make_cone,
 )
-from labpoly.polytope import validate
+from labpoly.polytope import Face, validate
 
 from corpus import interval, square, standard_corpus, t1, w2
 
@@ -59,6 +59,16 @@ def test_duality_characterization_everywhere():
         for face in p.faces:
             c = dual_cone(p, face)
             assert cone_vertex_duality_holds(p, face, c), (name, face.active)
+
+
+def test_failing_duality_check_raises():
+    # facet 0 of the triangle recorded with every vertex on it: the vertex
+    # off that facet misses the generator's minimum
+    p = t1()
+    bad = Face(active=(0,), vertices=tuple(range(len(p.vertices))))
+    assert not cone_vertex_duality_holds(p, bad, make_cone([p.halfspaces[0].normal]))
+    with pytest.raises(RuntimeError, match=r"cone of face \[0\] fails"):
+        dual_cone(p, bad)
 
 
 def test_face_inclusion_reverses_cone_inclusion():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from labpoly.lattice import (
     FiniteAbelianGroup,
+    adjugate,
     det,
     dot,
     elementary_divisors,
@@ -431,6 +432,37 @@ def test_det_multiplicative(rows):
     a = matrix(rows)
     b = ((1, 2, 0), (0, 1, 0), (3, 0, 1))
     assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_adjugate_against_inverse_and_det(rows):
+    a = matrix(rows)
+    n = len(a)
+    d = det(a)
+    if d == 0:
+        with pytest.raises(ValueError, match="singular"):
+            adjugate(a)
+        return
+    d_adj, adj = adjugate(a)
+    assert d_adj == d
+    inv = invert_rational(a)
+    assert adj == tuple(tuple(d * x for x in row) for row in inv)
+    assert mat_mul(a, adj) == tuple(tuple(d if i == j else 0 for j in range(n))
+                                    for i in range(n))
+
+
+def test_adjugate_examples():
+    assert adjugate(((2, 4), (6, 8))) == (-8, ((8, -4), (-6, 2)))
+    assert adjugate(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))  # needs a row swap
+    assert adjugate(((5,),)) == (5, ((1,),))
 
 
 def test_elementary_divisors():

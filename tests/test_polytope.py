@@ -175,6 +175,20 @@ def test_nonprimitive_normal_warns_and_rescales():
     assert set(p.vertices) == set(t1().vertices)
 
 
+def test_non_integer_normal_is_rejected():
+    # int(1.7) would silently turn the normal into (1, 0)
+    with pytest.raises(ValidationError, match="normal of facet 0 must have integer entries"):
+        validate(2, [((1.7, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)])
+
+
+def test_float_offset_is_rejected():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValidationError, match="offset of facet 2 must be exact"):
+        validate(2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), 0.1, 1)])
+    p = validate(2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), "-1/10", 1)])
+    assert p.halfspaces[2].offset == Fraction(-1, 10)
+
+
 def test_tangent_halfspace_is_rejected():
     # x + y <= 2 touches the square only at the corner (1, 1): the corner
     # stops being simple, which is how tangency surfaces
