@@ -16,6 +16,7 @@ from .delzant import (
     RegularityReport,
     build_construction,
     convex_samples,
+    face_groups,
     face_stabilizer,
     kernel_group,
     moment_level,

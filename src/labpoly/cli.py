@@ -99,10 +99,7 @@ def cmd_faces(args):
 
 def cmd_structure_groups(args):
     p = _load(args.file)
-    rows = []
-    for f in p.proper_faces():
-        g = lm.structure_group(p, f)
-        rows.append((f, g))
+    rows = dz.face_groups(p)
     if args.json:
         _emit({"structure_groups": [
             {"active": list(f.active), "codim": f.codim, **_group_json(g)}
@@ -160,8 +157,8 @@ def cmd_delzant(args):
     p = _load(args.file)
     d = dz.build_construction(p)
     info = dz.kernel_group(d)
-    reg = dz.verify_regular_level(d, p)
-    stab = [(f, dz.face_stabilizer(d, f)) for f in p.proper_faces()]
+    stab = dz.face_groups(p)
+    reg = dz.verify_regular_level(p, stab)
     if args.json:
         _emit({
             "projection": [list(r) for r in d.projection],
@@ -196,17 +193,24 @@ def cmd_delzant(args):
     return 0
 
 
+def _oracle_rows(p, groups):
+    """``(face, reduction group, local group, agree)`` for every proper face.
+
+    ``groups`` are the Smith-form groups of :func:`labpoly.delzant.face_groups`;
+    :func:`labpoly.local_model.structure_group` recomputes each one by
+    saturation and a lattice quotient.
+    """
+    rows = []
+    for f, a in groups:
+        b = lm.structure_group(p, f)
+        rows.append((f, a, b, a.invariant_factors == b.invariant_factors))
+    return rows
+
+
 def cmd_stabilizers(args):
     p = _load(args.file)
-    d = dz.build_construction(p)
-    rows = []
-    agree = True
-    for f in p.proper_faces():
-        a = dz.face_stabilizer(d, f)
-        b = lm.structure_group(p, f)
-        same = a.invariant_factors == b.invariant_factors
-        agree = agree and same
-        rows.append((f, a, b, same))
+    rows = _oracle_rows(p, dz.face_groups(p))
+    agree = all(same for _, _, _, same in rows)
     if args.json:
         _emit({"faces": [
             {"active": list(f.active), "reduction": _group_json(a),
@@ -258,8 +262,11 @@ def cmd_betti(args):
 
 
 def cmd_verify(args):
+    if args.samples < 0:
+        raise FormatError(f"--samples must be nonnegative, got {args.samples}")
     p = _load(args.file)
     d = dz.build_construction(p)
+    groups = dz.face_groups(p)
     checks = []
 
     samples = dz.convex_samples(p, args.samples, args.seed)
@@ -268,14 +275,10 @@ def cmd_verify(args):
                    f"({red.samples_checked} samples, vertices attained)",
                    red.passed, red.failure))
 
-    disagreements = []
-    for f in p.proper_faces():
-        a = dz.face_stabilizer(d, f)
-        b = lm.structure_group(p, f)
-        if a.invariant_factors != b.invariant_factors:
-            disagreements.append(f"face {list(f.active)}: {a} vs {b}")
+    disagreements = [f"face {list(f.active)}: {a} vs {b}"
+                     for f, a, b, same in _oracle_rows(p, groups) if not same]
     checks.append((f"stabilizer/structure-group agreement "
-                   f"({len(p.proper_faces())} faces)",
+                   f"({len(groups)} faces)",
                    not disagreements,
                    "; ".join(disagreements) or None))
 
@@ -290,7 +293,7 @@ def cmd_verify(args):
     checks.append(("Betti numbers independent of direction (5 draws)",
                    betti_ok, None if betti_ok else f"saw {sorted(polys)}"))
 
-    reg = dz.verify_regular_level(d, p)
+    reg = dz.verify_regular_level(p, groups)
     checks.append(("regular level", reg.regular, reg.failure))
 
     all_ok = all(ok for _, ok, _ in checks)

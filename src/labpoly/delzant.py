@@ -16,9 +16,10 @@ each vertex hits zero slack exactly on its tight facets.
 Two finite groups live here: the component group of the kernel subgroup
 (Smith form of the projection), and the stabilizer attached to a face, read
 from the Smith form of the projection columns of its tight facets.  The
-latter is an independent route to the structure groups of
-:mod:`labpoly.local_model`, and the two are cross-checked in the tests and
-the ``stabilizers`` command.
+latter is computed once per polytope (:func:`face_groups`) and is what every
+command prints as a structure group; :func:`labpoly.local_model.structure_group`
+is an independent route to the same groups, and the two are cross-checked in
+the tests and by the ``stabilizers`` and ``verify`` commands.
 """
 
 from __future__ import annotations
@@ -93,10 +94,9 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     basis), which must agree because the kernel rows annihilate the
     projection; disagreement would mean corrupted arithmetic and raises.
     """
-    scaled_cols = [vec_scale(h.label, h.normal) for h in p.halfspaces]
-    projection = tuple(tuple(col[i] for col in scaled_cols) for i in range(p.dim))
+    projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
-    kernel = kernel_basis(projection, len(scaled_cols))
+    kernel = kernel_basis(projection, len(p.halfspaces))
     beta0 = p.interior_point()
     slacks = _slacks(projection, offsets, beta0)
     level = tuple(dot(row, slacks) for row in kernel)
@@ -150,44 +150,56 @@ def kernel_group(d: DelzantData) -> KernelGroupInfo:
                            component_group=FiniteAbelianGroup(factors))
 
 
-def face_stabilizer(d: DelzantData, face: Face) -> FiniteAbelianGroup:
+def face_groups(p: LabeledPolytope) -> tuple:
+    """``(face, stabilizer)`` for every proper face, in face order.
+
+    Each group comes from one Smith form (:func:`face_stabilizer`); neither
+    the kernel nor the level is needed for it.
+    """
+    return tuple((f, face_stabilizer(p, f)) for f in p.proper_faces())
+
+
+def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """Stabilizer group of the points above a proper face.
 
-    Computed from the Smith normal form of the projection columns of the
-    face's tight facets: the stabilizer is the quotient of the preimage of
-    the integer lattice by the coordinate lattice of those facets, whose
-    invariant factors are the elementary divisors of the column submatrix.
-    This route never looks at the saturated normal span, so it is
+    Computed from the Smith normal form of the projection columns m_i * y_i
+    of the face's tight facets: the stabilizer is the quotient of the
+    preimage of the integer lattice by the coordinate lattice of those
+    facets, whose invariant factors are the elementary divisors of the column
+    submatrix.  This route never looks at the saturated normal span, so it is
     independent of :func:`labpoly.local_model.structure_group`.
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
-    cols = face.active
-    sub = tuple(tuple(row[i] for i in cols) for row in d.projection)
-    diag = smith_normal_form(sub).diagonal
-    if len([x for x in diag if x != 0]) != len(cols):
+    diag = smith_normal_form(_scaled_columns(p, face.active)).diagonal
+    if len([x for x in diag if x != 0]) != len(face.active):
         raise RuntimeError(
             f"dependent facet normals over face {list(face.active)}")
     return FiniteAbelianGroup(tuple(x for x in diag if x > 1))
 
 
-def verify_regular_level(d: DelzantData, p: LabeledPolytope) -> RegularityReport:
+def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
+    """The n x k matrix whose columns are m_i * y_i for the given facets."""
+    cols = [vec_scale(p.halfspaces[i].label, p.halfspaces[i].normal) for i in facets]
+    return tuple(tuple(col[r] for col in cols) for r in range(p.dim))
+
+
+def verify_regular_level(p: LabeledPolytope, groups) -> RegularityReport:
     """Check the level is regular: independent tight normals at every vertex.
 
-    Also reports the largest stabilizer order over the proper faces, which
-    bounds the local group orders of the reduced space.
+    Also reports the largest stabilizer order over the proper faces, read
+    from ``groups`` (as returned by :func:`face_groups`), which bounds the
+    local group orders of the reduced space.
     """
     failure = None
     for f in p.vertex_faces():
-        sub = tuple(tuple(row[i] for i in f.active) for row in d.projection)
-        if rational_rank(sub) != p.dim:
+        if rational_rank(_scaled_columns(p, f.active)) != p.dim:
             failure = (f"dependent normals at vertex "
                        f"{format_point(p.vertices[f.vertices[0]])}")
             break
     max_order = 1
     if failure is None:
-        for f in p.proper_faces():
-            max_order = max(max_order, face_stabilizer(d, f).order)
+        max_order = max((g.order for _, g in groups), default=1)
     return RegularityReport(regular=failure is None,
                             max_stabilizer_order=max_order, failure=failure)
 

@@ -9,6 +9,7 @@ command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import dot, rational_rank
@@ -54,12 +55,8 @@ def dual_cone(p: LabeledPolytope, face: Face) -> Cone:
     that characterization is checked on the vertices, and a failure raises
     RuntimeError naming the face.
     """
-    gens = tuple(p.halfspaces[i].normal for i in face.active)
-    cone = make_cone(gens)
-    if not cone_vertex_duality_holds(p, face, cone):
-        raise RuntimeError(
-            f"cone of face {list(face.active)} fails the minimization characterization")
-    return cone
+    gens = [p.halfspaces[i].normal for i in face.active]
+    return _checked_cone(face, gens, _minimizers(p, gens))
 
 
 def cone_vertex_duality_holds(p: LabeledPolytope, face: Face, cone: Cone) -> bool:
@@ -71,22 +68,50 @@ def cone_vertex_duality_holds(p: LabeledPolytope, face: Face, cone: Cone) -> boo
     the face's vertices: a vertex off the face must miss the minimum of some
     generator.
     """
-    lows = [min(dot(g, v) for v in p.vertices) for g in cone.generators]
-    on_face = set(face.vertices)
-    for vi, v in enumerate(p.vertices):
-        at_min = all(dot(g, v) == lo for g, lo in zip(cone.generators, lows))
-        if vi in on_face:
-            if not at_min:
-                return False
-        elif at_min and cone.generators:
-            return False
-    return True
+    return _attains_minima(face, cone.generators, _minimizers(p, cone.generators))
+
+
+def _minimizers(p: LabeledPolytope, generators) -> dict:
+    """generator -> set of the vertices on which <generator, .> is smallest.
+
+    The pairings <y, D v> are integers, with D the lcm of every vertex
+    denominator, and they are formed once for all generators and vertices.
+    """
+    scale = math.lcm(*(x.denominator for v in p.vertices for x in v))
+    points = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in p.vertices]
+    table = {}
+    for g in generators:
+        values = [dot(g, w) for w in points]
+        low = min(values)
+        table[g] = {vi for vi, x in enumerate(values) if x == low}
+    return table
+
+
+def _attains_minima(face: Face, generators, minimizers) -> bool:
+    """The vertices minimizing every generator are exactly the face's vertices."""
+    if not generators:
+        return True
+    return set.intersection(*(minimizers[g] for g in generators)) == set(face.vertices)
+
+
+def _checked_cone(face: Face, generators, minimizers) -> Cone:
+    cone = make_cone(generators)
+    if not _attains_minima(face, cone.generators, minimizers):
+        raise RuntimeError(
+            f"cone of face {list(face.active)} fails the minimization characterization")
+    return cone
 
 
 def build_fan(p: LabeledPolytope) -> Fan:
-    """The fan of all face cones (labels and offsets are dropped)."""
-    return Fan(ambient_dim=p.dim,
-               cones=frozenset(dual_cone(p, f) for f in p.faces))
+    """The fan of all face cones (labels and offsets are dropped).
+
+    Each facet's minimizing vertices are found once, and every face's cone
+    is checked against them.
+    """
+    normals = [h.normal for h in p.halfspaces]
+    minimizers = _minimizers(p, normals)
+    return Fan(ambient_dim=p.dim, cones=frozenset(
+        _checked_cone(f, [normals[i] for i in f.active], minimizers) for f in p.faces))
 
 
 def fans_equal(f1: Fan, f2: Fan) -> bool:

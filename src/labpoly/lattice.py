@@ -185,25 +185,39 @@ def primitive_vector(v) -> Vec:
 
 def rational_rank(rows) -> int:
     """Rank over the rationals of a matrix with int or Fraction entries."""
-    work = [[Fraction(e) for e in r] for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
+    return len(_pivot_columns(rows))
+
+
+def _pivot_columns(rows) -> tuple:
+    """Pivot columns of a row echelon form of a matrix with int or Fraction entries.
+
+    Fraction-free (Bareiss) elimination: a row with Fraction entries is first
+    scaled by the lcm of its denominators, and every later division is exact.
+    The columns returned are linearly independent and as many as the rank.
+    """
+    work = []
+    for r in rows:
+        scale = math.lcm(*(e.denominator for e in r))
+        work.append([e.numerator * (scale // e.denominator) for e in r])
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    prev = 1
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][c]
-        for i in range(rank + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+        work[r], work[piv] = work[piv], work[r]
+        top = work[r]
+        pv = top[c]
+        for i in range(r + 1, len(work)):
+            row, f = work[i], work[i][c]
+            work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+        if len(pivots) == len(work):
             break
-    return rank
+    return tuple(pivots)
 
 
 def solve_rational(a_rows, b) -> Optional[tuple]:
@@ -592,19 +606,25 @@ def quotient_group(lattice_rows, sub_rows) -> FiniteAbelianGroup:
         return TRIVIAL_GROUP
     if S and L and len(S[0]) != len(L[0]):
         raise ValueError("ambient dimension mismatch")
-    if rational_rank(L) != k:
+    cols = _pivot_columns(L)
+    if len(cols) != k:
         raise ValueError("lattice basis rows are linearly dependent")
     if len(S) != k:
         raise ValueError(f"rank mismatch: lattice has rank {k}, got {len(S)} generators")
-    lt = transpose(L)
+    # x * L = s on k independent columns J reads x * L_J = s_J, so
+    # det(L_J) * x = s_J * adj(L_J); the identity on every column is then checked.
+    det_j, adj = adjugate(tuple(tuple(row[j] for j in cols) for row in L))
+    adj_cols = transpose(adj)
+    l_cols = transpose(L)
     coords = []
     for srow in S:
-        x = solve_rational(lt, srow)
-        if x is None:
+        s_j = tuple(srow[j] for j in cols)
+        num = tuple(dot(s_j, col) for col in adj_cols)
+        if any(dot(num, col) != det_j * e for col, e in zip(l_cols, srow)):
             raise ValueError("not a sublattice: generator outside the rational span")
-        if any(xi.denominator != 1 for xi in x):
+        if any(x % det_j != 0 for x in num):
             raise ValueError("not a sublattice: generator has fractional coordinates")
-        coords.append(tuple(int(xi) for xi in x))
+        coords.append(tuple(x // det_j for x in num))
     diag = smith_normal_form(coords).diagonal
     if any(d == 0 for d in diag):
         raise ValueError("rank mismatch: sublattice has lower rank")

@@ -56,12 +56,7 @@ def poincare_polynomial(p: LabeledPolytope, xi) -> tuple:
     Entry k is the number of vertices of index k (odd entries are zero).
     The result is independent of the choice of generic xi.
     """
-    if not is_generic(p, xi):
-        raise ValueError(f"xi = {tuple(xi)} is not generic for this polytope")
-    coeffs = [0] * (2 * p.dim + 1)
-    for vi in range(len(p.vertices)):
-        coeffs[_index_unchecked(p, vi, xi)] += 1
-    return tuple(coeffs)
+    return morse_report(p, xi).poincare
 
 
 def morse_report(p: LabeledPolytope, xi) -> MorseReport:

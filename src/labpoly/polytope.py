@@ -392,10 +392,6 @@ def edge_directions(p: LabeledPolytope, vi: int) -> tuple:
     return p.edges[vi]
 
 
-def edge_direction_map(p: LabeledPolytope, vi: int) -> dict:
-    return dict(edge_directions(p, vi))
-
-
 # ---------------------------------------------------------------------------
 # isomorphism (translation preserving normals, offsets pattern, labels)
 # ---------------------------------------------------------------------------

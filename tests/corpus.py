@@ -158,3 +158,17 @@ def standard_corpus():
             seed = 100 + 10 * k + s
             out.append((f"{name}_variant{s}", random_variant(bases[name], seed)))
     return out
+
+
+def generated_family():
+    """Larger generated (name, polytope) pairs: k-gons, simplices, prisms,
+    polygon products, a box, and a unimodular variant of each."""
+    out = [(f"polygon{k}", polygon(k)) for k in range(3, 13)]
+    out += [(f"simplex{n}", standard_simplex(n, 2)) for n in range(1, 6)]
+    out += [(f"prism{k}", product(polygon(k), interval(1, 2))) for k in (4, 7)]
+    out += [("polygon4xpolygon5", product(polygon(4), polygon(5))),
+            ("polygon6xpolygon6", product(polygon(6), polygon(6))),
+            ("box4", box([1, 2, 1, 3]))]
+    out += [(f"{name}_variant", random_variant(p, 7 + i))
+            for i, (name, p) in enumerate(list(out))]
+    return out

@@ -277,6 +277,15 @@ def test_verify_pass(files, capsys):
     assert "PASS: stabilizer/structure-group agreement" in out
 
 
+def test_verify_rejects_negative_samples(files, capsys):
+    code, out, err = run(capsys, "verify", files["w2"], "--samples", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be nonnegative, got -3\n"
+    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "0")
+    assert code == 0
+    assert "PASS: reduction invariants (0 samples, vertices attained)" in out
+
+
 def test_verify_json(files, capsys):
     code, out, _ = run(capsys, "verify", files["t1"], "--json")
     obj = json.loads(out)

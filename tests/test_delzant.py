@@ -8,6 +8,7 @@ import pytest
 from labpoly.delzant import (
     build_construction,
     convex_samples,
+    face_groups,
     face_stabilizer,
     kernel_group,
     moment_level,
@@ -19,7 +20,16 @@ from labpoly.lattice import dot, mat_vec
 from labpoly.local_model import structure_group
 from labpoly.polytope import validate
 
-from corpus import cube, interval, square, standard_corpus, standard_simplex, t1, w2
+from corpus import (
+    cube,
+    generated_family,
+    interval,
+    square,
+    standard_corpus,
+    standard_simplex,
+    t1,
+    w2,
+)
 
 
 def test_t1_construction():
@@ -85,39 +95,39 @@ def test_kernel_group_values():
 def test_face_stabilizers_footballs():
     for n, m in [(1, 1), (2, 3), (4, 6)]:
         p = interval(n, m)
-        d = build_construction(p)
         left = p.face_by_active((0,))
         right = p.face_by_active((1,))
         want_left = (n,) if n > 1 else ()
         want_right = (m,) if m > 1 else ()
-        assert face_stabilizer(d, left).invariant_factors == want_left
-        assert face_stabilizer(d, right).invariant_factors == want_right
+        assert face_stabilizer(p, left).invariant_factors == want_left
+        assert face_stabilizer(p, right).invariant_factors == want_right
 
 
 def test_stabilizer_rejects_improper_face():
     p = t1()
-    d = build_construction(p)
     with pytest.raises(ValueError):
-        face_stabilizer(d, p.face_by_active(()))
+        face_stabilizer(p, p.face_by_active(()))
 
 
 def test_stabilizers_match_structure_groups_everywhere():
-    # the central cross-check: two independent routes to the same groups
-    for name, p in standard_corpus():
-        d = build_construction(p)
-        for f in p.proper_faces():
-            a = face_stabilizer(d, f).invariant_factors
+    # the central cross-check: the once-computed Smith-form groups against
+    # saturation and quotient, two independent routes to the same groups
+    for name, p in standard_corpus() + generated_family():
+        groups = face_groups(p)
+        assert [f for f, _ in groups] == list(p.proper_faces()), name
+        for f, g in groups:
+            a = g.invariant_factors
             b = structure_group(p, f).invariant_factors
             assert a == b, (name, f.active, a, b)
 
 
 def test_regularity_reports():
     p = w2()
-    rep = verify_regular_level(build_construction(p), p)
+    rep = verify_regular_level(p, face_groups(p))
     assert rep.regular
     assert rep.max_stabilizer_order == 2
     assert rep.failure is None
-    rep1 = verify_regular_level(build_construction(t1()), t1())
+    rep1 = verify_regular_level(t1(), face_groups(t1()))
     assert rep1.regular and rep1.max_stabilizer_order == 1
 
 

@@ -10,9 +10,28 @@ from labpoly.fan import (
     fans_equal,
     make_cone,
 )
+from labpoly.lattice import dot
 from labpoly.polytope import Face, validate
 
-from corpus import interval, square, standard_corpus, t1, w2
+from corpus import generated_family, interval, square, standard_corpus, t1, w2
+
+
+def fraction_duality_holds(p, face, cone):
+    """The per-face check with Fraction dot products (the reference for the
+    table of minimizing vertices that build_fan computes once)."""
+    lows = [min(dot(g, v) for v in p.vertices) for g in cone.generators]
+    on_face = set(face.vertices)
+    for vi, v in enumerate(p.vertices):
+        at_min = all(dot(g, v) == lo for g, lo in zip(cone.generators, lows))
+        if vi in on_face:
+            if not at_min:
+                return False
+        elif at_min and cone.generators:
+            return False
+    return True
+
+
+CASES = standard_corpus() + generated_family()
 
 
 def test_t1_fan_contents():
@@ -69,6 +88,22 @@ def test_failing_duality_check_raises():
     assert not cone_vertex_duality_holds(p, bad, make_cone([p.halfspaces[0].normal]))
     with pytest.raises(RuntimeError, match=r"cone of face \[0\] fails"):
         dual_cone(p, bad)
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
+def test_duality_table_matches_fraction_reference(name, p):
+    cones = [make_cone(p.halfspaces[i].normal for i in f.active) for f in p.faces]
+    assert build_fan(p).cones == frozenset(cones)
+    verdicts = set()
+    for k, (face, cone) in enumerate(zip(p.faces, cones)):
+        assert fraction_duality_holds(p, face, cone)
+        # the face's vertex set with vertex 0 toggled, and the next face's cone
+        toggled = Face(face.active, tuple(sorted(set(face.vertices) ^ {0})))
+        for f, c in [(face, cone), (toggled, cone), (face, cones[(k + 1) % len(cones)])]:
+            verdict = cone_vertex_duality_holds(p, f, c)
+            assert verdict == fraction_duality_holds(p, f, c), (f, c)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_face_inclusion_reverses_cone_inclusion():

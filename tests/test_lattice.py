@@ -118,6 +118,57 @@ def oracle_element_order(element, sub_rows, limit=10_000):
     raise AssertionError("element order exceeds limit")
 
 
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fractions (the reference for Bareiss)."""
+    work = [[Fraction(e) for e in r] for r in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def solve_route_quotient(lattice_rows, sub_rows):
+    """L / S with coordinates from Fraction solves (the reference for the
+    adjugate route); same checks and messages, in the same order."""
+    L, S = matrix(lattice_rows), matrix(sub_rows)
+    k = len(L)
+    if k == 0 and len(S) == 0:
+        return FiniteAbelianGroup(())
+    if S and L and len(S[0]) != len(L[0]):
+        raise ValueError("ambient dimension mismatch")
+    if fraction_rank(L) != k:
+        raise ValueError("lattice basis rows are linearly dependent")
+    if len(S) != k:
+        raise ValueError(f"rank mismatch: lattice has rank {k}, got {len(S)} generators")
+    coords = []
+    for srow in S:
+        x = solve_rational(transpose(L), srow)
+        if x is None:
+            raise ValueError("not a sublattice: generator outside the rational span")
+        if any(xi.denominator != 1 for xi in x):
+            raise ValueError("not a sublattice: generator has fractional coordinates")
+        coords.append(tuple(int(xi) for xi in x))
+    diag = smith_normal_form(coords).diagonal
+    if any(d == 0 for d in diag):
+        raise ValueError("rank mismatch: sublattice has lower rank")
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def is_snf_shape(d_mat):
     m = len(d_mat)
     n = len(d_mat[0]) if m else 0
@@ -377,6 +428,41 @@ def test_quotient_against_coset_count(c_rows):
         assert exponent == math.lcm(*orders)
 
 
+def test_quotient_errors_come_in_generator_order():
+    lat = ((2, 0, 0), (0, 1, 0))
+    fractional, outside = (1, 0, 0), (0, 0, 1)
+    for sub, message in [((fractional, outside), "fractional coordinates"),
+                         ((outside, fractional), "outside the rational span")]:
+        with pytest.raises(ValueError, match=message):
+            quotient_group(lat, sub)
+        assert outcome(quotient_group, lat, sub) == outcome(solve_route_quotient, lat, sub)
+
+
+@st.composite
+def lattice_and_generators(draw):
+    """A k x n lattice basis (sometimes dependent) and k generators, each an
+    integer combination of the basis or an arbitrary vector."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    entries = st.integers(-3, 3)
+    lat = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    sub = []
+    for _ in range(draw(st.sampled_from((k, k, k, max(k - 1, 0))))):
+        if lat and draw(st.booleans()):
+            c = draw(st.lists(entries, min_size=k, max_size=k))
+            sub.append([sum(ci * row[j] for ci, row in zip(c, lat)) for j in range(n)])
+        else:
+            sub.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return lat, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_generators())
+def test_quotient_adjugate_route_matches_solve_route(case):
+    lat, sub = case
+    assert outcome(quotient_group, lat, sub) == outcome(solve_route_quotient, lat, sub)
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
@@ -402,6 +488,36 @@ def test_rational_text_round_trip():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """m x n products A * B of inner size r, rows divided by random denominators."""
+    m, n, r = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                      min_size=r, max_size=r))
+    rows = []
+    for row in a:
+        q = draw(st.integers(1, 6))
+        rows.append([Fraction(sum(x * b[t][j] for t, x in enumerate(row)), q) if q > 1
+                     else sum(x * b[t][j] for t, x in enumerate(row)) for j in range(n)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_rows())
+def test_rational_rank_against_fraction_elimination(rows):
+    assert rational_rank(rows) == fraction_rank(rows)
+
+
+def test_rational_rank_examples():
+    assert rational_rank(()) == 0
+    assert rational_rank(((0, 0), (0, 0))) == 0
+    assert rational_rank(((1, 2), (2, 4))) == 1
+    assert rational_rank(((Fraction(1, 2), Fraction(1, 3)), (3, 2))) == 1
+    assert rational_rank(((0, 1, 2), (0, 2, 5), (1, 0, 0))) == 3
 
 
 def test_solve_rational_cases():

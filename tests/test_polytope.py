@@ -12,7 +12,6 @@ from labpoly.polytope import (
     Face,
     FormatError,
     ValidationError,
-    edge_direction_map,
     edge_directions,
     is_isomorphic,
     isomorphism_report,
@@ -207,7 +206,7 @@ def test_tangent_halfspace_is_rejected():
 def test_edge_directions_t1():
     p = t1()
     vi = p.vertex_index((1, 0))
-    dirs = edge_direction_map(p, vi)
+    dirs = dict(edge_directions(p, vi))
     # tight facets at (1,0): x>=0 is not tight; facets 1 (y>=0) and 2 (x+y<=1)
     assert dirs == {1: (-1, 1), 2: (-1, 0)}
 
@@ -215,7 +214,7 @@ def test_edge_directions_t1():
 def test_edge_directions_w2():
     p = w2()
     vi = p.vertex_index((0, 1))
-    dirs = edge_direction_map(p, vi)
+    dirs = dict(edge_directions(p, vi))
     assert set(dirs.values()) == {(0, -1), (2, -1)}
 
 
@@ -240,8 +239,8 @@ def test_edges_pair_up_with_negated_directions():
             # direction at u that stays tight on f.active = drops the one extra facet
             extra_u = (set(p.vertex_active(u_i)) - set(f.active)).pop()
             extra_v = (set(p.vertex_active(v_i)) - set(f.active)).pop()
-            d_u = edge_direction_map(p, u_i)[extra_u]
-            d_v = edge_direction_map(p, v_i)[extra_v]
+            d_u = dict(edge_directions(p, u_i))[extra_u]
+            d_v = dict(edge_directions(p, v_i))[extra_v]
             assert d_u == tuple(-x for x in d_v), (name, f.active)
             # d_u points from u toward v
             diff = vec_sub(v, u)
@@ -251,8 +250,8 @@ def test_edges_pair_up_with_negated_directions():
 
 def test_edge_directions_1d():
     p = interval(1, 1)
-    assert edge_direction_map(p, 0) == {0: (1,)}
-    assert edge_direction_map(p, 1) == {1: (-1,)}
+    assert dict(edge_directions(p, 0)) == {0: (1,)}
+    assert dict(edge_directions(p, 1)) == {1: (-1,)}
 
 
 # ---------------------------------------------------------------------------

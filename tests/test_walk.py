@@ -21,15 +21,7 @@ from labpoly.polytope import (
     validate,
 )
 
-from corpus import (
-    box,
-    interval,
-    polygon,
-    product,
-    random_variant,
-    standard_corpus,
-    standard_simplex,
-)
+from corpus import generated_family, standard_corpus
 
 
 def kernel_edge_directions(p, vi):
@@ -43,18 +35,6 @@ def kernel_edge_directions(p, vi):
             d = vec_neg(d)
         out.append((j, d))
     return tuple(out)
-
-
-def generated_family():
-    out = [(f"polygon{k}", polygon(k)) for k in range(3, 13)]
-    out += [(f"simplex{n}", standard_simplex(n, 2)) for n in range(1, 6)]
-    out += [(f"prism{k}", product(polygon(k), interval(1, 2))) for k in (4, 7)]
-    out += [("polygon4xpolygon5", product(polygon(4), polygon(5))),
-            ("polygon6xpolygon6", product(polygon(6), polygon(6))),
-            ("box4", box([1, 2, 1, 3]))]
-    out += [(f"{name}_variant", random_variant(p, 7 + i))
-            for i, (name, p) in enumerate(list(out))]
-    return out
 
 
 CASES = standard_corpus() + generated_family()
