@@ -35,7 +35,6 @@ from .lattice import (
     format_rational,
     hermite_normal_form,
     kernel_basis,
-    lattices_equal,
     parse_rational,
     primitive_vector,
     quotient_group,
@@ -68,8 +67,6 @@ from .polytope import (
     LabeledPolytope,
     ValidationError,
     edge_directions,
-    enumerate_vertices,
-    face_lattice,
     is_isomorphic,
     isomorphism_report,
     load_polytope,

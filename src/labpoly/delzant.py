@@ -13,6 +13,15 @@ on the chosen interior point beta_0 (this is re-verified symbolically on
 every build), the slacks embed the polytope as the nonnegativity locus, and
 each vertex hits zero slack exactly on its tight facets.
 
+Slacks are computed in one place, in integers: with the offsets over their
+common denominator q (c_i = C_i / q) and a point written as x / den (x an
+integer vector), s_i = S_i / (den * q) with S_i = q <x, e_i> - den * C_i.
+:func:`verify_reduction_invariants` checks every sample this way, comparing
+the pairings with the level by cross-multiplication, and
+:func:`convex_samples` builds its points from the vertices' integer
+numerators; a Fraction is made only for a returned value or an error message.
+Points must be exact: a float or bool coordinate raises ValueError.
+
 Two finite groups live here: the component group of the kernel subgroup
 (Smith form of the projection), and the stabilizer attached to a face, read
 from the Smith form of the projection columns of its tight facets.  The
@@ -24,8 +33,11 @@ the tests and by the ``stabilizers`` and ``verify`` commands.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .lattice import (
     FiniteAbelianGroup,
@@ -97,9 +109,9 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
     kernel = kernel_basis(projection, len(p.halfspaces))
-    beta0 = p.interior_point()
-    slacks = _slacks(projection, offsets, beta0)
-    level = tuple(dot(row, slacks) for row in kernel)
+    d = DelzantData(projection=projection, scaled_offsets=offsets,
+                    kernel_rows=kernel, level=())
+    level = moment_level(d, sample_point(d, p, p.interior_point()))
     symbolic = tuple(-dot(row, offsets) for row in kernel)
     if level != symbolic:
         raise RuntimeError("reduction level depends on the sample point")
@@ -107,11 +119,45 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
                        kernel_rows=kernel, level=level)
 
 
-def _slacks(projection, offsets, beta):
-    cols = len(projection[0]) if projection else 0
-    return tuple(
-        sum(projection[r][i] * beta[r] for r in range(len(projection))) - offsets[i]
-        for i in range(cols))
+def _integer_tables(d: DelzantData) -> tuple:
+    """``(columns, offsets, q)``: e_i = ``columns[i]`` and c_i = ``offsets[i]`` / q."""
+    columns = tuple(zip(*d.projection))
+    offsets = [Fraction(c) for c in d.scaled_offsets]
+    q = lcm(*(c.denominator for c in offsets))
+    return columns, tuple(c.numerator * (q // c.denominator) for c in offsets), q
+
+
+def _numerators(point, length: int) -> tuple:
+    """``(x, den)`` with ``point`` = x / den, x integer and den > 0.
+
+    Coordinates must be exact (int, Fraction or 'p/q'): a float or a bool
+    raises ValueError, as does a point of the wrong length.
+    """
+    coords = []
+    for x in point:
+        if isinstance(x, (float, bool)):
+            raise ValueError(
+                f"coordinates must be exact (int, Fraction or 'p/q'), got {x!r}")
+        coords.append(x if isinstance(x, (int, Fraction)) else Fraction(x))
+    if len(coords) != length:
+        raise ValueError(f"point has {len(coords)} coordinates, expected {length}")
+    den = lcm(*(x.denominator for x in coords))
+    return [x.numerator * (den // x.denominator) for x in coords], den
+
+
+def _slacks(tables, x, den, point) -> tuple:
+    """``(S, den * q)``: s_i(x / den) = S_i / (den * q), from the point itself.
+
+    ``point`` is x / den as given, for the message: a negative slack raises
+    ValueError naming the first violated facet.
+    """
+    columns, offsets, q = tables
+    s = [q * sum(map(mul, x, e)) - den * c for e, c in zip(columns, offsets)]
+    if min(s, default=0) < 0:
+        i = next(i for i, si in enumerate(s) if si < 0)
+        raise ValueError(f"point {format_point(point)} is outside the polytope: "
+                         f"violates facet {i}")
+    return s, den * q
 
 
 def sample_point(d: DelzantData, p: LabeledPolytope, beta) -> tuple:
@@ -119,19 +165,16 @@ def sample_point(d: DelzantData, p: LabeledPolytope, beta) -> tuple:
 
     The error names the first violated facet.
     """
-    beta = tuple(Fraction(x) for x in beta)
-    s = _slacks(d.projection, d.scaled_offsets, beta)
-    for i, si in enumerate(s):
-        if si < 0:
-            raise ValueError(
-                f"point {format_point(beta)} is outside the polytope: "
-                f"violates facet {i}")
-    return s
+    beta = tuple(beta)
+    x, den = _numerators(beta, d.ambient_dim)
+    s, scale = _slacks(_integer_tables(d), x, den, beta)
+    return tuple(Fraction(si, scale) for si in s)
 
 
 def moment_level(d: DelzantData, slacks) -> tuple:
     """j* of a slack vector: pairing with each kernel basis row."""
-    return tuple(dot(row, slacks) for row in d.kernel_rows)
+    s, den = _numerators(slacks, d.num_facets)
+    return tuple(Fraction(sum(map(mul, row, s)), den) for row in d.kernel_rows)
 
 
 def kernel_group(d: DelzantData) -> KernelGroupInfo:
@@ -208,22 +251,30 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
                                 samples) -> ReductionReport:
     """Check the defining identities of the construction on sample points.
 
-    For each sample beta in the polytope: s(beta) >= 0 (enforced by
-    sample_point, which raises on outside points) and j*(s(beta)) equals the
-    level.  Additionally every vertex must attain slack zero exactly on its
-    tight facets.
+    For each sample beta: its slacks, computed from beta itself, are
+    nonnegative (an outside point raises ValueError, as in
+    :func:`sample_point`), and j*(s(beta)) equals the level.  Additionally
+    every vertex must attain slack zero exactly on its tight facets.  All of
+    it runs in integers (see the module docstring).
     """
+    tables = _integer_tables(d)
+    level = [(a.numerator, a.denominator) for a in map(Fraction, d.level)]
+    shape_ok = len(level) == len(d.kernel_rows)
     count = 0
     for beta in samples:
-        s = sample_point(d, p, beta)
-        if moment_level(d, s) != d.level:
+        beta = tuple(beta)
+        x, den = _numerators(beta, d.ambient_dim)
+        s, scale = _slacks(tables, x, den, beta)
+        if not (shape_ok and all(sum(map(mul, row, s)) * b == a * scale
+                                 for row, (a, b) in zip(d.kernel_rows, level))):
             return ReductionReport(
                 passed=False, samples_checked=count, vertices_attained=False,
                 failure=f"moment level mismatch at sample {format_point(beta)}")
         count += 1
+    den, numerators = p.scaled_vertices
     for f in p.vertex_faces():
         v = p.vertices[f.vertices[0]]
-        s = sample_point(d, p, v)
+        s, _ = _slacks(tables, numerators[f.vertices[0]], den, v)
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
         if zero_set != f.active:
             return ReductionReport(
@@ -236,10 +287,17 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
 
 def convex_samples(p: LabeledPolytope, count: int, seed: int) -> list:
     """Deterministic rational points of the polytope: random convex
-    combinations of the vertices (vertices themselves can occur)."""
-    import random
+    combinations of the vertices (vertices themselves can occur).
 
+    Each point is the integer vector sum_k w_k V_k over D * sum_k w_k, with
+    V_k the vertex numerators over their common denominator D.  A negative
+    ``count`` raises ValueError.
+    """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
+    den, numerators = p.scaled_vertices
+    columns = tuple(zip(*numerators))
     out = []
     nv = len(p.vertices)
     for _ in range(count):
@@ -248,8 +306,6 @@ def convex_samples(p: LabeledPolytope, count: int, seed: int) -> list:
         if total == 0:
             weights[rng.randrange(nv)] = 1
             total = 1
-        point = tuple(
-            sum(Fraction(w) * v[j] for w, v in zip(weights, p.vertices)) / total
-            for j in range(p.dim))
-        out.append(point)
+        out.append(tuple(Fraction(sum(map(mul, weights, col)), den * total)
+                         for col in columns))
     return out

@@ -9,7 +9,6 @@ command.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .lattice import dot, rational_rank
@@ -75,10 +74,10 @@ def _minimizers(p: LabeledPolytope, generators) -> dict:
     """generator -> set of the vertices on which <generator, .> is smallest.
 
     The pairings <y, D v> are integers, with D the lcm of every vertex
-    denominator, and they are formed once for all generators and vertices.
+    denominator (:attr:`LabeledPolytope.scaled_vertices`), and they are
+    formed once for all generators and vertices.
     """
-    scale = math.lcm(*(x.denominator for v in p.vertices for x in v))
-    points = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in p.vertices]
+    _, points = p.scaled_vertices
     table = {}
     for g in generators:
         values = [dot(g, w) for w in points]

@@ -498,13 +498,6 @@ def unimodular_inverse(m_rows) -> Mat:
     return hnf.U
 
 
-def lattices_equal(a, b) -> bool:
-    """Whether two row bases span the same sublattice (mutual HNF compare)."""
-    ha = tuple(r for r in hermite_normal_form(a).H if any(r))
-    hb = tuple(r for r in hermite_normal_form(b).H if any(r))
-    return ha == hb
-
-
 # ---------------------------------------------------------------------------
 # kernels, saturation, quotients
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A generic direction xi (one pairing nonzero with every edge direction) turns
 the vertex set into critical points; the index of a vertex is twice the
 number of its edges on which xi decreases.  Counting vertices by index gives
-the Poincare coefficients directly, in every case even degrees only.
+the Poincare coefficients directly, in every case even degrees only.  xi must
+have integer entries; anything else raises ValueError.
 
 ``morse_inequality_check`` implements the classical comparison between a
 Morse counting polynomial M and a Poincare polynomial P: the pair is
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lattice import dot
+from .lattice import dot, matrix
 from .polytope import LabeledPolytope, edge_directions
 
 
@@ -27,9 +28,18 @@ class MorseReport:
     poincare: tuple        # coefficient list, degree 0 .. 2*dim
 
 
+def _direction(xi) -> tuple:
+    """xi as a tuple of ints; a float, bool or fractional entry raises ValueError."""
+    try:
+        (xi,) = matrix((tuple(xi),))
+    except ValueError as exc:
+        raise ValueError(f"xi must have integer entries ({exc})") from None
+    return xi
+
+
 def is_generic(p: LabeledPolytope, xi) -> bool:
     """Whether xi pairs nonzero with every edge direction at every vertex."""
-    xi = tuple(xi)
+    xi = _direction(xi)
     if not any(xi):
         raise ValueError("xi must be nonzero")
     for vi in range(len(p.vertices)):
@@ -41,8 +51,9 @@ def is_generic(p: LabeledPolytope, xi) -> bool:
 
 def vertex_index(p: LabeledPolytope, vi: int, xi) -> int:
     """Morse index of a vertex: 2 * #(edges on which xi decreases)."""
+    xi = _direction(xi)
     if not is_generic(p, xi):
-        raise ValueError(f"xi = {tuple(xi)} is not generic for this polytope")
+        raise ValueError(f"xi = {xi} is not generic for this polytope")
     return _index_unchecked(p, vi, xi)
 
 
@@ -60,13 +71,14 @@ def poincare_polynomial(p: LabeledPolytope, xi) -> tuple:
 
 
 def morse_report(p: LabeledPolytope, xi) -> MorseReport:
+    xi = _direction(xi)
     if not is_generic(p, xi):
-        raise ValueError(f"xi = {tuple(xi)} is not generic for this polytope")
+        raise ValueError(f"xi = {xi} is not generic for this polytope")
     indices = tuple(_index_unchecked(p, vi, xi) for vi in range(len(p.vertices)))
     coeffs = [0] * (2 * p.dim + 1)
     for k in indices:
         coeffs[k] += 1
-    return MorseReport(xi=tuple(xi), vertex_indices=indices, poincare=tuple(coeffs))
+    return MorseReport(xi=xi, vertex_indices=indices, poincare=tuple(coeffs))
 
 
 def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:

@@ -18,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -92,10 +93,25 @@ class LabeledPolytope:
 
     def face_by_active(self, active) -> Face:
         key = tuple(sorted(active))
-        for f in self.faces:
-            if f.active == key:
-                return f
-        raise KeyError(f"no face with active set {key}")
+        try:
+            return self._faces_by_active[key]
+        except KeyError:
+            raise KeyError(f"no face with active set {key}") from None
+
+    @cached_property
+    def _faces_by_active(self) -> dict:
+        return {f.active: f for f in self.faces}
+
+    @cached_property
+    def scaled_vertices(self) -> tuple:
+        """``(D, numerators)``: each vertex is its integer numerator tuple over D.
+
+        D is the lcm of every vertex coordinate denominator, so the pairings
+        and convex combinations that read these tables stay in integers.
+        """
+        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
+                            for v in self.vertices)
 
     def proper_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim > 0)
@@ -365,20 +381,6 @@ def _recession_direction(normals, dim):
 # ---------------------------------------------------------------------------
 # derived geometry
 # ---------------------------------------------------------------------------
-
-def enumerate_vertices(p: LabeledPolytope) -> tuple:
-    """Vertices in canonical (lexicographic) order, as Fraction tuples.
-
-    The enumeration happens during :func:`validate`; this accessor names the
-    operation.
-    """
-    return p.vertices
-
-
-def face_lattice(p: LabeledPolytope) -> tuple:
-    """All faces sorted by (codimension, tight facet set)."""
-    return p.faces
-
 
 def edge_directions(p: LabeledPolytope, vi: int) -> tuple:
     """Primitive edge directions leaving vertex ``vi``.

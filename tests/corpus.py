@@ -3,14 +3,22 @@
 Builders return validated LabeledPolytope objects.  ``standard_corpus()``
 yields a deterministic list of named examples (footballs, simplices, cubes,
 a weighted triangle, products, and unimodular/translated/relabeled variants)
-that the cross-checking suites iterate over.
+that the cross-checking suites iterate over.  ``lattices_equal`` is a
+lattice comparison the tests share.
 """
 
 import random
 from fractions import Fraction
 
-from labpoly.lattice import mat_vec, unimodular_inverse, dot, transpose
+from labpoly.lattice import dot, hermite_normal_form, mat_vec, transpose, unimodular_inverse
 from labpoly.polytope import validate
+
+
+def lattices_equal(a, b) -> bool:
+    """Whether two row bases span the same sublattice (mutual HNF compare)."""
+    ha = tuple(r for r in hermite_normal_form(a).H if any(r))
+    hb = tuple(r for r in hermite_normal_form(b).H if any(r))
+    return ha == hb
 
 
 def interval(n, m, length=1, left=0):

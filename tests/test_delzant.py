@@ -153,3 +153,32 @@ def test_convex_samples_deterministic_and_inside():
     assert a == b
     assert all(p.contains(x) for x in a)
     assert convex_samples(p, 25, seed=4) != a
+
+
+def test_convex_samples_rejects_negative_count():
+    p = t1()
+    with pytest.raises(ValueError, match="^count must be nonnegative, got -3$"):
+        convex_samples(p, -3, 0)
+    assert convex_samples(p, 0, 0) == []
+    rep = verify_reduction_invariants(build_construction(p), p, convex_samples(p, 0, 0))
+    assert rep.passed and rep.samples_checked == 0
+
+
+def test_sample_point_rejects_float_and_bool_coordinates():
+    p = t1()
+    d = build_construction(p)
+    with pytest.raises(ValueError, match="must be exact.*got 0.1"):
+        sample_point(d, p, (0.1, 0.2))
+    with pytest.raises(ValueError, match="must be exact.*got True"):
+        sample_point(d, p, (True, 0))
+    assert sample_point(d, p, (Fraction(1, 10), "1/5")) == (
+        Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
+
+
+def test_reduction_invariants_reject_float_point():
+    p = t1()
+    d = build_construction(p)
+    with pytest.raises(ValueError, match="must be exact.*got 0.2"):
+        verify_reduction_invariants(d, p, [(0, 0), (Fraction(1, 10), 0.2)])
+    with pytest.raises(ValueError, match="must be exact.*got False"):
+        verify_reduction_invariants(d, p, [(0, False)])

@@ -25,7 +25,6 @@ from labpoly.lattice import (
     identity,
     invert_rational,
     kernel_basis,
-    lattices_equal,
     mat_mul,
     mat_vec,
     matrix,
@@ -39,6 +38,8 @@ from labpoly.lattice import (
     transpose,
     unimodular_inverse,
 )
+
+from corpus import lattices_equal
 
 # ---------------------------------------------------------------------------
 # oracles

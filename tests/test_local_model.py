@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from labpoly.lattice import dot, lattices_equal, primitive_vector, rational_rank
+from labpoly.lattice import dot, primitive_vector, rational_rank
 from labpoly.local_model import (
     isotropy_data,
     local_cone,
@@ -14,7 +14,7 @@ from labpoly.local_model import (
 )
 from labpoly.polytope import edge_directions, validate
 
-from corpus import cube, interval, square, standard_corpus, t1, w2
+from corpus import cube, interval, lattices_equal, square, standard_corpus, t1, w2
 
 
 def face_of(p, *active):

@@ -1,6 +1,7 @@
 """Tests for Morse indices, Poincare coefficients, and the (1+x) check."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -144,3 +145,26 @@ def test_poincare_against_itself_is_consistent():
         xi = random_generic_direction(p, rng)
         coeffs = poincare_polynomial(p, xi)
         assert morse_inequality_check(coeffs, coeffs) == (), name
+
+
+def test_is_generic_rejects_non_integer_xi():
+    p = square()
+    with pytest.raises(ValueError, match="integer entries"):
+        is_generic(p, (1.5, 0.25))
+    with pytest.raises(ValueError, match="integer entries"):
+        is_generic(p, (True, 2))
+
+
+def test_vertex_index_rejects_non_integer_xi():
+    p = square()
+    with pytest.raises(ValueError, match="integer entries"):
+        vertex_index(p, 0, (1, 2.0))
+    with pytest.raises(ValueError, match="integer entries"):
+        vertex_index(p, 0, (Fraction(1, 2), 1))
+
+
+def test_morse_report_rejects_non_integer_xi():
+    p = square()
+    with pytest.raises(ValueError, match="integer entries"):
+        morse_report(p, (1.5, 0.25))
+    assert morse_report(p, (Fraction(1), 2)) == morse_report(p, (1, 2))

@@ -354,10 +354,15 @@ def test_json_integer_offsets_accepted():
 # ---------------------------------------------------------------------------
 
 def test_named_accessors():
-    from labpoly.polytope import enumerate_vertices, face_lattice
     p = t1()
-    assert enumerate_vertices(p) == p.vertices
-    assert face_lattice(p) == p.faces
+    assert p.vertices == ((0, 0), (0, 1), (1, 0))
+    assert [f.active for f in p.faces] == [
+        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    for f in p.faces:
+        assert p.face_by_active(f.active) is f
+        assert p.face_by_active(reversed(f.active)) is f
+    with pytest.raises(KeyError, match="no face with active set"):
+        p.face_by_active((0, 1, 2))
 
 
 def test_corpus_size_and_validity():
