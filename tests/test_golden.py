@@ -1,0 +1,140 @@
+"""The byte-identical CLI contract, pinned on a fixed set of jobs.
+
+Every job runs ``main`` in-process from a temporary working directory with
+relative file names, so neither stdout nor stderr mentions the machine.  The
+expected exit code, stdout and stderr of each job are in ``golden_cli.json``,
+recorded once from the release these jobs first ran on; any change to a
+printed byte is a change to the contract.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from labpoly.cli import main
+from labpoly.polytope import polytope_to_json
+
+from corpus import box, cube, interval, random_variant, square, t1, transformed, w2
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def _halfspaces(triples):
+    return [{"normal": list(y), "offset": str(eta), "label": m} for y, eta, m in triples]
+
+
+def inputs() -> dict:
+    """File name -> JSON text of every input the jobs read."""
+    polytopes = {
+        "t1.json": t1(),
+        "w2.json": w2(),
+        "square_labeled.json": square(2, [1, 2, 3, 4]),
+        "square_unlabeled.json": square(2),
+        "rectangle_labeled.json": box([2, 3], [1, 2, 3, 4]),
+        "interval35.json": interval(3, 5),
+        "cube_labeled.json": cube(1, [1, 2, 3, 1, 2, 5]),
+        "w2_variant.json": random_variant(w2(), 110),
+        # w2 moved by (1/2, -1/3): compare must find that translation
+        "w2_moved.json": transformed(w2(), ((1, 0), (0, 1)),
+                                     (Fraction(1, 2), Fraction(-1, 3))),
+    }
+    files = {name: json.dumps(polytope_to_json(p)) for name, p in polytopes.items()}
+    raw = {
+        # square pyramid: four facets meet at the apex
+        "pyramid.json": (3, [((0, 0, 1), 0, 1), ((-1, 0, -1), -1, 1), ((1, 0, -1), -1, 1),
+                             ((0, -1, -1), -1, 1), ((0, 1, -1), -1, 1)]),
+        "pyramid_half.json": (3, [((0, 0, 1), 0, 1), ((-1, 0, -1), "-1/2", 1),
+                                  ((1, 0, -1), "-1/2", 1), ((0, -1, -1), "-1/2", 1),
+                                  ((0, 1, -1), "-1/2", 1)]),
+        "empty.json": (2, [((1, 0), "1/2", 1), ((0, 1), "1/3", 1), ((-1, -1), "-1/2", 1)]),
+        "redundant.json": (2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1),
+                               ((-1, -2), -10, 1)]),
+        "slab.json": (2, [((1, 0), 0, 1), ((-1, 0), -1, 1), ((0, 1), 0, 1)]),
+        "nonprimitive.json": (2, [((2, 0), 0, 1), ((0, 3), 0, 2),
+                                  ((-1, -1), "-3/2", 1)]),
+    }
+    for name, (dim, triples) in raw.items():
+        files[name] = json.dumps({"dim": dim, "halfspaces": _halfspaces(triples)})
+    files["bad_schema.json"] = json.dumps({"dim": 2})
+    files["bad_json.json"] = "{ not json"
+    return files
+
+
+POLYTOPES = ["t1.json", "w2.json", "square_labeled.json", "interval35.json",
+             "cube_labeled.json", "w2_variant.json", "nonprimitive.json"]
+ONE_FILE = ["validate", "vertices", "faces", "structure-groups", "fan", "delzant",
+            "stabilizers", "betti", "verify"]
+
+
+def jobs() -> list:
+    out = []
+    for name in POLYTOPES:
+        for flags in ([], ["--json"]):
+            out += [[cmd, name, *flags] for cmd in ONE_FILE]
+            out.append(["compare", name, name, *flags])
+    for a, b in [("w2.json", "w2_moved.json"), ("w2.json", "w2_variant.json"),
+                 ("t1.json", "w2.json"), ("square_labeled.json", "square_unlabeled.json"),
+                 ("square_labeled.json", "rectangle_labeled.json"),
+                 ("square_labeled.json", "cube_labeled.json")]:
+        for flags in ([], ["--json"], ["--symplectic"], ["--biholomorphic"]):
+            out.append(["compare", a, b, *flags])
+    out += [
+        ["betti", "cube_labeled.json", "--seed", "5"],
+        ["betti", "cube_labeled.json", "--xi", "1,2,4", "--json"],
+        ["verify", "w2_variant.json", "--samples", "7", "--seed", "3"],
+        ["verify", "t1.json", "--samples", "0", "--json"],
+        # error paths
+        ["verify", "t1.json", "--samples", "-3"],
+        ["betti", "square_labeled.json", "--xi", "0,0"],
+        ["betti", "square_labeled.json", "--xi", "1,0"],
+        ["betti", "square_labeled.json", "--xi", "1,2,3"],
+        ["betti", "square_labeled.json", "--xi", "a,b"],
+        ["validate", "missing.json"],
+        ["compare", "t1.json", "missing.json"],
+        ["validate", "bad_schema.json"],
+        ["validate", "bad_json.json", "--json"],
+        ["compare", "interval35.json", "t1.json"],
+    ]
+    for name in ["pyramid.json", "pyramid_half.json", "empty.json", "redundant.json",
+                 "slab.json"]:
+        out += [["validate", name], ["vertices", name, "--json"]]
+    out += [[cmd, "pyramid.json"] for cmd in ["faces", "fan", "verify"]]
+    return out
+
+
+def run_job(argv) -> dict:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+JOBS = {" ".join(argv): argv for argv in jobs()}
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for name, text in inputs().items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+def test_golden_file_covers_every_job(expected):
+    assert sorted(expected) == sorted(JOBS)
+
+
+@pytest.mark.parametrize("key", list(JOBS))
+def test_cli_output_matches_golden(key, expected, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert run_job(JOBS[key]) == expected[key]
