@@ -27,7 +27,6 @@ from . import morse as morse_mod
 from .lattice import format_rational
 from .polytope import (
     FormatError,
-    ValidationError,
     format_point,
     isomorphism_report,
     load_polytope,
@@ -43,9 +42,8 @@ def _load(path):
     return p
 
 
-def _emit(obj, as_json):
-    if as_json:
-        print(json.dumps(obj, indent=2))
+def _emit(obj):
+    print(json.dumps(obj, indent=2))
 
 
 def _face_name(p, f):
@@ -67,7 +65,7 @@ def cmd_validate(args):
     labels = [h.label for h in p.halfspaces]
     if args.json:
         _emit({"valid": True, "dim": p.dim, "facets": len(p.halfspaces),
-               "vertices": len(p.vertices), "labels": labels}, True)
+               "vertices": len(p.vertices), "labels": labels})
     else:
         print(f"valid: dim {p.dim}, {len(p.halfspaces)} facets, "
               f"{len(p.vertices)} vertices, labels {labels}")
@@ -77,8 +75,7 @@ def cmd_validate(args):
 def cmd_vertices(args):
     p = _load(args.file)
     if args.json:
-        _emit({"vertices": [[format_rational(x) for x in v] for v in p.vertices]},
-              True)
+        _emit({"vertices": [[format_rational(x) for x in v] for v in p.vertices]})
     else:
         for v in p.vertices:
             print(format_point(v))
@@ -89,7 +86,7 @@ def cmd_faces(args):
     p = _load(args.file)
     if args.json:
         _emit({"faces": [{"active": list(f.active), "codim": f.codim,
-                          "vertices": list(f.vertices)} for f in p.faces]}, True)
+                          "vertices": list(f.vertices)} for f in p.faces]})
     else:
         for f in p.faces:
             print(f"codim {f.codim} active {list(f.active)} "
@@ -103,7 +100,7 @@ def cmd_structure_groups(args):
     if args.json:
         _emit({"structure_groups": [
             {"active": list(f.active), "codim": f.codim, **_group_json(g)}
-            for f, g in rows]}, True)
+            for f, g in rows]})
     else:
         for f, g in rows:
             print(f"{_face_name(p, f)}: {g}")
@@ -114,7 +111,7 @@ def cmd_fan(args):
     p = _load(args.file)
     f = fan_mod.build_fan(p)
     if args.json:
-        _emit(fan_mod.fan_to_json(f), True)
+        _emit(fan_mod.fan_to_json(f))
     else:
         rays = ", ".join(str(tuple(r)) for r in f.rays())
         print(f"dim {f.ambient_dim}, {len(f.cones)} cones, rays [{rays}]")
@@ -146,7 +143,7 @@ def cmd_compare(args):
                       else "fans differ: not biholomorphic")
         out["fans_equal"] = equal
     if args.json:
-        _emit(out, True)
+        _emit(out)
     else:
         for line in lines:
             print(line)
@@ -171,7 +168,7 @@ def cmd_delzant(args):
                 {"active": list(f.active), **_group_json(g)} for f, g in stab],
             "regular": reg.regular,
             "max_stabilizer_order": reg.max_stabilizer_order,
-        }, True)
+        })
     else:
         print("projection:")
         for r in d.projection:
@@ -216,7 +213,7 @@ def cmd_stabilizers(args):
             {"active": list(f.active), "reduction": _group_json(a),
              "local": _group_json(b), "agree": same}
             for f, a, b, same in rows],
-            "oracles_agree": agree}, True)
+            "oracles_agree": agree})
     else:
         for f, a, b, same in rows:
             mark = "agree" if same else "DISAGREE"
@@ -240,10 +237,6 @@ def cmd_betti(args):
     p = _load(args.file)
     if args.xi is not None:
         xi = _parse_xi(args.xi, p.dim)
-        if not any(xi):
-            raise ValidationError("xi must be nonzero")
-        if not morse_mod.is_generic(p, xi):
-            raise ValidationError(f"xi = {tuple(xi)} is not generic for this polytope")
     else:
         xi = morse_mod.random_generic_direction(p, random.Random(args.seed))
     rep = morse_mod.morse_report(p, xi)
@@ -252,7 +245,7 @@ def cmd_betti(args):
                "vertex_indices": [
                    {"vertex": [format_rational(x) for x in v], "index": k}
                    for v, k in zip(p.vertices, rep.vertex_indices)],
-               "poincare": list(rep.poincare)}, True)
+               "poincare": list(rep.poincare)})
     else:
         print(f"xi = {tuple(xi)}")
         for v, k in zip(p.vertices, rep.vertex_indices):
@@ -300,7 +293,7 @@ def cmd_verify(args):
     if args.json:
         _emit({"checks": [{"name": name, "passed": ok, "detail": detail}
                           for name, ok, detail in checks],
-               "passed": all_ok}, True)
+               "passed": all_ok})
     else:
         for name, ok, detail in checks:
             line = f"{'PASS' if ok else 'FAIL'}: {name}"
@@ -363,16 +356,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:  # FormatError first: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ValidationError is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

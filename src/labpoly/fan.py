@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import dot, rational_rank
+from .lattice import dot
 from .polytope import Face, LabeledPolytope
 
 
@@ -24,10 +24,6 @@ class Cone:
     """
 
     generators: tuple
-
-    @property
-    def dim(self) -> int:
-        return rational_rank(self.generators) if self.generators else 0
 
 
 def make_cone(generators) -> Cone:

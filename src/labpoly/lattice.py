@@ -4,6 +4,14 @@ Everything in this module works with arbitrary-precision Python ``int`` and
 ``fractions.Fraction``; floating point is never used.  Matrices are immutable
 tuples of row tuples, vectors are plain tuples.  All functions are pure.
 
+Every solve, inverse, rank and determinant goes through one of two
+fraction-free (Bareiss) eliminations, in which every division is exact:
+:func:`adjugate` returns ``(det(A), adj(A))`` of a nonsingular square matrix,
+so a solution or an inverse is an integer matrix over one determinant, and
+:func:`_echelon` returns pivot columns, the swap sign and the last pivot,
+which give :func:`rational_rank` and :func:`det`.  Callers scale rational
+data to integers over a common denominator first.
+
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
 exact multiplication before returning, so a silent arithmetic bug cannot leak
@@ -15,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 Vec = tuple  # integer row vector
 Mat = tuple  # tuple of integer row vectors
@@ -84,10 +92,6 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
@@ -110,28 +114,18 @@ def mat_mul(a, b):
 
 
 def det(a) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix.
+
+    The signed last pivot of the fraction-free echelon form
+    (:func:`_echelon`), or 0 when the rank is short.  A non-integer entry
+    raises ValueError.
+    """
+    a = matrix(a)
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    pivots, sign, last = _echelon(a)
+    return sign * last if len(pivots) == n else 0
 
 
 def adjugate(a) -> tuple:
@@ -185,15 +179,19 @@ def primitive_vector(v) -> Vec:
 
 def rational_rank(rows) -> int:
     """Rank over the rationals of a matrix with int or Fraction entries."""
-    return len(_pivot_columns(rows))
+    return len(_echelon(rows)[0])
 
 
-def _pivot_columns(rows) -> tuple:
-    """Pivot columns of a row echelon form of a matrix with int or Fraction entries.
+def _echelon(rows) -> tuple:
+    """``(pivots, sign, last)`` of a row echelon form of an int or Fraction matrix.
 
     Fraction-free (Bareiss) elimination: a row with Fraction entries is first
     scaled by the lcm of its denominators, and every later division is exact.
-    The columns returned are linearly independent and as many as the rank.
+    ``pivots`` are linearly independent columns, as many as the rank; ``sign``
+    is the parity of the row swaps and ``last`` the last pivot (1 if there is
+    none).  By Sylvester's identity a pivot is the leading minor of the
+    row-swapped matrix, so a nonsingular square integer matrix has
+    determinant ``sign * last``.
     """
     work = []
     for r in rows:
@@ -201,13 +199,15 @@ def _pivot_columns(rows) -> tuple:
         work.append([e.numerator * (scale // e.denominator) for e in r])
     ncols = len(work[0]) if work else 0
     pivots = []
-    prev = 1
+    sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
         top = work[r]
         pv = top[c]
         for i in range(r + 1, len(work)):
@@ -217,68 +217,7 @@ def _pivot_columns(rows) -> tuple:
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return tuple(pivots)
-
-
-def solve_rational(a_rows, b) -> Optional[tuple]:
-    """Unique exact solution x of ``A x = b`` over the rationals, if any.
-
-    Returns a tuple of Fractions when the system has exactly one solution,
-    and None when it is inconsistent or underdetermined.  A may be any shape.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    if len(b) != m:
-        raise ValueError("shape mismatch")
-    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    # inconsistent row: 0 = nonzero
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    if len(pivots) < n:
-        return None  # underdetermined
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
-    return tuple(x)
-
-
-def invert_rational(rows):
-    """Exact inverse of a square matrix with int or Fraction entries."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    aug = [[Fraction(e) for e in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(pivots), sign, prev
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +538,7 @@ def quotient_group(lattice_rows, sub_rows) -> FiniteAbelianGroup:
         return TRIVIAL_GROUP
     if S and L and len(S[0]) != len(L[0]):
         raise ValueError("ambient dimension mismatch")
-    cols = _pivot_columns(L)
+    cols = _echelon(L)[0]
     if len(cols) != k:
         raise ValueError("lattice basis rows are linearly dependent")
     if len(S) != k:

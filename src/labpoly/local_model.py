@@ -19,7 +19,7 @@ from fractions import Fraction
 from .lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
-    invert_rational,
+    adjugate,
     kernel_basis,
     quotient_group,
     saturate,
@@ -102,8 +102,8 @@ def slice_weights(p: LabeledPolytope, face: Face) -> SliceWeights:
         raise ValueError("slice weights are defined only at vertices "
                          f"(got a face of codimension {face.codim})")
     data = isotropy_data(p, face)
-    inv = invert_rational(transpose(data.scaled))
-    weights = tuple(tuple(row) for row in inv)
+    d, adj = adjugate(transpose(data.scaled))
+    weights = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
     vertex = p.vertices[face.vertices[0]]
     return SliceWeights(vertex=vertex, weights=weights)
 

@@ -29,19 +29,19 @@ class MorseReport:
 
 
 def _direction(xi) -> tuple:
-    """xi as a tuple of ints; a float, bool or fractional entry raises ValueError."""
+    """xi as a tuple of ints; a float, bool or fractional entry, or xi = 0, raises."""
     try:
         (xi,) = matrix((tuple(xi),))
     except ValueError as exc:
         raise ValueError(f"xi must have integer entries ({exc})") from None
+    if not any(xi):
+        raise ValueError("xi must be nonzero")
     return xi
 
 
 def is_generic(p: LabeledPolytope, xi) -> bool:
     """Whether xi pairs nonzero with every edge direction at every vertex."""
     xi = _direction(xi)
-    if not any(xi):
-        raise ValueError("xi must be nonzero")
     for vi in range(len(p.vertices)):
         for _, d in edge_directions(p, vi):
             if dot(xi, d) == 0:
@@ -51,14 +51,7 @@ def is_generic(p: LabeledPolytope, xi) -> bool:
 
 def vertex_index(p: LabeledPolytope, vi: int, xi) -> int:
     """Morse index of a vertex: 2 * #(edges on which xi decreases)."""
-    xi = _direction(xi)
-    if not is_generic(p, xi):
-        raise ValueError(f"xi = {xi} is not generic for this polytope")
-    return _index_unchecked(p, vi, xi)
-
-
-def _index_unchecked(p, vi, xi):
-    return 2 * sum(1 for _, d in edge_directions(p, vi) if dot(xi, d) < 0)
+    return morse_report(p, xi).vertex_indices[vi]
 
 
 def poincare_polynomial(p: LabeledPolytope, xi) -> tuple:
@@ -71,14 +64,22 @@ def poincare_polynomial(p: LabeledPolytope, xi) -> tuple:
 
 
 def morse_report(p: LabeledPolytope, xi) -> MorseReport:
+    """Index of every vertex and the Poincare coefficients for a generic xi.
+
+    Each edge is paired with xi once; a zero pairing means xi is not generic
+    and raises ValueError.
+    """
     xi = _direction(xi)
-    if not is_generic(p, xi):
-        raise ValueError(f"xi = {xi} is not generic for this polytope")
-    indices = tuple(_index_unchecked(p, vi, xi) for vi in range(len(p.vertices)))
+    indices = []
+    for vi in range(len(p.vertices)):
+        pairings = [dot(xi, d) for _, d in edge_directions(p, vi)]
+        if 0 in pairings:
+            raise ValueError(f"xi = {xi} is not generic for this polytope")
+        indices.append(2 * sum(1 for x in pairings if x < 0))
     coeffs = [0] * (2 * p.dim + 1)
     for k in indices:
         coeffs[k] += 1
-    return MorseReport(xi=xi, vertex_indices=indices, poincare=tuple(coeffs))
+    return MorseReport(xi=xi, vertex_indices=tuple(indices), poincare=tuple(coeffs))
 
 
 def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:

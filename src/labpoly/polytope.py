@@ -33,7 +33,6 @@ from .lattice import (
     parse_rational,
     primitive_vector,
     rational_rank,
-    solve_rational,
     vec_neg,
     vec_sub,
 )
@@ -238,9 +237,8 @@ def _walk(dim, hs):
     The same path, for a functional maximized at a single vertex only, shows
     that the walk reaches every vertex.
     """
-    scale = math.lcm(*(h.offset.denominator for h in hs))
     normals = [h.normal for h in hs]
-    offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
+    scale, offsets = _common_denominator([h.offset for h in hs])
     for start in combinations(range(len(hs)), dim):
         try:
             if min(_basic_solution(normals, offsets, start)[3]) >= 0:
@@ -282,6 +280,12 @@ def _walk(dim, hs):
             tuple(e for _, _, e in found))
 
 
+def _common_denominator(values):
+    """``(scale, numerators)``: Fractions as integers over their common denominator."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def _basic_solution(normals, offsets, basis):
     """``(d, adj, num, slack)`` of the vertex where the facets in ``basis`` are tight.
 
@@ -299,29 +303,31 @@ def _basic_solution(normals, offsets, basis):
 def _scan(dim, hs):
     """(vertices, tight sets) by trying every facet subset; raises if invalid.
 
-    The brute-force route: a recession ray search over (dim-1)-subsets, then a
-    Fraction solve of every dim-subset.  :func:`validate` runs it only on an
-    input the walk rejects, so that it reports the first check that fails.
+    The brute-force route: a recession ray search over (dim-1)-subsets, then
+    the basic solution of every nonsingular dim-subset (:func:`_basic_solution`,
+    in integers), kept when no slack is negative; its tight set is where the
+    slack is zero.  :func:`validate` runs it only on an input the walk rejects,
+    so that it reports the first check that fails.
     """
     normals = tuple(h.normal for h in hs)
     ray = _recession_direction(normals, dim)
     if ray is not None:
         raise ValidationError(f"unbounded in direction {ray}")
 
-    vertices = set()
+    scale, offsets = _common_denominator([h.offset for h in hs])
+    found = {}
     for subset in combinations(range(len(hs)), dim):
-        rows = tuple(hs[i].normal for i in subset)
-        rhs = tuple(hs[i].offset for i in subset)
-        point = solve_rational(rows, rhs)
-        if point is None:
+        try:
+            d, _, num, slack = _basic_solution(normals, offsets, subset)
+        except ValueError:  # singular subset
             continue
-        if all(dot(point, h.normal) >= h.offset for h in hs):
-            vertices.add(point)
-    if not vertices:
+        if min(slack) >= 0:
+            vertex = tuple(Fraction(x, d * scale) for x in num)
+            found[vertex] = tuple(i for i, s in enumerate(slack) if s == 0)
+    if not found:
         raise ValidationError("not full-dimensional: the polytope is empty")
-    vertices = tuple(sorted(vertices))
-    active_sets = tuple(tuple(i for i, h in enumerate(hs) if dot(v, h.normal) == h.offset)
-                        for v in vertices)
+    vertices = tuple(sorted(found))
+    active_sets = tuple(found[v] for v in vertices)
     _check_vertices(dim, len(hs), vertices, active_sets)
     return vertices, active_sets
 
@@ -413,12 +419,15 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     if set(pmap) != set(qmap):
         return None, "facet normal sets differ"
     act = p.vertex_active(0)
-    rows = tuple(p.halfspaces[i].normal for i in act)
-    rhs = tuple(q.halfspaces[qmap[p.halfspaces[i].normal]].offset - p.halfspaces[i].offset
-                for i in act)
-    c = solve_rational(rows, rhs)
-    if c is None:
-        raise RuntimeError("vertex normals failed to determine a translation")
+    try:
+        d, adj = adjugate(tuple(p.halfspaces[i].normal for i in act))
+    except ValueError:
+        raise RuntimeError("vertex normals failed to determine a translation") from None
+    # <c, y_i> is the offset difference on each tight facet i, so c = adj * diff / d
+    scale, diff = _common_denominator(
+        [q.halfspaces[qmap[p.halfspaces[i].normal]].offset - p.halfspaces[i].offset
+         for i in act])
+    c = tuple(Fraction(x, d * scale) for x in mat_vec(adj, diff))
     for i, h in enumerate(p.halfspaces):
         j = qmap[h.normal]
         if q.halfspaces[j].offset != h.offset + dot(c, h.normal):
@@ -427,7 +436,7 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
         j = qmap[h.normal]
         if q.halfspaces[j].label != h.label:
             return None, f"labels differ on the facet with normal {h.normal}"
-    return tuple(c), "translation"
+    return c, "translation"
 
 
 def is_isomorphic(p: LabeledPolytope, q: LabeledPolytope) -> Optional[tuple]:

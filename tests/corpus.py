@@ -4,11 +4,13 @@ Builders return validated LabeledPolytope objects.  ``standard_corpus()``
 yields a deterministic list of named examples (footballs, simplices, cubes,
 a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
-lattice comparison the tests share.
+lattice comparison the tests share, and ``solve_rational``/``invert_rational``
+are Fraction Gauss-Jordan references for the package's fraction-free solves.
 """
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from labpoly.lattice import dot, hermite_normal_form, mat_vec, transpose, unimodular_inverse
 from labpoly.polytope import validate
@@ -19,6 +21,67 @@ def lattices_equal(a, b) -> bool:
     ha = tuple(r for r in hermite_normal_form(a).H if any(r))
     hb = tuple(r for r in hermite_normal_form(b).H if any(r))
     return ha == hb
+
+
+def solve_rational(a_rows, b) -> Optional[tuple]:
+    """Unique exact solution x of ``A x = b`` over the rationals, if any.
+
+    Returns a tuple of Fractions when the system has exactly one solution,
+    and None when it is inconsistent or underdetermined.  A may be any shape.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    if len(b) != m:
+        raise ValueError("shape mismatch")
+    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    # inconsistent row: 0 = nonzero
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    if len(pivots) < n:
+        return None  # underdetermined
+    x = [Fraction(0)] * n
+    for row, col in pivots:
+        x[col] = aug[row][n]
+    return tuple(x)
+
+
+def invert_rational(rows):
+    """Exact inverse of a square matrix with int or Fraction entries."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    aug = [[Fraction(e) for e in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def interval(n, m, length=1, left=0):

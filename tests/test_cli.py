@@ -261,6 +261,13 @@ def test_betti_non_generic_xi_is_exit_1(files, capsys):
     assert "not generic" in err
 
 
+def test_betti_zero_and_non_generic_xi_messages(files, capsys):
+    assert run(capsys, "betti", files["square"], "--xi", "0,0") == (
+        1, "", "error: xi must be nonzero\n")
+    assert run(capsys, "betti", files["square"], "--xi", "1,0") == (
+        1, "", "error: xi = (1, 0) is not generic for this polytope\n")
+
+
 def test_betti_bad_xi_is_exit_2(files, capsys):
     code, _, err = run(capsys, "betti", files["square"], "--xi", "1,2,3")
     assert code == 2

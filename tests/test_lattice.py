@@ -23,7 +23,6 @@ from labpoly.lattice import (
     format_rational,
     hermite_normal_form,
     identity,
-    invert_rational,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -34,12 +33,11 @@ from labpoly.lattice import (
     rational_rank,
     saturate,
     smith_normal_form,
-    solve_rational,
     transpose,
     unimodular_inverse,
 )
 
-from corpus import lattices_equal
+from corpus import invert_rational, lattices_equal, solve_rational
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -540,6 +538,8 @@ def test_det_examples():
     assert det(((2, 4), (6, 8))) == -8
     assert det(()) == 1
     assert det(((0, 1), (1, 0))) == -1
+    with pytest.raises(ValueError, match="not an integer entry"):
+        det(((Fraction(1, 2), 0), (0, 1)))
 
 
 @settings(max_examples=100, deadline=None)

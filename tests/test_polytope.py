@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from labpoly.lattice import dot, rational_rank, solve_rational, vec_sub
+from labpoly.lattice import dot, rational_rank, vec_sub
 from labpoly.polytope import (
     Face,
     FormatError,
@@ -21,7 +21,7 @@ from labpoly.polytope import (
     validate,
 )
 
-from corpus import cube, interval, square, standard_corpus, standard_simplex, t1, w2
+from corpus import cube, interval, solve_rational, square, standard_corpus, standard_simplex, t1, w2
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The vertex walk in ``validate`` against the subset scan it replaced.
 
-``_scan`` tries every facet subset with Fraction arithmetic and is the
-reference: on valid inputs the walk must find the same vertices, tight sets
-and face lattice, and every rejected input must get the message the scan
-gives.  Edge directions are checked against a kernel basis per dropped facet.
+``_scan`` tries every facet subset and is the reference: on valid inputs the
+walk must find the same vertices, tight sets and face lattice, and every
+rejected input must get the message the scan gives.  Both solve a basis with
+the same integer formula, so each vertex is also checked against a Fraction
+Gauss-Jordan solve of its tight facets.  Edge directions are checked against
+a kernel basis per dropped facet.
 """
 
 import random
@@ -21,7 +23,7 @@ from labpoly.polytope import (
     validate,
 )
 
-from corpus import generated_family, standard_corpus
+from corpus import generated_family, solve_rational, standard_corpus
 
 
 def kernel_edge_directions(p, vi):
@@ -46,6 +48,9 @@ def test_walk_matches_subset_scan(name, p):
     assert p.vertices == vertices
     assert tuple(p.vertex_active(vi) for vi in range(len(vertices))) == active_sets
     assert p.faces == _face_lattice(p.dim, active_sets)
+    for v, act in zip(vertices, active_sets):
+        hs = [p.halfspaces[i] for i in act]
+        assert solve_rational([h.normal for h in hs], [h.offset for h in hs]) == v
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
