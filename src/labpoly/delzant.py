@@ -36,11 +36,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .lattice import (
     FiniteAbelianGroup,
+    common_denominator,
     dot,
     kernel_basis,
     rational_rank,
@@ -121,10 +121,8 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
 
 def _integer_tables(d: DelzantData) -> tuple:
     """``(columns, offsets, q)``: e_i = ``columns[i]`` and c_i = ``offsets[i]`` / q."""
-    columns = tuple(zip(*d.projection))
-    offsets = [Fraction(c) for c in d.scaled_offsets]
-    q = lcm(*(c.denominator for c in offsets))
-    return columns, tuple(c.numerator * (q // c.denominator) for c in offsets), q
+    q, offsets = common_denominator(d.scaled_offsets)
+    return tuple(zip(*d.projection)), tuple(offsets), q
 
 
 def _numerators(point, length: int) -> tuple:
@@ -141,8 +139,8 @@ def _numerators(point, length: int) -> tuple:
         coords.append(x if isinstance(x, (int, Fraction)) else Fraction(x))
     if len(coords) != length:
         raise ValueError(f"point has {len(coords)} coordinates, expected {length}")
-    den = lcm(*(x.denominator for x in coords))
-    return [x.numerator * (den // x.denominator) for x in coords], den
+    den, x = common_denominator(coords)
+    return x, den
 
 
 def _slacks(tables, x, den, point) -> tuple:

@@ -113,6 +113,13 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def common_denominator(values) -> tuple:
+    """``(scale, numerators)``: ints or Fractions as integers over their lcm denominator."""
+    values = tuple(values)
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def det(a) -> int:
     """Exact determinant of a square integer matrix.
 
@@ -193,10 +200,7 @@ def _echelon(rows) -> tuple:
     row-swapped matrix, so a nonsingular square integer matrix has
     determinant ``sign * last``.
     """
-    work = []
-    for r in rows:
-        scale = math.lcm(*(e.denominator for e in r))
-        work.append([e.numerator * (scale // e.denominator) for e in r])
+    work = [common_denominator(r)[1] for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
     sign = prev = 1

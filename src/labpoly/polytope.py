@@ -25,6 +25,7 @@ from typing import Optional
 
 from .lattice import (
     adjugate,
+    common_denominator,
     dot,
     format_rational,
     kernel_basis,
@@ -108,9 +109,8 @@ class LabeledPolytope:
         D is the lcm of every vertex coordinate denominator, so the pairings
         and convex combinations that read these tables stay in integers.
         """
-        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in v)
-                            for v in self.vertices)
+        scale, flat = common_denominator(x for v in self.vertices for x in v)
+        return scale, tuple(tuple(flat[k:k + self.dim]) for k in range(0, len(flat), self.dim))
 
     def proper_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim > 0)
@@ -154,9 +154,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     nonzero integer normals, no duplicate normals, boundedness, nonempty
     full-dimensional, simple at every vertex, no redundant facet.
 
-    Vertices and edges come from a walk over the vertex graph (:func:`_walk`);
-    an input the walk cannot finish is invalid, and :func:`_scan` then finds
-    which check it fails.
+    Vertices and edges come from a walk over the vertex graph (:func:`_walk`).
     """
     dim = int(dim)
     if dim < 1:
@@ -199,12 +197,13 @@ def validate(dim, halfspaces) -> LabeledPolytope:
                 f"redundant halfspace {i}: same normal as facet {seen[h.normal]}")
         seen[h.normal] = i
 
-    if len(hs) < dim + 1 or rational_rank(tuple(h.normal for h in hs)) < dim:
+    normals = tuple(h.normal for h in hs)
+    if len(hs) < dim + 1 or rational_rank(normals) < dim:
         raise ValidationError("unbounded")
     walked = _walk(dim, hs)
     if walked is None:
-        _scan(dim, hs)
-        raise RuntimeError("the vertex walk failed on a polytope the subset scan accepts")
+        _check_bounded(normals, dim)
+        raise ValidationError("not full-dimensional: the polytope is empty")
     vertices, active_sets, edges = walked
     _check_vertices(dim, len(hs), vertices, active_sets)
     return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices,
@@ -214,48 +213,54 @@ def validate(dim, halfspaces) -> LabeledPolytope:
 def _walk(dim, hs):
     """(vertices, tight sets, edges) by pivoting over the vertex graph, or None.
 
-    Start at the first facet subset, in ``combinations`` order, whose basic
-    solution is feasible.  At a vertex with tight set T, the adjugate of the
-    tight normals (rows) gives every edge at once: column j of ``sign(det) *
-    adj`` is zero on T - {j} and positive on facet j, so it points along the
-    edge that leaves facet j.  An exact ratio test finds the facet i that
-    blocks the edge, and the neighbour has tight set T - {j} + {i}.  Offsets
-    are scaled to a common denominator once, so all of this, the start
-    search included, runs on integers (see :func:`_basic_solution`).
+    Lexicographic pivoting: offset eta_i is read as eta_i - eps^(i+1) for a
+    tiny eps > 0.  The perturbed polytope contains P, has its recession cone
+    and is simple; its vertices are the lex-feasible bases, the dim-subsets B
+    whose basic solution leaves each other facet a lexicographically positive
+    slack row (:func:`_perturbed_row`).  Each is a vertex of P at eps = 0, and
+    every vertex of P is one (minimize a functional that P minimizes only
+    there).  The walk starts at the first lex-feasible basis in
+    ``combinations`` order and returns None if there is none, that is if P is
+    empty.  At B, column j of ``sign(det) * adj`` of the basis normals (rows)
+    is zero on B - {j} and positive on facet j: the edge that leaves facet j.
+    An exact ratio test, ties broken on the slack rows, finds the facet i that
+    blocks it, and B - {j} + {i} is lex-feasible again.  Offsets are scaled to
+    a common denominator once, so everything runs on integers.  Each vertex of
+    P is kept once, with all facets of zero slack as its tight set, for
+    :func:`_check_vertices` to judge.
 
-    Returns None as soon as the walk meets what a labeled simple polytope
-    cannot produce: no feasible basis, a vertex with more than ``dim`` tight
-    facets, or an edge no facet blocks.  (A tie in a ratio test needs no check
-    of its own: the facets that tie are all tight at the neighbour, which
-    fails the tight-facet count when it is visited.)  Otherwise the
-    normals have rank ``dim``, every visited vertex is simple and every edge
-    at it is blocked, and that proves the polytope bounded (the simplex-method
-    argument): the edges at a simple vertex span its tangent cone, so for a
-    functional unbounded above some edge increases it; that edge is blocked,
-    so it ends at a visited vertex with a strictly larger value (simple means
-    the step is positive), and finitely many vertices cannot go on forever.
-    The same path, for a functional maximized at a single vertex only, shows
-    that the walk reaches every vertex.
+    An unblocked edge is a recession direction (:func:`_check_bounded` names
+    one).  If every edge is blocked, the perturbed polytope is bounded, by the
+    simplex-method argument: the edges at a simple vertex span its tangent
+    cone, so for a functional unbounded above some edge increases it; that
+    edge ends at a visited vertex with a strictly larger value (no perturbed
+    step is zero), and finitely many vertices cannot go on forever.  So P,
+    with the same recession cone, is bounded, and the same path for a
+    functional maximized at one perturbed vertex only shows that the walk
+    reaches every perturbed vertex.
     """
     normals = [h.normal for h in hs]
-    scale, offsets = _common_denominator([h.offset for h in hs])
+    scale, offsets = common_denominator(h.offset for h in hs)
+    zero = [0] * (len(hs) + 1)
     for start in combinations(range(len(hs)), dim):
         try:
-            if min(_basic_solution(normals, offsets, start)[3]) >= 0:
-                break
+            solution = _basic_solution(normals, offsets, start)
         except ValueError:  # singular basis
             continue
+        slack = solution[3]
+        if min(slack) >= 0 and all(  # a degenerate start must be lex-feasible
+                _perturbed_row(normals, start, solution, i) > zero
+                for i in range(len(hs)) if slack[i] == 0 and i not in start):
+            break
     else:
         return None
 
-    found = []
+    found = {}
     seen = {start}
     todo = [start]
     while todo:
         basis = todo.pop()
-        d, adj, num, slack = _basic_solution(normals, offsets, basis)
-        if slack.count(0) != dim:
-            return None
+        solution = d, adj, num, slack = _basic_solution(normals, offsets, basis)
         sign = 1 if d > 0 else -1
         edges = []
         for col, j in enumerate(basis):
@@ -263,27 +268,30 @@ def _walk(dim, hs):
             best, best_rate = None, 0
             for i, y in enumerate(normals):
                 rate = -dot(y, direction)
-                # facet i is hit after slack[i] / rate; compare by cross-multiplying
-                if rate > 0 and (best is None or slack[i] * best_rate < slack[best] * rate):
-                    best, best_rate = i, rate
+                if rate <= 0:
+                    continue
+                if best is not None:
+                    # facet i is hit after slack[i] / rate; compare by
+                    # cross-multiplying, and a tie by the perturbed slacks
+                    gap = slack[i] * best_rate - slack[best] * rate
+                    if gap > 0 or (gap == 0 and (
+                            [x * best_rate for x in _perturbed_row(normals, basis, solution, i)]
+                            > [x * rate for x in _perturbed_row(normals, basis, solution, best)])):
+                        continue
+                best, best_rate = i, rate
             if best is None:
-                return None
+                _check_bounded(normals, dim)
+                raise RuntimeError(f"vertex walk: no facet blocks the edge leaving facet {j} "
+                                   f"at basis {basis}, yet no recession ray was found")
             edges.append((j, direction))
             neighbour = tuple(sorted(set(basis) - {j} | {best}))
             if neighbour not in seen:
                 seen.add(neighbour)
                 todo.append(neighbour)
-        vertex = tuple(Fraction(x, d * scale) for x in num)
-        found.append((vertex, basis, tuple(edges)))
-    found.sort()
-    return (tuple(v for v, _, _ in found), tuple(t for _, t, _ in found),
-            tuple(e for _, _, e in found))
-
-
-def _common_denominator(values):
-    """``(scale, numerators)``: Fractions as integers over their common denominator."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
+        tight = tuple(i for i, s in enumerate(slack) if s == 0)
+        if tight not in found:  # a degenerate vertex is reached from several bases
+            found[tight] = (tuple(Fraction(x, d * scale) for x in num), tight, tuple(edges))
+    return tuple(zip(*sorted(found.values())))
 
 
 def _basic_solution(normals, offsets, basis):
@@ -300,36 +308,21 @@ def _basic_solution(normals, offsets, basis):
     return d, adj, num, [sign * (dot(y, num) - d * b) for y, b in zip(normals, offsets)]
 
 
-def _scan(dim, hs):
-    """(vertices, tight sets) by trying every facet subset; raises if invalid.
+def _perturbed_row(normals, basis, solution, i):
+    """Facet i's slack at ``basis``, with offsets eta_k read as eta_k - eps^(k+1).
 
-    The brute-force route: a recession ray search over (dim-1)-subsets, then
-    the basic solution of every nonsingular dim-subset (:func:`_basic_solution`,
-    in integers), kept when no slack is negative; its tight set is where the
-    slack is zero.  :func:`validate` runs it only on an input the walk rejects,
-    so that it reports the first check that fails.
+    Coefficients of 1, eps, eps^2, ... in the units of ``slack``, from
+    ``solution`` = :func:`_basic_solution`: lowering eta_k adds |d| eps^(k+1)
+    on facet k and, for k in the basis, moves the vertex by -eps^(k+1) times
+    its edge column.  Small slacks compare as the rows do lexicographically.
     """
-    normals = tuple(h.normal for h in hs)
-    ray = _recession_direction(normals, dim)
-    if ray is not None:
-        raise ValidationError(f"unbounded in direction {ray}")
-
-    scale, offsets = _common_denominator([h.offset for h in hs])
-    found = {}
-    for subset in combinations(range(len(hs)), dim):
-        try:
-            d, _, num, slack = _basic_solution(normals, offsets, subset)
-        except ValueError:  # singular subset
-            continue
-        if min(slack) >= 0:
-            vertex = tuple(Fraction(x, d * scale) for x in num)
-            found[vertex] = tuple(i for i, s in enumerate(slack) if s == 0)
-    if not found:
-        raise ValidationError("not full-dimensional: the polytope is empty")
-    vertices = tuple(sorted(found))
-    active_sets = tuple(found[v] for v in vertices)
-    _check_vertices(dim, len(hs), vertices, active_sets)
-    return vertices, active_sets
+    d, adj, _, slack = solution
+    sign = 1 if d > 0 else -1
+    row = [slack[i]] + [0] * len(normals)
+    row[i + 1] = sign * d
+    for k, column in zip(basis, zip(*adj)):
+        row[k + 1] -= sign * dot(normals[i], column)
+    return row
 
 
 def _check_vertices(dim, n_facets, vertices, active_sets):
@@ -362,8 +355,8 @@ def _face_lattice(dim, active_sets):
                  for key, vs in sorted(face_map.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
-def _recession_direction(normals, dim):
-    """A nonzero integer direction d with <y_i, d> >= 0 for all i, if one exists.
+def _check_bounded(normals, dim):
+    """Raise "unbounded in direction d" for a nonzero integer d with all <y_i, d> >= 0.
 
     The recession cone of a polyhedron with inward normals y_i is
     {d : <y_i, d> >= 0}; it is nontrivial exactly when some extreme ray
@@ -380,8 +373,7 @@ def _recession_direction(normals, dim):
         d = kb[0]
         for cand in (d, vec_neg(d)):
             if all(dot(y, cand) >= 0 for y in normals):
-                return cand
-    return None
+                raise ValidationError(f"unbounded in direction {cand}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +416,7 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     except ValueError:
         raise RuntimeError("vertex normals failed to determine a translation") from None
     # <c, y_i> is the offset difference on each tight facet i, so c = adj * diff / d
-    scale, diff = _common_denominator(
+    scale, diff = common_denominator(
         [q.halfspaces[qmap[p.halfspaces[i].normal]].offset - p.halfspaces[i].offset
          for i in act])
     c = tuple(Fraction(x, d * scale) for x in mat_vec(adj, diff))

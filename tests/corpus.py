@@ -4,16 +4,18 @@ Builders return validated LabeledPolytope objects.  ``standard_corpus()``
 yields a deterministic list of named examples (footballs, simplices, cubes,
 a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
-lattice comparison the tests share, and ``solve_rational``/``invert_rational``
-are Fraction Gauss-Jordan references for the package's fraction-free solves.
+lattice comparison the tests share, ``solve_rational``/``invert_rational``
+are Fraction Gauss-Jordan references for the package's fraction-free solves,
+and ``subset_scan`` is the brute-force reference for the vertex walk.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from labpoly.lattice import dot, hermite_normal_form, mat_vec, transpose, unimodular_inverse
-from labpoly.polytope import validate
+from labpoly.polytope import ValidationError, _check_bounded, _check_vertices, validate
 
 
 def lattices_equal(a, b) -> bool:
@@ -84,6 +86,30 @@ def invert_rational(rows):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def subset_scan(dim, hs):
+    """(vertices, tight sets) of a list of HalfSpace by trying every facet subset.
+
+    Raises ValidationError with the message ``validate`` gives when the input
+    is invalid.  A recession ray search comes first; then every
+    ``dim``-subset of facets is solved with :func:`solve_rational` and its
+    solution kept when it satisfies every inequality, with the facets where
+    equality holds as its tight set.  None of this is the vertex walk's
+    integer arithmetic, so the two can check each other.
+    """
+    _check_bounded([h.normal for h in hs], dim)
+    found = {}
+    for subset in combinations(hs, dim):
+        v = solve_rational([h.normal for h in subset], [h.offset for h in subset])
+        if v is not None and all(dot(v, h.normal) >= h.offset for h in hs):
+            found[v] = tuple(i for i, h in enumerate(hs) if dot(v, h.normal) == h.offset)
+    if not found:
+        raise ValidationError("not full-dimensional: the polytope is empty")
+    vertices = tuple(sorted(found))
+    active_sets = tuple(found[v] for v in vertices)
+    _check_vertices(dim, len(hs), vertices, active_sets)
+    return vertices, active_sets
+
+
 def interval(n, m, length=1, left=0):
     """Labeled interval [left, left+length] with labels n (left end), m (right)."""
     return validate(1, [
@@ -136,6 +162,19 @@ def polygon(k, labels=None):
     hs = [((-(2 * i + 1), 1), Fraction(-i * (i + 1)), labels[i]) for i in range(k - 1)]
     hs.append(((k - 1, -1), Fraction(0), labels[k - 1]))
     return validate(2, hs)
+
+
+def pyramid(k):
+    """Halfspace triples of the height-1 pyramid over ``polygon(k)``, k >= 4.
+
+    The apex (1, 2, 1) lies over an interior lattice point of the base and on
+    all k side facets, so ``validate`` rejects the input as not simple there.
+    """
+    hs = [((0, 0, 1), Fraction(0), 1)]
+    for h in polygon(k).halfspaces:
+        side = h.offset - dot(h.normal, (1, 2))  # the side facet passes through the apex
+        hs.append((h.normal + (int(side),), h.offset, 1))
+    return hs
 
 
 def square(side=1, labels=None):

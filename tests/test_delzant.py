@@ -16,9 +16,8 @@ from labpoly.delzant import (
     verify_reduction_invariants,
     verify_regular_level,
 )
-from labpoly.lattice import dot, mat_vec
+from labpoly.lattice import mat_vec
 from labpoly.local_model import structure_group
-from labpoly.polytope import validate
 
 from corpus import (
     cube,
@@ -26,7 +25,6 @@ from corpus import (
     interval,
     square,
     standard_corpus,
-    standard_simplex,
     t1,
     w2,
 )

@@ -18,7 +18,6 @@ from labpoly.lattice import (
     FiniteAbelianGroup,
     adjugate,
     det,
-    dot,
     elementary_divisors,
     format_rational,
     hermite_normal_form,

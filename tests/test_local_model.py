@@ -12,7 +12,7 @@ from labpoly.local_model import (
     slice_weights,
     structure_group,
 )
-from labpoly.polytope import edge_directions, validate
+from labpoly.polytope import edge_directions
 
 from corpus import cube, interval, lattices_equal, square, standard_corpus, t1, w2
 

@@ -14,7 +14,7 @@ from labpoly.morse import (
     vertex_index,
 )
 
-from corpus import cube, interval, square, standard_corpus, standard_simplex, t1, w2
+from corpus import cube, interval, square, standard_corpus, t1, w2
 
 
 def test_t1_poincare():

@@ -7,9 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from labpoly.lattice import dot, rational_rank, vec_sub
+from labpoly.lattice import dot, vec_sub
 from labpoly.polytope import (
-    Face,
     FormatError,
     ValidationError,
     edge_directions,

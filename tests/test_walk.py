@@ -1,29 +1,37 @@
-"""The vertex walk in ``validate`` against the subset scan it replaced.
+"""The vertex walk in ``validate`` against a brute-force subset scan.
 
-``_scan`` tries every facet subset and is the reference: on valid inputs the
+``corpus.subset_scan`` solves every facet subset with a Fraction Gauss-Jordan
+solve and keeps the feasible solutions, so it shares no vertex arithmetic
+with the walk's integer pivoting.  It is the reference: on valid inputs the
 walk must find the same vertices, tight sets and face lattice, and every
-rejected input must get the message the scan gives.  Both solve a basis with
-the same integer formula, so each vertex is also checked against a Fraction
-Gauss-Jordan solve of its tight facets.  Edge directions are checked against
-a kernel basis per dropped facet.
+rejected input must get the message the scan gives.  Rejected inputs include
+non-simple and flat ones, which the walk finishes by lexicographic pivoting,
+empty ones, and a seeded random sweep whose small entries make ratio-test
+ties common.  The bases the walk solves are checked against the lex-feasible
+ones found with a small rational epsilon, and its cost on a non-simple
+pyramid is pinned.  Edge directions are checked against a kernel basis per
+dropped facet.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from labpoly import polytope
 from labpoly.lattice import dot, kernel_basis, vec_neg
-from labpoly.polytope import (
-    HalfSpace,
-    ValidationError,
-    _face_lattice,
-    _scan,
-    edge_directions,
-    validate,
-)
+from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, edge_directions, validate
 
-from corpus import generated_family, solve_rational, standard_corpus
+from corpus import (
+    generated_family,
+    polygon,
+    product,
+    pyramid,
+    solve_rational,
+    standard_corpus,
+    subset_scan,
+)
 
 
 def kernel_edge_directions(p, vi):
@@ -44,13 +52,10 @@ CASES = standard_corpus() + generated_family()
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_walk_matches_subset_scan(name, p):
-    vertices, active_sets = _scan(p.dim, list(p.halfspaces))
+    vertices, active_sets = subset_scan(p.dim, list(p.halfspaces))
     assert p.vertices == vertices
     assert tuple(p.vertex_active(vi) for vi in range(len(vertices))) == active_sets
     assert p.faces == _face_lattice(p.dim, active_sets)
-    for v, act in zip(vertices, active_sets):
-        hs = [p.halfspaces[i] for i in act]
-        assert solve_rational([h.normal for h in hs], [h.offset for h in hs]) == v
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
@@ -61,8 +66,12 @@ def test_stored_edges_match_kernel_route(name, p):
 
 def scan_message(dim, triples):
     with pytest.raises(ValidationError) as info:
-        _scan(dim, [HalfSpace(tuple(y), Fraction(eta), m) for y, eta, m in triples])
+        subset_scan(dim, [HalfSpace(tuple(y), Fraction(eta), m) for y, eta, m in triples])
     return str(info.value)
+
+
+def polygon16_squared():
+    return [(h.normal, h.offset, h.label) for h in product(polygon(16), polygon(16)).halfspaces]
 
 
 REJECTED = {
@@ -88,6 +97,9 @@ REJECTED = {
               "not full-dimensional: the polytope is empty"),
     "segment": (2, [((1, 0), 0, 1), ((-1, 0), 0, 1), ((0, 1), 0, 1), ((0, -1), -1, 1)],
                 "not full-dimensional"),
+    # a 33rd facet through the vertex of polygon(16) x polygon(16) that minimizes it
+    "polygon16_squared_cut": (4, polygon16_squared() + [((1, 1, 1, 1), 0, 1)],
+                              "not simple at vertex (0, 0, 0, 0)"),
 }
 
 
@@ -100,25 +112,94 @@ def test_rejections_match_subset_scan(name):
 
 
 def test_random_inputs_agree_with_subset_scan():
-    """Random small systems, mostly invalid: same polytope or same message."""
+    """Random small systems, mostly invalid: same polytope or same message.
+
+    Normal entries in {-1, 0, 1, 2} and offsets in {0, -1, -2} put many
+    facets through one point, so ratio-test ties and degenerate vertices are
+    common.
+    """
     rng = random.Random(5)
-    valid = 0
-    for _ in range(300):
-        dim = rng.choice((2, 2, 3))
+    valid = non_simple = 0
+    for _ in range(400):
+        dim = rng.choice((2, 3, 4))
         count = rng.randint(dim + 1, dim + 4)
         normals = []
         while len(normals) < count:
-            y = tuple(rng.randint(-2, 2) for _ in range(dim))
+            y = tuple(rng.choice((-1, 0, 1, 2)) for _ in range(dim))
             if 1 in map(abs, y) and y not in normals:  # primitive, distinct
                 normals.append(y)
-        triples = [(y, Fraction(rng.randint(-4, 1), rng.randint(1, 2)), 1) for y in normals]
+        triples = [(y, rng.choice((0, -1, -2)), 1) for y in normals]
         try:
             p = validate(dim, triples)
         except ValidationError as exc:
             if str(exc) != "unbounded":
                 assert str(exc) == scan_message(dim, triples), triples
+            non_simple += str(exc).startswith("not simple")
             continue
         valid += 1
-        vertices, active_sets = _scan(dim, list(p.halfspaces))
+        vertices, active_sets = subset_scan(dim, list(p.halfspaces))
         assert (p.vertices, p.faces) == (vertices, _face_lattice(dim, active_sets))
-    assert valid >= 20
+    assert valid >= 20 and non_simple >= 20, (valid, non_simple)
+
+
+def test_pyramid_rejection_is_output_sensitive(monkeypatch):
+    """The 10-gon pyramid is rejected from its 18 lex-feasible bases, not C(11, 3)."""
+    calls = []
+
+    def counting_adjugate(a):
+        calls.append(a)
+        return adjugate(a)
+
+    triples = pyramid(10)
+    adjugate = polytope.adjugate
+    monkeypatch.setattr(polytope, "adjugate", counting_adjugate)
+    with pytest.raises(ValidationError, match=r"^not simple at vertex \(1, 2, 1\)$"):
+        validate(3, triples)
+    assert len(calls) < 3 * 10
+
+
+def lex_feasible(triples, basis, eps=Fraction(1, 10**6)):
+    """Whether ``basis`` is a vertex once each offset eta_i is lowered by eps^(i+1).
+
+    For the few small entries of the inputs here, this eps stands in for an
+    arbitrarily small one.
+    """
+    offsets = [Fraction(eta) - eps ** (i + 1) for i, (_, eta, _) in enumerate(triples)]
+    v = solve_rational([triples[i][0] for i in basis], [offsets[i] for i in basis])
+    return v is not None and all(dot(v, y) > b for i, ((y, _, _), b)
+                                 in enumerate(zip(triples, offsets)) if i not in basis)
+
+
+LEX_CASES = {name: REJECTED[name][:2] for name in
+             ("pyramid", "pyramid_apex_first", "tangent", "redundant", "segment", "empty")}
+LEX_CASES.update((f"pyramid5_shuffled{s}", (3, random.Random(s).sample(pyramid(5), 6)))
+                 for s in range(20))
+
+
+@pytest.mark.parametrize("name", sorted(LEX_CASES))
+def test_walk_solves_exactly_the_lex_feasible_bases(name, monkeypatch):
+    """The start is the first lex-feasible subset in ``combinations`` order, and
+    the walk then solves every lex-feasible basis once and no other."""
+    dim, triples = LEX_CASES[name]
+    subsets = list(combinations(range(len(triples)), dim))
+    feasible = [b for b in subsets if lex_feasible(triples, b)]
+    search = subsets[:subsets.index(feasible[0]) + 1] if feasible else subsets
+    solved = []
+    basic_solution = polytope._basic_solution
+
+    def recording(normals, offsets, basis):
+        solved.append(basis)
+        return basic_solution(normals, offsets, basis)
+
+    monkeypatch.setattr(polytope, "_basic_solution", recording)
+    with pytest.raises(ValidationError):
+        validate(dim, triples)
+    assert solved[:len(search)] == search
+    assert sorted(solved[len(search):]) == feasible
+
+
+def test_unblocked_edge_without_ray_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(polytope, "_check_bounded", lambda normals, dim: None)
+    dim, triples, _ = REJECTED["slab"]
+    with pytest.raises(RuntimeError, match="no facet blocks the edge leaving facet .* at basis"):
+        validate(dim, triples)
