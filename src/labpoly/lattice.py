@@ -15,7 +15,12 @@ data to integers over a common denominator first.
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
 exact multiplication before returning, so a silent arithmetic bug cannot leak
-a wrong decomposition downstream.
+a wrong decomposition downstream.  Those checks run on every call; they are
+cheap because :func:`mat_mul` checks shapes once per product and
+:func:`matrix` passes rows of plain ints through unconverted.
+:func:`saturate` reads its rank and generators off one Smith form and
+certifies them with ``|det V| == 1`` and exact divisions, so it needs no
+second Hermite reduction to invert V.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 Vec = tuple  # integer row vector
@@ -34,8 +40,11 @@ Mat = tuple  # tuple of integer row vectors
 # ---------------------------------------------------------------------------
 
 def parse_rational(text) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (or an int) into a Fraction."""
-    if isinstance(text, bool):
+    """Parse ``"p/q"`` or ``"p"`` (or an int) into a Fraction.
+
+    A bool or a float raises ValueError: a float is not an exact input.
+    """
+    if isinstance(text, (bool, float)):
         raise ValueError(f"not a rational number: {text!r}")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
@@ -55,11 +64,17 @@ def format_rational(x) -> str:
 # ---------------------------------------------------------------------------
 
 def matrix(rows) -> Mat:
-    """Coerce to an immutable integer matrix, checking shape and integrality."""
+    """Coerce to an immutable integer matrix, checking shape and integrality.
+
+    A row of plain ints passes through as a tuple; any other row is coerced
+    entry by entry (:func:`_as_int`).
+    """
     out = []
     width = None
     for r in rows:
-        row = tuple(_as_int(e) for e in r)
+        row = tuple(r)
+        if not all(type(e) is int for e in row):
+            row = tuple(_as_int(e) for e in row)
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -89,7 +104,7 @@ def transpose(a) -> Mat:
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u, v):
@@ -109,8 +124,13 @@ def mat_vec(a, v):
 
 
 def mat_mul(a, b):
+    """The product A * B; raises ValueError unless every row of A has len(B)
+    entries and every row of B the same number."""
+    width = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
+        raise ValueError("length mismatch")
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def common_denominator(values) -> tuple:
@@ -273,16 +293,16 @@ def smith_normal_form(a) -> SmithDecomposition:
         u[i] = [-x for x in u[i]]
 
     def col_add(dst, src, q):  # col dst += q * col src
-        for r in range(m):
-            d[r][dst] += q * d[r][src]
-        for r in range(n):
-            v[r][dst] += q * v[r][src]
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
 
     def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
 
     def select_pivot(k):
         best = None
@@ -295,10 +315,11 @@ def smith_normal_form(a) -> SmithDecomposition:
 
     k = 0
     while k < min(m, n):
-        if select_pivot(k) is None:
+        pivot = select_pivot(k)
+        if pivot is None:
             break
         while True:
-            i0, j0 = select_pivot(k)
+            i0, j0 = pivot
             if i0 != k:
                 row_swap(k, i0)
             if j0 != k:
@@ -323,6 +344,7 @@ def smith_normal_form(a) -> SmithDecomposition:
                         clear = False
             if clear:
                 break
+            pivot = select_pivot(k)
         # pivot must divide every remaining entry; if not, fold the offending
         # row into row k and reduce again (the pivot strictly shrinks)
         p = d[k][k]
@@ -470,19 +492,31 @@ def saturate(b) -> Mat:
     """Basis of the saturation of the row lattice of ``b``.
 
     The saturation is (rational span of the rows) intersected with the integer
-    lattice.  Rows must be linearly independent over the rationals.  The basis
-    returned is Hermite-normalized, hence canonical for the lattice.
+    lattice.  Rows must be linearly independent over the rationals: the rank
+    is read off the Smith diagonal.  From ``U * b * V = D`` follows
+    ``U * b = D * V^-1``, so row i of ``U * b`` divided by the invariant factor
+    d_i is row i of ``V^-1``.  Those k rows lie in the rational span of ``b``
+    (U is nonsingular), and when ``|det V| == 1`` they are rows of a unimodular
+    matrix, hence a basis of the saturation.  That determinant (from the
+    Bareiss echelon) and the exactness of every division are checked, and a
+    failure raises RuntimeError.  The basis returned is Hermite-normalized,
+    hence canonical for the lattice.
     """
     b = matrix(b)
     if not b:
         return ()
     k = len(b)
-    n = len(b[0])
-    if rational_rank(b) != k:
-        raise ValueError("rows are linearly dependent")
     s = smith_normal_form(b)
-    vinv = unimodular_inverse(s.V)
-    gens = vinv[:k]
+    diag = s.diagonal
+    if len(diag) != k or 0 in diag:
+        raise ValueError("rows are linearly dependent")
+    if abs(det(s.V)) != 1:
+        raise RuntimeError("Smith transform V is not unimodular")
+    gens = []
+    for d_i, row in zip(diag, mat_mul(s.U, b)):
+        if any(x % d_i for x in row):
+            raise RuntimeError("a row of U*b is not divisible by its invariant factor")
+        gens.append(tuple(x // d_i for x in row))
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
 
 
@@ -491,13 +525,15 @@ class FiniteAbelianGroup:
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is a tuple (d_1, ..., d_k) with each d_i >= 2 and
-    d_i dividing d_{i+1}; the empty tuple is the trivial group.
+    d_i dividing d_{i+1}; the empty tuple is the trivial group.  A factor
+    that is not an integer (a float, bool, str or fractional Fraction) raises
+    ValueError.
     """
 
     invariant_factors: tuple
 
     def __post_init__(self):
-        fs = tuple(int(d) for d in self.invariant_factors)
+        fs = tuple(_as_int(d) for d in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", fs)
         for d in fs:
             if d < 2:

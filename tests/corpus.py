@@ -4,9 +4,11 @@ Builders return validated LabeledPolytope objects.  ``standard_corpus()``
 yields a deterministic list of named examples (footballs, simplices, cubes,
 a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
-lattice comparison the tests share, ``solve_rational``/``invert_rational``
-are Fraction Gauss-Jordan references for the package's fraction-free solves,
-and ``subset_scan`` is the brute-force reference for the vertex walk.
+lattice comparison the tests share, ``solve_rational``/``invert_rational``/
+``det_rational`` are Fraction Gauss-Jordan references for the package's
+fraction-free solves and determinants, ``reference_saturate`` is the
+saturation route that inverts the Smith transform, and ``subset_scan`` is the
+brute-force reference for the vertex walk.
 """
 
 import random
@@ -14,7 +16,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from labpoly.lattice import dot, hermite_normal_form, mat_vec, transpose, unimodular_inverse
+from labpoly.lattice import (
+    dot,
+    hermite_normal_form,
+    mat_vec,
+    matrix,
+    rational_rank,
+    smith_normal_form,
+    transpose,
+    unimodular_inverse,
+)
 from labpoly.polytope import ValidationError, _check_bounded, _check_vertices, validate
 
 
@@ -84,6 +95,45 @@ def invert_rational(rows):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def det_rational(rows):
+    """Determinant of a square int or Fraction matrix by Fraction elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    work = [[Fraction(e) for e in row] for row in rows]
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            result = -result
+        pv = work[c][c]
+        result *= pv
+        for i in range(c + 1, n):
+            f = work[i][c] / pv
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return result
+
+
+def reference_saturate(b):
+    """Saturation of the row lattice of independent rows ``b``, the long way.
+
+    A separate rank check, then the Smith form ``U * b * V = D``; the first
+    k rows of ``V^-1`` (inverted by a second Hermite reduction) span the
+    saturation, normalized to Hermite form.  ``labpoly.lattice.saturate``
+    reads the rank and the generators off the same Smith form instead.
+    """
+    b = matrix(b)
+    if not b:
+        return ()
+    if rational_rank(b) != len(b):
+        raise ValueError("rows are linearly dependent")
+    gens = unimodular_inverse(smith_normal_form(b).V)[:len(b)]
+    return tuple(row for row in hermite_normal_form(gens).H if any(row))
 
 
 def subset_scan(dim, hs):

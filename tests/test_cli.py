@@ -86,6 +86,20 @@ def test_bad_json_is_exit_2(files, capsys):
     assert "invalid JSON" in err
 
 
+def test_float_offset_is_exit_2(files, capsys):
+    # a JSON float is not an exact offset, even where it is a dyadic rational
+    path = files["write"]("float_offset.json", {
+        "dim": 1,
+        "halfspaces": [
+            {"normal": [1], "offset": "0", "label": 1},
+            {"normal": [-1], "offset": -2.5, "label": 1},
+        ],
+    })
+    for command in ("validate", "vertices"):
+        assert run(capsys, command, path) == (
+            2, "", "error: halfspace 1: bad offset: not a rational number: -2.5\n")
+
+
 def test_missing_file_is_exit_2(files, capsys):
     code, _, err = run(capsys, "validate", str(files["dir"] / "nope.json"))
     assert code == 2

@@ -11,11 +11,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from labpoly import lattice
 from labpoly.lattice import (
     FiniteAbelianGroup,
+    SmithDecomposition,
     adjugate,
     det,
     elementary_divisors,
@@ -36,7 +38,7 @@ from labpoly.lattice import (
     unimodular_inverse,
 )
 
-from corpus import invert_rational, lattices_equal, solve_rational
+from corpus import invert_rational, lattices_equal, reference_saturate, solve_rational
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -262,6 +264,22 @@ def test_smith_diagonal_gcd_invariant(rows):
         assert diag[0] == g
 
 
+def _spurious_row(monkeypatch):
+    """Make every product in the lattice module come out with an extra zero row."""
+    real = lattice.mat_mul
+
+    def wrong(a, b):
+        return real(a, b) + ((0,) * len(b[0]),)
+
+    monkeypatch.setattr(lattice, "mat_mul", wrong)
+
+
+def test_smith_checks_its_identity_on_every_call(monkeypatch):
+    _spurious_row(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"U\*A\*V = D"):
+        smith_normal_form(((2, 4), (6, 8)))
+
+
 def test_smith_is_deterministic():
     rng = random.Random(7)
     for _ in range(20):
@@ -310,6 +328,12 @@ def test_hermite_properties_random(rows):
     assert mat_mul(u, a) == h
     assert abs(det(u)) == 1
     assert is_row_hnf(h)
+
+
+def test_hermite_checks_its_identity_on_every_call(monkeypatch):
+    _spurious_row(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"U\*A = H"):
+        hermite_normal_form(((2, 4), (6, 8)))
 
 
 def test_unimodular_inverse_round_trip():
@@ -372,6 +396,46 @@ def test_saturate_against_fundamental_cell(rows):
     got = saturate(rows)
     want = oracle_saturation(rows)
     assert lattices_equal(got, want)
+
+
+@st.composite
+def independent_rows(draw):
+    """k x n integer rows, k <= n, independent over the rationals."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    assume(rational_rank(rows) == k)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_rows())
+def test_saturate_matches_the_transform_inverting_route(rows):
+    assert saturate(rows) == reference_saturate(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices)
+def test_saturate_rejects_what_the_rank_check_rejects(rows):
+    assert outcome(saturate, rows) == outcome(reference_saturate, rows)
+
+
+def test_saturate_rejects_a_non_unimodular_transform(monkeypatch):
+    # U * b * V = D holds, but det V = 2, so the rows of V^-1 need not be
+    # integral: the generators read off U * b cannot be trusted
+    fake = SmithDecomposition(((1,),), ((2, 0),), ((1, 0), (0, 2)))
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: fake)
+    with pytest.raises(RuntimeError, match="not unimodular"):
+        saturate(((2, 0),))
+
+
+def test_saturate_rejects_an_inexact_division(monkeypatch):
+    # V is unimodular but the diagonal disagrees with U * b: 2 / 4 is not exact
+    fake = SmithDecomposition(((1,),), ((4, 0),), identity(2))
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: fake)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        saturate(((2, 0),))
 
 
 def test_saturate_idempotent():
@@ -461,6 +525,13 @@ def test_quotient_adjugate_route_matches_solve_route(case):
     assert outcome(quotient_group, lat, sub) == outcome(solve_route_quotient, lat, sub)
 
 
+def test_group_rejects_non_integer_factors():
+    for bad in ((2.7, 4.0), ("3",), (True,), (Fraction(5, 2),)):
+        with pytest.raises(ValueError, match="not an integer entry"):
+            FiniteAbelianGroup(bad)
+    assert FiniteAbelianGroup((Fraction(2), 4)).invariant_factors == (2, 4)
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
@@ -486,6 +557,31 @@ def test_rational_text_round_trip():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_parse_rational_rejects_floats_and_bools():
+    for bad in (1.5, -2.5, 2.0, True):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(bad)
+
+
+def test_matrix_coerces_and_rejects():
+    m = matrix([[1, Fraction(2, 1)], (3, 4)])
+    assert m == ((1, 2), (3, 4))
+    assert all(type(e) is int for row in m for e in row)
+    for bad in ([[True, 1]], [[Fraction(1, 2), 1]], [[1.0]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            matrix(bad)
+
+
+def test_mat_mul_checks_shapes():
+    assert mat_mul(((1, 2),), ((3,), (4,))) == ((11,),)
+    with pytest.raises(ValueError, match="length mismatch"):
+        mat_mul(((1, 2),), ((1, 0),))
+    with pytest.raises(ValueError, match="length mismatch"):
+        mat_mul(((1, 2), (3,)), ((1,), (1,)))
+    with pytest.raises(ValueError, match="length mismatch"):
+        mat_mul(((1, 1),), ((1, 2), (3,)))
 
 
 @st.composite

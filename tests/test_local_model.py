@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from labpoly.lattice import dot, primitive_vector, rational_rank
+from labpoly.lattice import dot, primitive_vector, rational_rank, saturate
 from labpoly.local_model import (
     isotropy_data,
     local_cone,
@@ -14,7 +14,17 @@ from labpoly.local_model import (
 )
 from labpoly.polytope import edge_directions
 
-from corpus import cube, interval, lattices_equal, square, standard_corpus, t1, w2
+from corpus import (
+    cube,
+    generated_family,
+    interval,
+    lattices_equal,
+    reference_saturate,
+    square,
+    standard_corpus,
+    t1,
+    w2,
+)
 
 
 def face_of(p, *active):
@@ -99,8 +109,17 @@ def test_isotropy_lattice_is_saturated():
             d = isotropy_data(p, f)
             assert rational_rank(d.isotropy_lattice) == len(d.normals), name
             # saturation: every normal has integer, content-1 coordinates
-            from labpoly.lattice import saturate
             assert d.isotropy_lattice == saturate(d.isotropy_lattice)
+
+
+def test_saturate_matches_reference_on_every_face():
+    # the normals and the scaled normals of every face, against the route
+    # that inverts the Smith transform with a second Hermite reduction
+    for name, p in standard_corpus() + generated_family():
+        for f in p.proper_faces():
+            d = isotropy_data(p, f)
+            assert d.isotropy_lattice == reference_saturate(d.normals), (name, f.active)
+            assert saturate(d.scaled) == reference_saturate(d.scaled), (name, f.active)
 
 
 # ---------------------------------------------------------------------------
