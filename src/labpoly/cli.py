@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Every subcommand reads one (or two) polytope JSON files, works in exact
-arithmetic, and prints a deterministic report: the same input always produces
-byte-identical output.  ``--json`` switches any subcommand to a machine
-readable report.
+Every subcommand is a view over one (or two) validated polytopes: it works in
+exact arithmetic and returns a deterministic report with its exit code, and
+the same input always produces byte-identical output.  ``--json`` switches any
+subcommand to a machine readable report: a JSON object in place of a list of
+text lines.  :func:`main` alone reads the input files, writes each report to
+stdout with a single write once it is complete, and turns errors into exit
+codes, so a command that fails partway writes nothing to stdout.
 
 Exit codes: 0 success, 1 validation failure (the file parses but is not a
 labeled rational simple polytope, or an argument like --xi fails a required
@@ -42,10 +45,6 @@ def _load(path):
     return p
 
 
-def _emit(obj):
-    print(json.dumps(obj, indent=2))
-
-
 def _face_name(p, f):
     if f.codim == p.dim:
         return f"face {list(f.active)} vertex {format_point(p.vertices[f.vertices[0]])}"
@@ -60,69 +59,49 @@ def _group_json(g):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args):
-    p = _load(args.file)
+def cmd_validate(args, p):
     labels = [h.label for h in p.halfspaces]
     if args.json:
-        _emit({"valid": True, "dim": p.dim, "facets": len(p.halfspaces),
-               "vertices": len(p.vertices), "labels": labels})
-    else:
-        print(f"valid: dim {p.dim}, {len(p.halfspaces)} facets, "
-              f"{len(p.vertices)} vertices, labels {labels}")
-    return 0
+        return {"valid": True, "dim": p.dim, "facets": len(p.halfspaces),
+                "vertices": len(p.vertices), "labels": labels}, 0
+    return [f"valid: dim {p.dim}, {len(p.halfspaces)} facets, "
+            f"{len(p.vertices)} vertices, labels {labels}"], 0
 
 
-def cmd_vertices(args):
-    p = _load(args.file)
+def cmd_vertices(args, p):
     if args.json:
-        _emit({"vertices": [[format_rational(x) for x in v] for v in p.vertices]})
-    else:
-        for v in p.vertices:
-            print(format_point(v))
-    return 0
+        return {"vertices": [[format_rational(x) for x in v] for v in p.vertices]}, 0
+    return [format_point(v) for v in p.vertices], 0
 
 
-def cmd_faces(args):
-    p = _load(args.file)
+def cmd_faces(args, p):
     if args.json:
-        _emit({"faces": [{"active": list(f.active), "codim": f.codim,
-                          "vertices": list(f.vertices)} for f in p.faces]})
-    else:
-        for f in p.faces:
-            print(f"codim {f.codim} active {list(f.active)} "
-                  f"vertices {list(f.vertices)}")
-    return 0
+        return {"faces": [{"active": list(f.active), "codim": f.codim,
+                           "vertices": list(f.vertices)} for f in p.faces]}, 0
+    return [f"codim {f.codim} active {list(f.active)} vertices {list(f.vertices)}"
+            for f in p.faces], 0
 
 
-def cmd_structure_groups(args):
-    p = _load(args.file)
+def cmd_structure_groups(args, p):
     rows = dz.face_groups(p)
     if args.json:
-        _emit({"structure_groups": [
+        return {"structure_groups": [
             {"active": list(f.active), "codim": f.codim, **_group_json(g)}
-            for f, g in rows]})
-    else:
-        for f, g in rows:
-            print(f"{_face_name(p, f)}: {g}")
-    return 0
+            for f, g in rows]}, 0
+    return [f"{_face_name(p, f)}: {g}" for f, g in rows], 0
 
 
-def cmd_fan(args):
-    p = _load(args.file)
+def cmd_fan(args, p):
     f = fan_mod.build_fan(p)
     if args.json:
-        _emit(fan_mod.fan_to_json(f))
-    else:
-        rays = ", ".join(str(tuple(r)) for r in f.rays())
-        print(f"dim {f.ambient_dim}, {len(f.cones)} cones, rays [{rays}]")
-        for c in f.sorted_cones():
-            print("cone " + str([list(g) for g in c.generators]))
-    return 0
+        return fan_mod.fan_to_json(f), 0
+    rays = ", ".join(str(tuple(r)) for r in f.rays())
+    return [f"dim {f.ambient_dim}, {len(f.cones)} cones, rays [{rays}]",
+            *("cone " + str([list(g) for g in c.generators])
+              for c in f.sorted_cones())], 0
 
 
-def cmd_compare(args):
-    p = _load(args.file1)
-    q = _load(args.file2)
+def cmd_compare(args, p, q):
     do_symp = args.symplectic or not args.biholomorphic
     do_biho = args.biholomorphic or not args.symplectic
     out = {}
@@ -142,22 +121,16 @@ def cmd_compare(args):
         lines.append("fans equal: biholomorphic" if equal
                       else "fans differ: not biholomorphic")
         out["fans_equal"] = equal
-    if args.json:
-        _emit(out)
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return (out if args.json else lines), 0
 
 
-def cmd_delzant(args):
-    p = _load(args.file)
+def cmd_delzant(args, p):
     d = dz.build_construction(p)
     info = dz.kernel_group(d)
     stab = dz.face_groups(p)
     reg = dz.verify_regular_level(p, stab)
     if args.json:
-        _emit({
+        return {
             "projection": [list(r) for r in d.projection],
             "scaled_offsets": [format_rational(x) for x in d.scaled_offsets],
             "kernel_basis": [list(r) for r in d.kernel_rows],
@@ -168,26 +141,21 @@ def cmd_delzant(args):
                 {"active": list(f.active), **_group_json(g)} for f, g in stab],
             "regular": reg.regular,
             "max_stabilizer_order": reg.max_stabilizer_order,
-        })
-    else:
-        print("projection:")
-        for r in d.projection:
-            print(f"  {list(r)}")
-        print(f"scaled offsets: {[format_rational(x) for x in d.scaled_offsets]}")
-        print("kernel basis:")
-        for r in d.kernel_rows:
-            print(f"  {list(r)}")
-        print(f"level: {[format_rational(x) for x in d.level]}")
-        print(f"torus dim: {info.torus_dim}")
-        print(f"component group: {info.component_group}")
-        print("stabilizers:")
-        for f, g in stab:
-            print(f"  {_face_name(p, f)}: {g}")
-        if reg.regular:
-            print(f"regular level: yes (max stabilizer order {reg.max_stabilizer_order})")
-        else:
-            print(f"regular level: NO ({reg.failure})")
-    return 0
+        }, 0
+    return [
+        "projection:",
+        *(f"  {list(r)}" for r in d.projection),
+        f"scaled offsets: {[format_rational(x) for x in d.scaled_offsets]}",
+        "kernel basis:",
+        *(f"  {list(r)}" for r in d.kernel_rows),
+        f"level: {[format_rational(x) for x in d.level]}",
+        f"torus dim: {info.torus_dim}",
+        f"component group: {info.component_group}",
+        "stabilizers:",
+        *(f"  {_face_name(p, f)}: {g}" for f, g in stab),
+        f"regular level: yes (max stabilizer order {reg.max_stabilizer_order})"
+        if reg.regular else f"regular level: NO ({reg.failure})",
+    ], 0
 
 
 def _oracle_rows(p, groups):
@@ -204,23 +172,22 @@ def _oracle_rows(p, groups):
     return rows
 
 
-def cmd_stabilizers(args):
-    p = _load(args.file)
+def cmd_stabilizers(args, p):
     rows = _oracle_rows(p, dz.face_groups(p))
     agree = all(same for _, _, _, same in rows)
+    code = 0 if agree else 3
     if args.json:
-        _emit({"faces": [
+        return {"faces": [
             {"active": list(f.active), "reduction": _group_json(a),
              "local": _group_json(b), "agree": same}
             for f, a, b, same in rows],
-            "oracles_agree": agree})
-    else:
-        for f, a, b, same in rows:
-            mark = "agree" if same else "DISAGREE"
-            print(f"{_face_name(p, f)}: reduction {a}, local {b}, {mark}")
-        print("verdict: oracles agree on all faces" if agree
-              else "verdict: ORACLE DISAGREEMENT")
-    return 0 if agree else 3
+            "oracles_agree": agree}, code
+    return [
+        *(f"{_face_name(p, f)}: reduction {a}, local {b}, "
+          f"{'agree' if same else 'DISAGREE'}" for f, a, b, same in rows),
+        "verdict: oracles agree on all faces" if agree
+        else "verdict: ORACLE DISAGREEMENT",
+    ], code
 
 
 def _parse_xi(text, dim):
@@ -233,31 +200,25 @@ def _parse_xi(text, dim):
         raise FormatError(f"--xi must be integers: {exc}") from exc
 
 
-def cmd_betti(args):
-    p = _load(args.file)
+def cmd_betti(args, p):
     if args.xi is not None:
         xi = _parse_xi(args.xi, p.dim)
     else:
         xi = morse_mod.random_generic_direction(p, random.Random(args.seed))
     rep = morse_mod.morse_report(p, xi)
     if args.json:
-        _emit({"xi": list(xi),
-               "vertex_indices": [
-                   {"vertex": [format_rational(x) for x in v], "index": k}
-                   for v, k in zip(p.vertices, rep.vertex_indices)],
-               "poincare": list(rep.poincare)})
-    else:
-        print(f"xi = {tuple(xi)}")
-        for v, k in zip(p.vertices, rep.vertex_indices):
-            print(f"vertex {format_point(v)}: index {k}")
-        print(f"poincare coefficients: {list(rep.poincare)}")
-    return 0
+        return {"xi": list(xi),
+                "vertex_indices": [
+                    {"vertex": [format_rational(x) for x in v], "index": k}
+                    for v, k in zip(p.vertices, rep.vertex_indices)],
+                "poincare": list(rep.poincare)}, 0
+    return [f"xi = {tuple(xi)}",
+            *(f"vertex {format_point(v)}: index {k}"
+              for v, k in zip(p.vertices, rep.vertex_indices)),
+            f"poincare coefficients: {list(rep.poincare)}"], 0
 
 
-def cmd_verify(args):
-    if args.samples < 0:
-        raise FormatError(f"--samples must be nonnegative, got {args.samples}")
-    p = _load(args.file)
+def cmd_verify(args, p):
     d = dz.build_construction(p)
     groups = dz.face_groups(p)
     checks = []
@@ -290,18 +251,19 @@ def cmd_verify(args):
     checks.append(("regular level", reg.regular, reg.failure))
 
     all_ok = all(ok for _, ok, _ in checks)
+    code = 0 if all_ok else 3
     if args.json:
-        _emit({"checks": [{"name": name, "passed": ok, "detail": detail}
-                          for name, ok, detail in checks],
-               "passed": all_ok})
-    else:
-        for name, ok, detail in checks:
-            line = f"{'PASS' if ok else 'FAIL'}: {name}"
-            if detail and not ok:
-                line += f" ({detail})"
-            print(line)
-        print("verify: PASS" if all_ok else "verify: FAIL")
-    return 0 if all_ok else 3
+        return {"checks": [{"name": name, "passed": ok, "detail": detail}
+                           for name, ok, detail in checks],
+                "passed": all_ok}, code
+    lines = []
+    for name, ok, detail in checks:
+        line = f"{'PASS' if ok else 'FAIL'}: {name}"
+        if detail and not ok:
+            line += f" ({detail})"
+        lines.append(line)
+    lines.append("verify: PASS" if all_ok else "verify: FAIL")
+    return lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +278,12 @@ def build_parser():
 
     def add(name, func, help_text, two_files=False):
         sp = sub.add_parser(name, help=help_text)
-        if two_files:
-            sp.add_argument("file1")
-            sp.add_argument("file2")
-        else:
-            sp.add_argument("file")
+        inputs = ("file1", "file2") if two_files else ("file",)
+        for dest in inputs:
+            sp.add_argument(dest)
         sp.add_argument("--json", action="store_true",
                         help="machine readable output")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, inputs=inputs)
         return sp
 
     add("validate", cmd_validate, "check the file is a labeled simple polytope")
@@ -355,7 +315,12 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify" and args.samples < 0:
+            raise FormatError(f"--samples must be nonnegative, got {args.samples}")
+        polytopes = [_load(getattr(args, dest)) for dest in args.inputs]
+        report, code = args.func(args, *polytopes)
+        sys.stdout.write(json.dumps(report, indent=2) + "\n" if args.json
+                         else "".join(f"{line}\n" for line in report))
     except (FormatError, OSError) as exc:  # FormatError first: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -365,6 +330,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    return code
 
 
 if __name__ == "__main__":

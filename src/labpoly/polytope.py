@@ -156,8 +156,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
 
     Vertices and edges come from a walk over the vertex graph (:func:`_walk`).
     """
-    dim = int(dim)
-    if dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError("dimension must be a positive integer")
 
     hs = []
@@ -500,8 +499,9 @@ def polytope_to_json(p: LabeledPolytope) -> dict:
 def load_polytope(path) -> LabeledPolytope:
     """Read and validate a polytope JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise FormatError(f"invalid JSON: {exc}") from exc
     return polytope_from_json(obj)

@@ -6,10 +6,14 @@ contract (0 ok, 1 validation, 2 parse/I/O, 3 internal) is pinned down.
 """
 
 import json
+import sys
 
 import pytest
 
+import labpoly.cli
+from labpoly import local_model
 from labpoly.cli import main
+from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import polytope_to_json
 
 from corpus import interval, square, t1, w2
@@ -84,6 +88,20 @@ def test_bad_json_is_exit_2(files, capsys):
     code, _, err = run(capsys, "validate", files["bad_json"])
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_integer_past_the_digit_limit_is_exit_2(files, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for such an integer
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    path = files["dir"] / "huge_normal.json"
+    path.write_text('{"dim": 1, "halfspaces": [{"normal": [1%s], "offset": "0", '
+                    '"label": 1}]}' % ("0" * limit))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_float_offset_is_exit_2(files, capsys):
@@ -321,3 +339,55 @@ def test_outputs_are_byte_identical(files, capsys):
         _, out1, _ = run(capsys, *cmd, files["w2"])
         _, out2, _ = run(capsys, *cmd, files["w2"])
         assert out1 == out2, cmd
+
+
+# ---------------------------------------------------------------------------
+# reports are written whole
+# ---------------------------------------------------------------------------
+
+def test_oracle_disagreement_prints_the_full_report_and_exits_3(
+        files, capsys, monkeypatch):
+    # a wrong local group on every face: both commands must still report all
+    # faces and their verdict, not stop at the first disagreement
+    monkeypatch.setattr(local_model, "structure_group",
+                        lambda p, f: FiniteAbelianGroup((7,)))
+    code, out, _ = run(capsys, "stabilizers", files["w2"])
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 7  # six proper faces and the verdict
+    assert all(line.endswith(", local Z/7, DISAGREE") for line in lines[:-1])
+    assert lines[-1] == "verdict: ORACLE DISAGREEMENT"
+
+    code, out, _ = run(capsys, "stabilizers", files["w2"], "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert len(obj["faces"]) == 6 and not any(f["agree"] for f in obj["faces"])
+    assert obj["oracles_agree"] is False
+
+    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "5")
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[1].startswith("FAIL: stabilizer/structure-group agreement (6 faces) (")
+    assert lines[-1] == "verify: FAIL"
+
+    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "5", "--json")
+    assert code == 3
+    obj = json.loads(out)
+    assert [c["passed"] for c in obj["checks"]] == [True, False, True, True]
+    assert obj["passed"] is False
+
+
+def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):
+    real = labpoly.cli.format_point
+    calls = []
+
+    def third_call_fails(v):
+        calls.append(v)
+        if len(calls) == 3:
+            raise ValueError("cannot format this vertex")
+        return real(v)
+
+    monkeypatch.setattr(labpoly.cli, "format_point", third_call_fails)
+    assert run(capsys, "vertices", files["square"]) == (
+        1, "", "error: cannot format this vertex\n")

@@ -10,8 +10,10 @@ printed byte is a change to the contract.
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -103,14 +105,34 @@ def jobs() -> list:
                  "slab.json"]:
         out += [["validate", name], ["vertices", name, "--json"]]
     out += [[cmd, "pyramid.json"] for cmd in ["faces", "fan", "verify"]]
+    # help and usage errors, which argparse ends with SystemExit
+    for cmd in ONE_FILE:
+        out += [[cmd, "-h"], [cmd]]
+    out += [
+        ["compare", "-h"],
+        ["compare", "t1.json"],
+        ["verify", "t1.json", "--samples", "x"],
+        ["betti", "t1.json", "--seed"],
+        # --samples is checked before the file is read
+        ["verify", "missing.json", "--samples", "-3"],
+    ]
     return out
 
 
 def run_job(argv) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI call."""
+    """Exit code, stdout and stderr of one in-process CLI call.
+
+    argparse wraps help and usage text to the terminal width, which it reads
+    from ``COLUMNS``; the width is fixed so the text does not depend on where
+    the tests run.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

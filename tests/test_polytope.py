@@ -179,6 +179,15 @@ def test_non_integer_normal_is_rejected():
         validate(2, [((1.7, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)])
 
 
+def test_dimension_must_be_a_positive_int():
+    # int() would turn 2.7 into 2, True into 1 and "2" into 2
+    triangle = [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)]
+    for dim in (2.7, True, "2", 0, -1):
+        with pytest.raises(ValidationError, match="dimension must be a positive integer"):
+            validate(dim, triangle)
+    assert validate(2, triangle).dim == 2
+
+
 def test_float_offset_is_rejected():
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValidationError, match="offset of facet 2 must be exact"):
