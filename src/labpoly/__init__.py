@@ -24,14 +24,13 @@ from .delzant import (
     verify_reduction_invariants,
     verify_regular_level,
 )
-from .fan import Cone, Fan, build_fan, dual_cone, fan_to_json, fans_equal, make_cone
+from .fan import Cone, Fan, build_fan, fan_to_json, fans_equal, make_cone
 from .lattice import (
     FiniteAbelianGroup,
     HermiteDecomposition,
     SmithDecomposition,
     TRIVIAL_GROUP,
     det,
-    elementary_divisors,
     format_rational,
     hermite_normal_form,
     kernel_basis,
@@ -40,7 +39,6 @@ from .lattice import (
     quotient_group,
     saturate,
     smith_normal_form,
-    unimodular_inverse,
 )
 from .local_model import (
     IsotropyData,
@@ -58,7 +56,6 @@ from .morse import (
     morse_report,
     poincare_polynomial,
     random_generic_direction,
-    vertex_index,
 )
 from .polytope import (
     Face,
@@ -67,7 +64,6 @@ from .polytope import (
     LabeledPolytope,
     ValidationError,
     edge_directions,
-    is_isomorphic,
     isomorphism_report,
     load_polytope,
     polytope_from_json,

@@ -101,22 +101,19 @@ class ReductionReport:
 def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, and level for a labeled polytope.
 
-    The level is computed by evaluating j* on the slacks of an interior
-    point and double-checked against the closed form -B c (B the kernel
-    basis), which must agree because the kernel rows annihilate the
-    projection; disagreement would mean corrupted arithmetic and raises.
+    The level is the closed form -B c (B the kernel basis), double-checked
+    against j* evaluated on the slacks of an interior point, which must agree
+    because the kernel rows annihilate the projection; disagreement would
+    mean corrupted arithmetic and raises.
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
     kernel = kernel_basis(projection, len(p.halfspaces))
-    d = DelzantData(projection=projection, scaled_offsets=offsets,
-                    kernel_rows=kernel, level=())
-    level = moment_level(d, sample_point(d, p, p.interior_point()))
-    symbolic = tuple(-dot(row, offsets) for row in kernel)
-    if level != symbolic:
+    d = DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
+                    level=tuple(-dot(row, offsets) for row in kernel))
+    if moment_level(d, sample_point(d, p, p.interior_point())) != d.level:
         raise RuntimeError("reduction level depends on the sample point")
-    return DelzantData(projection=projection, scaled_offsets=offsets,
-                       kernel_rows=kernel, level=level)
+    return d
 
 
 def _integer_tables(d: DelzantData) -> tuple:

@@ -310,6 +310,8 @@ def smith_normal_form(a) -> SmithDecomposition:
             for j in range(k, n):
                 e = d[i][j]
                 if e != 0 and (best is None or abs(e) < best[0]):
+                    if e in (1, -1):  # nothing later can beat it
+                        return i, j
                     best = (abs(e), i, j)
         return None if best is None else (best[1], best[2])
 
@@ -367,11 +369,6 @@ def smith_normal_form(a) -> SmithDecomposition:
     if mat_mul(mat_mul(U, a), V) != D:
         raise RuntimeError("Smith reduction broke the identity U*A*V = D")
     return SmithDecomposition(U, D, V)
-
-
-def elementary_divisors(a) -> tuple:
-    """Nonzero diagonal of the Smith normal form."""
-    return smith_normal_form(a).nonzero_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +443,6 @@ def hermite_normal_form(a) -> HermiteDecomposition:
     if mat_mul(U, a) != H:
         raise RuntimeError("Hermite reduction broke the identity U*A = H")
     return HermiteDecomposition(H, U)
-
-
-def unimodular_inverse(m_rows) -> Mat:
-    """Exact integer inverse of a unimodular matrix.
-
-    Raises ValueError if the matrix is not square with determinant +-1.
-    """
-    m_rows = matrix(m_rows)
-    n = len(m_rows)
-    if any(len(r) != n for r in m_rows):
-        raise ValueError("matrix is not square")
-    hnf = hermite_normal_form(m_rows)
-    if hnf.H != identity(n):
-        raise ValueError("matrix is not unimodular")
-    return hnf.U
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,9 @@ def slice_weights(p: LabeledPolytope, face: Face) -> SliceWeights:
     if face.codim != p.dim:
         raise ValueError("slice weights are defined only at vertices "
                          f"(got a face of codimension {face.codim})")
-    data = isotropy_data(p, face)
-    d, adj = adjugate(transpose(data.scaled))
+    scaled = tuple(vec_scale(p.halfspaces[i].label, p.halfspaces[i].normal)
+                   for i in face.active)
+    d, adj = adjugate(transpose(scaled))
     weights = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
     vertex = p.vertices[face.vertices[0]]
     return SliceWeights(vertex=vertex, weights=weights)

@@ -6,6 +6,8 @@ number of its edges on which xi decreases.  Counting vertices by index gives
 the Poincare coefficients directly, in every case even degrees only.  xi must
 have integer entries; anything else raises ValueError.
 
+:func:`h_vector` reads the same numbers off the face lattice alone.
+
 ``morse_inequality_check`` implements the classical comparison between a
 Morse counting polynomial M and a Poincare polynomial P: the pair is
 consistent exactly when M - P = (1 + x) Q with Q having nonnegative integer
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from .lattice import dot, matrix
 from .polytope import LabeledPolytope, edge_directions
@@ -49,11 +52,6 @@ def is_generic(p: LabeledPolytope, xi) -> bool:
     return True
 
 
-def vertex_index(p: LabeledPolytope, vi: int, xi) -> int:
-    """Morse index of a vertex: 2 * #(edges on which xi decreases)."""
-    return morse_report(p, xi).vertex_indices[vi]
-
-
 def poincare_polynomial(p: LabeledPolytope, xi) -> tuple:
     """Even Betti numbers as a coefficient tuple of length 2*dim + 1.
 
@@ -80,6 +78,16 @@ def morse_report(p: LabeledPolytope, xi) -> MorseReport:
     for k in indices:
         coeffs[k] += 1
     return MorseReport(xi=xi, vertex_indices=tuple(indices), poincare=tuple(coeffs))
+
+
+def h_vector(p: LabeledPolytope) -> tuple:
+    """h_k = sum_{j >= k} (-1)^(j-k) C(j, k) f_j (f_j the number of j-faces),
+    which for a simple polytope is the Betti number in degree 2k."""
+    f = [0] * (p.dim + 1)
+    for face in p.faces:
+        f[p.dim - face.codim] += 1
+    return tuple(sum((-1) ** (j - k) * comb(j, k) * f[j] for j in range(k, p.dim + 1))
+                 for k in range(p.dim + 1))
 
 
 def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:

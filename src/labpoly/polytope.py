@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 from .lattice import (
     adjugate,
@@ -118,21 +117,11 @@ class LabeledPolytope:
     def vertex_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim == self.dim)
 
-    def contains(self, point) -> bool:
-        return all(dot(point, h.normal) >= h.offset for h in self.halfspaces)
-
     def interior_point(self) -> tuple:
         """Barycenter of the vertices; interior since the polytope is full-dim."""
         n = len(self.vertices)
         return tuple(sum(v[j] for v in self.vertices) / Fraction(n)
                      for j in range(self.dim))
-
-    def vertex_index(self, point) -> int:
-        target = tuple(Fraction(x) for x in point)
-        for i, v in enumerate(self.vertices):
-            if v == target:
-                return i
-        raise KeyError(f"no vertex at {point}")
 
 
 def format_point(point) -> str:
@@ -430,11 +419,6 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     return c, "translation"
 
 
-def is_isomorphic(p: LabeledPolytope, q: LabeledPolytope) -> Optional[tuple]:
-    """The translation carrying p onto q with matching labels, or None."""
-    return isomorphism_report(p, q)[0]
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -499,7 +483,10 @@ def polytope_to_json(p: LabeledPolytope) -> dict:
 def load_polytope(path) -> LabeledPolytope:
     """Read and validate a polytope JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # a ValueError, but a parse error here
+            raise FormatError(f"file is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit

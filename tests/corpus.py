@@ -6,8 +6,10 @@ a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
 lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 ``det_rational`` are Fraction Gauss-Jordan references for the package's
-fraction-free solves and determinants, ``reference_saturate`` is the
-saturation route that inverts the Smith transform, and ``subset_scan`` is the
+fraction-free solves and determinants, ``unimodular_inverse`` inverts a
+unimodular matrix by one Hermite reduction, ``reference_saturate`` is the
+saturation route that inverts the Smith transform with it, ``contains`` tests
+a point against every facet inequality, and ``subset_scan`` is the
 brute-force reference for the vertex walk.
 """
 
@@ -19,12 +21,12 @@ from typing import Optional
 from labpoly.lattice import (
     dot,
     hermite_normal_form,
+    identity,
     mat_vec,
     matrix,
     rational_rank,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 from labpoly.polytope import ValidationError, _check_bounded, _check_vertices, validate
 
@@ -119,6 +121,21 @@ def det_rational(rows):
     return result
 
 
+def unimodular_inverse(m_rows):
+    """Exact integer inverse of a unimodular matrix.
+
+    Raises ValueError if the matrix is not square with determinant +-1.
+    """
+    m_rows = matrix(m_rows)
+    n = len(m_rows)
+    if any(len(r) != n for r in m_rows):
+        raise ValueError("matrix is not square")
+    hnf = hermite_normal_form(m_rows)
+    if hnf.H != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return hnf.U
+
+
 def reference_saturate(b):
     """Saturation of the row lattice of independent rows ``b``, the long way.
 
@@ -134,6 +151,11 @@ def reference_saturate(b):
         raise ValueError("rows are linearly dependent")
     gens = unimodular_inverse(smith_normal_form(b).V)[:len(b)]
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
+
+
+def contains(p, point) -> bool:
+    """Whether ``point`` satisfies every facet inequality of ``p``."""
+    return all(dot(point, h.normal) >= h.offset for h in p.halfspaces)
 
 
 def subset_scan(dim, hs):

@@ -10,30 +10,21 @@ quotient, so neither shares code with the routes it checks:
   elimination.
 * **h-vector.**  The even Betti numbers of the orbifold are the h-vector of
   the simple polytope, h_k = sum_{j >= k} (-1)^(j-k) C(j, k) f_j with f_j
-  the number of j-dimensional faces, and the h-vector is palindromic
-  (Dehn-Sommerville).
+  the number of j-dimensional faces (:func:`labpoly.morse.h_vector`, which
+  ``verify`` also runs), and the h-vector is palindromic (Dehn-Sommerville).
 """
 
 import random
-from math import comb
 
 import pytest
 
 from labpoly.delzant import face_groups
-from labpoly.morse import morse_report, random_generic_direction
+from labpoly.morse import h_vector, morse_report, random_generic_direction
 
 from corpus import det_rational, generated_family, standard_corpus
 
 CASES = standard_corpus() + generated_family()
 IDS = [name for name, _ in CASES]
-
-
-def h_vector(p) -> tuple:
-    f = [0] * (p.dim + 1)
-    for face in p.faces:
-        f[p.dim - face.codim] += 1
-    return tuple(sum((-1) ** (j - k) * comb(j, k) * f[j] for j in range(k, p.dim + 1))
-                 for k in range(p.dim + 1))
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=IDS)

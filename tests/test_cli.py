@@ -7,11 +7,12 @@ contract (0 ok, 1 validation, 2 parse/I/O, 3 internal) is pinned down.
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
 import labpoly.cli
-from labpoly import local_model
+from labpoly import local_model, morse
 from labpoly.cli import main
 from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import polytope_to_json
@@ -88,6 +89,15 @@ def test_bad_json_is_exit_2(files, capsys):
     code, _, err = run(capsys, "validate", files["bad_json"])
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_file_that_is_not_utf8_is_exit_2(files, capsys):
+    path = files["dir"] / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "halfspaces": [], "note": "\xff"}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: file is not UTF-8: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_integer_past_the_digit_limit_is_exit_2(files, capsys):
@@ -376,6 +386,29 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
     obj = json.loads(out)
     assert [c["passed"] for c in obj["checks"]] == [True, False, True, True]
     assert obj["passed"] is False
+
+
+def test_consistently_wrong_betti_numbers_fail_verify(files, capsys, monkeypatch):
+    # every direction moves one vertex from index 2 to index 0: the draws
+    # agree with each other and sum to the vertex count, but not with the
+    # h-vector of the face lattice
+    real = morse.morse_report
+
+    def moved(p, xi):
+        rep = real(p, xi)
+        indices = list(rep.vertex_indices)
+        indices[indices.index(2)] = 0
+        coeffs = list(rep.poincare)
+        coeffs[0] += 1
+        coeffs[2] -= 1
+        return replace(rep, vertex_indices=tuple(indices), poincare=tuple(coeffs))
+
+    monkeypatch.setattr(morse, "morse_report", moved)
+    code, out, _ = run(capsys, "verify", files["square"], "--samples", "5")
+    assert code == 3
+    assert ("FAIL: Betti numbers independent of direction (5 draws) "
+            "(saw [(2, 0, 1, 0, 1)], h-vector [1, 2, 1])") in out.splitlines()
+    assert out.endswith("verify: FAIL\n")
 
 
 def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):

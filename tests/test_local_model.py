@@ -15,6 +15,7 @@ from labpoly.local_model import (
 from labpoly.polytope import edge_directions
 
 from corpus import (
+    contains,
     cube,
     generated_family,
     interval,
@@ -194,7 +195,7 @@ def test_local_cone_full_face():
     lc = local_cone(p, p.face_by_active(()))
     assert lc.generators == ()
     assert lattices_equal(lc.span_directions, ((1, 0), (0, 1)))
-    assert p.contains(lc.apex)
+    assert contains(p, lc.apex)
 
 
 def test_local_cone_apex_on_face():

@@ -11,7 +11,6 @@ from labpoly.morse import (
     morse_report,
     poincare_polynomial,
     random_generic_direction,
-    vertex_index,
 )
 
 from corpus import cube, interval, square, standard_corpus, t1, w2
@@ -55,7 +54,7 @@ def test_non_generic_direction_raises():
     with pytest.raises(ValueError, match="not generic"):
         poincare_polynomial(p, (1, 0))
     with pytest.raises(ValueError, match="not generic"):
-        vertex_index(p, 0, (0, 1))
+        morse_report(p, (0, 1))
 
 
 def test_unique_min_and_max():
@@ -153,14 +152,6 @@ def test_is_generic_rejects_non_integer_xi():
         is_generic(p, (1.5, 0.25))
     with pytest.raises(ValueError, match="integer entries"):
         is_generic(p, (True, 2))
-
-
-def test_vertex_index_rejects_non_integer_xi():
-    p = square()
-    with pytest.raises(ValueError, match="integer entries"):
-        vertex_index(p, 0, (1, 2.0))
-    with pytest.raises(ValueError, match="integer entries"):
-        vertex_index(p, 0, (Fraction(1, 2), 1))
 
 
 def test_morse_report_rejects_non_integer_xi():
