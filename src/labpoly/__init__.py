@@ -11,9 +11,7 @@ ever rounded.
 
 from .delzant import (
     DelzantData,
-    KernelGroupInfo,
     ReductionReport,
-    RegularityReport,
     build_construction,
     convex_samples,
     face_groups,
@@ -22,7 +20,6 @@ from .delzant import (
     moment_level,
     sample_point,
     verify_reduction_invariants,
-    verify_regular_level,
 )
 from .fan import Cone, Fan, build_fan, fan_to_json, fans_equal, make_cone
 from .lattice import (

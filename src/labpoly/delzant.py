@@ -43,7 +43,6 @@ from .lattice import (
     common_denominator,
     dot,
     kernel_basis,
-    rational_rank,
     smith_normal_form,
     vec_scale,
 )
@@ -76,25 +75,9 @@ class DelzantData:
 
 
 @dataclass(frozen=True)
-class KernelGroupInfo:
-    """Identity component rank and component group of the reduced subgroup."""
-
-    torus_dim: int
-    component_group: FiniteAbelianGroup
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    regular: bool
-    max_stabilizer_order: int
-    failure: str | None
-
-
-@dataclass(frozen=True)
 class ReductionReport:
     passed: bool
     samples_checked: int
-    vertices_attained: bool
     failure: str | None
 
 
@@ -172,27 +155,27 @@ def moment_level(d: DelzantData, slacks) -> tuple:
     return tuple(Fraction(sum(map(mul, row, s)), den) for row in d.kernel_rows)
 
 
-def kernel_group(d: DelzantData) -> KernelGroupInfo:
-    """Dimension and component group of the reduced subgroup.
+def kernel_group(d: DelzantData) -> FiniteAbelianGroup:
+    """Component group of the reduced subgroup.
 
-    The identity component is a torus of dimension N - n; the component
+    Its identity component is a torus of dimension N - n; the component
     group is the cokernel of the projection on integer lattices, read from
     the Smith normal form diagonal.
     """
-    torus_dim = d.num_facets - d.ambient_dim
     divisors = smith_normal_form(d.projection).diagonal
     if any(x == 0 for x in divisors):
         raise RuntimeError("projection is not surjective over the rationals")
-    factors = tuple(x for x in divisors if x > 1)
-    return KernelGroupInfo(torus_dim=torus_dim,
-                           component_group=FiniteAbelianGroup(factors))
+    return FiniteAbelianGroup(tuple(x for x in divisors if x > 1))
 
 
 def face_groups(p: LabeledPolytope) -> tuple:
     """``(face, stabilizer)`` for every proper face, in face order.
 
     Each group comes from one Smith form (:func:`face_stabilizer`); neither
-    the kernel nor the level is needed for it.
+    the kernel nor the level is needed for it.  The verified U * A * V = D
+    with k nonzero diagonal entries gives rank k to the k tight scaled
+    normals of every face, so a return means the level is regular (the
+    normals are independent at every vertex); a dependent face raises.
     """
     return tuple((f, face_stabilizer(p, f)) for f in p.proper_faces())
 
@@ -222,26 +205,6 @@ def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
     return tuple(tuple(col[r] for col in cols) for r in range(p.dim))
 
 
-def verify_regular_level(p: LabeledPolytope, groups) -> RegularityReport:
-    """Check the level is regular: independent tight normals at every vertex.
-
-    Also reports the largest stabilizer order over the proper faces, read
-    from ``groups`` (as returned by :func:`face_groups`), which bounds the
-    local group orders of the reduced space.
-    """
-    failure = None
-    for f in p.vertex_faces():
-        if rational_rank(_scaled_columns(p, f.active)) != p.dim:
-            failure = (f"dependent normals at vertex "
-                       f"{format_point(p.vertices[f.vertices[0]])}")
-            break
-    max_order = 1
-    if failure is None:
-        max_order = max((g.order for _, g in groups), default=1)
-    return RegularityReport(regular=failure is None,
-                            max_stabilizer_order=max_order, failure=failure)
-
-
 def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
                                 samples) -> ReductionReport:
     """Check the defining identities of the construction on sample points.
@@ -263,7 +226,7 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
         if not (shape_ok and all(sum(map(mul, row, s)) * b == a * scale
                                  for row, (a, b) in zip(d.kernel_rows, level))):
             return ReductionReport(
-                passed=False, samples_checked=count, vertices_attained=False,
+                passed=False, samples_checked=count,
                 failure=f"moment level mismatch at sample {format_point(beta)}")
         count += 1
     den, numerators = p.scaled_vertices
@@ -273,11 +236,10 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
         if zero_set != f.active:
             return ReductionReport(
-                passed=False, samples_checked=count, vertices_attained=False,
+                passed=False, samples_checked=count,
                 failure=f"vertex {format_point(v)} has zero slacks "
                         f"{list(zero_set)}, tight facets {list(f.active)}")
-    return ReductionReport(passed=True, samples_checked=count,
-                           vertices_attained=True, failure=None)
+    return ReductionReport(passed=True, samples_checked=count, failure=None)
 
 
 def convex_samples(p: LabeledPolytope, count: int, seed: int) -> list:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import labpoly.cli
-from labpoly import local_model, morse
+from labpoly import delzant, local_model, morse
 from labpoly.cli import main
 from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import polytope_to_json
@@ -424,3 +424,49 @@ def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):
     monkeypatch.setattr(labpoly.cli, "format_point", third_call_fails)
     assert run(capsys, "vertices", files["square"]) == (
         1, "", "error: cannot format this vertex\n")
+
+
+# ---------------------------------------------------------------------------
+# internal identity checks of the reduction presentation: exit 3, no report
+# ---------------------------------------------------------------------------
+
+def _smith_dropping_last_divisor(monkeypatch, square):
+    # the real Smith form, with its last diagonal entry zeroed on square
+    # matrices (a vertex's tight scaled normals) or on wide ones (the
+    # projection), as if the columns were dependent
+    real = delzant.smith_normal_form
+
+    def patched(a):
+        snf = real(a)
+        if (len(a) == len(a[0])) != square:
+            return snf
+        d = [list(row) for row in snf.D]
+        k = min(len(d), len(d[0])) - 1
+        d[k][k] = 0
+        return snf._replace(D=tuple(map(tuple, d)))
+
+    monkeypatch.setattr(delzant, "smith_normal_form", patched)
+
+
+def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
+    # the only check behind the "regular level" lines of delzant and verify
+    _smith_dropping_last_divisor(monkeypatch, square=True)
+    for argv in (["delzant"], ["delzant", "--json"], ["verify"],
+                 ["verify", "--json"]):
+        assert run(capsys, *argv, files["t1"]) == (
+            3, "", "internal error: dependent facet normals over face [0, 1]\n")
+
+
+def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
+    _smith_dropping_last_divisor(monkeypatch, square=False)
+    for argv in (["delzant"], ["delzant", "--json"]):
+        assert run(capsys, *argv, files["t1"]) == (
+            3, "", "internal error: projection is not surjective over the rationals\n")
+
+
+def test_level_self_check_exit_3(files, capsys, monkeypatch):
+    monkeypatch.setattr(delzant, "moment_level", lambda d, slacks: ())
+    for argv in (["delzant"], ["delzant", "--json"], ["verify"],
+                 ["verify", "--json"]):
+        assert run(capsys, *argv, files["t1"]) == (
+            3, "", "internal error: reduction level depends on the sample point\n")

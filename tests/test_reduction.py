@@ -56,7 +56,7 @@ def reference_verify(d, p, samples):
         s = reference_sample_point(d, beta)
         if reference_moment_level(d, s) != d.level:
             return ReductionReport(
-                passed=False, samples_checked=count, vertices_attained=False,
+                passed=False, samples_checked=count,
                 failure=f"moment level mismatch at sample {format_point(beta)}")
         count += 1
     for f in p.vertex_faces():
@@ -65,11 +65,10 @@ def reference_verify(d, p, samples):
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
         if zero_set != f.active:
             return ReductionReport(
-                passed=False, samples_checked=count, vertices_attained=False,
+                passed=False, samples_checked=count,
                 failure=f"vertex {format_point(v)} has zero slacks "
                         f"{list(zero_set)}, tight facets {list(f.active)}")
-    return ReductionReport(passed=True, samples_checked=count,
-                           vertices_attained=True, failure=None)
+    return ReductionReport(passed=True, samples_checked=count, failure=None)
 
 
 def reference_convex_samples(p, count, seed):
