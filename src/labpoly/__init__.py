@@ -16,7 +16,6 @@ from .delzant import (
     convex_samples,
     face_groups,
     face_stabilizer,
-    kernel_group,
     moment_level,
     sample_point,
     verify_reduction_invariants,

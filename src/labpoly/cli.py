@@ -126,7 +126,6 @@ def cmd_compare(args, p, q):
 
 def cmd_delzant(args, p):
     d = dz.build_construction(p)
-    component_group = dz.kernel_group(d)
     stab = dz.face_groups(p)
     max_order = max((g.order for _, g in stab), default=1)
     if args.json:
@@ -136,7 +135,7 @@ def cmd_delzant(args, p):
             "kernel_basis": [list(r) for r in d.kernel_rows],
             "level": [format_rational(x) for x in d.level],
             "torus_dim": d.num_facets - d.ambient_dim,
-            "component_group": _group_json(component_group),
+            "component_group": _group_json(d.component_group),
             "stabilizers": [
                 {"active": list(f.active), **_group_json(g)} for f, g in stab],
             "regular": True,
@@ -150,7 +149,7 @@ def cmd_delzant(args, p):
         *(f"  {list(r)}" for r in d.kernel_rows),
         f"level: {[format_rational(x) for x in d.level]}",
         f"torus dim: {d.num_facets - d.ambient_dim}",
-        f"component group: {component_group}",
+        f"component group: {d.component_group}",
         "stabilizers:",
         *(f"  {_face_name(p, f)}: {g}" for f, g in stab),
         f"regular level: yes (max stabilizer order {max_order})",

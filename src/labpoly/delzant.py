@@ -23,16 +23,17 @@ numerators; a Fraction is made only for a returned value or an error message.
 Points must be exact: a float or bool coordinate raises ValueError.
 
 Two finite groups live here: the component group of the kernel subgroup
-(Smith form of the projection), and the stabilizer attached to a face, read
-from the Smith form of the projection columns of its tight facets.  The
-latter is computed once per polytope (:func:`face_groups`) and is what every
-command prints as a structure group; :func:`labpoly.local_model.structure_group`
-is an independent route to the same groups, and the two are cross-checked in
-the tests and by the ``stabilizers`` and ``verify`` commands.
+(from the Smith form of the projection that gives the kernel), and the
+stabilizer of a face, computed once per polytope (:func:`face_groups`) and
+printed by every command as a structure group;
+:func:`labpoly.local_model.structure_group` is an independent route to the
+same groups, and the two are cross-checked in the tests and by the
+``stabilizers`` and ``verify`` commands.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,9 +41,12 @@ from operator import mul
 
 from .lattice import (
     FiniteAbelianGroup,
+    adjugate,
     common_denominator,
     dot,
+    identity,
     kernel_basis,
+    mat_mul,
     smith_normal_form,
     vec_scale,
 )
@@ -56,14 +60,16 @@ class DelzantData:
     ``projection`` is the n x N matrix with columns m_i * y_i,
     ``scaled_offsets`` the vector c with c_i = m_i * eta_i, ``kernel_rows``
     a Hermite-normalized basis of the integer kernel of the projection (one
-    row per reduced circle factor), and ``level`` the value of j* shared by
-    every point of the polytope.
+    row per reduced circle factor), ``level`` the value of j* shared by
+    every point of the polytope, and ``component_group`` the cokernel of the
+    projection, the component group of the reduced subgroup.
     """
 
     projection: tuple
     scaled_offsets: tuple
     kernel_rows: tuple
     level: tuple
+    component_group: FiniteAbelianGroup
 
     @property
     def num_facets(self) -> int:
@@ -82,18 +88,23 @@ class ReductionReport:
 
 
 def build_construction(p: LabeledPolytope) -> DelzantData:
-    """Assemble projection, kernel, and level for a labeled polytope.
+    """Assemble projection, kernel, level and component group.
 
-    The level is the closed form -B c (B the kernel basis), double-checked
-    against j* evaluated on the slacks of an interior point, which must agree
-    because the kernel rows annihilate the projection; disagreement would
-    mean corrupted arithmetic and raises.
+    One Smith form of the projection gives the kernel and the component
+    group, and a zero on its diagonal raises.  The level is the closed form
+    -B c (B the kernel basis), double-checked against j* on the slacks of an
+    interior point, which must agree because the kernel rows annihilate the
+    projection; disagreement would mean corrupted arithmetic and raises.
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
-    kernel = kernel_basis(projection, len(p.halfspaces))
+    snf = smith_normal_form(projection)
+    if 0 in snf.diagonal:
+        raise RuntimeError("projection is not surjective over the rationals")
+    kernel = kernel_basis(projection, len(p.halfspaces), snf)
     d = DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
-                    level=tuple(-dot(row, offsets) for row in kernel))
+                    level=tuple(-dot(row, offsets) for row in kernel),
+                    component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
     if moment_level(d, sample_point(d, p, p.interior_point())) != d.level:
         raise RuntimeError("reduction level depends on the sample point")
     return d
@@ -155,29 +166,48 @@ def moment_level(d: DelzantData, slacks) -> tuple:
     return tuple(Fraction(sum(map(mul, row, s)), den) for row in d.kernel_rows)
 
 
-def kernel_group(d: DelzantData) -> FiniteAbelianGroup:
-    """Component group of the reduced subgroup.
-
-    Its identity component is a torus of dimension N - n; the component
-    group is the cokernel of the projection on integer lattices, read from
-    the Smith normal form diagonal.
-    """
-    divisors = smith_normal_form(d.projection).diagonal
-    if any(x == 0 for x in divisors):
-        raise RuntimeError("projection is not surjective over the rationals")
-    return FiniteAbelianGroup(tuple(x for x in divisors if x > 1))
-
-
 def face_groups(p: LabeledPolytope) -> tuple:
     """``(face, stabilizer)`` for every proper face, in face order.
 
-    Each group comes from one Smith form (:func:`face_stabilizer`); neither
-    the kernel nor the level is needed for it.  The verified U * A * V = D
-    with k nonzero diagonal entries gives rank k to the k tight scaled
-    normals of every face, so a return means the level is regular (the
-    normals are independent at every vertex); a dependent face raises.
+    A facet, or a face through a vertex of unimodular normals
+    (:func:`_unimodular_vertices`), has normals y_i that extend to a basis of
+    Z^n, so its group is the sum of the Z/m_i (:func:`_label_group`).  Any
+    other face takes one Smith form (:func:`face_stabilizer`), which raises if
+    its scaled normals are dependent; so a return means the level is regular.
     """
-    return tuple((f, face_stabilizer(p, f)) for f in p.proper_faces())
+    unimodular = _unimodular_vertices(p)
+    return tuple((f, _label_group(p, f) if f.codim == 1
+                  or not unimodular.isdisjoint(f.vertices) else face_stabilizer(p, f))
+                 for f in p.proper_faces())
+
+
+def _unimodular_vertices(p: LabeledPolytope) -> set:
+    """Indices of the vertices whose tight normals (rows Y) have |det| = 1,
+    each certified by Y * adj(Y) = det * I; a failure raises naming the vertex."""
+    out = set()
+    for vi, v in enumerate(p.vertices):
+        rows = tuple(p.halfspaces[i].normal for i in p.vertex_active(vi))
+        d, adj = adjugate(rows)
+        if abs(d) == 1:
+            if mat_mul(rows, adj) != tuple(vec_scale(d, r) for r in identity(p.dim)):
+                raise RuntimeError(f"Y * adj(Y) != det * I at vertex {format_point(v)}")
+            out.add(vi)
+    return out
+
+
+def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
+    """Sum of Z/m_i over the face's facets by pairwise (gcd, lcm) merging; an
+    order other than the product of the labels raises."""
+    fs = [p.halfspaces[i].label for i in face.active]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = math.gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] * fs[j] // g
+    group = FiniteAbelianGroup(tuple(x for x in fs if x > 1))
+    if group.order != math.prod(p.halfspaces[i].label for i in face.active):
+        raise RuntimeError(f"invariant factors {fs} over face {list(face.active)} "
+                           f"lost the product of its labels")
+    return group
 
 
 def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:

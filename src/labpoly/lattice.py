@@ -55,8 +55,20 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``."""
-    return str(Fraction(x))
+    """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``, of any size."""
+    x = Fraction(x)
+    num = _decimal(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, split in halves past ``sys.get_int_max_str_digits()`` (left as set)."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than the interpreter converts at once
+        k = n.bit_length() * 3 // 20  # log10(2) > 3/10: at most half the digits
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(k)
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +461,20 @@ def hermite_normal_form(a) -> HermiteDecomposition:
 # kernels, saturation, quotients
 # ---------------------------------------------------------------------------
 
-def kernel_basis(a, ncols: int) -> Mat:
+def kernel_basis(a, ncols: int, snf=None) -> Mat:
     """Basis rows of the integer kernel {x : A x = 0} of an m x ncols matrix.
 
-    The result is saturated (it generates ker over the rationals intersected
-    with the integer lattice) and is normalized to its Hermite form so that
-    equal kernels get identical bases.  ``ncols`` must be passed explicitly so
-    an empty list of rows still has a well-defined ambient dimension.
+    The result is saturated (ker over the rationals meets the integer
+    lattice) and Hermite-normalized, so equal kernels get identical bases.
+    ``ncols`` is explicit so that no rows still have an ambient dimension;
+    ``snf`` is ``smith_normal_form(A)`` when the caller already took it.
     """
     a = matrix(a)
     if a and len(a[0]) != ncols:
         raise ValueError("ncols disagrees with the rows")
     if not a:
         return identity(ncols)
-    s = smith_normal_form(a)
+    s = smith_normal_form(a) if snf is None else snf
     r = len(s.nonzero_diagonal)
     gens = [tuple(s.V[i][j] for i in range(ncols)) for j in range(r, ncols)]
     if not gens:

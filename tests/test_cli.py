@@ -8,6 +8,7 @@ contract (0 ok, 1 validation, 2 parse/I/O, 3 internal) is pinned down.
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -29,10 +30,15 @@ def files(tmp_path):
 
     trunc = tmp_path / "trunc.json"
     trunc.write_text("{ not json")
+    # w2 with facets 1 and 2 swapped: face [0, 1] is its order-2 vertex (0, 1)
+    w2_singular_first = polytope_to_json(w2())
+    hs = w2_singular_first["halfspaces"]
+    hs[1], hs[2] = hs[2], hs[1]
     return {
         "t1": write("t1.json", polytope_to_json(t1())),
         "t1_label2": write("t1_label2.json", polytope_to_json(t1((1, 1, 2)))),
         "w2": write("w2.json", polytope_to_json(w2())),
+        "w2_singular_first": write("w2_singular_first.json", w2_singular_first),
         "square": write("square.json", polytope_to_json(square())),
         "football35": write("football35.json", polytope_to_json(interval(3, 5))),
         "bad_geometry": write("bad.json", {
@@ -160,6 +166,40 @@ def test_vertices_json(files, capsys):
     code, out, _ = run(capsys, "vertices", files["w2"], "--json")
     obj = json.loads(out)
     assert obj == {"vertices": [["0", "0"], ["0", "1"], ["2", "0"]]}
+
+
+def _str_past_digit_limit(x):
+    # str() of a number past the interpreter's digit limit, with the limit
+    # lifted for this call only (Python 3.10 before 3.10.7 has no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_vertices_print_past_the_int_digit_limit(files, capsys):
+    # y <= a, x <= y + b, x >= -10 with 3,002-digit a and b: the vertex
+    # (a + b, a) has a numerator of about 6,000 digits
+    a = Fraction(10**3001 + 7, 10**3001 + 3)
+    b = Fraction(3 * 10**3001 + 1, 7 * 10**3001 + 9)
+    path = files["write"]("huge.json", {"dim": 2, "halfspaces": [
+        {"normal": [0, -1], "offset": str(-a), "label": 1},
+        {"normal": [-1, 1], "offset": str(-b), "label": 1},
+        {"normal": [1, 0], "offset": "-10", "label": 1}]})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    want = [[_str_past_digit_limit(x) for x in v]
+            for v in [(-10, -10 - b), (-10, a), (a + b, a)]]
+    assert len(want[2][0]) > 12000
+    code, out, err = run(capsys, "vertices", path)
+    assert (code, err) == (0, "")
+    assert out == "".join(f"({x}, {y})\n" for x, y in want)
+    assert run(capsys, "vertices", path, "--json")[:2] == (
+        0, json.dumps({"vertices": want}, indent=2) + "\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_faces_lists_whole_lattice(files, capsys):
@@ -449,12 +489,34 @@ def _smith_dropping_last_divisor(monkeypatch, square):
 
 
 def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
-    # the only check behind the "regular level" lines of delzant and verify
+    # the only check behind the "regular level" lines of delzant and verify;
+    # face [0, 1] is a vertex whose normals are not unimodular, so its group
+    # takes the Smith route
     _smith_dropping_last_divisor(monkeypatch, square=True)
     for argv in (["delzant"], ["delzant", "--json"], ["verify"],
                  ["verify", "--json"]):
-        assert run(capsys, *argv, files["t1"]) == (
+        assert run(capsys, *argv, files["w2_singular_first"]) == (
             3, "", "internal error: dependent facet normals over face [0, 1]\n")
+
+
+def _off_by_one(m):
+    return ((m[0][0] + 1, *m[0][1:]), *m[1:])
+
+
+@pytest.mark.parametrize("broken", ["adjugate", "mat_mul"])
+def test_broken_unimodular_certificate_exit_3(files, capsys, monkeypatch, broken):
+    # the closed-form groups rest on Y * adj(Y) = det * I at a unimodular
+    # vertex; a wrong adjugate or a wrong product must not pass it
+    real = getattr(delzant, broken)
+    if broken == "adjugate":
+        monkeypatch.setattr(delzant, "adjugate",
+                            lambda a: (real(a)[0], _off_by_one(real(a)[1])))
+    else:
+        monkeypatch.setattr(delzant, "mat_mul", lambda a, b: _off_by_one(real(a, b)))
+    for argv in (["structure-groups"], ["delzant", "--json"], ["stabilizers"],
+                 ["verify"]):
+        assert run(capsys, *argv, files["t1"]) == (
+            3, "", "internal error: Y * adj(Y) != det * I at vertex (0, 0)\n")
 
 
 def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from labpoly import delzant
 from labpoly.delzant import (
     build_construction,
     convex_samples,
     face_groups,
     face_stabilizer,
-    kernel_group,
     moment_level,
     sample_point,
     verify_reduction_invariants,
@@ -19,8 +19,10 @@ from labpoly.lattice import mat_vec
 from labpoly.local_model import structure_group
 
 from corpus import (
+    box,
     contains,
     cube,
+    det_rational,
     generated_family,
     interval,
     square,
@@ -78,16 +80,16 @@ def test_slacks_scale_with_labels():
 
 def test_kernel_group_values():
     # component group = cokernel of the projection
-    assert kernel_group(build_construction(interval(1, 1))).is_trivial
-    assert kernel_group(build_construction(interval(2, 1))).is_trivial
+    assert build_construction(interval(1, 1)).component_group.is_trivial
+    assert build_construction(interval(2, 1)).component_group.is_trivial
     d = build_construction(interval(2, 2))
-    assert kernel_group(d).invariant_factors == (2,)
+    assert d.component_group.invariant_factors == (2,)
     assert d.num_facets - d.ambient_dim == 1
-    assert kernel_group(build_construction(t1())).is_trivial
-    assert kernel_group(build_construction(w2())).is_trivial
+    assert build_construction(t1()).component_group.is_trivial
+    assert build_construction(w2()).component_group.is_trivial
     d = build_construction(cube())
     assert d.num_facets - d.ambient_dim == 3
-    g64 = kernel_group(build_construction(interval(6, 4)))
+    g64 = build_construction(interval(6, 4)).component_group
     assert g64.invariant_factors == (2,)
 
 
@@ -118,6 +120,61 @@ def test_stabilizers_match_structure_groups_everywhere():
             a = g.invariant_factors
             b = structure_group(p, f).invariant_factors
             assert a == b, (name, f.active, a, b)
+
+
+CASES = standard_corpus() + generated_family()
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
+def test_closed_form_groups_equal_the_smith_route(name, p):
+    # a facet, or a face through a vertex of determinant +-1 (by Fraction
+    # elimination here), gets the sum of Z/m_i without a Smith form
+    smooth = {v.vertices[0] for v in p.vertex_faces()
+              if abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
+    for f, g in face_groups(p):
+        want = face_stabilizer(p, f)
+        assert g == want, (f.active, str(g), str(want))
+        if f.codim == 1 or smooth.intersection(f.vertices):
+            assert delzant._label_group(p, f) == want, f.active
+
+
+def test_labeled_box_takes_no_smith_form(monkeypatch):
+    def no_smith(a):
+        raise AssertionError(f"Smith form taken of {a}")
+
+    monkeypatch.setattr(delzant, "smith_normal_form", no_smith)
+    p = box([1, 2, 3], [2, 3, 1, 4, 6, 5])
+    groups = dict(face_groups(p))
+    assert len(groups) == 26
+    for active, want in [((0,), (2,)), ((0, 2, 4), (2, 6)), ((1, 3, 5), (60,)),
+                         ((3, 4), (2, 12)), ((2,), ())]:
+        assert groups[p.face_by_active(active)].invariant_factors == want
+    for f, g in groups.items():
+        assert g == structure_group(p, f), f.active
+
+
+def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
+    real = delzant.smith_normal_form
+    taken = []
+    monkeypatch.setattr(delzant, "smith_normal_form",
+                        lambda a: taken.append(a) or real(a))
+    p = w2()
+    groups = dict(face_groups(p))
+    # the columns m_i * y_i of facets 0 and 2, tight at the vertex (0, 1)
+    assert taken == [((1, -1), (0, -2))]
+    assert str(groups[p.face_by_active((0, 2))]) == "Z/2"
+    assert all(g.is_trivial for f, g in groups.items() if f.active != (0, 2))
+
+
+def test_projection_takes_one_smith_form(monkeypatch):
+    real = delzant.smith_normal_form
+    taken = []
+    monkeypatch.setattr(delzant, "smith_normal_form",
+                        lambda a: taken.append(a) or real(a))
+    d = build_construction(interval(6, 4))
+    assert taken == [d.projection]
+    assert d.kernel_rows == ((2, 3),)
+    assert d.component_group.invariant_factors == (2,)
 
 
 def test_reduction_invariants_pass():

@@ -7,6 +7,7 @@ normal-form implementations never certify themselves.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -561,6 +562,31 @@ def test_rational_text_round_trip():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("value", [
+    10**4400, -(10**4400) - 1, 10**700 + 1, Fraction(7**6000, 10**4400 + 3),
+    Fraction(-(10**3000), 3**9001), 2**30000 - 1],
+    ids=["power", "negative", "zeros", "fraction", "negative_fraction", "mersenne"])
+def test_format_rational_past_the_digit_limit(value):
+    # the digits of a number past the interpreter's limit, in halves, with
+    # zeros kept at the join; the limit itself is left as it was
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this Python has no integer digit limit")
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(Fraction(value))
+    finally:
+        sys.set_int_max_str_digits(640)
+    try:
+        got = format_rational(value)
+        assert get_limit() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert parse_rational(got[:600]) == Fraction(want[:600])
 
 
 def test_parse_rational_rejects_floats_and_bools():
