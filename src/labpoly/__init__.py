@@ -36,19 +36,10 @@ from .lattice import (
     saturate,
     smith_normal_form,
 )
-from .local_model import (
-    IsotropyData,
-    LocalCone,
-    SliceWeights,
-    isotropy_data,
-    local_cone,
-    slice_weights,
-    structure_group,
-)
+from .local_model import structure_group
 from .morse import (
     MorseReport,
     is_generic,
-    morse_inequality_check,
     morse_report,
     poincare_polynomial,
     random_generic_direction,
@@ -63,7 +54,6 @@ from .polytope import (
     isomorphism_report,
     load_polytope,
     polytope_from_json,
-    polytope_to_json,
     validate,
 )
 

@@ -51,6 +51,11 @@ def _face_name(p, f):
     return f"face {list(f.active)}"
 
 
+def _int_row(r):
+    """``str(list(r))``, also for integers past the interpreter's digit limit."""
+    return "[" + ", ".join(format_rational(x) for x in r) + "]"
+
+
 def _group_json(g):
     return {"invariant_factors": list(g.invariant_factors), "order": g.order}
 
@@ -143,16 +148,16 @@ def cmd_delzant(args, p):
         }, 0
     return [
         "projection:",
-        *(f"  {list(r)}" for r in d.projection),
+        *(f"  {_int_row(r)}" for r in d.projection),
         f"scaled offsets: {[format_rational(x) for x in d.scaled_offsets]}",
         "kernel basis:",
-        *(f"  {list(r)}" for r in d.kernel_rows),
+        *(f"  {_int_row(r)}" for r in d.kernel_rows),
         f"level: {[format_rational(x) for x in d.level]}",
         f"torus dim: {d.num_facets - d.ambient_dim}",
         f"component group: {d.component_group}",
         "stabilizers:",
         *(f"  {_face_name(p, f)}: {g}" for f, g in stab),
-        f"regular level: yes (max stabilizer order {max_order})",
+        f"regular level: yes (max stabilizer order {format_rational(max_order)})",
     ], 0
 
 

@@ -544,14 +544,10 @@ class FiniteAbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
-
     def __str__(self) -> str:
         if self.is_trivial:
             return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
+        return " x ".join(f"Z/{_decimal(d)}" for d in self.invariant_factors)
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())

@@ -6,12 +6,8 @@ number of its edges on which xi decreases.  Counting vertices by index gives
 the Poincare coefficients directly, in every case even degrees only.  xi must
 have integer entries; anything else raises ValueError.
 
-:func:`h_vector` reads the same numbers off the face lattice alone.
-
-``morse_inequality_check`` implements the classical comparison between a
-Morse counting polynomial M and a Poincare polynomial P: the pair is
-consistent exactly when M - P = (1 + x) Q with Q having nonnegative integer
-coefficients, and the function returns Q or None.
+:func:`h_vector` reads the same numbers off the face lattice alone, and
+``verify`` compares the two.
 """
 
 from __future__ import annotations
@@ -100,36 +96,3 @@ def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:
         if attempt % 100 == 99:
             bound *= 2
     raise RuntimeError("could not find a generic direction")
-
-
-def morse_inequality_check(m_coeffs, p_coeffs):
-    """Quotient Q of (M - P) by (1 + x) if it exists with Q >= 0, else None.
-
-    M dominates P in the Morse sense exactly when the difference is divisible
-    by 1 + x with nonnegative coefficients.  Zero difference returns ().
-    """
-    m = list(m_coeffs)
-    p = list(p_coeffs)
-    size = max(len(m), len(p))
-    m += [0] * (size - len(m))
-    p += [0] * (size - len(p))
-    r = [a - b for a, b in zip(m, p)]
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
-        return ()
-    if len(r) == 1:
-        return None  # nonzero constant is not divisible by 1 + x
-    q = []
-    carry = 0
-    for i in range(len(r) - 1):
-        coeff = r[i] - carry
-        q.append(coeff)
-        carry = coeff
-    if carry != r[-1]:
-        return None  # remainder: not divisible
-    if any(c < 0 for c in q):
-        return None
-    while q and q[-1] == 0:
-        q.pop()
-    return tuple(q)

@@ -90,17 +90,6 @@ class LabeledPolytope:
         """Indices of the facets tight at vertex ``vi``."""
         return tuple(j for j, _ in self.edges[vi])
 
-    def face_by_active(self, active) -> Face:
-        key = tuple(sorted(active))
-        try:
-            return self._faces_by_active[key]
-        except KeyError:
-            raise KeyError(f"no face with active set {key}") from None
-
-    @cached_property
-    def _faces_by_active(self) -> dict:
-        return {f.active: f for f in self.faces}
-
     @cached_property
     def scaled_vertices(self) -> tuple:
         """``(D, numerators)``: each vertex is its integer numerator tuple over D.
@@ -420,7 +409,7 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON input
 # ---------------------------------------------------------------------------
 
 def polytope_from_json(obj) -> LabeledPolytope:
@@ -466,18 +455,6 @@ def polytope_from_json(obj) -> LabeledPolytope:
             raise FormatError(f"halfspace {i}: bad offset: {exc}") from exc
         triples.append((tuple(normal), offset, label))
     return validate(dim, triples)
-
-
-def polytope_to_json(p: LabeledPolytope) -> dict:
-    return {
-        "dim": p.dim,
-        "halfspaces": [
-            {"normal": list(h.normal),
-             "offset": format_rational(h.offset),
-             "label": h.label}
-            for h in p.halfspaces
-        ],
-    }
 
 
 def load_polytope(path) -> LabeledPolytope:

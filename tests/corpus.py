@@ -9,8 +9,10 @@ lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 fraction-free solves and determinants, ``unimodular_inverse`` inverts a
 unimodular matrix by one Hermite reduction, ``reference_saturate`` is the
 saturation route that inverts the Smith transform with it, ``contains`` tests
-a point against every facet inequality, and ``subset_scan`` is the
-brute-force reference for the vertex walk.
+a point against every facet inequality, ``face_by_active`` looks a face up by
+its tight set, ``polytope_to_json`` writes the file format that
+``polytope_from_json`` reads, and ``subset_scan`` is the brute-force reference
+for the vertex walk.
 """
 
 import random
@@ -20,6 +22,7 @@ from typing import Optional
 
 from labpoly.lattice import (
     dot,
+    format_rational,
     hermite_normal_form,
     identity,
     mat_vec,
@@ -156,6 +159,27 @@ def reference_saturate(b):
 def contains(p, point) -> bool:
     """Whether ``point`` satisfies every facet inequality of ``p``."""
     return all(dot(point, h.normal) >= h.offset for h in p.halfspaces)
+
+
+def face_by_active(p, active):
+    """The face of ``p`` whose tight set is ``active``, in any order."""
+    key = tuple(sorted(active))
+    for f in p.faces:
+        if f.active == key:
+            return f
+    raise KeyError(f"no face with active set {key}")
+
+
+def polytope_to_json(p) -> dict:
+    return {
+        "dim": p.dim,
+        "halfspaces": [
+            {"normal": list(h.normal),
+             "offset": format_rational(h.offset),
+             "label": h.label}
+            for h in p.halfspaces
+        ],
+    }
 
 
 def subset_scan(dim, hs):

@@ -16,9 +16,8 @@ import labpoly.cli
 from labpoly import delzant, local_model, morse
 from labpoly.cli import main
 from labpoly.lattice import FiniteAbelianGroup
-from labpoly.polytope import polytope_to_json
 
-from corpus import interval, square, t1, w2
+from corpus import interval, polytope_to_json, square, t1, w2
 
 
 @pytest.fixture
@@ -223,6 +222,29 @@ def test_structure_groups_json(files, capsys):
         {"active": [0], "codim": 1, "invariant_factors": [3], "order": 3},
         {"active": [1], "codim": 1, "invariant_factors": [5], "order": 5},
     ]
+
+
+def test_group_orders_print_past_the_int_digit_limit(files, capsys):
+    # coprime 2,501-digit labels a, b on alternate facets: the vertex (0, 1),
+    # on facets labeled a and b, has the cyclic group Z/(a*b), whose order
+    # has 5,001 digits
+    a, b = 10**2500 + 1, 10**2500 + 3
+    path = files["write"]("huge_labels.json", polytope_to_json(square(1, [a, b, a, b])))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ab = _str_past_digit_limit(a * b)
+    vertex = "face [0, 3] vertex (0, 1)"
+    for command, vertex_row in [
+            ("structure-groups", f"{vertex}: Z/{ab}"),
+            ("stabilizers", f"{vertex}: reduction Z/{ab}, local Z/{ab}, agree"),
+            ("delzant", f"  {vertex}: Z/{ab}")]:
+        code, out, err = run(capsys, command, path)
+        assert (code, err) == (0, ""), command
+        assert vertex_row in out.splitlines(), command
+    assert out.splitlines()[1] == f"  [{a}, {-b}, 0, 0]"  # delzant's projection
+    # the vertex (1, 1) on the two facets labeled b has the largest order
+    b2 = _str_past_digit_limit(b * b)
+    assert out.endswith(f"regular level: yes (max stabilizer order {b2})\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_fan_text_and_json(files, capsys):

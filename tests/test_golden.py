@@ -18,9 +18,18 @@ from unittest import mock
 import pytest
 
 from labpoly.cli import main
-from labpoly.polytope import polytope_to_json
 
-from corpus import box, cube, interval, random_variant, square, t1, transformed, w2
+from corpus import (
+    box,
+    cube,
+    interval,
+    polytope_to_json,
+    random_variant,
+    square,
+    t1,
+    transformed,
+    w2,
+)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 

@@ -1,4 +1,4 @@
-"""Tests for Morse indices, Poincare coefficients, and the (1+x) check."""
+"""Tests for Morse indices and Poincare coefficients."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from labpoly.morse import (
     is_generic,
-    morse_inequality_check,
     morse_report,
     poincare_polynomial,
     random_generic_direction,
@@ -89,61 +88,6 @@ def test_reversing_xi_flips_indices():
     rep_neg = morse_report(p, tuple(-x for x in xi))
     top = 2 * p.dim
     assert rep_neg.vertex_indices == tuple(top - k for k in rep.vertex_indices)
-
-
-# ---------------------------------------------------------------------------
-# the (1+x) divisibility check
-# ---------------------------------------------------------------------------
-
-def test_check_equal_polynomials():
-    assert morse_inequality_check([1, 0, 1], [1, 0, 1]) == ()
-
-
-def test_check_simple_quotient():
-    # M - P = 1 + x  ->  Q = 1
-    assert morse_inequality_check([2, 1], [1]) == (1,)
-    # M - P = x^2 + x  ->  Q = x
-    assert morse_inequality_check([1, 1, 2], [1, 0, 1]) == (0, 1)
-
-
-def test_check_infeasible_cases():
-    # difference x is not divisible by 1 + x
-    assert morse_inequality_check([1, 1], [1]) is None
-    # nonzero constant difference
-    assert morse_inequality_check([2], [1]) is None
-    # divisible but with a negative coefficient: (x^2 - x) = (1+x)(x - ...)?
-    # M - P = -1 - x gives Q = -1: must be rejected
-    assert morse_inequality_check([1], [2, 1]) is None
-
-
-def test_check_padding():
-    assert morse_inequality_check([1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0, 0]) == ()
-
-
-def test_check_verifies_product():
-    rng = random.Random(5)
-    for _ in range(100):
-        q = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
-        p = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
-        # m = p + (1+x) q
-        m = list(p) + [0] * (len(q) + 2 - len(p))
-        for i, c in enumerate(q):
-            m[i] += c
-            m[i + 1] += c
-        got = morse_inequality_check(m, p)
-        assert got is not None
-        trimmed = list(q)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        assert got == tuple(trimmed)
-
-
-def test_poincare_against_itself_is_consistent():
-    for name, p in standard_corpus()[:20]:
-        rng = random.Random(31)
-        xi = random_generic_direction(p, rng)
-        coeffs = poincare_polynomial(p, xi)
-        assert morse_inequality_check(coeffs, coeffs) == (), name
 
 
 def test_is_generic_rejects_non_integer_xi():

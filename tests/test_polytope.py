@@ -15,14 +15,15 @@ from labpoly.polytope import (
     isomorphism_report,
     load_polytope,
     polytope_from_json,
-    polytope_to_json,
     validate,
 )
 
 from corpus import (
     contains,
     cube,
+    face_by_active,
     interval,
+    polytope_to_json,
     solve_rational,
     square,
     standard_corpus,
@@ -65,7 +66,7 @@ def test_t1_vertices_and_faces():
     assert len(p.faces) == 7  # 1 full + 3 facets + 3 vertices
     codims = sorted(f.codim for f in p.faces)
     assert codims == [0, 1, 1, 1, 2, 2, 2]
-    full = p.face_by_active(())
+    full = face_by_active(p, ())
     assert set(full.vertices) == {0, 1, 2}
 
 
@@ -376,10 +377,10 @@ def test_named_accessors():
     assert [f.active for f in p.faces] == [
         (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     for f in p.faces:
-        assert p.face_by_active(f.active) is f
-        assert p.face_by_active(reversed(f.active)) is f
+        assert face_by_active(p, f.active) is f
+        assert face_by_active(p, reversed(f.active)) is f
     with pytest.raises(KeyError, match="no face with active set"):
-        p.face_by_active((0, 1, 2))
+        face_by_active(p, (0, 1, 2))
 
 
 def test_corpus_size_and_validity():

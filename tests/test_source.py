@@ -16,3 +16,48 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _references(paths):
+    """(path, line, name) of every ast.Name and ast.Attribute in the files."""
+    refs = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    return refs
+
+
+def _public_definitions(path):
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes, as AST nodes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # a name only tests or docstrings mention is surface nothing runs; a
+    # use inside the definition itself (recursion) does not count
+    package = sorted(Path(labpoly.__file__).parent.rglob("*.py"))
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    bench = sorted(bench_dir.rglob("*.py"))
+    assert bench, f"no benchmark sources under {bench_dir}"
+    refs = _references(package + bench)
+    unused = []
+    for path in package:
+        for node in _public_definitions(path):
+            if not any(name == node.name and not (
+                    where == path and node.lineno <= line <= node.end_lineno)
+                    for where, line, name in refs):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"public names that nothing runs: {unused}"
