@@ -16,8 +16,6 @@ from .delzant import (
     convex_samples,
     face_groups,
     face_stabilizer,
-    moment_level,
-    sample_point,
     verify_reduction_invariants,
 )
 from .fan import Cone, Fan, build_fan, fan_to_json, fans_equal, make_cone

@@ -27,7 +27,7 @@ from . import delzant as dz
 from . import fan as fan_mod
 from . import local_model as lm
 from . import morse as morse_mod
-from .lattice import format_rational
+from .lattice import _decimal, format_rational
 from .polytope import (
     FormatError,
     format_point,
@@ -58,6 +58,16 @@ def _int_row(r):
 
 def _group_json(g):
     return {"invariant_factors": list(g.invariant_factors), "order": g.order}
+
+
+def _dumps(x, pad="\n"):
+    """``json.dumps(x, indent=2)``, writing every integer through ``_decimal``."""
+    if isinstance(x, (dict, list)) and x:
+        items = ([f"{json.dumps(k)}: {_dumps(v, pad + '  ')}" for k, v in x.items()]
+                 if isinstance(x, dict) else [_dumps(v, pad + "  ") for v in x])
+        ends = "{}" if isinstance(x, dict) else "[]"
+        return ends[0] + pad + "  " + f",{pad}  ".join(items) + pad + ends[1]
+    return _decimal(x) if type(x) is int else json.dumps(x)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +333,12 @@ def main(argv=None) -> int:
             raise FormatError(f"--samples must be nonnegative, got {args.samples}")
         polytopes = [_load(getattr(args, dest)) for dest in args.inputs]
         report, code = args.func(args, *polytopes)
-        sys.stdout.write(json.dumps(report, indent=2) + "\n" if args.json
-                         else "".join(f"{line}\n" for line in report))
+        if args.json:
+            try:
+                report = [json.dumps(report, indent=2)]
+            except ValueError:  # an integer past the interpreter's digit limit
+                report = [_dumps(report)]
+        sys.stdout.write("".join(f"{line}\n" for line in report))
     except (FormatError, OSError) as exc:  # FormatError first: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

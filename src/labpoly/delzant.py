@@ -9,9 +9,10 @@ cuts out the subtorus one reduces by; the reduction happens at the level
 
 where s(beta)_i = <beta, e_i> - c_i are the facet slacks (c_i = m_i * eta_i)
 and j* pairs a vector with the kernel basis rows.  The level does not depend
-on the chosen interior point beta_0 (this is re-verified symbolically on
-every build), the slacks embed the polytope as the nonnegativity locus, and
-each vertex hits zero slack exactly on its tight facets.
+on the chosen interior point beta_0, because the kernel rows annihilate the
+projection (certified exactly on every build); the slacks embed the polytope
+as the nonnegativity locus, and each vertex hits zero slack exactly on its
+tight facets.
 
 Slacks are computed in one place, in integers: with the offsets over their
 common denominator q (c_i = C_i / q) and a point written as x / den (x an
@@ -41,13 +42,14 @@ from operator import mul
 
 from .lattice import (
     FiniteAbelianGroup,
-    adjugate,
     common_denominator,
     dot,
     identity,
     kernel_basis,
     mat_mul,
+    mat_vec,
     smith_normal_form,
+    transpose,
     vec_scale,
 )
 from .polytope import Face, LabeledPolytope, format_point
@@ -92,9 +94,9 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
 
     One Smith form of the projection gives the kernel and the component
     group, and a zero on its diagonal raises.  The level is the closed form
-    -B c (B the kernel basis), double-checked against j* on the slacks of an
-    interior point, which must agree because the kernel rows annihilate the
-    projection; disagreement would mean corrupted arithmetic and raises.
+    -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
+    beta exactly when B annihilates the projection A, which is certified by
+    exact multiplication; a failing kernel row raises, naming the row.
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
@@ -102,12 +104,12 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     if 0 in snf.diagonal:
         raise RuntimeError("projection is not surjective over the rationals")
     kernel = kernel_basis(projection, len(p.halfspaces), snf)
-    d = DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
-                    level=tuple(-dot(row, offsets) for row in kernel),
-                    component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
-    if moment_level(d, sample_point(d, p, p.interior_point())) != d.level:
-        raise RuntimeError("reduction level depends on the sample point")
-    return d
+    for k, row in enumerate(kernel):
+        if any(mat_vec(projection, row)):
+            raise RuntimeError(f"projection does not annihilate kernel row {k}")
+    return DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
+                       level=tuple(-dot(row, offsets) for row in kernel),
+                       component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
 
 
 def _integer_tables(d: DelzantData) -> tuple:
@@ -149,23 +151,6 @@ def _slacks(tables, x, den, point) -> tuple:
     return s, den * q
 
 
-def sample_point(d: DelzantData, p: LabeledPolytope, beta) -> tuple:
-    """Facet slacks s(beta); raises if beta is outside the polytope.
-
-    The error names the first violated facet.
-    """
-    beta = tuple(beta)
-    x, den = _numerators(beta, d.ambient_dim)
-    s, scale = _slacks(_integer_tables(d), x, den, beta)
-    return tuple(Fraction(si, scale) for si in s)
-
-
-def moment_level(d: DelzantData, slacks) -> tuple:
-    """j* of a slack vector: pairing with each kernel basis row."""
-    s, den = _numerators(slacks, d.num_facets)
-    return tuple(Fraction(sum(map(mul, row, s)), den) for row in d.kernel_rows)
-
-
 def face_groups(p: LabeledPolytope) -> tuple:
     """``(face, stabilizer)`` for every proper face, in face order.
 
@@ -182,15 +167,16 @@ def face_groups(p: LabeledPolytope) -> tuple:
 
 
 def _unimodular_vertices(p: LabeledPolytope) -> set:
-    """Indices of the vertices whose tight normals (rows Y) have |det| = 1,
-    each certified by Y * adj(Y) = det * I; a failure raises naming the vertex."""
+    """Indices of the vertices whose tight normals (rows Y) form a basis of Z^n:
+    with the walk's edges as columns E, Y * E is diagonal with entries
+    <y_j, e_j> > 0, so that holds exactly when Y * E = I, which is certified
+    in full once the diagonal is all 1; a failure raises naming the vertex."""
     out = set()
-    for vi, v in enumerate(p.vertices):
-        rows = tuple(p.halfspaces[i].normal for i in p.vertex_active(vi))
-        d, adj = adjugate(rows)
-        if abs(d) == 1:
-            if mat_mul(rows, adj) != tuple(vec_scale(d, r) for r in identity(p.dim)):
-                raise RuntimeError(f"Y * adj(Y) != det * I at vertex {format_point(v)}")
+    for vi, edges in enumerate(p.edges):
+        rows = tuple(p.halfspaces[j].normal for j, _ in edges)
+        if all(dot(y, e) == 1 for y, (_, e) in zip(rows, edges)):
+            if mat_mul(rows, transpose(tuple(e for _, e in edges))) != identity(p.dim):
+                raise RuntimeError(f"Y * E != I at vertex {format_point(p.vertices[vi])}")
             out.add(vi)
     return out
 
@@ -240,8 +226,8 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
     """Check the defining identities of the construction on sample points.
 
     For each sample beta: its slacks, computed from beta itself, are
-    nonnegative (an outside point raises ValueError, as in
-    :func:`sample_point`), and j*(s(beta)) equals the level.  Additionally
+    nonnegative (an outside point raises ValueError naming the first violated
+    facet), and j*(s(beta)) equals the level.  Additionally
     every vertex must attain slack zero exactly on its tight facets.  All of
     it runs in integers (see the module docstring).
     """

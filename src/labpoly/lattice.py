@@ -119,10 +119,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_scale(c, u):
     return tuple(c * x for x in u)
 

@@ -34,7 +34,6 @@ from .lattice import (
     primitive_vector,
     rational_rank,
     vec_neg,
-    vec_sub,
 )
 
 
@@ -76,7 +75,8 @@ class LabeledPolytope:
     """A validated labeled polytope; build it with :func:`validate`.
 
     ``edges[vi]`` holds one ``(facet, direction)`` pair per facet tight at
-    vertex ``vi``, ordered by facet index: the primitive integer direction of
+    vertex ``vi``, ordered by facet index (so the tight facets are
+    ``tuple(j for j, _ in edges[vi])``): the primitive integer direction of
     the edge that leaves that facet and stays on the others.
     """
 
@@ -85,10 +85,6 @@ class LabeledPolytope:
     vertices: tuple
     faces: tuple
     edges: tuple
-
-    def vertex_active(self, vi: int) -> tuple:
-        """Indices of the facets tight at vertex ``vi``."""
-        return tuple(j for j, _ in self.edges[vi])
 
     @cached_property
     def scaled_vertices(self) -> tuple:
@@ -105,12 +101,6 @@ class LabeledPolytope:
 
     def vertex_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim == self.dim)
-
-    def interior_point(self) -> tuple:
-        """Barycenter of the vertices; interior since the polytope is full-dim."""
-        n = len(self.vertices)
-        return tuple(sum(v[j] for v in self.vertices) / Fraction(n)
-                     for j in range(self.dim))
 
 
 def format_point(point) -> str:
@@ -303,12 +293,10 @@ def _perturbed_row(normals, basis, solution, i):
 
 
 def _check_vertices(dim, n_facets, vertices, active_sets):
-    """Full dimension, simplicity and irredundancy, given every vertex."""
-    if len(vertices) > 1:
-        diffs = tuple(vec_sub(v, vertices[0]) for v in vertices[1:])
-        if rational_rank(diffs) < dim:
-            raise ValidationError("not full-dimensional")
-    else:
+    """Full dimension, simplicity and irredundancy, given every vertex.  P is
+    bounded and nonempty here, so it is flat exactly when some facet
+    inequality is an implicit equality: tight at every vertex."""
+    if set.intersection(*map(set, active_sets)):
         raise ValidationError("not full-dimensional")
 
     for v, act in zip(vertices, active_sets):
@@ -341,11 +329,8 @@ def _check_bounded(normals, dim):
     <y_i, .> = 0, so scanning (dim-1)-subsets finds one.
     """
     for subset in combinations(range(len(normals)), dim - 1):
-        rows = tuple(normals[i] for i in subset)
-        if rational_rank(rows) != dim - 1:
-            continue
-        kb = kernel_basis(rows, dim)
-        if len(kb) != 1:
+        kb = kernel_basis(tuple(normals[i] for i in subset), dim)
+        if len(kb) != 1:  # the dim-1 rows are dependent
             continue
         d = kb[0]
         for cand in (d, vec_neg(d)):
@@ -376,10 +361,11 @@ def edge_directions(p: LabeledPolytope, vi: int) -> tuple:
 def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     """(translation, reason) if q = p + c facet-wise with equal labels.
 
-    The translation is the unique candidate solving the offset equations on
-    one vertex's normal basis; returns (None, reason) when the polytopes are
-    not isomorphic.  Facets are matched by their primitive normal vector,
-    which is well-defined because duplicate normals are rejected upstream.
+    The translation c solves <c, y_j> = Delta eta_j on the facets tight at
+    vertex 0; the walk's edges e_j there have <y_i, e_j> = 0 for i != j, so
+    c = sum_j (Delta eta_j / <y_j, e_j>) e_j.  Returns (None, reason) when the
+    polytopes are not isomorphic.  Facets are matched by their primitive
+    normal, which is well-defined because duplicate normals are rejected.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
@@ -387,16 +373,9 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     qmap = {h.normal: i for i, h in enumerate(q.halfspaces)}
     if set(pmap) != set(qmap):
         return None, "facet normal sets differ"
-    act = p.vertex_active(0)
-    try:
-        d, adj = adjugate(tuple(p.halfspaces[i].normal for i in act))
-    except ValueError:
-        raise RuntimeError("vertex normals failed to determine a translation") from None
-    # <c, y_i> is the offset difference on each tight facet i, so c = adj * diff / d
-    scale, diff = common_denominator(
-        [q.halfspaces[qmap[p.halfspaces[i].normal]].offset - p.halfspaces[i].offset
-         for i in act])
-    c = tuple(Fraction(x, d * scale) for x in mat_vec(adj, diff))
+    steps = [(q.halfspaces[qmap[p.halfspaces[j].normal]].offset - p.halfspaces[j].offset,
+              dot(p.halfspaces[j].normal, e), e) for j, e in p.edges[0]]
+    c = tuple(sum(delta / rate * e[k] for delta, rate, e in steps) for k in range(p.dim))
     for i, h in enumerate(p.halfspaces):
         j = qmap[h.normal]
         if q.halfspaces[j].offset != h.offset + dot(c, h.normal):

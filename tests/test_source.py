@@ -61,3 +61,21 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
                     for where, line, name in refs):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"public names that nothing runs: {unused}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; any other module must read every name
+    # it imports (an attribute access like json.dumps reads the name json)
+    unused = []
+    for path in sorted(Path(labpoly.__file__).parent.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {name}" for name in
+                           ((a.asname or a.name).split(".")[0] for a in node.names)
+                           if name not in read]
+    assert not unused, f"imported names that nothing reads: {unused}"

@@ -10,7 +10,8 @@ empty ones, and a seeded random sweep whose small entries make ratio-test
 ties common.  The bases the walk solves are checked against the lex-feasible
 ones found with a small rational epsilon, and its cost on a non-simple
 pyramid is pinned.  Edge directions are checked against a kernel basis per
-dropped facet.
+dropped facet, and the full-dimension verdict (some facet tight at every
+vertex) against the rank of the vertex differences.
 """
 
 import random
@@ -20,7 +21,7 @@ from itertools import combinations
 import pytest
 
 from labpoly import polytope
-from labpoly.lattice import dot, kernel_basis, vec_neg
+from labpoly.lattice import dot, kernel_basis, rational_rank, vec_neg
 from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, edge_directions, validate
 
 from corpus import (
@@ -47,6 +48,12 @@ def kernel_edge_directions(p, vi):
     return tuple(out)
 
 
+def flat_verdicts(dim, vertices, active_sets):
+    """(some facet tight at every vertex, vertex differences of rank < dim)."""
+    diffs = [tuple(a - b for a, b in zip(v, vertices[0])) for v in vertices[1:]]
+    return bool(set.intersection(*map(set, active_sets))), rational_rank(diffs) < dim
+
+
 CASES = standard_corpus() + generated_family()
 
 
@@ -54,8 +61,9 @@ CASES = standard_corpus() + generated_family()
 def test_walk_matches_subset_scan(name, p):
     vertices, active_sets = subset_scan(p.dim, list(p.halfspaces))
     assert p.vertices == vertices
-    assert tuple(p.vertex_active(vi) for vi in range(len(vertices))) == active_sets
+    assert tuple(tuple(j for j, _ in edges) for edges in p.edges) == active_sets
     assert p.faces == _face_lattice(p.dim, active_sets)
+    assert flat_verdicts(p.dim, vertices, active_sets) == (False, False)
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
@@ -104,6 +112,24 @@ REJECTED = {
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_full_dimension_verdict_matches_vertex_rank(name):
+    # the walk finishes flat and non-simple inputs; unbounded ones raise
+    # there, and an empty one has no vertex for either route to judge
+    dim, triples, message = REJECTED[name]
+    hs = [HalfSpace(tuple(y), Fraction(eta), m) for y, eta, m in triples]
+    if message.startswith("unbounded"):
+        with pytest.raises(ValidationError, match="^unbounded in direction"):
+            polytope._walk(dim, hs)
+        return
+    walked = polytope._walk(dim, hs)
+    if message.endswith("empty"):
+        assert walked is None
+        return
+    flat = message == "not full-dimensional"
+    assert flat_verdicts(dim, *walked[:2]) == (flat, flat)
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
 def test_rejections_match_subset_scan(name):
     dim, triples, message = REJECTED[name]
     with pytest.raises(ValidationError) as info:
@@ -112,14 +138,16 @@ def test_rejections_match_subset_scan(name):
 
 
 def test_random_inputs_agree_with_subset_scan():
-    """Random small systems, mostly invalid: same polytope or same message.
+    """Random small systems, mostly invalid: same polytope or same message,
+    and the same full-dimension verdict from both routes wherever the walk
+    finds vertices.
 
     Normal entries in {-1, 0, 1, 2} and offsets in {0, -1, -2} put many
     facets through one point, so ratio-test ties and degenerate vertices are
     common.
     """
     rng = random.Random(5)
-    valid = non_simple = 0
+    valid = non_simple = flat = 0
     for _ in range(400):
         dim = rng.choice((2, 3, 4))
         count = rng.randint(dim + 1, dim + 4)
@@ -130,6 +158,14 @@ def test_random_inputs_agree_with_subset_scan():
                 normals.append(y)
         triples = [(y, rng.choice((0, -1, -2)), 1) for y in normals]
         try:
+            walked = polytope._walk(dim, [HalfSpace(y, Fraction(eta), 1) for y, eta, _ in triples])
+        except ValidationError:  # unbounded
+            walked = None
+        if walked is not None:
+            tight_verdict, rank_verdict = flat_verdicts(dim, *walked[:2])
+            assert tight_verdict == rank_verdict, triples
+            flat += tight_verdict
+        try:
             p = validate(dim, triples)
         except ValidationError as exc:
             if str(exc) != "unbounded":
@@ -139,7 +175,7 @@ def test_random_inputs_agree_with_subset_scan():
         valid += 1
         vertices, active_sets = subset_scan(dim, list(p.halfspaces))
         assert (p.vertices, p.faces) == (vertices, _face_lattice(dim, active_sets))
-    assert valid >= 20 and non_simple >= 20, (valid, non_simple)
+    assert valid >= 20 and non_simple >= 20 and flat >= 5, (valid, non_simple, flat)
 
 
 def test_pyramid_rejection_is_output_sensitive(monkeypatch):
