@@ -27,7 +27,7 @@ from . import delzant as dz
 from . import fan as fan_mod
 from . import local_model as lm
 from . import morse as morse_mod
-from .lattice import _decimal, format_rational
+from .lattice import format_rational
 from .polytope import (
     FormatError,
     format_point,
@@ -61,13 +61,13 @@ def _group_json(g):
 
 
 def _dumps(x, pad="\n"):
-    """``json.dumps(x, indent=2)``, writing every integer through ``_decimal``."""
+    """``json.dumps(x, indent=2)``, also for integers past the interpreter's digit limit."""
     if isinstance(x, (dict, list)) and x:
         items = ([f"{json.dumps(k)}: {_dumps(v, pad + '  ')}" for k, v in x.items()]
                  if isinstance(x, dict) else [_dumps(v, pad + "  ") for v in x])
         ends = "{}" if isinstance(x, dict) else "[]"
         return ends[0] + pad + "  " + f",{pad}  ".join(items) + pad + ends[1]
-    return _decimal(x) if type(x) is int else json.dumps(x)
+    return format_rational(x) if type(x) is int else json.dumps(x)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +334,7 @@ def main(argv=None) -> int:
         polytopes = [_load(getattr(args, dest)) for dest in args.inputs]
         report, code = args.func(args, *polytopes)
         if args.json:
-            try:
-                report = [json.dumps(report, indent=2)]
-            except ValueError:  # an integer past the interpreter's digit limit
-                report = [_dumps(report)]
+            report = [_dumps(report)]
         sys.stdout.write("".join(f"{line}\n" for line in report))
     except (FormatError, OSError) as exc:  # FormatError first: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
