@@ -11,9 +11,7 @@ ever rounded.
 
 from .delzant import (
     DelzantData,
-    ReductionReport,
     build_construction,
-    convex_samples,
     face_groups,
     face_stabilizer,
     verify_reduction_invariants,

@@ -14,14 +14,13 @@ projection (certified exactly on every build); the slacks embed the polytope
 as the nonnegativity locus, and each vertex hits zero slack exactly on its
 tight facets.
 
-Slacks are computed in one place, in integers: with the offsets over their
-common denominator q (c_i = C_i / q) and a point written as x / den (x an
-integer vector), s_i = S_i / (den * q) with S_i = q <x, e_i> - den * C_i.
-:func:`verify_reduction_invariants` checks every sample this way, comparing
-the pairings with the level by cross-multiplication, and
-:func:`convex_samples` builds its points from the vertices' integer
-numerators; a Fraction is made only for a returned value or an error message.
-Points must be exact: a float or bool coordinate raises ValueError.
+The slacks are affine in beta, so the identities that hold at every vertex
+hold at every convex combination of the vertices, that is on all of P:
+:func:`verify_reduction_invariants` checks them at the vertices only, in
+integers.  With the offsets over their common denominator q (c_i = C_i / q)
+and the vertices over theirs (v = V / D), s_i(v) = S_i / (D * q) with
+S_i = q <V, e_i> - D * C_i, and the pairings are compared with the level by
+cross-multiplication.
 
 Two finite groups live here: the component group of the kernel subgroup
 (from the Smith form of the projection that gives the kernel), and the
@@ -35,7 +34,6 @@ same groups, and the two are cross-checked in the tests and by the
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -82,13 +80,6 @@ class DelzantData:
         return len(self.projection)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    passed: bool
-    samples_checked: int
-    failure: str | None
-
-
 def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
@@ -110,45 +101,6 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     return DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
                        level=tuple(-dot(row, offsets) for row in kernel),
                        component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
-
-
-def _integer_tables(d: DelzantData) -> tuple:
-    """``(columns, offsets, q)``: e_i = ``columns[i]`` and c_i = ``offsets[i]`` / q."""
-    q, offsets = common_denominator(d.scaled_offsets)
-    return tuple(zip(*d.projection)), tuple(offsets), q
-
-
-def _numerators(point, length: int) -> tuple:
-    """``(x, den)`` with ``point`` = x / den, x integer and den > 0.
-
-    Coordinates must be exact (int, Fraction or 'p/q'): a float or a bool
-    raises ValueError, as does a point of the wrong length.
-    """
-    coords = []
-    for x in point:
-        if isinstance(x, (float, bool)):
-            raise ValueError(
-                f"coordinates must be exact (int, Fraction or 'p/q'), got {x!r}")
-        coords.append(x if isinstance(x, (int, Fraction)) else Fraction(x))
-    if len(coords) != length:
-        raise ValueError(f"point has {len(coords)} coordinates, expected {length}")
-    den, x = common_denominator(coords)
-    return x, den
-
-
-def _slacks(tables, x, den, point) -> tuple:
-    """``(S, den * q)``: s_i(x / den) = S_i / (den * q), from the point itself.
-
-    ``point`` is x / den as given, for the message: a negative slack raises
-    ValueError naming the first violated facet.
-    """
-    columns, offsets, q = tables
-    s = [q * sum(map(mul, x, e)) - den * c for e, c in zip(columns, offsets)]
-    if min(s, default=0) < 0:
-        i = next(i for i, si in enumerate(s) if si < 0)
-        raise ValueError(f"point {format_point(point)} is outside the polytope: "
-                         f"violates facet {i}")
-    return s, den * q
 
 
 def face_groups(p: LabeledPolytope) -> tuple:
@@ -221,64 +173,32 @@ def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
     return tuple(tuple(col[r] for col in cols) for r in range(p.dim))
 
 
-def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope,
-                                samples) -> ReductionReport:
-    """Check the defining identities of the construction on sample points.
+def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | None:
+    """Check the defining identities of the construction at every vertex.
 
-    For each sample beta: its slacks, computed from beta itself, are
-    nonnegative (an outside point raises ValueError naming the first violated
-    facet), and j*(s(beta)) equals the level.  Additionally
-    every vertex must attain slack zero exactly on its tight facets.  All of
-    it runs in integers (see the module docstring).
+    At each vertex the slacks are nonnegative, vanish exactly on its tight
+    facets, and pair with each kernel row to the level; all of it runs in
+    integers (see the module docstring).  Returns a message naming the
+    vertex of the first failure, or None when every check passes.
     """
-    tables = _integer_tables(d)
+    q, offsets = common_denominator(d.scaled_offsets)
+    columns = tuple(zip(*d.projection))
     level = [(a.numerator, a.denominator) for a in map(Fraction, d.level)]
-    shape_ok = len(level) == len(d.kernel_rows)
-    count = 0
-    for beta in samples:
-        beta = tuple(beta)
-        x, den = _numerators(beta, d.ambient_dim)
-        s, scale = _slacks(tables, x, den, beta)
-        if not (shape_ok and all(sum(map(mul, row, s)) * b == a * scale
-                                 for row, (a, b) in zip(d.kernel_rows, level))):
-            return ReductionReport(
-                passed=False, samples_checked=count,
-                failure=f"moment level mismatch at sample {format_point(beta)}")
-        count += 1
     den, numerators = p.scaled_vertices
     for f in p.vertex_faces():
-        v = p.vertices[f.vertices[0]]
-        s, _ = _slacks(tables, numerators[f.vertices[0]], den, v)
+        vi = f.vertices[0]
+        s = [q * sum(map(mul, numerators[vi], e)) - den * c for e, c in zip(columns, offsets)]
+        negative = [i for i, si in enumerate(s) if si < 0]
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
-        if zero_set != f.active:
-            return ReductionReport(
-                passed=False, samples_checked=count,
-                failure=f"vertex {format_point(v)} has zero slacks "
-                        f"{list(zero_set)}, tight facets {list(f.active)}")
-    return ReductionReport(passed=True, samples_checked=count, failure=None)
-
-
-def convex_samples(p: LabeledPolytope, count: int, seed: int) -> list:
-    """Deterministic rational points of the polytope: random convex
-    combinations of the vertices (vertices themselves can occur).
-
-    Each point is the integer vector sum_k w_k V_k over D * sum_k w_k, with
-    V_k the vertex numerators over their common denominator D.  A negative
-    ``count`` raises ValueError.
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    rng = random.Random(seed)
-    den, numerators = p.scaled_vertices
-    columns = tuple(zip(*numerators))
-    out = []
-    nv = len(p.vertices)
-    for _ in range(count):
-        weights = [rng.randint(0, 9) for _ in range(nv)]
-        total = sum(weights)
-        if total == 0:
-            weights[rng.randrange(nv)] = 1
-            total = 1
-        out.append(tuple(Fraction(sum(map(mul, weights, col)), den * total)
-                         for col in columns))
-    return out
+        if negative:
+            failure = f"has negative slack on facet {negative[0]}"
+        elif zero_set != f.active:
+            failure = f"has zero slacks {list(zero_set)}, tight facets {list(f.active)}"
+        elif not (len(level) == len(d.kernel_rows)
+                  and all(sum(map(mul, row, s)) * b == a * den * q
+                          for row, (a, b) in zip(d.kernel_rows, level))):
+            failure = "does not pair to the level"
+        else:
+            continue
+        return f"vertex {format_point(p.vertices[vi])} {failure}"
+    return None

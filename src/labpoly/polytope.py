@@ -335,7 +335,7 @@ def _check_bounded(normals, dim):
         d = kb[0]
         for cand in (d, vec_neg(d)):
             if all(dot(y, cand) >= 0 for y in normals):
-                raise ValidationError(f"unbounded in direction {cand}")
+                raise ValidationError(f"unbounded in direction {format_point(cand)}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 fraction-free solves and determinants, ``unimodular_inverse`` inverts a
 unimodular matrix by one Hermite reduction, ``reference_saturate`` is the
 saturation route that inverts the Smith transform with it, ``contains`` tests
-a point against every facet inequality, ``face_by_active`` looks a face up by
+a point against every facet inequality, ``convex_combinations`` draws seeded
+points of a polytope from its vertices, ``face_by_active`` looks a face up by
 its tight set, ``polytope_to_json`` writes the file format that
 ``polytope_from_json`` reads, and ``subset_scan`` is the brute-force reference
 for the vertex walk.
@@ -159,6 +160,17 @@ def reference_saturate(b):
 def contains(p, point) -> bool:
     """Whether ``point`` satisfies every facet inequality of ``p``."""
     return all(dot(point, h.normal) >= h.offset for h in p.halfspaces)
+
+
+def convex_combinations(p, count, seed) -> list:
+    """``count`` seeded points of ``p``: vertex combinations with weights 1..9."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        weights = [rng.randint(1, 9) for _ in p.vertices]
+        out.append(tuple(sum(w * v[j] for w, v in zip(weights, p.vertices)) / Fraction(sum(weights))
+                         for j in range(p.dim)))
+    return out
 
 
 def face_by_active(p, active):

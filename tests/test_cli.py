@@ -180,6 +180,19 @@ def _str_past_digit_limit(x):
             sys.set_int_max_str_digits(limit)
 
 
+def test_unbounded_ray_prints_past_the_int_digit_limit(files, capsys):
+    # the recession cone of these four halfspaces through the origin holds
+    # the cross product (a b, -b, 1) of the first two normals, about 6,000
+    # digits in its first coordinate
+    a, b = 10**3000 + 7, 10**3000 + 1
+    path = files["write"]("unbounded.json", {"dim": 3, "halfspaces": [
+        {"normal": y, "offset": "0", "label": 1}
+        for y in ([1, a, 0], [0, 1, b], [1, 0, 0], [0, 0, 1])]})
+    ray = ", ".join(_str_past_digit_limit(x) for x in (a * b, -b, 1))
+    assert run(capsys, "validate", path) == (
+        1, "", f"error: unbounded in direction ({ray})\n")
+
+
 def test_vertices_print_past_the_int_digit_limit(files, capsys):
     # y <= a, x <= y + b, x >= -10 with 3,002-digit a and b: the vertex
     # (a + b, a) has a numerator of about 6,000 digits
@@ -409,21 +422,22 @@ def test_betti_bad_xi_is_exit_2(files, capsys):
 
 
 def test_verify_pass(files, capsys):
-    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "30",
-                       "--seed", "2")
+    code, out, _ = run(capsys, "verify", files["w2"], "--seed", "2")
     assert code == 0
     assert "verify: PASS" in out
-    assert "PASS: reduction invariants (30 samples, vertices attained)" in out
+    assert "PASS: reduction invariants (level and tight facets at 3 vertices)" in out
     assert "PASS: stabilizer/structure-group agreement" in out
 
 
 def test_verify_rejects_negative_samples(files, capsys):
-    code, out, err = run(capsys, "verify", files["w2"], "--samples", "-3")
-    assert (code, out) == (2, "")
-    assert err == "error: --samples must be nonnegative, got -3\n"
-    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "0")
-    assert code == 0
-    assert "PASS: reduction invariants (0 samples, vertices attained)" in out
+    # verify checks the level at the vertices: it takes no sample count at all
+    for count in ("-3", "0", "5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", files["w2"], "--samples", count])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"error: unrecognized arguments: --samples {count}\n")
 
 
 def test_verify_json(files, capsys):
@@ -436,7 +450,7 @@ def test_verify_json(files, capsys):
 
 def test_outputs_are_byte_identical(files, capsys):
     for cmd in [["structure-groups"], ["fan"], ["delzant"], ["faces"],
-                ["verify", "--samples", "20"]]:
+                ["verify", "--seed", "20"]]:
         _, out1, _ = run(capsys, *cmd, files["w2"])
         _, out2, _ = run(capsys, *cmd, files["w2"])
         assert out1 == out2, cmd
@@ -465,17 +479,52 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
     assert len(obj["faces"]) == 6 and not any(f["agree"] for f in obj["faces"])
     assert obj["oracles_agree"] is False
 
-    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "5")
+    code, out, _ = run(capsys, "verify", files["w2"])
     assert code == 3
     lines = out.splitlines()
     assert len(lines) == 5
     assert lines[1].startswith("FAIL: stabilizer/structure-group agreement (6 faces) (")
     assert lines[-1] == "verify: FAIL"
 
-    code, out, _ = run(capsys, "verify", files["w2"], "--samples", "5", "--json")
+    code, out, _ = run(capsys, "verify", files["w2"], "--json")
     assert code == 3
     obj = json.loads(out)
     assert [c["passed"] for c in obj["checks"]] == [True, False, True, True]
+    assert obj["passed"] is False
+
+
+def _shift_offset(i, shift):
+    def corrupt(d):
+        c = d.scaled_offsets
+        return replace(d, scaled_offsets=c[:i] + (c[i] + shift,) + c[i + 1:])
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, failure", [
+    (_shift_offset(0, -1), "vertex (0, 0) has zero slacks [1], tight facets [0, 1]"),
+    (_shift_offset(0, 1), "vertex (0, 0) has negative slack on facet 0"),
+    (lambda d: replace(d, level=(d.level[0] + Fraction(1, 3),)),
+     "vertex (0, 0) does not pair to the level"),
+], ids=["offset_lowered", "offset_raised", "level_off_by_a_third"])
+def test_failing_reduction_row_prints_the_full_report_and_exits_3(
+        files, capsys, monkeypatch, corrupt, failure):
+    real = delzant.build_construction
+    monkeypatch.setattr(delzant, "build_construction", lambda p: corrupt(real(p)))
+    name = "reduction invariants (level and tight facets at 3 vertices)"
+    code, out, err = run(capsys, "verify", files["t1"])
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [
+        f"FAIL: {name} ({failure})",
+        "PASS: stabilizer/structure-group agreement (6 faces)",
+        "PASS: Betti numbers independent of direction (5 draws)",
+        "PASS: regular level",
+        "verify: FAIL",
+    ]
+    code, out, err = run(capsys, "verify", files["t1"], "--json")
+    assert (code, err) == (3, "")
+    obj = json.loads(out)
+    assert obj["checks"][0] == {"name": name, "passed": False, "detail": failure}
+    assert [c["passed"] for c in obj["checks"]] == [False, True, True, True]
     assert obj["passed"] is False
 
 
@@ -495,7 +544,7 @@ def test_consistently_wrong_betti_numbers_fail_verify(files, capsys, monkeypatch
         return replace(rep, vertex_indices=tuple(indices), poincare=tuple(coeffs))
 
     monkeypatch.setattr(morse, "morse_report", moved)
-    code, out, _ = run(capsys, "verify", files["square"], "--samples", "5")
+    code, out, _ = run(capsys, "verify", files["square"])
     assert code == 3
     assert ("FAIL: Betti numbers independent of direction (5 draws) "
             "(saw [(2, 0, 1, 0, 1)], h-vector [1, 2, 1])") in out.splitlines()

@@ -96,9 +96,11 @@ def jobs() -> list:
     out += [
         ["betti", "cube_labeled.json", "--seed", "5"],
         ["betti", "cube_labeled.json", "--xi", "1,2,4", "--json"],
+        ["verify", "w2_variant.json", "--seed", "3"],
+        ["verify", "t1.json", "--seed", "7", "--json"],
+        # error paths (verify has no --samples: each such job is a usage error)
         ["verify", "w2_variant.json", "--samples", "7", "--seed", "3"],
         ["verify", "t1.json", "--samples", "0", "--json"],
-        # error paths
         ["verify", "t1.json", "--samples", "-3"],
         ["betti", "square_labeled.json", "--xi", "0,0"],
         ["betti", "square_labeled.json", "--xi", "1,0"],
@@ -122,7 +124,7 @@ def jobs() -> list:
         ["compare", "t1.json"],
         ["verify", "t1.json", "--samples", "x"],
         ["betti", "t1.json", "--seed"],
-        # --samples is checked before the file is read
+        # usage is checked before the file is read
         ["verify", "missing.json", "--samples", "-3"],
     ]
     return out

@@ -1,162 +1,115 @@
-"""The integer reduction-identity check against the Fraction reference.
+"""The integer vertex check of the reduction identities against a Fraction reference.
 
-``reference_*`` below is the Fraction route the check used to take: slacks
-summed column by column in Fractions, j* as a Fraction dot product, and the
-sample points as Fraction sums over the vertices.  The integer route in
+``reference_verify`` is the same check in Fractions: slacks summed column by
+column, j* as a Fraction dot product.  The integer route in
 :mod:`labpoly.delzant` must agree with it on every polytope of the corpus and
-the generated family: the same points, the same reports, the same errors.
+the generated family, intact and corrupted: the same verdicts and the same
+messages.  The Fraction pairing also runs at points that are not vertices,
+the barycenter and seeded convex combinations of the vertices: the slacks are
+affine, so the level that holds at the vertices must hold there too.
 """
 
-import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from labpoly.delzant import (
-    ReductionReport,
-    build_construction,
-    convex_samples,
-    verify_reduction_invariants,
-)
+from labpoly.delzant import build_construction, verify_reduction_invariants
 from labpoly.lattice import dot
 from labpoly.polytope import format_point
 
-from corpus import generated_family, standard_corpus
-
-SAMPLES = 25
+from corpus import convex_combinations, generated_family, standard_corpus
 
 POLYTOPES = standard_corpus() + generated_family()
 IDS = [name for name, _ in POLYTOPES]
 
 
-def reference_sample_point(d, beta):
-    beta = tuple(Fraction(x) for x in beta)
-    s = tuple(
-        sum(d.projection[r][i] * beta[r] for r in range(len(d.projection)))
+def reference_slacks(d, beta):
+    return tuple(
+        sum(d.projection[r][i] * Fraction(beta[r]) for r in range(len(d.projection)))
         - d.scaled_offsets[i]
         for i in range(d.num_facets))
-    for i, si in enumerate(s):
-        if si < 0:
-            raise ValueError(
-                f"point {format_point(beta)} is outside the polytope: "
-                f"violates facet {i}")
-    return s
 
 
-def reference_moment_level(d, slacks):
+def reference_level(d, slacks):
     return tuple(dot(row, slacks) for row in d.kernel_rows)
 
 
-def reference_verify(d, p, samples):
-    count = 0
-    for beta in samples:
-        s = reference_sample_point(d, beta)
-        if reference_moment_level(d, s) != d.level:
-            return ReductionReport(
-                passed=False, samples_checked=count,
-                failure=f"moment level mismatch at sample {format_point(beta)}")
-        count += 1
+def reference_verify(d, p):
     for f in p.vertex_faces():
         v = p.vertices[f.vertices[0]]
-        s = reference_sample_point(d, v)
+        s = reference_slacks(d, v)
+        negative = [i for i, si in enumerate(s) if si < 0]
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
+        if negative:
+            return f"vertex {format_point(v)} has negative slack on facet {negative[0]}"
         if zero_set != f.active:
-            return ReductionReport(
-                passed=False, samples_checked=count,
-                failure=f"vertex {format_point(v)} has zero slacks "
-                        f"{list(zero_set)}, tight facets {list(f.active)}")
-    return ReductionReport(passed=True, samples_checked=count, failure=None)
+            return (f"vertex {format_point(v)} has zero slacks {list(zero_set)}, "
+                    f"tight facets {list(f.active)}")
+        if reference_level(d, s) != d.level:
+            return f"vertex {format_point(v)} does not pair to the level"
+    return None
 
 
-def reference_convex_samples(p, count, seed):
-    rng = random.Random(seed)
-    out = []
-    nv = len(p.vertices)
-    for _ in range(count):
-        weights = [rng.randint(0, 9) for _ in range(nv)]
-        total = sum(weights)
-        if total == 0:
-            weights[rng.randrange(nv)] = 1
-            total = 1
-        out.append(tuple(
-            sum(Fraction(w) * v[j] for w, v in zip(weights, p.vertices)) / total
-            for j in range(p.dim)))
-    return out
-
-
-def outcome(check, *args):
-    """A check's return value, or the type and text of the error it raised."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        return (type(exc), str(exc))
+def with_offset(d, i, shift):
+    """``d`` with c_i moved by ``shift`` and the level recomputed from the new
+    offsets, so that only the slacks at the vertices can show the change."""
+    c = d.scaled_offsets[:i] + (d.scaled_offsets[i] + shift,) + d.scaled_offsets[i + 1:]
+    return replace(d, scaled_offsets=c, level=tuple(-dot(row, c) for row in d.kernel_rows))
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
 def test_samples_and_report_match_reference(p):
+    # the report on intact data; the samples are the barycenter and five
+    # seeded convex combinations, where only the Fraction pairing runs
     d = build_construction(p)
-    seed = len(p.vertices)
-    samples = convex_samples(p, SAMPLES, seed)
-    assert samples == reference_convex_samples(p, SAMPLES, seed)
-    assert all(isinstance(x, Fraction) for beta in samples for x in beta)
-    rep = verify_reduction_invariants(d, p, samples)
-    assert rep == reference_verify(d, p, samples)
-    assert rep.passed and rep.samples_checked == SAMPLES
-    # at the barycenter too: pairing its slacks is the route the kernel
-    # certificate in build_construction replaced
+    assert verify_reduction_invariants(d, p) is None
+    assert reference_verify(d, p) is None
     center = tuple(sum(c) / Fraction(len(p.vertices)) for c in zip(*p.vertices))
-    for beta in samples[:5] + list(p.vertices) + [center]:
-        assert reference_moment_level(d, reference_sample_point(d, beta)) == d.level
-        rep = verify_reduction_invariants(d, p, [beta])
-        assert rep == reference_verify(d, p, [beta]) and rep.passed
+    for beta in [center] + convex_combinations(p, 5, len(p.vertices)):
+        s = reference_slacks(d, beta)
+        assert min(s) >= 0
+        assert reference_level(d, s) == d.level
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
 def test_outside_point_error_matches_reference(p):
+    # raising c_i by less than any positive slack on facet i cuts exactly the
+    # vertices on facet i off the polytope d describes
     d = build_construction(p)
-    for f in p.vertex_faces()[:3]:
-        v = p.vertices[f.vertices[0]]
-        for i in f.active:
-            out = tuple(x - y for x, y in zip(v, p.halfspaces[i].normal))
-            want = outcome(reference_sample_point, d, out)
-            assert want[0] is ValueError
-            assert outcome(verify_reduction_invariants, d, p, [out]) == want
-            samples = [p.vertices[0], out]
-            assert outcome(verify_reduction_invariants, d, p, samples) == want
+    slacks = [reference_slacks(d, v) for v in p.vertices]
+    for i in range(d.num_facets):
+        bad = with_offset(d, i, min(s[i] for s in slacks if s[i] > 0) / 2)
+        failure = verify_reduction_invariants(bad, p)
+        assert failure == reference_verify(bad, p)
+        assert failure.endswith(f" has negative slack on facet {i}")
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
 def test_corrupted_level_matches_reference(p):
     d = build_construction(p)
-    samples = convex_samples(p, 3, 1)
     last = len(d.level) - 1
+    first = p.vertices[p.vertex_faces()[0].vertices[0]]
     for wrong in (d.level[last] + Fraction(1, 3), d.level[last] / 7,
                   d.level[last] + 1):
         bad = replace(d, level=d.level[:last] + (wrong,))
-        rep = verify_reduction_invariants(bad, p, samples)
-        assert rep == reference_verify(bad, p, samples)
-        assert not rep.passed
-        assert rep.failure.startswith("moment level mismatch at sample ")
+        failure = verify_reduction_invariants(bad, p)
+        assert failure == reference_verify(bad, p)
+        assert failure == f"vertex {format_point(first)} does not pair to the level"
     short = replace(d, level=d.level[:last])
-    assert verify_reduction_invariants(short, p, samples) == reference_verify(
-        short, p, samples)
+    assert verify_reduction_invariants(short, p) == reference_verify(short, p) is not None
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
 def test_corrupted_offset_matches_reference(p):
     d = build_construction(p)
-    samples = convex_samples(p, 3, 2)
-    c = d.scaled_offsets
-    looser = replace(d, scaled_offsets=(c[0] - Fraction(1, 2),) + c[1:])
-    tighter = replace(d, scaled_offsets=(c[0] + Fraction(1, 2),) + c[1:])
-    # no samples: only the vertex check can see the corruption
-    rep = verify_reduction_invariants(looser, p, [])
-    assert rep == reference_verify(looser, p, [])
-    assert not rep.passed and "has zero slacks" in rep.failure
-    want = outcome(reference_verify, tighter, p, [])
-    assert want[0] is ValueError and "is outside the polytope" in want[1]
-    assert outcome(verify_reduction_invariants, tighter, p, []) == want
-    for bad in (looser, tighter):
-        assert outcome(verify_reduction_invariants, bad, p, samples) == outcome(
-            reference_verify, bad, p, samples)
+    for i in range(d.num_facets):
+        # lowering c_i lifts every vertex on facet i off it
+        looser = with_offset(d, i, -Fraction(1, 2))
+        failure = verify_reduction_invariants(looser, p)
+        assert failure == reference_verify(looser, p)
+        assert " has zero slacks " in failure
+        # the same offsets with the built level: whichever check sees it first
+        for shift in (Fraction(-1, 2), Fraction(1, 2)):
+            bad = replace(with_offset(d, i, shift), level=d.level)
+            assert verify_reduction_invariants(bad, p) == reference_verify(bad, p) is not None
