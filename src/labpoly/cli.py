@@ -18,6 +18,7 @@ must never happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -254,7 +255,9 @@ def cmd_verify(args, p):
         polys.add(morse_mod.poincare_polynomial(p, xi))
     base = next(iter(polys))
     h = morse_mod.h_vector(p)
-    betti_ok = len(polys) == 1 and base[0::2] == h and not any(base[1::2])
+    # h == h[::-1] is Dehn-Sommerville: it catches an incomplete face lattice
+    betti_ok = (len(polys) == 1 and base[0::2] == h and not any(base[1::2])
+                and h == h[::-1])
     checks.append(("Betti numbers independent of direction (5 draws)",
                    betti_ok,
                    None if betti_ok else f"saw {sorted(polys)}, h-vector {list(h)}"))
@@ -282,6 +285,8 @@ def cmd_verify(args, p):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+# Built on first use, not at import: import stays cheap and a process pays for it once.
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="labpoly",

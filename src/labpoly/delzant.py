@@ -93,7 +93,8 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
     snf = smith_normal_form(projection)
     if 0 in snf.diagonal:
-        raise RuntimeError("projection is not surjective over the rationals")
+        raise RuntimeError(f"projection is not surjective over the rationals: its Smith "
+                           f"diagonal is zero at position {snf.diagonal.index(0)}")
     kernel = kernel_basis(projection, len(p.halfspaces), snf)
     for k, row in enumerate(kernel):
         if any(mat_vec(projection, row)):

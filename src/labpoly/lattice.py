@@ -141,6 +141,12 @@ def mat_mul(a, b):
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
+def _describe(a) -> str:
+    """Shape and largest entry bit-length of a matrix, for error messages."""
+    bits = max((abs(x).bit_length() for row in a for x in row), default=0)
+    return f"{len(a)}x{len(a[0]) if a else 0} matrix with largest entry bit-length {bits}"
+
+
 def common_denominator(values) -> tuple:
     """``(scale, numerators)``: ints or Fractions as integers over their lcm denominator."""
     values = tuple(values)
@@ -375,7 +381,7 @@ def smith_normal_form(a) -> SmithDecomposition:
     D = tuple(tuple(r) for r in d)
     V = tuple(tuple(r) for r in v)
     if mat_mul(mat_mul(U, a), V) != D:
-        raise RuntimeError("Smith reduction broke the identity U*A*V = D")
+        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
     return SmithDecomposition(U, D, V)
 
 
@@ -449,7 +455,7 @@ def hermite_normal_form(a) -> HermiteDecomposition:
     H = tuple(tuple(row) for row in h)
     U = tuple(tuple(row) for row in u)
     if mat_mul(U, a) != H:
-        raise RuntimeError("Hermite reduction broke the identity U*A = H")
+        raise RuntimeError(f"Hermite reduction broke the identity U*A = H on the {_describe(a)}")
     return HermiteDecomposition(H, U)
 
 
@@ -501,11 +507,12 @@ def saturate(b) -> Mat:
     if len(diag) != k or 0 in diag:
         raise ValueError("rows are linearly dependent")
     if abs(det(s.V)) != 1:
-        raise RuntimeError("Smith transform V is not unimodular")
+        raise RuntimeError(f"Smith transform V is not unimodular for the {_describe(b)}")
     gens = []
-    for d_i, row in zip(diag, mat_mul(s.U, b)):
+    for i, (d_i, row) in enumerate(zip(diag, mat_mul(s.U, b))):
         if any(x % d_i for x in row):
-            raise RuntimeError("a row of U*b is not divisible by its invariant factor")
+            raise RuntimeError(f"row {i} of U*b is not divisible by its invariant factor "
+                               f"for the {_describe(b)}")
         gens.append(tuple(x // d_i for x in row))
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
 

@@ -90,9 +90,10 @@ def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:
     """Draw a generic integer direction; widens the range until one is found."""
     bound = 9
     for attempt in range(10_000):
+        if attempt and attempt % 100 == 0:
+            bound *= 2
         xi = tuple(rng.randint(-bound, bound) for _ in range(p.dim))
         if any(xi) and is_generic(p, xi):
             return xi
-        if attempt % 100 == 99:
-            bound *= 2
-    raise RuntimeError("could not find a generic direction")
+    raise RuntimeError(f"could not find a generic direction in dimension {p.dim} for "
+                       f"{len(p.vertices)} vertices (last bound tried {bound})")

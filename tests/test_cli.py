@@ -6,18 +6,23 @@ contract (0 ok, 1 validation, 2 parse/I/O, 3 internal) is pinned down.
 """
 
 import json
+import os
+import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import labpoly.cli
-from labpoly import delzant, local_model, morse
-from labpoly.cli import main
+from labpoly import delzant, lattice, local_model, morse
+from labpoly.cli import build_parser, main
 from labpoly.lattice import FiniteAbelianGroup
 
 from corpus import interval, polytope_to_json, square, t1, w2
+from test_golden import GOLDEN, run_job
 
 
 @pytest.fixture
@@ -631,7 +636,8 @@ def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
     _smith_dropping_last_divisor(monkeypatch, square=False)
     for argv in (["delzant"], ["delzant", "--json"]):
         assert run(capsys, *argv, files["t1"]) == (
-            3, "", "internal error: projection is not surjective over the rationals\n")
+            3, "", "internal error: projection is not surjective over the rationals: "
+                   "its Smith diagonal is zero at position 1\n")
 
 
 def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
@@ -648,3 +654,112 @@ def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
                  ["verify", "--json"]):
         assert run(capsys, *argv, files["square"]) == (
             3, "", "internal error: projection does not annihilate kernel row 1\n")
+
+
+def _break_products_in(function):
+    # lattice.mat_mul off by one in the products ``function`` itself takes
+    def patch(monkeypatch):
+        real = lattice.mat_mul
+
+        def patched(a, b):
+            c = real(a, b)
+            return _off_by_one(c) if sys._getframe(1).f_code.co_name == function else c
+
+        monkeypatch.setattr(lattice, "mat_mul", patched)
+    return patch
+
+
+def _change_lattice_smith(change):
+    # every Smith form taken inside lattice (here: saturate's) is changed;
+    # delzant holds its own reference and keeps the real one
+    def patch(monkeypatch):
+        real = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda a: change(real(a)))
+    return patch
+
+
+def _no_generic_direction(monkeypatch):
+    monkeypatch.setattr(morse, "is_generic", lambda p, xi: False)
+
+
+@pytest.mark.parametrize("patch, argv, message", [
+    (_break_products_in("smith_normal_form"), ["structure-groups", "w2"],
+     "Smith reduction broke the identity U*A*V = D on the 2x2 matrix with largest "
+     "entry bit-length 2"),
+    (_break_products_in("hermite_normal_form"), ["delzant", "t1"],
+     "Hermite reduction broke the identity U*A = H on the 1x3 matrix with largest "
+     "entry bit-length 1"),
+    (_change_lattice_smith(lambda s: s._replace(V=(_off_by_one(s.V)[0],) + s.V[1:])),
+     ["stabilizers", "w2"],
+     "Smith transform V is not unimodular for the 1x2 matrix with largest entry "
+     "bit-length 1"),
+    (_change_lattice_smith(lambda s: s._replace(
+        D=tuple(tuple(2 * x for x in row) for row in s.D))),
+     ["stabilizers", "w2"],
+     "row 0 of U*b is not divisible by its invariant factor for the 1x2 matrix "
+     "with largest entry bit-length 1"),
+    (_no_generic_direction, ["betti", "square"],
+     f"could not find a generic direction in dimension 2 for 4 vertices "
+     f"(last bound tried {9 * 2 ** 99})"),
+], ids=["smith", "hermite", "saturate_unimodular", "saturate_divisible", "morse"])
+def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
+    patch(monkeypatch)
+    command, name = argv
+    for flags in ([], ["--json"]):
+        assert run(capsys, command, files[name], *flags) == (
+            3, "", f"internal error: {message}\n")
+
+
+def test_non_palindromic_betti_numbers_fail_verify(files, capsys, monkeypatch):
+    # draws that agree with each other and with the h-vector still fail when
+    # h_k != h_(n-k) (Dehn-Sommerville), as an incomplete face lattice gives
+    monkeypatch.setattr(morse, "h_vector", lambda p: (1, 2, 0))
+    monkeypatch.setattr(morse, "poincare_polynomial", lambda p, xi: (1, 0, 2, 0, 0))
+    code, out, _ = run(capsys, "verify", files["square"])
+    assert code == 3
+    assert ("FAIL: Betti numbers independent of direction (5 draws) "
+            "(saw [(1, 0, 2, 0, 0)], h-vector [1, 2, 0])") in out.splitlines()
+    assert out.endswith("verify: FAIL\n")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_importing_the_cli_builds_no_parser():
+    # the benchmark times this import in a fresh interpreter: the parser is
+    # built by the first call to main, not at import
+    src = str(Path(labpoly.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import labpoly.cli; print(labpoly.cli.build_parser.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        check=True, timeout=60)
+    assert done.stdout == "0\n"
+
+
+def test_a_narrow_first_call_leaves_later_help_unchanged(capsys, monkeypatch, tmp_path):
+    # argparse reads the terminal width when it formats text, not when the
+    # parser is built, so the cached parser keeps no width of its own
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "20")
+    with pytest.raises(SystemExit):
+        main(["compare", "-h"])
+    narrow = capsys.readouterr().out
+    assert build_parser.cache_info().currsize == 1
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert narrow != golden["compare -h"]["stdout"]
+    monkeypatch.chdir(tmp_path)
+    for key in ("compare -h", "compare t1.json"):
+        assert run_job(key.split()) == golden[key]
+
+
+def test_betti_xi_does_not_carry_over_to_the_next_call(files, capsys):
+    seeded = morse.random_generic_direction(t1(), random.Random(5))
+    assert seeded != (1, 2)
+    code, out, _ = run(capsys, "betti", files["t1"], "--xi", "1,2")
+    assert (code, out.splitlines()[0]) == (0, "xi = (1, 2)")
+    code, out, _ = run(capsys, "betti", files["t1"], "--seed", "5")
+    assert (code, out.splitlines()[0]) == (0, f"xi = {seeded}")
+    assert build_parser() is build_parser()
