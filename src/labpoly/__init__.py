@@ -22,14 +22,11 @@ from .lattice import (
     HermiteDecomposition,
     SmithDecomposition,
     TRIVIAL_GROUP,
-    det,
     format_rational,
     hermite_normal_form,
     kernel_basis,
     parse_rational,
     primitive_vector,
-    quotient_group,
-    saturate,
     smith_normal_form,
 )
 from .local_model import structure_group

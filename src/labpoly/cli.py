@@ -175,9 +175,9 @@ def cmd_delzant(args, p):
 def _oracle_rows(p, groups):
     """``(face, reduction group, local group, agree)`` for every proper face.
 
-    ``groups`` are the Smith-form groups of :func:`labpoly.delzant.face_groups`;
-    :func:`labpoly.local_model.structure_group` recomputes each one by
-    saturation and a lattice quotient.
+    ``groups`` are the groups of :func:`labpoly.delzant.face_groups`;
+    :func:`labpoly.local_model.structure_group` recomputes each one from one
+    Smith form of the tight normals and the index certificate.
     """
     rows = []
     for f, a in groups:

@@ -4,23 +4,23 @@ Everything in this module works with arbitrary-precision Python ``int`` and
 ``fractions.Fraction``; floating point is never used.  Matrices are immutable
 tuples of row tuples, vectors are plain tuples.  All functions are pure.
 
-Every solve, inverse, rank and determinant goes through one of two
-fraction-free (Bareiss) eliminations, in which every division is exact:
-:func:`adjugate` returns ``(det(A), adj(A))`` of a nonsingular square matrix,
-so a solution or an inverse is an integer matrix over one determinant, and
-:func:`_echelon` returns pivot columns, the swap sign and the last pivot,
-which give :func:`rational_rank` and :func:`det`.  Callers scale rational
-data to integers over a common denominator first.
+Every solve, inverse and rank goes through one of two fraction-free
+(Bareiss) eliminations, in which every division is exact: :func:`adjugate`
+returns ``(det(A), adj(A))`` of a nonsingular square matrix, so a solution or
+an inverse is an integer matrix over one determinant, and :func:`_echelon`
+returns the pivot columns of a row echelon form, which give
+:func:`rational_rank`.  Callers scale rational data to integers over a common
+denominator first.
 
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
 exact multiplication before returning, so a silent arithmetic bug cannot leak
 a wrong decomposition downstream.  Those checks run on every call; they are
 cheap because :func:`mat_mul` checks shapes once per product and
-:func:`matrix` passes rows of plain ints through unconverted.
-:func:`saturate` reads its rank and generators off one Smith form and
-certifies them with ``|det V| == 1`` and exact divisions, so it needs no
-second Hermite reduction to invert V.
+:func:`matrix` passes rows of plain ints through unconverted.  Saturations
+and lattice quotients are not formed here: the structure-group oracle
+(:mod:`labpoly.local_model`) takes one Smith form of the tight normals and the
+index certificate instead.
 """
 
 from __future__ import annotations
@@ -154,21 +154,6 @@ def common_denominator(values) -> tuple:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def det(a) -> int:
-    """Exact determinant of a square integer matrix.
-
-    The signed last pivot of the fraction-free echelon form
-    (:func:`_echelon`), or 0 when the rank is short.  A non-integer entry
-    raises ValueError.
-    """
-    a = matrix(a)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    pivots, sign, last = _echelon(a)
-    return sign * last if len(pivots) == n else 0
-
-
 def adjugate(a) -> tuple:
     """``(det(A), adj(A))`` of a nonsingular square integer matrix.
 
@@ -220,32 +205,26 @@ def primitive_vector(v) -> Vec:
 
 def rational_rank(rows) -> int:
     """Rank over the rationals of a matrix with int or Fraction entries."""
-    return len(_echelon(rows)[0])
+    return len(_echelon(rows))
 
 
 def _echelon(rows) -> tuple:
-    """``(pivots, sign, last)`` of a row echelon form of an int or Fraction matrix.
+    """Pivot columns of a row echelon form of an int or Fraction matrix.
 
     Fraction-free (Bareiss) elimination: a row with Fraction entries is first
     scaled by the lcm of its denominators, and every later division is exact.
-    ``pivots`` are linearly independent columns, as many as the rank; ``sign``
-    is the parity of the row swaps and ``last`` the last pivot (1 if there is
-    none).  By Sylvester's identity a pivot is the leading minor of the
-    row-swapped matrix, so a nonsingular square integer matrix has
-    determinant ``sign * last``.
+    The pivots are linearly independent columns, as many as the rank.
     """
     work = [common_denominator(r)[1] for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
-    sign = prev = 1
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            sign = -sign
+        work[r], work[piv] = work[piv], work[r]
         top = work[r]
         pv = top[c]
         for i in range(r + 1, len(work)):
@@ -255,7 +234,7 @@ def _echelon(rows) -> tuple:
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return tuple(pivots), sign, prev
+    return tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +439,7 @@ def hermite_normal_form(a) -> HermiteDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# kernels, saturation, quotients
+# kernels and finite abelian groups
 # ---------------------------------------------------------------------------
 
 def kernel_basis(a, ncols: int, snf=None) -> Mat:
@@ -481,39 +460,6 @@ def kernel_basis(a, ncols: int, snf=None) -> Mat:
     gens = [tuple(s.V[i][j] for i in range(ncols)) for j in range(r, ncols)]
     if not gens:
         return ()
-    return tuple(row for row in hermite_normal_form(gens).H if any(row))
-
-
-def saturate(b) -> Mat:
-    """Basis of the saturation of the row lattice of ``b``.
-
-    The saturation is (rational span of the rows) intersected with the integer
-    lattice.  Rows must be linearly independent over the rationals: the rank
-    is read off the Smith diagonal.  From ``U * b * V = D`` follows
-    ``U * b = D * V^-1``, so row i of ``U * b`` divided by the invariant factor
-    d_i is row i of ``V^-1``.  Those k rows lie in the rational span of ``b``
-    (U is nonsingular), and when ``|det V| == 1`` they are rows of a unimodular
-    matrix, hence a basis of the saturation.  That determinant (from the
-    Bareiss echelon) and the exactness of every division are checked, and a
-    failure raises RuntimeError.  The basis returned is Hermite-normalized,
-    hence canonical for the lattice.
-    """
-    b = matrix(b)
-    if not b:
-        return ()
-    k = len(b)
-    s = smith_normal_form(b)
-    diag = s.diagonal
-    if len(diag) != k or 0 in diag:
-        raise ValueError("rows are linearly dependent")
-    if abs(det(s.V)) != 1:
-        raise RuntimeError(f"Smith transform V is not unimodular for the {_describe(b)}")
-    gens = []
-    for i, (d_i, row) in enumerate(zip(diag, mat_mul(s.U, b))):
-        if any(x % d_i for x in row):
-            raise RuntimeError(f"row {i} of U*b is not divisible by its invariant factor "
-                               f"for the {_describe(b)}")
-        gens.append(tuple(x // d_i for x in row))
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
 
 
@@ -554,43 +500,3 @@ class FiniteAbelianGroup:
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
-
-
-def quotient_group(lattice_rows, sub_rows) -> FiniteAbelianGroup:
-    """The finite quotient L / S of a lattice by a finite-index sublattice.
-
-    ``lattice_rows`` is a basis of L (rows independent); ``sub_rows`` generate
-    S, which must lie inside L and have the same rank.  The result is the
-    invariant-factor decomposition read off the Smith normal form of the
-    coordinate matrix of S in the basis of L.
-    """
-    L = matrix(lattice_rows)
-    S = matrix(sub_rows)
-    k = len(L)
-    if k == 0 and len(S) == 0:
-        return TRIVIAL_GROUP
-    if S and L and len(S[0]) != len(L[0]):
-        raise ValueError("ambient dimension mismatch")
-    cols = _echelon(L)[0]
-    if len(cols) != k:
-        raise ValueError("lattice basis rows are linearly dependent")
-    if len(S) != k:
-        raise ValueError(f"rank mismatch: lattice has rank {k}, got {len(S)} generators")
-    # x * L = s on k independent columns J reads x * L_J = s_J, so
-    # det(L_J) * x = s_J * adj(L_J); the identity on every column is then checked.
-    det_j, adj = adjugate(tuple(tuple(row[j] for j in cols) for row in L))
-    adj_cols = transpose(adj)
-    l_cols = transpose(L)
-    coords = []
-    for srow in S:
-        s_j = tuple(srow[j] for j in cols)
-        num = tuple(dot(s_j, col) for col in adj_cols)
-        if any(dot(num, col) != det_j * e for col, e in zip(l_cols, srow)):
-            raise ValueError("not a sublattice: generator outside the rational span")
-        if any(x % det_j != 0 for x in num):
-            raise ValueError("not a sublattice: generator has fractional coordinates")
-        coords.append(tuple(x // det_j for x in num))
-    diag = smith_normal_form(coords).diagonal
-    if any(d == 0 for d in diag):
-        raise ValueError("rank mismatch: sublattice has lower rank")
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))

@@ -6,9 +6,13 @@ a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
 lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 ``det_rational`` are Fraction Gauss-Jordan references for the package's
-fraction-free solves and determinants, ``unimodular_inverse`` inverts a
-unimodular matrix by one Hermite reduction, ``reference_saturate`` is the
-saturation route that inverts the Smith transform with it, ``contains`` tests
+fraction-free solves and determinants (``det`` is the integer one),
+``unimodular_inverse`` inverts a unimodular matrix by one Hermite reduction,
+``saturate`` and ``quotient_group`` form the structure group of a face the
+long way (``reference_structure_group``), as l / l-hat from a basis of the
+saturation l, and
+``reference_saturate`` is the saturation route that inverts the Smith
+transform with ``unimodular_inverse``, ``contains`` tests
 a point against every facet inequality, ``convex_combinations`` draws seeded
 points of a polytope from its vertices, ``face_by_active`` looks a face up by
 its tight set, ``polytope_to_json`` writes the file format that
@@ -22,10 +26,15 @@ from itertools import combinations
 from typing import Optional
 
 from labpoly.lattice import (
+    TRIVIAL_GROUP,
+    FiniteAbelianGroup,
+    _echelon,
+    adjugate,
     dot,
     format_rational,
     hermite_normal_form,
     identity,
+    mat_mul,
     mat_vec,
     matrix,
     rational_rank,
@@ -145,8 +154,8 @@ def reference_saturate(b):
 
     A separate rank check, then the Smith form ``U * b * V = D``; the first
     k rows of ``V^-1`` (inverted by a second Hermite reduction) span the
-    saturation, normalized to Hermite form.  ``labpoly.lattice.saturate``
-    reads the rank and the generators off the same Smith form instead.
+    saturation, normalized to Hermite form.  :func:`saturate` reads the rank
+    and the generators off the same Smith form instead.
     """
     b = matrix(b)
     if not b:
@@ -155,6 +164,101 @@ def reference_saturate(b):
         raise ValueError("rows are linearly dependent")
     gens = unimodular_inverse(smith_normal_form(b).V)[:len(b)]
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
+
+
+def det(a) -> int:
+    """Determinant of a square integer matrix: :func:`adjugate`'s, or 0 when
+    it is singular.  A non-integer entry raises ValueError."""
+    a = matrix(a)
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("matrix is not square")
+    try:
+        return adjugate(a)[0]
+    except ValueError:  # singular
+        return 0
+
+
+def saturate(b):
+    """Basis of the saturation of the row lattice of ``b``.
+
+    The saturation is (rational span of the rows) intersected with the integer
+    lattice.  Rows must be linearly independent over the rationals: the rank
+    is read off the Smith diagonal.  From ``U * b * V = D`` follows
+    ``U * b = D * V^-1``, so row i of ``U * b`` divided by the invariant factor
+    d_i is row i of ``V^-1``.  Those k rows lie in the rational span of ``b``
+    (U is nonsingular), and when ``|det V| == 1`` they are rows of a unimodular
+    matrix, hence a basis of the saturation.  That determinant and the
+    exactness of every division are checked, and a failure raises
+    RuntimeError.  The basis returned is Hermite-normalized, hence canonical
+    for the lattice.
+    """
+    b = matrix(b)
+    if not b:
+        return ()
+    k = len(b)
+    s = smith_normal_form(b)
+    diag = s.diagonal
+    if len(diag) != k or 0 in diag:
+        raise ValueError("rows are linearly dependent")
+    if abs(det(s.V)) != 1:
+        raise RuntimeError(f"Smith transform V is not unimodular for the rows {b}")
+    gens = []
+    for i, (d_i, row) in enumerate(zip(diag, mat_mul(s.U, b))):
+        if any(x % d_i for x in row):
+            raise RuntimeError(f"row {i} of U*b is not divisible by its invariant factor "
+                               f"for the rows {b}")
+        gens.append(tuple(x // d_i for x in row))
+    return tuple(row for row in hermite_normal_form(gens).H if any(row))
+
+
+def quotient_group(lattice_rows, sub_rows):
+    """The finite quotient L / S of a lattice by a finite-index sublattice.
+
+    ``lattice_rows`` is a basis of L (rows independent); ``sub_rows`` generate
+    S, which must lie inside L and have the same rank.  The result is the
+    invariant-factor decomposition read off the Smith normal form of the
+    coordinate matrix of S in the basis of L.
+    """
+    L = matrix(lattice_rows)
+    S = matrix(sub_rows)
+    k = len(L)
+    if k == 0 and len(S) == 0:
+        return TRIVIAL_GROUP
+    if S and L and len(S[0]) != len(L[0]):
+        raise ValueError("ambient dimension mismatch")
+    cols = _echelon(L)
+    if len(cols) != k:
+        raise ValueError("lattice basis rows are linearly dependent")
+    if len(S) != k:
+        raise ValueError(f"rank mismatch: lattice has rank {k}, got {len(S)} generators")
+    # x * L = s on k independent columns J reads x * L_J = s_J, so
+    # det(L_J) * x = s_J * adj(L_J); the identity on every column is then checked.
+    det_j, adj = adjugate(tuple(tuple(row[j] for j in cols) for row in L))
+    adj_cols = transpose(adj)
+    l_cols = transpose(L)
+    coords = []
+    for srow in S:
+        s_j = tuple(srow[j] for j in cols)
+        num = tuple(dot(s_j, col) for col in adj_cols)
+        if any(dot(num, col) != det_j * e for col, e in zip(l_cols, srow)):
+            raise ValueError("not a sublattice: generator outside the rational span")
+        if any(x % det_j != 0 for x in num):
+            raise ValueError("not a sublattice: generator has fractional coordinates")
+        coords.append(tuple(x // det_j for x in num))
+    diag = smith_normal_form(coords).diagonal
+    if any(d == 0 for d in diag):
+        raise ValueError("rank mismatch: sublattice has lower rank")
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
+def reference_structure_group(p, face):
+    """The structure group of a face as ``quotient_group(saturate(Y_S), scaled)``."""
+    normals = tuple(p.halfspaces[i].normal for i in face.active)
+    if not normals:
+        return TRIVIAL_GROUP
+    scaled = tuple(tuple(p.halfspaces[i].label * x for x in p.halfspaces[i].normal)
+                   for i in face.active)
+    return quotient_group(saturate(normals), scaled)
 
 
 def contains(p, point) -> bool:

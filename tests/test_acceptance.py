@@ -17,13 +17,14 @@ from labpoly.delzant import (
     verify_reduction_invariants,
 )
 from labpoly.fan import build_fan
-from labpoly.lattice import det, dot, mat_mul, smith_normal_form
+from labpoly.lattice import dot, mat_mul, smith_normal_form
 from labpoly.local_model import structure_group
 from labpoly.morse import h_vector, poincare_polynomial, random_generic_direction
 
 from corpus import (
     convex_combinations,
     cube,
+    det,
     face_by_active,
     interval,
     polytope_to_json,

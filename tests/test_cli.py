@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -669,13 +670,39 @@ def _break_products_in(function):
     return patch
 
 
-def _change_lattice_smith(change):
-    # every Smith form taken inside lattice (here: saturate's) is changed;
-    # delzant holds its own reference and keeps the real one
+def _break_oracle_products_in_smith(monkeypatch):
+    # lattice.mat_mul off by one inside the Smith forms the oracle takes, so
+    # smith_normal_form's own check of U*A*V = D fails there; the Smith forms
+    # of face_groups keep the real product
+    real = lattice.mat_mul
+
+    def patched(a, b):
+        c = real(a, b)
+        frames = sys._getframe(1), sys._getframe(2)
+        return _off_by_one(c) if [f.f_code.co_name for f in frames] == [
+            "smith_normal_form", "structure_group"] else c
+
+    monkeypatch.setattr(lattice, "mat_mul", patched)
+
+
+def _change_oracle_smith(change, parity):
+    # the oracle takes two Smith forms per face, of the tight normals Y (even
+    # calls) and of their scaled coordinates M (odd calls); those of one
+    # parity are changed, unchecked
     def patch(monkeypatch):
-        real = lattice.smith_normal_form
-        monkeypatch.setattr(lattice, "smith_normal_form", lambda a: change(real(a)))
+        real = local_model.smith_normal_form
+        calls = count()
+
+        def patched(a):
+            s = real(a)
+            return change(s) if next(calls) % 2 == parity else s
+
+        monkeypatch.setattr(local_model, "smith_normal_form", patched)
     return patch
+
+
+def _double_diagonal(s):
+    return s._replace(D=tuple(tuple(2 * x for x in row) for row in s.D))
 
 
 def _no_generic_direction(monkeypatch):
@@ -689,19 +716,27 @@ def _no_generic_direction(monkeypatch):
     (_break_products_in("hermite_normal_form"), ["delzant", "t1"],
      "Hermite reduction broke the identity U*A = H on the 1x3 matrix with largest "
      "entry bit-length 1"),
-    (_change_lattice_smith(lambda s: s._replace(V=(_off_by_one(s.V)[0],) + s.V[1:])),
-     ["stabilizers", "w2"],
-     "Smith transform V is not unimodular for the 1x2 matrix with largest entry "
-     "bit-length 1"),
-    (_change_lattice_smith(lambda s: s._replace(
-        D=tuple(tuple(2 * x for x in row) for row in s.D))),
-     ["stabilizers", "w2"],
-     "row 0 of U*b is not divisible by its invariant factor for the 1x2 matrix "
-     "with largest entry bit-length 1"),
+    (_break_oracle_products_in_smith, ["stabilizers", "w2"],
+     "Smith reduction broke the identity U*A*V = D on the 1x2 matrix with largest "
+     "entry bit-length 1"),
+    # D doubled breaks U*Y*V = D: the saturation index read off it is wrong
+    (_change_oracle_smith(_double_diagonal, 0), ["stabilizers", "w2"],
+     "structure group over face [0] has order 1, not the labels' product times "
+     "the saturation index, 2"),
+    # V's first column doubled (det V = 2): Y*V gives coordinates in a basis
+    # of a lattice that contains l with index 2, not of l
+    (_change_oracle_smith(lambda s: s._replace(
+        V=tuple((2 * row[0], *row[1:]) for row in s.V)), 0), ["stabilizers", "w2"],
+     "structure group over face [0] has order 2, not the labels' product times "
+     "the saturation index, 1"),
+    (_change_oracle_smith(_double_diagonal, 1), ["verify", "w2"],
+     "structure group over face [0] has order 2, not the labels' product times "
+     "the saturation index, 1"),
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "hermite", "saturate_unimodular", "saturate_divisible", "morse"])
+], ids=["smith", "hermite", "oracle_smith_identity", "oracle_index_divisors",
+        "oracle_index_transform", "oracle_index_certificate", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)
     command, name = argv

@@ -79,3 +79,26 @@ def test_no_module_imports_a_name_it_never_uses():
                            ((a.asname or a.name).split(".")[0] for a in node.names)
                            if name not in read]
     assert not unused, f"imported names that nothing reads: {unused}"
+
+
+def test_the_structure_group_oracle_does_not_use_the_printed_route():
+    # local_model.structure_group checks delzant.face_groups on every proper
+    # face, so its code may not import delzant or name the printed route's
+    # functions (its docstring may)
+    path = Path(labpoly.__file__).parent / "local_model.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    forbidden = {"delzant", "face_groups", "face_stabilizer", "_label_group"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name in forbidden]
+    assert found == [], f"local_model.py uses the printed route: {found}"
