@@ -4,13 +4,13 @@ Everything in this module works with arbitrary-precision Python ``int`` and
 ``fractions.Fraction``; floating point is never used.  Matrices are immutable
 tuples of row tuples, vectors are plain tuples.  All functions are pure.
 
-Every solve, inverse and rank goes through one of two fraction-free
-(Bareiss) eliminations, in which every division is exact: :func:`adjugate`
-returns ``(det(A), adj(A))`` of a nonsingular square matrix, so a solution or
-an inverse is an integer matrix over one determinant, and :func:`_echelon`
-returns the pivot columns of a row echelon form, which give
-:func:`rational_rank`.  Callers scale rational data to integers over a common
-denominator first.
+Rank goes through one fraction-free (Bareiss) elimination, in which every
+division is exact: :func:`_echelon` returns the pivot columns of a row
+echelon form, which give :func:`rational_rank`.  Callers scale rational data
+to integers over a common denominator first (:func:`common_denominator`).
+Square solves and inverses are not formed here: the vertex walk in
+:mod:`labpoly.polytope` keeps one integer simplex dictionary per basis and
+moves it by fraction-free pivots.
 
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
@@ -154,46 +154,16 @@ def common_denominator(values) -> tuple:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
-def adjugate(a) -> tuple:
-    """``(det(A), adj(A))`` of a nonsingular square integer matrix.
-
-    Fraction-free Gauss-Jordan (Bareiss) on ``[A | I]``: every division is
-    exact, and the left block ends as ``det(PA) * I`` for the row permutation
-    P, so the right block is ``det(PA) * A^-1``.  ``A * adj(A) == det(A) * I``.
-    Raises ValueError if A is singular.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                raise ValueError("matrix is singular")
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for i in range(n):
-            if i != k:
-                row, f = m[i], m[i][k]
-                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, row_k)]
-        prev = pivot
-    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
-
-
 def primitive_vector(v) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 
     The zero vector is returned unchanged.  Sign is preserved, so the result
     points the same way as the input.
     """
-    v = tuple(_as_int(e) for e in v)
-    g = 0
-    for e in v:
-        g = math.gcd(g, e)
+    v = tuple(v)
+    if not all(type(e) is int for e in v):
+        v = tuple(_as_int(e) for e in v)
+    g = math.gcd(*v)
     if g <= 1:
         return v
     return tuple(e // g for e in v)

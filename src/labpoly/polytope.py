@@ -23,12 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import (
-    adjugate,
     common_denominator,
     dot,
     format_rational,
     kernel_basis,
-    mat_vec,
     matrix,
     parse_rational,
     primitive_vector,
@@ -186,14 +184,21 @@ def _walk(dim, hs):
     whose basic solution leaves each other facet a lexicographically positive
     slack row (:func:`_perturbed_row`).  Each is a vertex of P at eps = 0, and
     every vertex of P is one (minimize a functional that P minimizes only
-    there).  The walk starts at the first lex-feasible basis in
-    ``combinations`` order and returns None if there is none, that is if P is
-    empty.  At B, column j of ``sign(det) * adj`` of the basis normals (rows)
-    is zero on B - {j} and positive on facet j: the edge that leaves facet j.
-    An exact ratio test, ties broken on the slack rows, finds the facet i that
-    blocks it, and B - {j} + {i} is lex-feasible again.  Offsets are scaled to
-    a common denominator once, so everything runs on integers.  Each vertex of
-    P is kept once, with all facets of zero slack as its tight set, for
+    there).  Offsets are scaled to a common denominator once, so everything
+    runs on integers, in one dictionary per basis that a single
+    fraction-free :func:`_pivot` carries to the next.
+
+    The start: :func:`_eliminate` pivots n independent facets into the basis,
+    and :func:`_phase_one` moves from there to a lex-feasible basis, or
+    returns None when there is none, that is when P is empty.  At a basis,
+    the column of the dictionary's ``adj`` for facet j of B keeps the rest of
+    B tight and raises facet j's slack: the edge that leaves facet j, with
+    every facet's rate along it in the same column.  An exact ratio test,
+    ties broken on the slack rows, finds the facet i that blocks it, and
+    B - {j} + {i} is lex-feasible again; its dictionary is one pivot from
+    this one, made when it is taken off the stack.  Each dictionary is
+    checked against the input (:func:`_certify`).  Each vertex of P is kept
+    once, with all facets of zero slack as its tight set, for
     :func:`_check_vertices` to judge.
 
     An unblocked edge is a recession direction (:func:`_check_bounded` names
@@ -208,88 +213,203 @@ def _walk(dim, hs):
     """
     normals = [h.normal for h in hs]
     scale, offsets = common_denominator(h.offset for h in hs)
-    zero = [0] * (len(hs) + 1)
-    for start in combinations(range(len(hs)), dim):
-        try:
-            solution = _basic_solution(normals, offsets, start)
-        except ValueError:  # singular basis
-            continue
-        slack = solution[3]
-        if min(slack) >= 0 and all(  # a degenerate start must be lex-feasible
-                _perturbed_row(normals, start, solution, i) > zero
-                for i in range(len(hs)) if slack[i] == 0 and i not in start):
-            break
-    else:
+    start = _phase_one(_eliminate(dim, normals, offsets))
+    if start is None:
         return None
 
+    n_facets = len(hs)
     found = {}
-    seen = {start}
-    todo = [start]
+    seen = {frozenset(start[1])}
+    todo = [(start, None, None)]
     while todo:
-        basis = todo.pop()
-        solution = d, adj, num, slack = _basic_solution(normals, offsets, basis)
-        sign = 1 if d > 0 else -1
+        dictionary, col, entering = todo.pop()
+        if col is not None:
+            dictionary = _pivot(dictionary, col, entering)
+        _certify(dictionary, normals, offsets)
+        d, basis, rows = dictionary
         edges = []
-        for col, j in enumerate(basis):
-            direction = primitive_vector(tuple(sign * row[col] for row in adj))
-            best, best_rate = None, 0
-            for i, y in enumerate(normals):
-                rate = -dot(y, direction)
-                if rate <= 0:
-                    continue
-                if best is not None:
-                    # facet i is hit after slack[i] / rate; compare by
-                    # cross-multiplying, and a tie by the perturbed slacks
-                    gap = slack[i] * best_rate - slack[best] * rate
-                    if gap > 0 or (gap == 0 and (
-                            [x * best_rate for x in _perturbed_row(normals, basis, solution, i)]
-                            > [x * rate for x in _perturbed_row(normals, basis, solution, best)])):
-                        continue
-                best, best_rate = i, rate
+        for col in sorted(range(dim), key=basis.__getitem__):
+            j = basis[col]
+            best = _ratio_test(dictionary, col, [i for i in range(n_facets) if rows[i][col] < 0])
             if best is None:
                 _check_bounded(normals, dim)
                 raise RuntimeError(f"vertex walk: no facet blocks the edge leaving facet {j} "
-                                   f"at basis {basis}, yet no recession ray was found")
-            edges.append((j, direction))
-            neighbour = tuple(sorted(set(basis) - {j} | {best}))
+                                   f"at basis {tuple(sorted(basis))}, yet no recession ray "
+                                   f"was found")
+            edges.append((j, primitive_vector([row[col] for row in rows[n_facets:]])))
+            neighbour = frozenset(basis) - {j} | {best}
             if neighbour not in seen:
                 seen.add(neighbour)
-                todo.append(neighbour)
-        tight = tuple(i for i, s in enumerate(slack) if s == 0)
+                todo.append((dictionary, col, best))
+        tight = tuple([i for i in range(n_facets) if rows[i][dim] == 0])
         if tight not in found:  # a degenerate vertex is reached from several bases
-            found[tight] = (tuple(Fraction(x, d * scale) for x in num), tight, tuple(edges))
-    return tuple(zip(*sorted(found.values())))
+            found[tight] = (d, [row[dim] for row in rows[n_facets:]], tight, tuple(edges))
+
+    # sort on integer numerators over one common denominator, then form the Fractions
+    lcm = math.lcm(*(d for d, *_ in found.values()))
+    walked = sorted(found.values(), key=lambda item: [x * (lcm // item[0]) for x in item[1]])
+    return (tuple(tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
+            tuple(tight for _, _, tight, _ in walked),
+            tuple(edges for *_, edges in walked))
 
 
-def _basic_solution(normals, offsets, basis):
-    """``(d, adj, num, slack)`` of the vertex where the facets in ``basis`` are tight.
+def _pivot(dictionary, col, i):
+    """The dictionary with facet i in place of ``basis[col]``: one fraction-free pivot.
 
-    ``d`` and ``adj`` are the determinant and adjugate of the basis normals
-    (rows), the vertex is ``num / (d * scale)`` with ``offsets`` the integer
-    offsets times ``scale``, and ``slack[i]`` is ``<y_i, v> - eta_i`` times
-    ``|d| * scale``, an integer.  Raises ValueError on a singular basis.
+    A dictionary is ``(d, basis, rows)``, the exact simplex dictionary of a
+    basis in integers.  ``basis[c]`` is the facet tight in column c (None for
+    a coordinate row during :func:`_eliminate`).  With A the basis normals as
+    rows, ``d > 0`` and b the offsets times ``scale``, ``adj = d * A^-1`` and
+    ``num = adj * b_B``, so the basic solution is ``v = num / (d * scale)``.
+    ``rows`` holds one row per facet i, ``y_i * adj`` followed by the slack
+    ``<y_i, num> - d * b_i = d * scale * (<y_i, v> - eta_i)``, and then the n
+    rows of ``[adj | num]``: N + n rows of n + 1 integers.
+
+    Row i of the old dictionary is W.  The new determinant is ``|W[col]|``;
+    column ``col`` keeps its entries, and an entry x in column b != col of a
+    row whose entry in column ``col`` is x_col becomes
+    ``(W[col] * x - x_col * W[b]) / d``, an exact division (both are minors of
+    integer matrices); all of it negated if W[col] < 0, so that d stays
+    positive.  The slack and ``num`` columns are updated as the others are:
+    they are the dictionary's column of the homogenized system.  O((N + n) * n).
     """
-    d, adj = adjugate(tuple(normals[i] for i in basis))
-    sign = 1 if d > 0 else -1
-    num = mat_vec(adj, tuple(offsets[i] for i in basis))
-    return d, adj, num, [sign * (dot(y, num) - d * b) for y, b in zip(normals, offsets)]
+    d, basis, rows = dictionary
+    entering = rows[i]
+    p = entering[col]
+    sign = 1 if p > 0 else -1
+    if sign < 0:
+        p, entering = -p, [-x for x in entering]
+    new_rows = []
+    for row in rows:
+        x_col = row[col]
+        if not x_col:
+            new_rows.append(row if p == d else [p * x // d for x in row])
+            continue
+        new = [(p * x - x_col * y) // d for x, y in zip(row, entering)]
+        new[col] = sign * x_col
+        new_rows.append(new)
+    return p, basis[:col] + (i,) + basis[col + 1:], new_rows
 
 
-def _perturbed_row(normals, basis, solution, i):
-    """Facet i's slack at ``basis``, with offsets eta_k read as eta_k - eps^(k+1).
+def _eliminate(dim, normals, offsets):
+    """A dictionary of n independent facets, by pivoting them in for the coordinate rows.
 
-    Coefficients of 1, eps, eps^2, ... in the units of ``slack``, from
-    ``solution`` = :func:`_basic_solution`: lowering eta_k adds |d| eps^(k+1)
-    on facet k and, for k in the basis, moves the vertex by -eps^(k+1) times
-    its edge column.  Small slacks compare as the rows do lexicographically.
+    It starts from x = 0 with the coordinate hyperplanes as the basis (A = I,
+    d = 1, each facet row ``[y_i | -b_i]``).  Column c takes the first facet
+    with a nonzero entry there; if there is none, every normal lies in the span
+    of the other n - 1 basis rows, so the normals have rank < n and the input
+    is unbounded.
     """
-    d, adj, _, slack = solution
-    sign = 1 if d > 0 else -1
-    row = [slack[i]] + [0] * len(normals)
-    row[i + 1] = sign * d
-    for k, column in zip(basis, zip(*adj)):
-        row[k + 1] -= sign * dot(normals[i], column)
+    rows = ([list(y) + [-b] for y, b in zip(normals, offsets)]
+            + [[int(r == c) for c in range(dim)] + [0] for r in range(dim)])
+    dictionary = 1, (None,) * dim, rows
+    for col in range(dim):
+        rows = dictionary[2]
+        i = next((i for i in range(len(normals)) if rows[i][col]), None)
+        if i is None:
+            raise ValidationError("unbounded")
+        dictionary = _pivot(dictionary, col, i)
+    return dictionary
+
+
+def _phase_one(dictionary):
+    """A lex-feasible dictionary reached from ``dictionary`` by pivoting, or None if P is empty.
+
+    Lexicographic phase 1 (Dantzig, Orden & Wolfe): let S be the facets whose
+    perturbed slack is lexicographically >= 0, and k the first one outside S.
+    The basis is a vertex of the perturbed polyhedron P_S cut out by S.  An
+    edge along which <y_k, .> grows is followed to the first facet of S or to
+    k itself, whichever it meets first, and pivoted in; S only grows, and k
+    joins it after finitely many steps, since no perturbed step is zero and
+    <y_k, .> rises with each.  Such an edge always ends (facet k blocks it).
+    If no edge raises <y_k, .>, the vertex maximizes it over P_S (the edges
+    span the tangent cone), with a negative slack on k: P_S misses facet k's
+    halfspace, so the perturbed polytope, and the P inside it, is empty.
+    """
+    n_facets = len(dictionary[2]) - len(dictionary[1])
+    zero = [0] * (n_facets + 1)
+    while True:
+        _, basis, rows = dictionary
+        slack_col = len(basis)
+        outside = [i for i in range(n_facets) if rows[i][slack_col] < 0 or (
+            rows[i][slack_col] == 0 and i not in basis
+            and _perturbed_row(dictionary, i) < zero)]
+        if not outside:
+            return dictionary
+        k = outside[0]
+        col = next((c for c in range(slack_col) if rows[k][c] > 0), None)
+        if col is None:
+            return None
+        blockers = [i for i in range(n_facets) if rows[i][col] < 0 and i not in outside]
+        dictionary = _pivot(dictionary, col, _ratio_test(dictionary, col, blockers + [k]))
+
+
+def _ratio_test(dictionary, col, blockers):
+    """The facet among ``blockers`` whose perturbed slack first reaches zero along column ``col``.
+
+    As the edge leaving ``basis[col]`` is followed, facet i's slack changes
+    at the rate ``rows[i][col]``: each blocker is a facet whose slack is
+    lexicographically >= 0 and falls, or < 0 and rises (phase 1's target).
+    It reaches zero after ``|slack / rate|``: compared by cross-multiplying,
+    and a tie by the perturbed slack rows, which no two facets share.  None
+    if ``blockers`` is empty.
+    """
+    _, basis, rows = dictionary
+    slack_col = len(basis)
+    best = best_rate = best_sign = None
+    for i in blockers:
+        rate = rows[i][col]
+        sign = 1 if rate < 0 else -1
+        rate *= -sign
+        if best is not None:
+            gap = sign * rows[i][slack_col] * best_rate - best_sign * rows[best][slack_col] * rate
+            if gap > 0 or (gap == 0 and (
+                    [sign * x * best_rate for x in _perturbed_row(dictionary, i)]
+                    > [best_sign * x * rate for x in _perturbed_row(dictionary, best)])):
+                continue
+        best, best_rate, best_sign = i, rate, sign
+    return best
+
+
+def _perturbed_row(dictionary, i):
+    """Facet i's slack, with offsets eta_k read as eta_k - eps^(k+1).
+
+    Coefficients of 1, eps, eps^2, ... in the units of the dictionary's slack
+    column, read off its row i with no product: lowering eta_k adds
+    ``d * eps^(k+1)`` on facet k and, for k in the basis, moves the vertex by
+    ``-eps^(k+1)`` times its edge column, which changes facet i's slack by
+    ``-rows[i][column of k] * eps^(k+1)``.  Small slacks compare as the rows
+    do lexicographically; a basic facet's row is zero.
+    """
+    d, basis, rows = dictionary
+    n = len(basis)
+    row = [rows[i][n]] + [0] * (len(rows) - n)
+    row[i + 1] = d
+    for k, x in zip(basis, rows[i]):
+        row[k + 1] -= x
     return row
+
+
+def _certify(dictionary, normals, offsets):
+    """Check a basis's dictionary against the input, exactly, in O(n^2).
+
+    Each basis row must read ``d * e_c`` with zero slack, and the basic
+    solution must satisfy ``Y_B * num = d * b_B``.  Raises RuntimeError
+    naming the basis; an ``assert`` would vanish under ``python -O``.
+    """
+    d, basis, rows = dictionary
+    n = len(basis)
+    num = [row[n] for row in rows[len(normals):]]
+    unit = [0] * (n + 1)
+    for c, j in enumerate(basis):
+        unit[c] = d
+        if rows[j] != unit:
+            raise RuntimeError(f"vertex walk: row {j} of the dictionary at basis "
+                               f"{tuple(sorted(basis))} is not d * e_{c}")
+        unit[c] = 0
+        if dot(normals[j], num) != d * offsets[j]:
+            raise RuntimeError(f"vertex walk: the basic solution at basis "
+                               f"{tuple(sorted(basis))} misses facet {j}")
 
 
 def _check_vertices(dim, n_facets, vertices, active_sets):

@@ -5,8 +5,8 @@ yields a deterministic list of named examples (footballs, simplices, cubes,
 a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
 lattice comparison the tests share, ``solve_rational``/``invert_rational``/
-``det_rational`` are Fraction Gauss-Jordan references for the package's
-fraction-free solves and determinants (``det`` is the integer one),
+``det_rational`` are Fraction Gauss-Jordan references, ``adjugate`` and
+``det`` integer Bareiss ones,
 ``unimodular_inverse`` inverts a unimodular matrix by one Hermite reduction,
 ``saturate`` and ``quotient_group`` form the structure group of a face the
 long way (``reference_structure_group``), as l / l-hat from a basis of the
@@ -16,20 +16,23 @@ transform with ``unimodular_inverse``, ``contains`` tests
 a point against every facet inequality, ``convex_combinations`` draws seeded
 points of a polytope from its vertices, ``face_by_active`` looks a face up by
 its tight set, ``polytope_to_json`` writes the file format that
-``polytope_from_json`` reads, and ``subset_scan`` is the brute-force reference
-for the vertex walk.
+``polytope_from_json`` reads, ``subset_scan`` is the brute-force reference for the vertex walk, and
+``labeled_polygon_products`` is a ``hypothesis`` strategy for generated
+labeled polytopes.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from labpoly.lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
     _echelon,
-    adjugate,
     dot,
     format_rational,
     hermite_normal_form,
@@ -164,6 +167,36 @@ def reference_saturate(b):
         raise ValueError("rows are linearly dependent")
     gens = unimodular_inverse(smith_normal_form(b).V)[:len(b)]
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
+
+
+def adjugate(a) -> tuple:
+    """``(det(A), adj(A))`` of a nonsingular square integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on ``[A | I]``: every division is
+    exact, and the left block ends as ``det(PA) * I`` for the row permutation
+    P, so the right block is ``det(PA) * A^-1``.  ``A * adj(A) == det(A) * I``.
+    Raises ValueError if A is singular.
+    """
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                raise ValueError("matrix is singular")
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(n):
+            if i != k:
+                row, f = m[i], m[i][k]
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(row, row_k)]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
 def det(a) -> int:
@@ -303,17 +336,29 @@ def subset_scan(dim, hs):
 
     Raises ValidationError with the message ``validate`` gives when the input
     is invalid.  A recession ray search comes first; then every
-    ``dim``-subset of facets is solved with :func:`solve_rational` and its
-    solution kept when it satisfies every inequality, with the facets where
-    equality holds as its tight set.  None of this is the vertex walk's
-    integer arithmetic, so the two can check each other.
+    ``dim``-subset of facets is solved by :func:`adjugate`, with the
+    offsets over one common denominator, and its solution kept when it
+    satisfies every inequality, with the facets where equality holds as its
+    tight set.  None of this is the vertex walk's dictionary or pivots, so the
+    two can check each other.
     """
     _check_bounded([h.normal for h in hs], dim)
+    scale = math.lcm(*(h.offset.denominator for h in hs))
+    offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
+    normals = [h.normal for h in hs]
     found = {}
-    for subset in combinations(hs, dim):
-        v = solve_rational([h.normal for h in subset], [h.offset for h in subset])
-        if v is not None and all(dot(v, h.normal) >= h.offset for h in hs):
-            found[v] = tuple(i for i, h in enumerate(hs) if dot(v, h.normal) == h.offset)
+    for subset in combinations(range(len(hs)), dim):
+        try:
+            d, adj = adjugate(tuple(normals[i] for i in subset))
+        except ValueError:  # singular
+            continue
+        num = mat_vec(adj, tuple(offsets[i] for i in subset))
+        if d < 0:
+            d, num = -d, [-x for x in num]
+        if all(dot(y, num) >= d * eta for y, eta in zip(normals, offsets)):
+            v = tuple(Fraction(x, d * scale) for x in num)
+            found[v] = tuple(i for i, (y, eta) in enumerate(zip(normals, offsets))
+                             if dot(y, num) == d * eta)
     if not found:
         raise ValidationError("not full-dimensional: the polytope is empty")
     vertices = tuple(sorted(found))
@@ -494,3 +539,25 @@ def generated_family():
     out += [(f"{name}_variant", random_variant(p, 7 + i))
             for i, (name, p) in enumerate(list(out))]
     return out
+
+
+# pairwise coprime, three of them past 2^30, so that the index certificate
+# and the invariant factors run on large products
+COPRIME_LABELS = (1, 2, 3, 5, 2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1)
+
+
+@st.composite
+def labeled_polygon_products(draw):
+    """A lattice polygon or a product of two, moved by a unimodular map drawn
+    as integer row additions, with labels from ``COPRIME_LABELS``."""
+    ks = draw(st.lists(st.integers(3, 6), min_size=1, max_size=2))
+    p = polygon(ks[0]) if len(ks) == 1 else product(polygon(ks[0]), polygon(ks[1]))
+    n = p.dim
+    a = [list(row) for row in identity(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from((-2, -1, 1, 2))), max_size=6)):
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    labels = draw(st.lists(st.sampled_from(COPRIME_LABELS),
+                           min_size=len(p.halfspaces), max_size=len(p.halfspaces)))
+    return transformed(p, a, labels=labels)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import labpoly.cli
-from labpoly import delzant, lattice, local_model, morse
+from labpoly import delzant, lattice, local_model, morse, polytope
 from labpoly.cli import build_parser, main
 from labpoly.lattice import FiniteAbelianGroup
 
@@ -451,7 +451,7 @@ def test_verify_json(files, capsys):
     obj = json.loads(out)
     assert obj["passed"] is True
     assert all(c["passed"] for c in obj["checks"])
-    assert len(obj["checks"]) == 4
+    assert len(obj["checks"]) == 3
 
 
 def test_outputs_are_byte_identical(files, capsys):
@@ -488,14 +488,14 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
     code, out, _ = run(capsys, "verify", files["w2"])
     assert code == 3
     lines = out.splitlines()
-    assert len(lines) == 5
-    assert lines[1].startswith("FAIL: stabilizer/structure-group agreement (6 faces) (")
+    assert len(lines) == 4
+    assert lines[1].startswith("FAIL: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each) (")
     assert lines[-1] == "verify: FAIL"
 
     code, out, _ = run(capsys, "verify", files["w2"], "--json")
     assert code == 3
     obj = json.loads(out)
-    assert [c["passed"] for c in obj["checks"]] == [True, False, True, True]
+    assert [c["passed"] for c in obj["checks"]] == [True, False, True]
     assert obj["passed"] is False
 
 
@@ -521,16 +521,15 @@ def test_failing_reduction_row_prints_the_full_report_and_exits_3(
     assert (code, err) == (3, "")
     assert out.splitlines() == [
         f"FAIL: {name} ({failure})",
-        "PASS: stabilizer/structure-group agreement (6 faces)",
+        "PASS: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each)",
         "PASS: Betti numbers independent of direction (5 draws)",
-        "PASS: regular level",
         "verify: FAIL",
     ]
     code, out, err = run(capsys, "verify", files["t1"], "--json")
     assert (code, err) == (3, "")
     obj = json.loads(out)
     assert obj["checks"][0] == {"name": name, "passed": False, "detail": failure}
-    assert [c["passed"] for c in obj["checks"]] == [False, True, True, True]
+    assert [c["passed"] for c in obj["checks"]] == [False, True, True]
     assert obj["passed"] is False
 
 
@@ -595,7 +594,8 @@ def _smith_dropping_last_divisor(monkeypatch, square):
 
 
 def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
-    # the only check behind the "regular level" lines of delzant and verify;
+    # the only check behind delzant's "regular level" line and the regular
+    # level named in verify's structure-group row;
     # face [0, 1] is a vertex whose normals are not unimodular, so its group
     # takes the Smith route
     _smith_dropping_last_divisor(monkeypatch, square=True)
@@ -705,6 +705,31 @@ def _double_diagonal(s):
     return s._replace(D=tuple(tuple(2 * x for x in row) for row in s.D))
 
 
+def _break_walk_pivots(change):
+    # ``change(rows, basis)`` edits every dictionary the walk pivots to once
+    # its basis holds facets only, unchecked
+    def patch(monkeypatch):
+        real = polytope._pivot
+
+        def patched(dictionary, col, i):
+            d, basis, rows = real(dictionary, col, i)
+            if None not in basis:
+                rows = [list(row) for row in rows]
+                change(rows, basis)
+            return d, basis, rows
+
+        monkeypatch.setattr(polytope, "_pivot", patched)
+    return patch
+
+
+def _raise_first_basis_slack(rows, basis):
+    rows[basis[0]][-1] += 1
+
+
+def _raise_last_num(rows, basis):
+    rows[-1][-1] += 1
+
+
 def _no_generic_direction(monkeypatch):
     monkeypatch.setattr(morse, "is_generic", lambda p, xi: False)
 
@@ -732,11 +757,16 @@ def _no_generic_direction(monkeypatch):
     (_change_oracle_smith(_double_diagonal, 1), ["verify", "w2"],
      "structure group over face [0] has order 2, not the labels' product times "
      "the saturation index, 1"),
+    (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
+     "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
+    (_break_walk_pivots(_raise_last_num), ["vertices", "w2"],
+     "vertex walk: the basic solution at basis (0, 1) misses facet 1"),
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
 ], ids=["smith", "hermite", "oracle_smith_identity", "oracle_index_divisors",
-        "oracle_index_transform", "oracle_index_certificate", "morse"])
+        "oracle_index_transform", "oracle_index_certificate", "walk_basis_row",
+        "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)
     command, name = argv

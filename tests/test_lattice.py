@@ -3,9 +3,10 @@
 The expensive claims (saturation, quotient groups) are checked against slow
 brute-force oracles that enumerate lattice points and cosets directly, so the
 normal-form implementations never certify themselves.  ``saturate``,
-``quotient_group`` and ``det`` are the reference routes kept in
+``quotient_group``, ``det`` and ``adjugate`` are the reference routes kept in
 ``tests/corpus.py``; the structure-group oracle in the package no longer
-forms a saturation or a quotient, but the tests still compare it with them.
+forms a saturation or a quotient, and the vertex walk no longer takes an
+adjugate, but the tests still compare them with their references.
 """
 
 import math
@@ -22,7 +23,6 @@ from labpoly import lattice
 from labpoly.lattice import (
     FiniteAbelianGroup,
     SmithDecomposition,
-    adjugate,
     format_rational,
     hermite_normal_form,
     identity,
@@ -39,6 +39,7 @@ from labpoly.lattice import (
 
 import corpus
 from corpus import (
+    adjugate,
     det,
     det_rational,
     invert_rational,

@@ -1,10 +1,9 @@
 """Tests for structure groups and the saturation of face normals."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from labpoly.delzant import face_groups
-from labpoly.lattice import identity, rational_rank
+from labpoly.lattice import rational_rank
 from labpoly.local_model import structure_group
 
 from corpus import (
@@ -13,15 +12,13 @@ from corpus import (
     face_by_active,
     generated_family,
     interval,
-    polygon,
-    product,
+    labeled_polygon_products,
     reference_saturate,
     reference_structure_group,
     saturate,
     square,
     standard_corpus,
     t1,
-    transformed,
     w2,
 )
 
@@ -114,11 +111,6 @@ def test_saturate_matches_reference_on_every_face():
 # the oracle against the saturation route and against face_groups
 # ---------------------------------------------------------------------------
 
-# pairwise coprime, three of them past 2^30, so that the index certificate
-# and the invariant factors run on large products
-COPRIME_LABELS = (1, 2, 3, 5, 2 ** 31 - 1, 10 ** 9 + 7, 2 ** 61 - 1)
-
-
 def assert_oracles_agree(name, p):
     """On every proper face: one Smith form of the tight normals and the index
     certificate, l / l-hat from a basis of the saturation l, and the groups
@@ -137,23 +129,6 @@ def test_oracle_matches_the_saturation_route_on_a_labeled_7_cube():
     p = box([1] * 7, [2, 3, 1, 4, 6, 5, 1, 2, 9, 3, 4, 8, 7, 1])
     assert len(p.proper_faces()) == 3 ** 7 - 1
     assert_oracles_agree("7-cube", p)
-
-
-@st.composite
-def labeled_polygon_products(draw):
-    """A lattice polygon or a product of two, moved by a unimodular map drawn
-    as integer row additions, with labels from ``COPRIME_LABELS``."""
-    ks = draw(st.lists(st.integers(3, 6), min_size=1, max_size=2))
-    p = polygon(ks[0]) if len(ks) == 1 else product(polygon(ks[0]), polygon(ks[1]))
-    n = p.dim
-    a = [list(row) for row in identity(n)]
-    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                           st.sampled_from((-2, -1, 1, 2))), max_size=6)):
-        if i != j:
-            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-    labels = draw(st.lists(st.sampled_from(COPRIME_LABELS),
-                           min_size=len(p.halfspaces), max_size=len(p.halfspaces)))
-    return transformed(p, a, labels=labels)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

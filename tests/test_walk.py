@@ -1,17 +1,19 @@
 """The vertex walk in ``validate`` against a brute-force subset scan.
 
-``corpus.subset_scan`` solves every facet subset with a Fraction Gauss-Jordan
-solve and keeps the feasible solutions, so it shares no vertex arithmetic
-with the walk's integer pivoting.  It is the reference: on valid inputs the
-walk must find the same vertices, tight sets and face lattice, and every
-rejected input must get the message the scan gives.  Rejected inputs include
-non-simple and flat ones, which the walk finishes by lexicographic pivoting,
-empty ones, and a seeded random sweep whose small entries make ratio-test
-ties common.  The bases the walk solves are checked against the lex-feasible
-ones found with a small rational epsilon, and its cost on a non-simple
-pyramid is pinned.  Edge directions are checked against a kernel basis per
-dropped facet, and the full-dimension verdict (some facet tight at every
-vertex) against the rank of the vertex differences.
+``corpus.subset_scan`` solves every facet subset by its own fraction-free
+Gauss-Jordan elimination and keeps the feasible solutions, so it shares no
+vertex arithmetic with the walk's dictionaries and pivots.  It is the
+reference: on valid inputs the walk must find the same vertices, tight sets
+and face lattice, and every rejected input must get the message the scan
+gives.  Rejected inputs include non-simple and flat ones, which the walk
+finishes by lexicographic pivoting, empty ones, a seeded random sweep whose
+small entries make ratio-test ties common, and generated polytopes with
+shuffled facets and a cut through a vertex or past the polytope.  The bases
+phase 1 ends at and the walk pivots into are checked against the
+lex-feasible ones found with a small rational epsilon, and its pivot count
+on a non-simple pyramid is pinned.  Edge directions are checked against a
+kernel basis per dropped facet, and the full-dimension verdict (some facet
+tight at every vertex) against the rank of the vertex differences.
 """
 
 import random
@@ -19,13 +21,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labpoly import polytope
-from labpoly.lattice import dot, kernel_basis, rational_rank, vec_neg
+from labpoly.lattice import dot, kernel_basis, primitive_vector, rational_rank, vec_neg
 from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, edge_directions, validate
 
 from corpus import (
     generated_family,
+    labeled_polygon_products,
     polygon,
     product,
     pyramid,
@@ -178,17 +183,60 @@ def test_random_inputs_agree_with_subset_scan():
     assert valid >= 20 and non_simple >= 20 and flat >= 5, (valid, non_simple, flat)
 
 
+@st.composite
+def shuffled_with_a_cut(draw):
+    """(dim, halfspaces) of a generated polytope with at most 11 facets, in a
+    drawn order, often with one more halfspace at a drawn place: one that
+    leaves nothing (beyond the maximum of a drawn functional) or one through
+    a drawn vertex, so that n + 1 facets meet there."""
+    p = draw(labeled_polygon_products().filter(lambda p: len(p.halfspaces) < 12))
+    hs = draw(st.permutations(p.halfspaces))
+    u = primitive_vector(draw(st.lists(st.integers(-3, 3), min_size=p.dim, max_size=p.dim)))
+    cut = draw(st.sampled_from(("vertex", "empty", "none")))
+    if cut == "none" or not any(u) or u in [h.normal for h in hs]:
+        return p.dim, hs
+    if cut == "empty":
+        offset = max(dot(u, v) for v in p.vertices) + 1
+    else:
+        offset = dot(u, draw(st.sampled_from(p.vertices)))
+    hs.insert(draw(st.integers(0, len(hs))), HalfSpace(u, offset, 1))
+    return p.dim, hs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shuffled_with_a_cut())
+def test_walk_matches_subset_scan_on_generated_inputs(case):
+    """Same vertices, tight sets and faces as the scan, or the same message;
+    and the kernel route's edges."""
+    dim, hs = case
+    try:
+        p = validate(dim, hs)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            subset_scan(dim, hs)
+        assert str(exc) == str(info.value)
+        return
+    vertices, active_sets = subset_scan(dim, hs)
+    assert p.vertices == vertices
+    assert tuple(tuple(j for j, _ in edges) for edges in p.edges) == active_sets
+    assert p.faces == _face_lattice(dim, active_sets)
+    for vi in range(len(p.vertices)):
+        assert p.edges[vi] == kernel_edge_directions(p, vi)
+
+
 def test_pyramid_rejection_is_output_sensitive(monkeypatch):
-    """The 10-gon pyramid is rejected from its 18 lex-feasible bases, not C(11, 3)."""
+    """The 10-gon pyramid is rejected from its 18 lex-feasible bases, not C(11, 3):
+    3 pivots pick the start's facets, phase 1 adds a few at most, and the walk
+    one per further lex-feasible basis (20 in all now)."""
     calls = []
 
-    def counting_adjugate(a):
-        calls.append(a)
-        return adjugate(a)
+    def counting_pivot(dictionary, col, i):
+        calls.append(i)
+        return pivot(dictionary, col, i)
 
     triples = pyramid(10)
-    adjugate = polytope.adjugate
-    monkeypatch.setattr(polytope, "adjugate", counting_adjugate)
+    pivot = polytope._pivot
+    monkeypatch.setattr(polytope, "_pivot", counting_pivot)
     with pytest.raises(ValidationError, match=r"^not simple at vertex \(1, 2, 1\)$"):
         validate(3, triples)
     assert len(calls) < 3 * 10
@@ -214,24 +262,34 @@ LEX_CASES.update((f"pyramid5_shuffled{s}", (3, random.Random(s).sample(pyramid(5
 
 @pytest.mark.parametrize("name", sorted(LEX_CASES))
 def test_walk_solves_exactly_the_lex_feasible_bases(name, monkeypatch):
-    """The start is the first lex-feasible subset in ``combinations`` order, and
-    the walk then solves every lex-feasible basis once and no other."""
+    """Phase 1 ends at a lex-feasible basis (or finds none exactly when there
+    is none), and the walk then pivots into every other lex-feasible basis
+    once and into no other."""
     dim, triples = LEX_CASES[name]
-    subsets = list(combinations(range(len(triples)), dim))
-    feasible = [b for b in subsets if lex_feasible(triples, b)]
-    search = subsets[:subsets.index(feasible[0]) + 1] if feasible else subsets
-    solved = []
-    basic_solution = polytope._basic_solution
+    feasible = [b for b in combinations(range(len(triples)), dim) if lex_feasible(triples, b)]
+    walked = []
+    pivot, phase_one = polytope._pivot, polytope._phase_one
 
-    def recording(normals, offsets, basis):
-        solved.append(basis)
-        return basic_solution(normals, offsets, basis)
+    def recording_phase_one(dictionary):
+        start = phase_one(dictionary)
+        walked.append(None if start is None else tuple(sorted(start[1])))
+        return start
 
-    monkeypatch.setattr(polytope, "_basic_solution", recording)
+    def recording_pivot(dictionary, col, i):
+        result = pivot(dictionary, col, i)
+        if walked:  # past phase 1
+            walked.append(tuple(sorted(result[1])))
+        return result
+
+    monkeypatch.setattr(polytope, "_phase_one", recording_phase_one)
+    monkeypatch.setattr(polytope, "_pivot", recording_pivot)
     with pytest.raises(ValidationError):
         validate(dim, triples)
-    assert solved[:len(search)] == search
-    assert sorted(solved[len(search):]) == feasible
+    if not feasible:
+        assert walked == [None]
+        return
+    assert walked[0] in feasible
+    assert sorted(walked) == feasible
 
 
 def test_unblocked_edge_without_ray_is_an_internal_error(monkeypatch):
