@@ -4,13 +4,11 @@ Everything in this module works with arbitrary-precision Python ``int`` and
 ``fractions.Fraction``; floating point is never used.  Matrices are immutable
 tuples of row tuples, vectors are plain tuples.  All functions are pure.
 
-Rank goes through one fraction-free (Bareiss) elimination, in which every
-division is exact: :func:`_echelon` returns the pivot columns of a row
-echelon form, which give :func:`rational_rank`.  Callers scale rational data
-to integers over a common denominator first (:func:`common_denominator`).
-Square solves and inverses are not formed here: the vertex walk in
-:mod:`labpoly.polytope` keeps one integer simplex dictionary per basis and
-moves it by fraction-free pivots.
+Callers scale rational data to integers over a common denominator first
+(:func:`common_denominator`).  No rank test, square solve or inverse is
+formed here: the vertex walk in :mod:`labpoly.polytope` keeps one integer
+simplex dictionary per basis and moves it by fraction-free pivots, and its
+first n pivots decide whether the normals have full rank.
 
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
@@ -123,10 +121,6 @@ def vec_scale(c, u):
     return tuple(c * x for x in u)
 
 
-def vec_neg(u):
-    return tuple(-x for x in u)
-
-
 def mat_vec(a, v):
     return tuple(dot(row, v) for row in a)
 
@@ -167,44 +161,6 @@ def primitive_vector(v) -> Vec:
     if g <= 1:
         return v
     return tuple(e // g for e in v)
-
-
-# ---------------------------------------------------------------------------
-# rational elimination
-# ---------------------------------------------------------------------------
-
-def rational_rank(rows) -> int:
-    """Rank over the rationals of a matrix with int or Fraction entries."""
-    return len(_echelon(rows))
-
-
-def _echelon(rows) -> tuple:
-    """Pivot columns of a row echelon form of an int or Fraction matrix.
-
-    Fraction-free (Bareiss) elimination: a row with Fraction entries is first
-    scaled by the lcm of its denominators, and every later division is exact.
-    The pivots are linearly independent columns, as many as the rank.
-    """
-    work = [common_denominator(r)[1] for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        top = work[r]
-        pv = top[c]
-        for i in range(r + 1, len(work)):
-            row, f = work[i], work[i][c]
-            work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    return tuple(pivots)
 
 
 # ---------------------------------------------------------------------------

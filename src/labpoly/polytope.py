@@ -26,12 +26,9 @@ from .lattice import (
     common_denominator,
     dot,
     format_rational,
-    kernel_basis,
     matrix,
     parse_rational,
     primitive_vector,
-    rational_rank,
-    vec_neg,
 )
 
 
@@ -117,8 +114,11 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     (int, Fraction or a rational string; a float is rejected).  Non-primitive
     normals are divided down (with the offset scaled to keep the same
     halfspace) and a warning is issued.  Checks, in order: labels >= 1,
-    nonzero integer normals, no duplicate normals, boundedness, nonempty
-    full-dimensional, simple at every vertex, no redundant facet.
+    nonzero integer normals, no duplicate normals; at least n + 1 facets and
+    normals of rank n (the walk's first pivots), else "unbounded"; a
+    recession ray, sought when phase 1 proves P empty or the walk meets an
+    unblocked edge (:func:`_check_bounded`); nonempty; full-dimensional,
+    simple at every vertex, no redundant facet.
 
     Vertices and edges come from a walk over the vertex graph (:func:`_walk`).
     """
@@ -162,12 +162,11 @@ def validate(dim, halfspaces) -> LabeledPolytope:
                 f"redundant halfspace {i}: same normal as facet {seen[h.normal]}")
         seen[h.normal] = i
 
-    normals = tuple(h.normal for h in hs)
-    if len(hs) < dim + 1 or rational_rank(normals) < dim:
+    if len(hs) < dim + 1:
         raise ValidationError("unbounded")
     walked = _walk(dim, hs)
     if walked is None:
-        _check_bounded(normals, dim)
+        _check_bounded([h.normal for h in hs], dim)
         raise ValidationError("not full-dimensional: the polytope is empty")
     vertices, active_sets, edges = walked
     _check_vertices(dim, len(hs), vertices, active_sets)
@@ -201,15 +200,16 @@ def _walk(dim, hs):
     once, with all facets of zero slack as its tight set, for
     :func:`_check_vertices` to judge.
 
-    An unblocked edge is a recession direction (:func:`_check_bounded` names
-    one).  If every edge is blocked, the perturbed polytope is bounded, by the
-    simplex-method argument: the edges at a simple vertex span its tangent
-    cone, so for a functional unbounded above some edge increases it; that
-    edge ends at a visited vertex with a strictly larger value (no perturbed
-    step is zero), and finitely many vertices cannot go on forever.  So P,
-    with the same recession cone, is bounded, and the same path for a
-    functional maximized at one perturbed vertex only shows that the walk
-    reaches every perturbed vertex.
+    An unblocked edge is a recession direction, so :func:`_check_bounded`,
+    phase 1 on the recession cone, must then name a ray; RuntimeError if it
+    does not.  If every edge is blocked, the perturbed polytope is bounded,
+    by the simplex-method argument: the edges at a simple vertex span its
+    tangent cone, so for a functional unbounded above some edge increases
+    it; that edge ends at a visited vertex with a strictly larger value (no
+    perturbed step is zero), and finitely many vertices cannot go on
+    forever.  So P, with the same recession cone, is bounded, and the same
+    path for a functional maximized at one perturbed vertex only shows that
+    the walk reaches every perturbed vertex.
     """
     normals = [h.normal for h in hs]
     scale, offsets = common_denominator(h.offset for h in hs)
@@ -324,7 +324,8 @@ def _phase_one(dictionary):
     <y_k, .> rises with each.  Such an edge always ends (facet k blocks it).
     If no edge raises <y_k, .>, the vertex maximizes it over P_S (the edges
     span the tangent cone), with a negative slack on k: P_S misses facet k's
-    halfspace, so the perturbed polytope, and the P inside it, is empty.
+    halfspace, so the perturbed polyhedron, and the P inside it, is empty.
+    P is the input polytope, or the recession system of :func:`_check_bounded`.
     """
     n_facets = len(dictionary[2]) - len(dictionary[1])
     zero = [0] * (n_facets + 1)
@@ -443,19 +444,23 @@ def _face_lattice(dim, active_sets):
 def _check_bounded(normals, dim):
     """Raise "unbounded in direction d" for a nonzero integer d with all <y_i, d> >= 0.
 
-    The recession cone of a polyhedron with inward normals y_i is
-    {d : <y_i, d> >= 0}; it is nontrivial exactly when some extreme ray
-    survives, and every extreme ray lies on dim-1 of the hyperplanes
-    <y_i, .> = 0, so scanning (dim-1)-subsets finds one.
+    The normals have rank n here (:func:`_eliminate` has pivoted n of them
+    in), so a nonzero d with every <y_i, d> >= 0 has <s, d> > 0 for
+    s = sum_i y_i.  The recession cone {d : <y_i, d> >= 0} is therefore
+    nontrivial exactly when {d : <y_i, d> >= 0, <s, d> >= 1} is nonempty, and
+    :func:`_phase_one` decides that on the dictionary of this system; the
+    basic solution it ends at is a ray, checked exactly against every normal
+    (RuntimeError if it fails).
     """
-    for subset in combinations(range(len(normals)), dim - 1):
-        kb = kernel_basis(tuple(normals[i] for i in subset), dim)
-        if len(kb) != 1:  # the dim-1 rows are dependent
-            continue
-        d = kb[0]
-        for cand in (d, vec_neg(d)):
-            if all(dot(y, cand) >= 0 for y in normals):
-                raise ValidationError(f"unbounded in direction {format_point(cand)}")
+    s = tuple(map(sum, zip(*normals)))
+    dictionary = _phase_one(_eliminate(dim, [*normals, s], [0] * len(normals) + [1]))
+    if dictionary is None:
+        return
+    ray = primitive_vector([row[dim] for row in dictionary[2][-dim:]])
+    if not any(ray) or any(dot(y, ray) < 0 for y in normals):
+        raise RuntimeError(f"recession phase 1: the basic solution {format_point(ray)} "
+                           f"is not a recession ray")
+    raise ValidationError(f"unbounded in direction {format_point(ray)}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ a weighted triangle, products, and unimodular/translated/relabeled variants)
 that the cross-checking suites iterate over.  ``lattices_equal`` is a
 lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 ``det_rational`` are Fraction Gauss-Jordan references, ``adjugate`` and
-``det`` integer Bareiss ones,
-``unimodular_inverse`` inverts a unimodular matrix by one Hermite reduction,
-``saturate`` and ``quotient_group`` form the structure group of a face the
-long way (``reference_structure_group``), as l / l-hat from a basis of the
-saturation l, and
-``reference_saturate`` is the saturation route that inverts the Smith
-transform with ``unimodular_inverse``, ``contains`` tests
-a point against every facet inequality, ``convex_combinations`` draws seeded
-points of a polytope from its vertices, ``face_by_active`` looks a face up by
-its tight set, ``polytope_to_json`` writes the file format that
-``polytope_from_json`` reads, ``subset_scan`` is the brute-force reference for the vertex walk, and
+``det`` integer Bareiss ones, ``rational_rank`` a Bareiss echelon
+(``_echelon``), ``unimodular_inverse`` inverts a unimodular matrix by one
+Hermite reduction, ``saturate`` and ``quotient_group`` form the structure
+group of a face the long way (``reference_structure_group``), as l / l-hat
+from a basis of the saturation l, and ``reference_saturate`` is the
+saturation route that inverts the Smith transform with
+``unimodular_inverse``, ``contains`` tests a point against every facet
+inequality, ``convex_combinations`` draws seeded points of a polytope from
+its vertices, ``face_by_active`` looks a face up by its tight set,
+``polytope_to_json`` writes the file format that ``polytope_from_json``
+reads, ``subset_scan`` is the brute-force reference for the vertex walk and
+``ray_scan`` its recession ray search over C(N, n - 1) facet subsets, and
 ``labeled_polygon_products`` is a ``hypothesis`` strategy for generated
 labeled polytopes.
 """
@@ -32,19 +33,19 @@ from hypothesis import strategies as st
 from labpoly.lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
-    _echelon,
+    common_denominator,
     dot,
     format_rational,
     hermite_normal_form,
     identity,
+    kernel_basis,
     mat_mul,
     mat_vec,
     matrix,
-    rational_rank,
     smith_normal_form,
     transpose,
 )
-from labpoly.polytope import ValidationError, _check_bounded, _check_vertices, validate
+from labpoly.polytope import ValidationError, _check_vertices, format_point, validate
 
 
 def lattices_equal(a, b) -> bool:
@@ -135,6 +136,44 @@ def det_rational(rows):
             f = work[i][c] / pv
             work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return result
+
+
+def vec_neg(u):
+    return tuple(-x for x in u)
+
+
+def rational_rank(rows) -> int:
+    """Rank over the rationals of a matrix with int or Fraction entries."""
+    return len(_echelon(rows))
+
+
+def _echelon(rows) -> tuple:
+    """Pivot columns of a row echelon form of an int or Fraction matrix.
+
+    Fraction-free (Bareiss) elimination: a row with Fraction entries is first
+    scaled by the lcm of its denominators, and every later division is exact.
+    The pivots are linearly independent columns, as many as the rank.
+    """
+    work = [common_denominator(r)[1] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        top = work[r]
+        pv = top[c]
+        for i in range(r + 1, len(work)):
+            row, f = work[i], work[i][c]
+            work[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return tuple(pivots)
 
 
 def unimodular_inverse(m_rows):
@@ -331,18 +370,38 @@ def polytope_to_json(p) -> dict:
     }
 
 
+def ray_scan(normals, dim):
+    """Raise "unbounded in direction d" for a nonzero integer d with all <y_i, d> >= 0.
+
+    The recession cone {d : <y_i, d> >= 0} is nontrivial exactly when some
+    extreme ray survives, and every extreme ray lies on dim-1 of the
+    hyperplanes <y_i, .> = 0, so scanning the C(N, dim-1) subsets, one kernel
+    basis each, finds one.  Unlike ``validate``'s phase 1 on the recession
+    system, it needs no rank check first.
+    """
+    for subset in combinations(range(len(normals)), dim - 1):
+        kb = kernel_basis(tuple(normals[i] for i in subset), dim)
+        if len(kb) != 1:  # the dim-1 rows are dependent
+            continue
+        d = kb[0]
+        for cand in (d, vec_neg(d)):
+            if all(dot(y, cand) >= 0 for y in normals):
+                raise ValidationError(f"unbounded in direction {format_point(cand)}")
+
+
 def subset_scan(dim, hs):
     """(vertices, tight sets) of a list of HalfSpace by trying every facet subset.
 
     Raises ValidationError with the message ``validate`` gives when the input
-    is invalid.  A recession ray search comes first; then every
+    is invalid, except that a ray may differ: both are recession rays, but
+    :func:`ray_scan` finds its own.  That search comes first; then every
     ``dim``-subset of facets is solved by :func:`adjugate`, with the
     offsets over one common denominator, and its solution kept when it
     satisfies every inequality, with the facets where equality holds as its
     tight set.  None of this is the vertex walk's dictionary or pivots, so the
     two can check each other.
     """
-    _check_bounded([h.normal for h in hs], dim)
+    ray_scan([h.normal for h in hs], dim)
     scale = math.lcm(*(h.offset.denominator for h in hs))
     offsets = [h.offset.numerator * (scale // h.offset.denominator) for h in hs]
     normals = [h.normal for h in hs]

@@ -187,13 +187,13 @@ def _str_past_digit_limit(x):
 
 
 def test_unbounded_ray_prints_past_the_int_digit_limit(files, capsys):
-    # the recession cone of these four halfspaces through the origin holds
-    # the cross product (a b, -b, 1) of the first two normals, about 6,000
-    # digits in its first coordinate
+    # the recession cone of these five halfspaces through the origin is the
+    # single ray (a b, -b, 1): the first four fix it up to a factor, the last
+    # picks its sign; about 6,000 digits in its first coordinate
     a, b = 10**3000 + 7, 10**3000 + 1
     path = files["write"]("unbounded.json", {"dim": 3, "halfspaces": [
         {"normal": y, "offset": "0", "label": 1}
-        for y in ([1, a, 0], [0, 1, b], [1, 0, 0], [0, 0, 1])]})
+        for y in ([1, a, 0], [-1, -a, 0], [0, 1, b], [0, -1, -b], [0, 0, 1])]})
     ray = ", ".join(_str_past_digit_limit(x) for x in (a * b, -b, 1))
     assert run(capsys, "validate", path) == (
         1, "", f"error: unbounded in direction ({ray})\n")

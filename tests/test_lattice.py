@@ -3,10 +3,11 @@
 The expensive claims (saturation, quotient groups) are checked against slow
 brute-force oracles that enumerate lattice points and cosets directly, so the
 normal-form implementations never certify themselves.  ``saturate``,
-``quotient_group``, ``det`` and ``adjugate`` are the reference routes kept in
-``tests/corpus.py``; the structure-group oracle in the package no longer
-forms a saturation or a quotient, and the vertex walk no longer takes an
-adjugate, but the tests still compare them with their references.
+``quotient_group``, ``det``, ``adjugate`` and ``rational_rank`` are the
+reference routes kept in ``tests/corpus.py``; the structure-group oracle in
+the package no longer forms a saturation or a quotient, and the vertex walk
+no longer takes an adjugate or a separate rank, but the tests still compare
+them with their references.
 """
 
 import math
@@ -32,7 +33,6 @@ from labpoly.lattice import (
     matrix,
     parse_rational,
     primitive_vector,
-    rational_rank,
     smith_normal_form,
     transpose,
 )
@@ -45,6 +45,7 @@ from corpus import (
     invert_rational,
     lattices_equal,
     quotient_group,
+    rational_rank,
     reference_saturate,
     saturate,
     solve_rational,

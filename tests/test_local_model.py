@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 
 from labpoly.delzant import face_groups
-from labpoly.lattice import rational_rank
 from labpoly.local_model import structure_group
 
 from corpus import (
@@ -13,6 +12,7 @@ from corpus import (
     generated_family,
     interval,
     labeled_polygon_products,
+    rational_rank,
     reference_saturate,
     reference_structure_group,
     saturate,

@@ -5,17 +5,21 @@ Gauss-Jordan elimination and keeps the feasible solutions, so it shares no
 vertex arithmetic with the walk's dictionaries and pivots.  It is the
 reference: on valid inputs the walk must find the same vertices, tight sets
 and face lattice, and every rejected input must get the message the scan
-gives.  Rejected inputs include non-simple and flat ones, which the walk
-finishes by lexicographic pivoting, empty ones, a seeded random sweep whose
-small entries make ratio-test ties common, and generated polytopes with
-shuffled facets and a cut through a vertex or past the polytope.  The bases
-phase 1 ends at and the walk pivots into are checked against the
-lex-feasible ones found with a small rational epsilon, and its pivot count
-on a non-simple pyramid is pinned.  Edge directions are checked against a
-kernel basis per dropped facet, and the full-dimension verdict (some facet
-tight at every vertex) against the rank of the vertex differences.
+gives; an unbounded one may name another ray, which must be primitive and
+lie in the recession cone.  Rejected inputs include non-simple and flat
+ones, which the walk finishes by lexicographic pivoting, empty ones, a
+seeded random sweep whose small entries make ratio-test ties common, and
+generated polytopes with shuffled facets and a cut through a vertex or past
+the polytope.  The bases phase 1 ends at and the walk pivots into are
+checked against the lex-feasible ones found with a small rational epsilon,
+and its pivot count on a non-simple pyramid is pinned.  Edge directions
+are checked against a kernel basis per dropped facet, and the
+full-dimension verdict (some facet tight at every vertex) against the rank
+of the vertex differences.  Large empty and unbounded inputs are rejected
+with no facet subset scanned.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labpoly import polytope
-from labpoly.lattice import dot, kernel_basis, primitive_vector, rational_rank, vec_neg
+from labpoly.lattice import dot, kernel_basis, primitive_vector
 from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, edge_directions, validate
 
 from corpus import (
@@ -34,9 +38,11 @@ from corpus import (
     polygon,
     product,
     pyramid,
+    rational_rank,
     solve_rational,
     standard_corpus,
     subset_scan,
+    vec_neg,
 )
 
 
@@ -83,6 +89,20 @@ def scan_message(dim, triples):
     return str(info.value)
 
 
+RAY = "unbounded in direction "
+
+
+def assert_same_verdict(message, scan, normals):
+    """``validate``'s message equals the scan's, except that an unbounded verdict
+    may name another ray: nonzero, primitive and in the recession cone."""
+    if not (message.startswith(RAY) and scan.startswith(RAY)):
+        assert message == scan
+        return
+    ray = tuple(int(x) for x in message[len(RAY) + 1:-1].split(", "))
+    assert any(ray) and math.gcd(*ray) == 1, message
+    assert all(dot(y, ray) >= 0 for y in normals), message
+
+
 def polygon16_squared():
     return [(h.normal, h.offset, h.label) for h in product(polygon(16), polygon(16)).halfspaces]
 
@@ -105,7 +125,7 @@ REJECTED = {
     "slab": (2, [((1, 0), 0, 1), ((-1, 0), -1, 1), ((0, 1), 0, 1)],
              "unbounded in direction (0, 1)"),
     "ray": (2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((1, 1), 1, 1)],
-            "unbounded in direction (0, 1)"),
+            "unbounded in direction (1, 0)"),
     "empty": (1, [((1,), 2, 1), ((-1,), 0, 1)],
               "not full-dimensional: the polytope is empty"),
     "segment": (2, [((1, 0), 0, 1), ((-1, 0), 0, 1), ((0, 1), 0, 1), ((0, -1), -1, 1)],
@@ -139,20 +159,21 @@ def test_rejections_match_subset_scan(name):
     dim, triples, message = REJECTED[name]
     with pytest.raises(ValidationError) as info:
         validate(dim, triples)
-    assert str(info.value) == message == scan_message(dim, triples)
+    assert str(info.value) == message
+    assert_same_verdict(message, scan_message(dim, triples), [y for y, _, _ in triples])
 
 
 def test_random_inputs_agree_with_subset_scan():
-    """Random small systems, mostly invalid: same polytope or same message,
-    and the same full-dimension verdict from both routes wherever the walk
-    finds vertices.
+    """Random small systems, mostly invalid: same polytope or same verdict
+    (:func:`assert_same_verdict`), and the same full-dimension verdict from
+    both routes wherever the walk finds vertices.
 
     Normal entries in {-1, 0, 1, 2} and offsets in {0, -1, -2} put many
     facets through one point, so ratio-test ties and degenerate vertices are
     common.
     """
     rng = random.Random(5)
-    valid = non_simple = flat = 0
+    valid = non_simple = flat = unbounded = 0
     for _ in range(400):
         dim = rng.choice((2, 3, 4))
         count = rng.randint(dim + 1, dim + 4)
@@ -174,13 +195,15 @@ def test_random_inputs_agree_with_subset_scan():
             p = validate(dim, triples)
         except ValidationError as exc:
             if str(exc) != "unbounded":
-                assert str(exc) == scan_message(dim, triples), triples
+                assert_same_verdict(str(exc), scan_message(dim, triples), normals)
             non_simple += str(exc).startswith("not simple")
+            unbounded += str(exc).startswith(RAY)
             continue
         valid += 1
         vertices, active_sets = subset_scan(dim, list(p.halfspaces))
         assert (p.vertices, p.faces) == (vertices, _face_lattice(dim, active_sets))
-    assert valid >= 20 and non_simple >= 20 and flat >= 5, (valid, non_simple, flat)
+    assert valid >= 20 and non_simple >= 20 and flat >= 5 and unbounded >= 20, (
+        valid, non_simple, flat, unbounded)
 
 
 @st.composite
@@ -206,7 +229,7 @@ def shuffled_with_a_cut(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(shuffled_with_a_cut())
 def test_walk_matches_subset_scan_on_generated_inputs(case):
-    """Same vertices, tight sets and faces as the scan, or the same message;
+    """Same vertices, tight sets and faces as the scan, or the same verdict;
     and the kernel route's edges."""
     dim, hs = case
     try:
@@ -214,7 +237,7 @@ def test_walk_matches_subset_scan_on_generated_inputs(case):
     except ValidationError as exc:
         with pytest.raises(ValidationError) as info:
             subset_scan(dim, hs)
-        assert str(exc) == str(info.value)
+        assert_same_verdict(str(exc), str(info.value), [h.normal for h in hs])
         return
     vertices, active_sets = subset_scan(dim, hs)
     assert p.vertices == vertices
@@ -264,7 +287,8 @@ LEX_CASES.update((f"pyramid5_shuffled{s}", (3, random.Random(s).sample(pyramid(5
 def test_walk_solves_exactly_the_lex_feasible_bases(name, monkeypatch):
     """Phase 1 ends at a lex-feasible basis (or finds none exactly when there
     is none), and the walk then pivots into every other lex-feasible basis
-    once and into no other."""
+    once and into no other.  ``_walk`` is driven alone, so no other phase 1
+    (the recession check in ``validate``) is recorded."""
     dim, triples = LEX_CASES[name]
     feasible = [b for b in combinations(range(len(triples)), dim) if lex_feasible(triples, b)]
     walked = []
@@ -283,8 +307,7 @@ def test_walk_solves_exactly_the_lex_feasible_bases(name, monkeypatch):
 
     monkeypatch.setattr(polytope, "_phase_one", recording_phase_one)
     monkeypatch.setattr(polytope, "_pivot", recording_pivot)
-    with pytest.raises(ValidationError):
-        validate(dim, triples)
+    polytope._walk(dim, [HalfSpace(tuple(y), Fraction(eta), m) for y, eta, m in triples])
     if not feasible:
         assert walked == [None]
         return
@@ -297,3 +320,48 @@ def test_unblocked_edge_without_ray_is_an_internal_error(monkeypatch):
     dim, triples, _ = REJECTED["slab"]
     with pytest.raises(RuntimeError, match="no facet blocks the edge leaving facet .* at basis"):
         validate(dim, triples)
+
+
+def test_a_ray_outside_the_recession_cone_is_an_internal_error(monkeypatch):
+    # phase 1 on the recession system, with the sign of its basic solution flipped
+    phase_one = polytope._phase_one
+
+    def reflected_phase_one(dictionary):
+        d, basis, rows = phase_one(dictionary)
+        n_facets = len(rows) - len(basis)
+        return d, basis, rows[:n_facets] + [row[:-1] + [-row[-1]] for row in rows[n_facets:]]
+
+    monkeypatch.setattr(polytope, "_phase_one", reflected_phase_one)
+    with pytest.raises(RuntimeError, match=r"^recession phase 1: the basic solution "
+                                           r"\(-1, 0\) is not a recession ray$"):
+        polytope._check_bounded([(1, 0), (0, 1), (1, 1)], 2)
+
+
+def unit_cube(n):
+    return [(tuple(s * (j == i) for j in range(n)), 0 if s > 0 else -1, 1)
+            for i in range(n) for s in (1, -1)]
+
+
+def polygon20_squared():
+    return [(h.normal, h.offset, h.label) for h in product(polygon(20), polygon(20)).halfspaces]
+
+
+def test_rejections_scan_no_facet_subsets(monkeypatch):
+    """Emptiness and boundedness are decided by phase 1, with no C(N, n - 1)
+    scan: rejected inputs never reach ``_face_lattice``, so no ``combinations``
+    call may run."""
+    cases = [(n, unit_cube(n) + [((-1, -1) + (0,) * (n - 2), 5, 1)],
+              "not full-dimensional: the polytope is empty") for n in (5, 6, 7)]
+    cases += [(n, unit_cube(n)[:-1], f"unbounded in direction ({'0, ' * (n - 1)}1)")
+              for n in (8, 10)]
+    cases.append((4, polygon20_squared() + [((-1, 0, 0, 0), 1000, 1)],
+                  "not full-dimensional: the polytope is empty"))
+
+    def no_scan(*args):
+        raise AssertionError("combinations called during a rejection")
+
+    monkeypatch.setattr(polytope, "combinations", no_scan)
+    for dim, triples, message in cases:
+        with pytest.raises(ValidationError) as info:
+            validate(dim, triples)
+        assert str(info.value) == message
