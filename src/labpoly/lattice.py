@@ -13,12 +13,15 @@ first n pivots decide whether the normals have full rank.
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
 exact multiplication before returning, so a silent arithmetic bug cannot leak
-a wrong decomposition downstream.  Those checks run on every call; they are
-cheap because :func:`mat_mul` checks shapes once per product and
-:func:`matrix` passes rows of plain ints through unconverted.  Saturations
-and lattice quotients are not formed here: the structure-group oracle
-(:mod:`labpoly.local_model`) takes one Smith form of the tight normals and the
-index certificate instead.
+a wrong decomposition downstream.  Those checks run on every call.  The Smith
+elimination works in place on one list of rows, [D | U] above V, so that on
+the small matrices the callers pass (at most 6 x 6 in practice) the check's
+two products cost about as much as the elimination; they stay cheap because
+:func:`mat_mul` checks B's shape while transposing it and A's in one pass over
+its rows, and :func:`matrix` passes rows of plain ints through unconverted.
+Saturations and lattice quotients are not formed here: the structure-group
+oracle (:mod:`labpoly.local_model`) takes one Smith form of the tight normals
+and the index certificate instead.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(x) -> str:
     """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``, of any size."""
-    x = Fraction(x)
+    if type(x) is int:
+        return _decimal(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     num = _decimal(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
 
@@ -128,10 +134,13 @@ def mat_vec(a, v):
 def mat_mul(a, b):
     """The product A * B; raises ValueError unless every row of A has len(B)
     entries and every row of B the same number."""
-    width = len(b[0]) if b else 0
-    if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
-        raise ValueError("length mismatch")
-    bt = transpose(b)
+    try:
+        bt = tuple(zip(*b, strict=True))
+    except ValueError:
+        raise ValueError("length mismatch") from None
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError("length mismatch")
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
@@ -195,96 +204,70 @@ def smith_normal_form(a) -> SmithDecomposition:
     a = matrix(a)
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(r) for r in a]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_add(dst, src, q):  # row dst += q * row src
-        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_add(dst, src, q):  # col dst += q * col src
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def select_pivot(k):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < best[0]):
-                    if e in (1, -1):  # nothing later can beat it
-                        return i, j
-                    best = (abs(e), i, j)
-        return None if best is None else (best[1], best[2])
-
+    # one elimination in place: rows 0..m-1 are [D | U], so a row operation
+    # is one list comprehension, and rows m..m+n-1 are V, so a column
+    # operation (on a column j < n) is one loop over all rows
+    w = []
+    for i, row in enumerate(a):
+        w.append([*row, *[0] * m])
+        w[i][n + i] = 1
+    for i in range(n):
+        w.append([0] * n)
+        w[m + i][i] = 1
     k = 0
     while k < min(m, n):
-        pivot = select_pivot(k)
-        if pivot is None:
+        best = 0  # smallest |entry| of the block k.., k.. so far; 1 ends the search
+        for i in range(k, m):
+            row = w[i]
+            for j in range(k, n):
+                e = row[j]
+                if e and (not best or abs(e) < best):
+                    best, i0, j0 = abs(e), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        while True:
-            i0, j0 = pivot
-            if i0 != k:
-                row_swap(k, i0)
-            if j0 != k:
-                col_swap(k, j0)
-            if d[k][k] < 0:
-                row_negate(k)
-            p = d[k][k]
-            clear = True
-            for i in range(k + 1, m):
-                if d[i][k] != 0:
-                    q = d[i][k] // p
-                    if q:
-                        row_add(i, k, -q)
-                    if d[i][k] != 0:
-                        clear = False
-            for j in range(k + 1, n):
-                if d[k][j] != 0:
-                    q = d[k][j] // p
-                    if q:
-                        col_add(j, k, -q)
-                    if d[k][j] != 0:
-                        clear = False
-            if clear:
-                break
-            pivot = select_pivot(k)
-        # pivot must divide every remaining entry; if not, fold the offending
-        # row into row k and reduce again (the pivot strictly shrinks)
-        p = d[k][k]
-        offender = None
+        if i0 != k:
+            w[k], w[i0] = w[i0], w[k]
+        if j0 != k:
+            for row in w:
+                row[k], row[j0] = row[j0], row[k]
+        pk = w[k]
+        if pk[k] < 0:
+            pk = w[k] = [-x for x in pk]
+        p = pk[k]
+        clear = True  # no remainder left in row k or column k
         for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if d[i][j] % p != 0:
-                    offender = i
-                    break
+            row = w[i]
+            if row[k]:
+                q = row[k] // p
+                if q:
+                    row = w[i] = [x - q * y for x, y in zip(row, pk)]
+                clear = clear and not row[k]
+        for j in range(k + 1, n):
+            if pk[j]:
+                q = pk[j] // p
+                if q:
+                    for row in w:
+                        row[j] -= q * row[k]
+                clear = clear and not pk[j]
+        if p != 1:  # a unit leaves no remainder and divides every entry
+            if not clear:  # a nonzero remainder is smaller than p: pivot again
+                continue
+            # p must divide every remaining entry; if not, fold the first
+            # offending row into row k and reduce again (the pivot shrinks)
+            offender = next((i for i in range(k + 1, m)
+                             if any(x % p for x in w[i][k + 1:n])), None)
             if offender is not None:
-                break
-        if offender is None:
-            k += 1
-        else:
-            row_add(k, offender, 1)
+                w[k] = [x + y for x, y in zip(pk, w[offender])]
+                continue
+        k += 1
 
-    U = tuple(tuple(r) for r in u)
-    D = tuple(tuple(r) for r in d)
-    V = tuple(tuple(r) for r in v)
+    U = tuple([tuple(row[n:]) for row in w[:m]])
+    D = tuple([tuple(row[:n]) for row in w[:m]])
+    V = tuple(map(tuple, w[m:]))
     if mat_mul(mat_mul(U, a), V) != D:
         raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
     return SmithDecomposition(U, D, V)

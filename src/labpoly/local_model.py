@@ -33,14 +33,14 @@ and ``verify`` compare the two on every proper face.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import mul
 
 from .lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
-    dot,
     format_rational,
     smith_normal_form,
-    transpose,
 )
 from .polytope import Face, LabeledPolytope
 
@@ -59,8 +59,10 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     index = smith.diagonal
     if len(index) != len(tight) or 0 in index:
         raise ValueError("rows are linearly dependent")
-    columns = transpose(smith.V)[:len(tight)]
-    coords = tuple(tuple(h.label * dot(h.normal, col) for col in columns) for h in tight)
+    # the first k columns of V; V is n x n and each normal has n entries
+    columns = list(islice(zip(*smith.V), len(tight)))
+    coords = tuple([tuple([h.label * sum(map(mul, h.normal, col)) for col in columns])
+                    for h in tight])
     diag = smith_normal_form(coords).diagonal
     order = math.prod(diag)
     want = math.prod(h.label for h in tight) * math.prod(index)

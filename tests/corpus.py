@@ -7,7 +7,10 @@ that the cross-checking suites iterate over.  ``lattices_equal`` is a
 lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 ``det_rational`` are Fraction Gauss-Jordan references, ``adjugate`` and
 ``det`` integer Bareiss ones, ``rational_rank`` a Bareiss echelon
-(``_echelon``), ``unimodular_inverse`` inverts a unimodular matrix by one
+(``_echelon``), ``reference_smith_normal_form`` the Smith elimination written
+with one helper per row or column operation, whose (U, D, V) the package's
+in-place :func:`labpoly.lattice.smith_normal_form` must reproduce exactly,
+``unimodular_inverse`` inverts a unimodular matrix by one
 Hermite reduction, ``saturate`` and ``quotient_group`` form the structure
 group of a face the long way (``reference_structure_group``), as l / l-hat
 from a basis of the saturation l, and ``reference_saturate`` is the
@@ -33,6 +36,8 @@ from hypothesis import strategies as st
 from labpoly.lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
+    SmithDecomposition,
+    _describe,
     common_denominator,
     dot,
     format_rational,
@@ -248,6 +253,112 @@ def det(a) -> int:
         return adjugate(a)[0]
     except ValueError:  # singular
         return 0
+
+
+def reference_smith_normal_form(a) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, with transforms.
+
+    The diagonal of D is nonnegative, each entry divides the next, and
+    U * A * V == D exactly (verified before returning).  Pivots are chosen
+    by smallest nonzero absolute value, ties broken by lowest (row, col),
+    which makes the reduction deterministic.
+    """
+    a = matrix(a)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(r) for r in a]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_add(dst, src, q):  # row dst += q * row src
+        d[dst] = [x + q * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_negate(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def col_add(dst, src, q):  # col dst += q * col src
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def col_swap(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def select_pivot(k):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < best[0]):
+                    if e in (1, -1):  # nothing later can beat it
+                        return i, j
+                    best = (abs(e), i, j)
+        return None if best is None else (best[1], best[2])
+
+    k = 0
+    while k < min(m, n):
+        pivot = select_pivot(k)
+        if pivot is None:
+            break
+        while True:
+            i0, j0 = pivot
+            if i0 != k:
+                row_swap(k, i0)
+            if j0 != k:
+                col_swap(k, j0)
+            if d[k][k] < 0:
+                row_negate(k)
+            p = d[k][k]
+            clear = True
+            for i in range(k + 1, m):
+                if d[i][k] != 0:
+                    q = d[i][k] // p
+                    if q:
+                        row_add(i, k, -q)
+                    if d[i][k] != 0:
+                        clear = False
+            for j in range(k + 1, n):
+                if d[k][j] != 0:
+                    q = d[k][j] // p
+                    if q:
+                        col_add(j, k, -q)
+                    if d[k][j] != 0:
+                        clear = False
+            if clear:
+                break
+            pivot = select_pivot(k)
+        # pivot must divide every remaining entry; if not, fold the offending
+        # row into row k and reduce again (the pivot strictly shrinks)
+        p = d[k][k]
+        offender = None
+        for i in range(k + 1, m):
+            for j in range(k + 1, n):
+                if d[i][j] % p != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is None:
+            k += 1
+        else:
+            row_add(k, offender, 1)
+
+    U = tuple(tuple(r) for r in u)
+    D = tuple(tuple(r) for r in d)
+    V = tuple(tuple(r) for r in v)
+    if mat_mul(mat_mul(U, a), V) != D:
+        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
+    return SmithDecomposition(U, D, V)
 
 
 def saturate(b):

@@ -7,7 +7,9 @@ normal-form implementations never certify themselves.  ``saturate``,
 reference routes kept in ``tests/corpus.py``; the structure-group oracle in
 the package no longer forms a saturation or a quotient, and the vertex walk
 no longer takes an adjugate or a separate rank, but the tests still compare
-them with their references.
+them with their references.  ``reference_smith_normal_form`` there is the
+Smith elimination with one helper per row or column operation; the in-place
+kernel must return its exact (U, D, V) triple.
 """
 
 import math
@@ -45,10 +47,13 @@ from corpus import (
     invert_rational,
     lattices_equal,
     quotient_group,
+    generated_family,
     rational_rank,
     reference_saturate,
+    reference_smith_normal_form,
     saturate,
     solve_rational,
+    standard_corpus,
     unimodular_inverse,
 )
 
@@ -297,6 +302,43 @@ def test_smith_is_deterministic():
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
         assert smith_normal_form(rows) == smith_normal_form(rows)
+
+
+@st.composite
+def smith_inputs(draw):
+    """An m x n integer matrix, 0 <= m, n <= 6 (a 0 x n matrix is ``()``),
+    entries either small, so that pivots tie and units occur, or up to
+    +-2^61, with some rows and columns zeroed."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 61, 2 ** 61))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=3))
+    return tuple(tuple(0 if i in zero_rows or j in zero_cols else e for j, e in enumerate(row))
+                 for i, row in enumerate(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(smith_inputs())
+def test_smith_matches_reference_elimination(a):
+    # the in-place elimination makes the reference's row and column
+    # operations in the reference's order, so the whole triple agrees
+    assert smith_normal_form(a) == reference_smith_normal_form(a)
+
+
+def test_smith_matches_reference_on_every_face():
+    # the tight normals of every proper face, plain and label-scaled: the
+    # matrices the structure-group oracle and face_groups reduce
+    seen = set()
+    for _, p in standard_corpus() + generated_family():
+        for f in p.proper_faces():
+            tight = [p.halfspaces[i] for i in f.active]
+            seen.add(tuple(h.normal for h in tight))
+            seen.add(tuple(tuple(h.label * x for x in h.normal) for h in tight))
+    assert len(seen) > 1000
+    for a in seen:
+        assert smith_normal_form(a) == reference_smith_normal_form(a), a
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +661,28 @@ def test_mat_mul_checks_shapes():
         mat_mul(((1, 2), (3,)), ((1,), (1,)))
     with pytest.raises(ValueError, match="length mismatch"):
         mat_mul(((1, 1),), ((1, 2), (3,)))
+
+
+@pytest.mark.parametrize("a, b", [
+    (((1, 1),), ((1,), (2, 3))),
+    (((1, 1, 1),), ((1, 2), (3, 4), (5,))),
+    (((1, 2), (3, 4, 5)), ((1,), (1,))),
+    (((1, 2), (3,)), ((1,), (1,))),
+    (((1,),), ()),
+    ((), ((1, 2), (3,))),
+], ids=["ragged_b_short_first_row", "ragged_b_short_last_row", "a_second_row_long",
+        "a_second_row_short", "empty_b", "empty_a_ragged_b"])
+def test_mat_mul_length_mismatch(a, b):
+    with pytest.raises(ValueError, match="^length mismatch$"):
+        mat_mul(a, b)
+
+
+def test_mat_mul_empty_operands():
+    # an empty A has no rows to form; an empty B gives rows with no entries
+    assert mat_mul((), ((1, 2), (3, 4))) == ()
+    assert mat_mul((), ()) == ()
+    assert mat_mul(((), ()), ()) == ((), ())
+    assert mat_mul(((1, 2),), ((), ())) == ((),)
 
 
 @st.composite
