@@ -178,23 +178,23 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | Non
     """Check the defining identities of the construction at every vertex.
 
     At each vertex the slacks are nonnegative, vanish exactly on its tight
-    facets, and pair with each kernel row to the level; all of it runs in
-    integers (see the module docstring).  Returns a message naming the
-    vertex of the first failure, or None when every check passes.
+    facets (those of its edges), and pair with each kernel row to the level,
+    all in integers (see the module docstring).  Returns a message naming the
+    first failing vertex in vertex order, or None when every check passes.
     """
     q, offsets = common_denominator(d.scaled_offsets)
     columns = tuple(zip(*d.projection))
     level = [(a.numerator, a.denominator) for a in map(Fraction, d.level)]
     den, numerators = p.scaled_vertices
-    for f in p.vertex_faces():
-        vi = f.vertices[0]
+    for vi, edges in enumerate(p.edges):
+        tight = tuple(j for j, _ in edges)
         s = [q * sum(map(mul, numerators[vi], e)) - den * c for e, c in zip(columns, offsets)]
         negative = [i for i, si in enumerate(s) if si < 0]
         zero_set = tuple(i for i, si in enumerate(s) if si == 0)
         if negative:
             failure = f"has negative slack on facet {negative[0]}"
-        elif zero_set != f.active:
-            failure = f"has zero slacks {list(zero_set)}, tight facets {list(f.active)}"
+        elif zero_set != tight:
+            failure = f"has zero slacks {list(zero_set)}, tight facets {list(tight)}"
         elif not (len(level) == len(d.kernel_rows)
                   and all(sum(map(mul, row, s)) * b == a * den * q
                           for row, (a, b) in zip(d.kernel_rows, level))):

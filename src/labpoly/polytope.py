@@ -6,10 +6,10 @@ rational offsets eta_i, and a positive integer label m_i attached to each
 facet.  "Simple" means exactly n facets meet at every vertex.
 
 :func:`validate` is the only constructor that should be used: it checks all
-of the above exactly (no floating point), enumerates the vertices, and builds
-the face lattice.  Faces are identified by the sorted tuple of facet indices
-that are tight on them; the facet order of the input is preserved as the
-canonical indexing everywhere.
+of the above exactly (no floating point) and keeps the walk's vertices and
+edges, from which the face lattice is built on first read.  Faces are named
+by the sorted tuple of facet indices tight on them; the facet order of the
+input is preserved as the canonical indexing everywhere.
 """
 
 from __future__ import annotations
@@ -67,19 +67,23 @@ class Face:
 
 @dataclass(frozen=True)
 class LabeledPolytope:
-    """A validated labeled polytope; build it with :func:`validate`.
-
-    ``edges[vi]`` holds one ``(facet, direction)`` pair per facet tight at
-    vertex ``vi``, ordered by facet index (so the tight facets are
-    ``tuple(j for j, _ in edges[vi])``): the primitive integer direction of
-    the edge that leaves that facet and stays on the others.
+    """A validated labeled polytope, holding what the vertex walk proved; build
+    it with :func:`validate`.  ``edges[vi]`` holds one ``(facet, direction)``
+    pair per facet tight at vertex ``vi``, ordered by facet index (so the
+    tight facets are ``tuple(j for j, _ in edges[vi])``): the primitive integer
+    direction of the edge that leaves that facet and stays on the others.
+    :attr:`faces` is built from these tight sets on first read.
     """
 
     dim: int
     halfspaces: tuple
     vertices: tuple
-    faces: tuple
     edges: tuple
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Every face, by (codimension, tight set); validate checked these tight sets."""
+        return _face_lattice(self.dim, [tuple(j for j, _ in e) for e in self.edges])
 
     @cached_property
     def scaled_vertices(self) -> tuple:
@@ -93,9 +97,6 @@ class LabeledPolytope:
 
     def proper_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim > 0)
-
-    def vertex_faces(self) -> tuple:
-        return tuple(f for f in self.faces if f.codim == self.dim)
 
 
 def format_point(point) -> str:
@@ -120,7 +121,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     unblocked edge (:func:`_check_bounded`); nonempty; full-dimensional,
     simple at every vertex, no redundant facet.
 
-    Vertices and edges come from a walk over the vertex graph (:func:`_walk`).
+    It keeps the vertices and edges of the walk (:func:`_walk`), not the faces.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError("dimension must be a positive integer")
@@ -170,8 +171,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
         raise ValidationError("not full-dimensional: the polytope is empty")
     vertices, active_sets, edges = walked
     _check_vertices(dim, len(hs), vertices, active_sets)
-    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices,
-                           faces=_face_lattice(dim, active_sets), edges=edges)
+    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices, edges=edges)
 
 
 def _walk(dim, hs):

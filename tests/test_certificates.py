@@ -30,7 +30,7 @@ IDS = [name for name, _ in CASES]
 @pytest.mark.parametrize("name,p", CASES, ids=IDS)
 def test_face_group_orders_divide_vertex_determinants(name, p):
     dets = {}
-    for v in p.vertex_faces():
+    for v in (f for f in p.faces if f.codim == p.dim):
         rows = [tuple(p.halfspaces[i].label * y for y in p.halfspaces[i].normal)
                 for i in v.active]
         dets[v.vertices[0]] = abs(det_rational(rows))

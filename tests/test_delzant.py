@@ -124,8 +124,8 @@ CASES = standard_corpus() + generated_family()
 def test_closed_form_groups_equal_the_smith_route(name, p):
     # a facet, or a face through a vertex of determinant +-1 (by Fraction
     # elimination here), gets the sum of Z/m_i without a Smith form
-    smooth = {v.vertices[0] for v in p.vertex_faces()
-              if abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
+    smooth = {v.vertices[0] for v in p.faces if v.codim == p.dim
+              and abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
     assert delzant._unimodular_vertices(p) == smooth
     for f, g in face_groups(p):
         want = face_stabilizer(p, f)

@@ -5,6 +5,12 @@ relative file names, so neither stdout nor stderr mentions the machine.  The
 expected exit code, stdout and stderr of each job are in ``golden_cli.json``,
 recorded once from the release these jobs first ran on; any change to a
 printed byte is a change to the contract.
+
+The same jobs pin when the face lattice is built: never for ``validate``,
+``vertices``, ``betti`` and ``compare --symplectic``, which read the walk's
+vertices and edges only, and once per loaded polytope for every other
+command.  The unit 10-cube, whose lattice has 3^10 faces, checks the first
+half on an input where building it would cost more than the walk.
 """
 
 import contextlib
@@ -12,11 +18,14 @@ import io
 import json
 import os
 from fractions import Fraction
+from itertools import product
+from math import comb
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from labpoly import polytope
 from labpoly.cli import main
 
 from corpus import (
@@ -171,3 +180,73 @@ def test_golden_file_covers_every_job(expected):
 def test_cli_output_matches_golden(key, expected, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     assert run_job(JOBS[key]) == expected[key]
+
+
+# the commands that print only what the walk stored: vertices and edges
+LATTICE_FREE = {"validate", "vertices", "betti"}
+
+
+def _lattice_builds(argv) -> int:
+    """How often a successful job builds the face lattice: once per loaded
+    polytope, unless the command never reads it."""
+    if argv[0] in LATTICE_FREE or "--symplectic" in argv:
+        return 0
+    return sum(arg.endswith(".json") for arg in argv)
+
+
+def _succeeding_jobs() -> list:
+    """The jobs that load a polytope and exit 0: a failing job may stop before
+    or after it reads the lattice."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return [key for key, argv in JOBS.items() if key in golden and golden[key]["exit"] == 0
+            and any(arg.endswith(".json") for arg in argv)]
+
+
+@pytest.mark.parametrize("key", _succeeding_jobs())
+def test_face_lattice_is_built_once_per_polytope_that_reads_it(
+        key, expected, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    real, calls = polytope._face_lattice, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_face_lattice", counting)
+    assert run_job(JOBS[key]) == expected[key]
+    assert len(calls) == _lattice_builds(JOBS[key])
+
+
+def _cube_file(path, shift):
+    """The unit 10-cube moved by ``shift`` along x_1, unlabeled."""
+    triples = []
+    for i in range(10):
+        e = tuple(int(j == i) for j in range(10))
+        low = shift if i == 0 else 0
+        triples += [(e, low, 1), (tuple(-x for x in e), -(low + 1), 1)]
+    path.write_text(json.dumps({"dim": 10, "halfspaces": _halfspaces(triples)}))
+    return str(path)
+
+
+def test_lattice_free_commands_never_build_the_lattice_of_the_10_cube(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the face lattice was built")
+
+    monkeypatch.setattr(polytope, "_face_lattice", refuse)
+    cube = _cube_file(tmp_path / "cube10.json", 0)
+    moved = _cube_file(tmp_path / "cube10_moved.json", Fraction(1, 2))
+    corners = list(product((0, 1), repeat=10))
+    points = ["(" + ", ".join(map(str, v)) + ")" for v in corners]
+    # xi > 0 falls along the edge leaving facet -x_i >= -1 and rises along
+    # every other, so the index of a vertex is twice its number of 1s
+    betti = ["xi = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)",
+             *(f"vertex {x}: index {2 * sum(v)}" for x, v in zip(points, corners)),
+             f"poincare coefficients: {[0 if k % 2 else comb(10, k // 2) for k in range(21)]}"]
+    for argv, lines in [
+            (["validate", cube], [f"valid: dim 10, 20 facets, 1024 vertices, labels {[1] * 20}"]),
+            (["vertices", cube], points),
+            (["betti", cube, "--xi", "1,2,3,4,5,6,7,8,9,10"], betti),
+            (["compare", cube, moved, "--symplectic"],
+             ["symplectomorphic (translation by (1/2, 0, 0, 0, 0, 0, 0, 0, 0, 0))"])]:
+        assert run_job(argv) == {"exit": 0, "stdout": "".join(f"{x}\n" for x in lines),
+                                 "stderr": ""}, argv[0]
