@@ -176,8 +176,9 @@ def _oracle_rows(p, groups):
     """``(face, reduction group, local group, agree)`` for every proper face.
 
     ``groups`` are the groups of :func:`labpoly.delzant.face_groups`;
-    :func:`labpoly.local_model.structure_group` recomputes each one from one
-    Smith form of the tight normals and the index certificate.
+    :func:`labpoly.local_model.structure_group` recomputes each one from a
+    column echelon of the tight normals, one Smith form and the index
+    certificate.
     """
     rows = []
     for f, a in groups:

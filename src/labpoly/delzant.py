@@ -135,15 +135,27 @@ def _unimodular_vertices(p: LabeledPolytope) -> set:
 
 
 def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
-    """Sum of Z/m_i over the face's facets by pairwise (gcd, lcm) merging; an
-    order other than the product of the labels raises."""
-    fs = [p.halfspaces[i].label for i in face.active]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            g = math.gcd(fs[i], fs[j])
-            fs[i], fs[j] = g, fs[i] * fs[j] // g
-    group = FiniteAbelianGroup(tuple(x for x in fs if x > 1))
-    if group.order != math.prod(p.halfspaces[i].label for i in face.active):
+    """Sum of Z/m_i over the face's facets; an order other than the product
+    of the labels raises.
+
+    Each label m is merged into the invariant factors found so far, from the
+    largest down: Z/d + Z/m = Z/lcm(d, m) + Z/gcd(d, m), and the gcd is
+    carried to the next smaller factor, or becomes the new smallest one.
+    That is O(k * r) gcd steps for k labels and a group of rank r.
+    """
+    labels = [p.halfspaces[i].label for i in face.active]
+    fs = []  # invariant factors so far, each >= 2 and dividing the next
+    for m in labels:
+        j = len(fs)
+        while m > 1 and j:
+            j -= 1
+            g = math.gcd(fs[j], m)
+            fs[j] = fs[j] // g * m
+            m = g
+        if m > 1:
+            fs.insert(0, m)
+    group = FiniteAbelianGroup(tuple(fs))
+    if group.order != math.prod(labels):
         raise RuntimeError(f"invariant factors {fs} over face {list(face.active)} "
                            f"lost the product of its labels")
     return group

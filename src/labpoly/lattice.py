@@ -19,9 +19,16 @@ the small matrices the callers pass (at most 6 x 6 in practice) the check's
 two products cost about as much as the elimination; they stay cheap because
 :func:`mat_mul` checks B's shape while transposing it and A's in one pass over
 its rows, and :func:`matrix` passes rows of plain ints through unconverted.
+The identity check catches a wrong step of the elimination.  It does not
+prove the transforms unimodular: a U or V of determinant other than +-1 with
+a D that agrees with it passes, so that rests on construction (every step is
+a swap, a negation or the addition of a multiple of one row or column to
+another).
+
 Saturations and lattice quotients are not formed here: the structure-group
-oracle (:mod:`labpoly.local_model`) takes one Smith form of the tight normals
-and the index certificate instead.
+oracle (:mod:`labpoly.local_model`) reduces the tight normals by a column
+echelon of its own, re-reads it by forward substitution, and takes one Smith
+form, of the normals' scaled coordinates, under the index certificate.
 """
 
 from __future__ import annotations
@@ -377,16 +384,20 @@ class FiniteAbelianGroup:
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is a tuple (d_1, ..., d_k) with each d_i >= 2 and
-    d_i dividing d_{i+1}; the empty tuple is the trivial group.  A factor
-    that is not an integer (a float, bool, str or fractional Fraction) raises
-    ValueError.
+    d_i dividing d_{i+1}; the empty tuple is the trivial group.  A tuple of
+    plain ints is kept as it is; any other sequence is coerced entry by entry,
+    and a factor that is not an integer (a float, bool, str or fractional
+    Fraction) raises ValueError.  The bound and the divisibility chain are
+    checked on every group.
     """
 
     invariant_factors: tuple
 
     def __post_init__(self):
-        fs = tuple(_as_int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", fs)
+        fs = self.invariant_factors
+        if type(fs) is not tuple or not all(type(d) is int for d in fs):
+            fs = tuple(_as_int(d) for d in fs)
+            object.__setattr__(self, "invariant_factors", fs)
         for d in fs:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")

@@ -1,5 +1,5 @@
-"""The structure group of a face, from one Smith form of the tight normals and
-the index certificate: the independent oracle.
+"""The structure group of a face, from a column echelon of the tight normals,
+one Smith form and the index certificate: the independent oracle.
 
 For a face with tight facet set S (k facets) the relevant sublattices of Z^n
 are
@@ -9,32 +9,45 @@ are
 
 and the structure group of the face is the finite quotient l / l-hat.
 
-Take the Smith form U * Y * V = D of the k x n matrix Y of tight normals
-(verified by :func:`labpoly.lattice.smith_normal_form`), with invariant
-factors d_1, ..., d_k.  Then Y * V = U^-1 * [D 0]: the columns of Y * V past
-k are zero, so the first k columns C are the coordinates of the y_i in the
-basis of l formed by the first k rows of V^-1.  The scaled normals have
-coordinates M = diag(m_S) * C, so l / l-hat = Z^k / Z^k M, whose invariant
-factors are the entries > 1 of the Smith diagonal of M.
-
-The index certificate: |det C| = |det D_k| / |det U| = d_1 ... d_k, the index
-[l : Z Y] of the normals' span in its saturation, so
+Column operations of determinant +-1 (a swap of two columns, or a multiple of
+one column subtracted from another) reduce the k x n matrix Y of tight
+normals to [L | 0] with L lower triangular (:func:`_column_echelon`).  So
+Y = L * R, where R is the first k rows of the inverse of the accumulated
+column transform: R is a basis of the saturation l, and row i of L holds the
+coordinates of y_i in that basis.  The scaled normals have coordinates
+M = diag(m_S) * L, so l / l-hat = Z^k / Z^k M, whose invariant factors are the
+entries > 1 of the Smith diagonal of M.  L is triangular, so the index of the
+normals' span in its saturation is [l : Z Y] = |L_11 ... L_kk|, and
 
     |l / l-hat| = |det M| = (m_1 ... m_k) * [l : Z Y].
 
-The product of M's Smith diagonal must equal the labels' product times the
-product of Y's invariant factors, or the oracle raises RuntimeError naming the
-face.  :func:`labpoly.delzant.face_groups`, which the CLI prints, reads the
-group off the labels or off one Smith form of the scaled normals and never
-computes that index, so this route stays independent of it; ``stabilizers``
-and ``verify`` compare the two on every proper face.
+What each runtime check catches:
+
+- a zero on L's diagonal means the normals are dependent: ValueError;
+- Y = L * R is re-read by forward substitution, each division exact, so an
+  echelon whose L is not a left factor of Y with integral R raises
+  RuntimeError naming the face (:func:`_first_fractional_row`);
+- :func:`labpoly.lattice.smith_normal_form` verifies U * M * V = D;
+- the index certificate: the product of M's Smith diagonal must equal the
+  labels' product times |L_11 ... L_kk|, or RuntimeError names the face.  It
+  catches a diagonal of M that is not the order of Z^k / Z^k M, which
+  U * M * V = D alone does not when a transform has determinant other than
+  +-1, and an M formed from anything but the checked L;
+- :class:`labpoly.lattice.FiniteAbelianGroup` checks the divisibility chain.
+
+That R is a basis of l, and not of a sublattice of it, rests on every column
+step having determinant +-1, which holds by construction, as the
+unimodularity of a Smith transform does; a wrong split of the right order
+(Z/4 for Z/2 x Z/2) is caught only by the comparison below.
+:func:`labpoly.delzant.face_groups`, which the CLI prints, reads the group off
+the labels or off one Smith form of the scaled normals and never computes L
+or the index, so this route stays independent of it; ``stabilizers`` and
+``verify`` compare the two on every proper face.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
-from operator import mul
 
 from .lattice import (
     TRIVIAL_GROUP,
@@ -49,26 +62,87 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """The finite abelian group l / l-hat of a face, in invariant-factor form.
 
     Trivial for the whole polytope (empty tight set).  Dependent tight
-    normals (a zero on their Smith diagonal) raise ValueError; a group order
-    that fails the index certificate raises RuntimeError.
+    normals (a zero on L's diagonal) raise ValueError; an echelon that fails
+    Y = L * R, or a group order that fails the index certificate, raises
+    RuntimeError.
     """
     if not face.active:
         return TRIVIAL_GROUP
     tight = [p.halfspaces[i] for i in face.active]
-    smith = smith_normal_form(tuple(h.normal for h in tight))
-    index = smith.diagonal
-    if len(index) != len(tight) or 0 in index:
-        raise ValueError("rows are linearly dependent")
-    # the first k columns of V; V is n x n and each normal has n entries
-    columns = list(islice(zip(*smith.V), len(tight)))
-    coords = tuple([tuple([h.label * sum(map(mul, h.normal, col)) for col in columns])
-                    for h in tight])
-    diag = smith_normal_form(coords).diagonal
+    normals = [h.normal for h in tight]
+    lower = _column_echelon(normals)
+    row = _first_fractional_row(normals, lower)
+    if row is not None:
+        raise RuntimeError(
+            f"column echelon over face {list(face.active)} broke the identity "
+            f"Y = L*R: row {row} of R is not integral")
+    diag = smith_normal_form(tuple([tuple([h.label * x for x in r])
+                                    for h, r in zip(tight, lower)])).diagonal
     order = math.prod(diag)
-    want = math.prod(h.label for h in tight) * math.prod(index)
+    want = (math.prod(h.label for h in tight)
+            * math.prod(abs(r[i]) for i, r in enumerate(lower)))
     if order != want:
         raise RuntimeError(
             f"structure group over face {list(face.active)} has order "
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
+def _column_echelon(rows) -> tuple:
+    """The k x k lower triangular L of Y * T = [L | 0], T a product of column
+    swaps and subtractions of a multiple of one column from another.
+
+    Row r is cleared past its pivot by Euclid's algorithm on the columns not
+    yet pivoted: of those nonzero in row r, the one with the smallest |entry|
+    there is subtracted from each other one as often as that entry goes into
+    theirs, until one column is left nonzero there; it is the pivot column.
+    No nonzero column left raises ValueError.
+    """
+    k = len(rows)
+    rest = list(zip(*rows))
+    done = []
+    for r in range(k):
+        live, zero = [], []
+        for c in rest:
+            (live if c[r] else zero).append(c)
+        rest = zero
+        if not live:
+            raise ValueError("rows are linearly dependent")
+        while len(live) > 1:
+            pivot = min(live, key=lambda c: abs(c[r]))
+            p = pivot[r]
+            left = [pivot]
+            for c in live:
+                if c is not pivot:
+                    q = c[r] // p
+                    c = [x - q * y for x, y in zip(c, pivot)]
+                    (left if c[r] else rest).append(c)
+            live = left
+        done.append(live[0])
+    # the entries above the diagonal are zero by construction; writing them
+    # as zeros makes the L that Y = L * R is checked on triangular
+    return tuple([(*[c[i] for c in done[:i + 1]], *[0] * (k - 1 - i)) for i in range(k)])
+
+
+def _first_fractional_row(rows, lower):
+    """The first row of R with Y = L * R that is not integral, or None.
+
+    R is found by forward substitution on the lower triangular L; a row is
+    integral when its division by L's diagonal entry is exact.
+    """
+    solved = []
+    for i, (y, l) in enumerate(zip(rows, lower)):
+        acc = y
+        for c, r in zip(l, solved):  # the i entries left of the diagonal
+            if c:
+                acc = [a - c * b for a, b in zip(acc, r)]
+        d = l[i]
+        if d == -1:
+            acc = [-a for a in acc]
+        elif d != 1:
+            if not d or any(a % d for a in acc):
+                return i
+            acc = [a // d for a in acc]
+        solved.append(acc)
+    return None

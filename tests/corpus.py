@@ -13,7 +13,9 @@ in-place :func:`labpoly.lattice.smith_normal_form` must reproduce exactly,
 ``unimodular_inverse`` inverts a unimodular matrix by one
 Hermite reduction, ``saturate`` and ``quotient_group`` form the structure
 group of a face the long way (``reference_structure_group``), as l / l-hat
-from a basis of the saturation l, and ``reference_saturate`` is the
+from a basis of the saturation l, ``two_smith_structure_group`` is the
+structure-group oracle as two Smith forms, of the tight normals and of their
+scaled coordinates, and ``reference_saturate`` is the
 saturation route that inverts the Smith transform with
 ``unimodular_inverse``, ``contains`` tests a point against every facet
 inequality, ``convex_combinations`` draws seeded points of a polytope from
@@ -442,6 +444,31 @@ def reference_structure_group(p, face):
     scaled = tuple(tuple(p.halfspaces[i].label * x for x in p.halfspaces[i].normal)
                    for i in face.active)
     return quotient_group(saturate(normals), scaled)
+
+
+def two_smith_structure_group(p, face):
+    """The structure group of a face from two Smith forms, as the package's
+    oracle took it before its column echelon.
+
+    ``U * Y * V = D`` of the k x n tight normals Y: the first k columns C of
+    Y * V are the normals' coordinates in a basis of the saturation l, and
+    the index [l : Z Y] is the product of Y's invariant factors.  The group is
+    read off the Smith diagonal of M = diag(m_S) * C, whose product must be
+    the labels' product times that index.
+    """
+    if not face.active:
+        return TRIVIAL_GROUP
+    tight = [p.halfspaces[i] for i in face.active]
+    smith = smith_normal_form(tuple(h.normal for h in tight))
+    index = smith.diagonal
+    if len(index) != len(tight) or 0 in index:
+        raise ValueError("rows are linearly dependent")
+    columns = list(zip(*smith.V))[:len(tight)]
+    coords = tuple(tuple(h.label * dot(h.normal, col) for col in columns) for h in tight)
+    diag = smith_normal_form(coords).diagonal
+    if math.prod(diag) != math.prod(h.label for h in tight) * math.prod(index):
+        raise RuntimeError(f"index certificate failed over face {list(face.active)}")
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
 def contains(p, point) -> bool:

@@ -12,7 +12,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import count
 from pathlib import Path
 
 import pytest
@@ -671,9 +670,9 @@ def _break_products_in(function):
 
 
 def _break_oracle_products_in_smith(monkeypatch):
-    # lattice.mat_mul off by one inside the Smith forms the oracle takes, so
-    # smith_normal_form's own check of U*A*V = D fails there; the Smith forms
-    # of face_groups keep the real product
+    # lattice.mat_mul off by one inside the Smith form the oracle takes of M,
+    # so smith_normal_form's own check of U*A*V = D fails there; the Smith
+    # forms of face_groups keep the real product
     real = lattice.mat_mul
 
     def patched(a, b):
@@ -685,19 +684,40 @@ def _break_oracle_products_in_smith(monkeypatch):
     monkeypatch.setattr(lattice, "mat_mul", patched)
 
 
-def _change_oracle_smith(change, parity):
-    # the oracle takes two Smith forms per face, of the tight normals Y (even
-    # calls) and of their scaled coordinates M (odd calls); those of one
-    # parity are changed, unchecked
+def _change_oracle_echelon(change):
+    # ``change(L)`` edits every lower triangular L the oracle's column echelon
+    # returns, unchecked
+    def patch(monkeypatch):
+        real = local_model._column_echelon
+        monkeypatch.setattr(local_model, "_column_echelon", lambda rows: change(real(rows)))
+    return patch
+
+
+def _double_first_column(lower):
+    # what a step that doubles a column, determinant 2, leaves in L
+    return tuple((2 * row[0], *row[1:]) for row in lower)
+
+
+def _change_oracle_smith_input(change):
+    # ``change(M)`` edits the matrix the oracle hands to its Smith form, after
+    # Y = L*R was checked and the index read off L's diagonal
     def patch(monkeypatch):
         real = local_model.smith_normal_form
-        calls = count()
+        monkeypatch.setattr(local_model, "smith_normal_form", lambda a: real(change(a)))
+    return patch
 
-        def patched(a):
-            s = real(a)
-            return change(s) if next(calls) % 2 == parity else s
 
-        monkeypatch.setattr(local_model, "smith_normal_form", patched)
+def _unit_diagonal(a):
+    # each diagonal entry replaced by its sign
+    return tuple(tuple((x > 0) - (x < 0) if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+def _change_oracle_smith(change):
+    # ``change(s)`` edits the Smith decomposition of M, unchecked
+    def patch(monkeypatch):
+        real = local_model.smith_normal_form
+        monkeypatch.setattr(local_model, "smith_normal_form", lambda a: change(real(a)))
     return patch
 
 
@@ -742,19 +762,18 @@ def _no_generic_direction(monkeypatch):
      "Hermite reduction broke the identity U*A = H on the 1x3 matrix with largest "
      "entry bit-length 1"),
     (_break_oracle_products_in_smith, ["stabilizers", "w2"],
-     "Smith reduction broke the identity U*A*V = D on the 1x2 matrix with largest "
+     "Smith reduction broke the identity U*A*V = D on the 1x1 matrix with largest "
      "entry bit-length 1"),
-    # D doubled breaks U*Y*V = D: the saturation index read off it is wrong
-    (_change_oracle_smith(_double_diagonal, 0), ["stabilizers", "w2"],
-     "structure group over face [0] has order 1, not the labels' product times "
-     "the saturation index, 2"),
-    # V's first column doubled (det V = 2): Y*V gives coordinates in a basis
-    # of a lattice that contains l with index 2, not of l
-    (_change_oracle_smith(lambda s: s._replace(
-        V=tuple((2 * row[0], *row[1:]) for row in s.V)), 0), ["stabilizers", "w2"],
-     "structure group over face [0] has order 2, not the labels' product times "
-     "the saturation index, 1"),
-    (_change_oracle_smith(_double_diagonal, 1), ["verify", "w2"],
+    # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
+    (_change_oracle_echelon(_double_first_column), ["stabilizers", "w2"],
+     "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
+     "not integral"),
+    # M built from an L with unit diagonal: the saturation index 2 of the
+    # normals (1, 0), (-1, -2), read off the checked L, no longer matches
+    (_change_oracle_smith_input(_unit_diagonal), ["stabilizers", "w2"],
+     "structure group over face [0, 2] has order 1, not the labels' product "
+     "times the saturation index, 2"),
+    (_change_oracle_smith(_double_diagonal), ["verify", "w2"],
      "structure group over face [0] has order 2, not the labels' product times "
      "the saturation index, 1"),
     (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
@@ -764,8 +783,8 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "hermite", "oracle_smith_identity", "oracle_index_divisors",
-        "oracle_index_transform", "oracle_index_certificate", "walk_basis_row",
+], ids=["smith", "hermite", "oracle_smith_identity", "oracle_echelon_identity",
+        "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)

@@ -1,10 +1,14 @@
 """Tests for the reduction construction: projection, kernel, level,
 stabilizers, and the membership of the two independent group computations."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labpoly import delzant
 from labpoly.delzant import (
@@ -15,6 +19,7 @@ from labpoly.delzant import (
 )
 from labpoly.lattice import dot, mat_vec
 from labpoly.local_model import structure_group
+from labpoly.polytope import Face
 
 from corpus import (
     box,
@@ -132,6 +137,25 @@ def test_closed_form_groups_equal_the_smith_route(name, p):
         assert g == want, (f.active, str(g), str(want))
         if f.codim == 1 or smooth.intersection(f.vertices):
             assert delzant._label_group(p, f) == want, f.active
+
+
+def pairwise_label_group(labels):
+    """Invariant factors of the sum of Z/m by (gcd, lcm) merging of every pair."""
+    fs = list(labels)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = math.gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] * fs[j] // g
+    return tuple(x for x in fs if x > 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+def test_label_group_matches_the_pairwise_merge(labels):
+    # _label_group reads only the labels of the face's facets
+    p = SimpleNamespace(halfspaces=[SimpleNamespace(label=m) for m in labels])
+    face = Face(tuple(range(len(labels))), ())
+    assert delzant._label_group(p, face).invariant_factors == pairwise_label_group(labels)
 
 
 def test_labeled_box_takes_no_smith_form(monkeypatch):

@@ -586,6 +586,21 @@ def test_group_rejects_non_integer_factors():
     assert FiniteAbelianGroup((Fraction(2), 4)).invariant_factors == (2, 4)
 
 
+def test_group_coerces_all_but_a_tuple_of_plain_ints():
+    # a tuple of plain ints is kept as it is; a bad factor anywhere in the
+    # tuple still raises, and so does any other sequence holding one
+    plain = (2, 4)
+    assert FiniteAbelianGroup(plain).invariant_factors is plain
+    for bad in (True, 2.0, "2", Fraction(5, 2)):
+        for factors in ((2, bad), (bad, 4), [2, bad]):
+            with pytest.raises(ValueError, match="not an integer entry"):
+                FiniteAbelianGroup(factors)
+    assert FiniteAbelianGroup([2, Fraction(4)]).invariant_factors == (2, 4)
+    for factors in ((2, 1), (4, 6), [3, 2]):
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup(factors)
+
+
 def test_group_validation():
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))

@@ -1,9 +1,15 @@
 """Tests for structure groups and the saturation of face normals."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labpoly.delzant import face_groups
-from labpoly.local_model import structure_group
+from labpoly.lattice import smith_normal_form
+from labpoly.local_model import _column_echelon, _first_fractional_row, structure_group
+from labpoly.polytope import Face
 
 from corpus import (
     box,
@@ -19,6 +25,7 @@ from corpus import (
     square,
     standard_corpus,
     t1,
+    two_smith_structure_group,
     w2,
 )
 
@@ -43,6 +50,14 @@ def test_facet_groups_across_corpus():
 def test_whole_polytope_is_trivial():
     p = t1()
     assert structure_group(p, face_by_active(p, ())).is_trivial
+
+
+def test_dependent_tight_normals_raise():
+    # opposite facets of the square, and three facets in the plane
+    p = square()
+    for active in [(0, 1), (0, 2, 3)]:
+        with pytest.raises(ValueError, match="rows are linearly dependent"):
+            structure_group(p, Face(active, ()))
 
 
 def test_w2_vertex_group():
@@ -112,12 +127,13 @@ def test_saturate_matches_reference_on_every_face():
 # ---------------------------------------------------------------------------
 
 def assert_oracles_agree(name, p):
-    """On every proper face: one Smith form of the tight normals and the index
-    certificate, l / l-hat from a basis of the saturation l, and the groups
-    the CLI prints give the same group."""
+    """On every proper face: the column echelon and the index certificate,
+    the two Smith forms the oracle took before it, l / l-hat from a basis of
+    the saturation l, and the groups the CLI prints give the same group."""
     for f, printed in face_groups(p):
         got = structure_group(p, f)
-        assert got == reference_structure_group(p, f) == printed, (name, f.active)
+        assert got == two_smith_structure_group(p, f) == printed, (name, f.active)
+        assert got == reference_structure_group(p, f), (name, f.active)
 
 
 def test_oracle_matches_the_saturation_route_on_the_corpus():
@@ -135,3 +151,42 @@ def test_oracle_matches_the_saturation_route_on_a_labeled_7_cube():
 @given(labeled_polygon_products())
 def test_oracle_matches_the_saturation_route_on_generated_polytopes(p):
     assert_oracles_agree("generated", p)
+
+
+# ---------------------------------------------------------------------------
+# the column echelon
+# ---------------------------------------------------------------------------
+
+@st.composite
+def short_rows(draw):
+    """k <= n integer rows, entries in [-6, 6]."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    entries = st.tuples(*[st.integers(-6, 6)] * n)
+    return draw(st.lists(entries, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(short_rows())
+def test_echelon_is_a_triangular_left_factor_with_the_saturation_index(rows):
+    smith = smith_normal_form(rows).diagonal
+    if 0 in smith:
+        with pytest.raises(ValueError, match="rows are linearly dependent"):
+            _column_echelon(rows)
+        return
+    lower = _column_echelon(rows)
+    k = len(rows)
+    assert all(lower[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+    assert _first_fractional_row(rows, lower) is None
+    # |L_11 ... L_kk| is [l : Z Y], the product of Y's invariant factors
+    assert math.prod(abs(lower[i][i]) for i in range(k)) == math.prod(smith)
+
+
+def test_first_fractional_row_is_the_first_row_with_a_remainder():
+    rows = [(1, 0), (-1, -2)]
+    lower = _column_echelon(rows)
+    assert lower == ((1, 0), (-1, -2))
+    assert _first_fractional_row(rows, lower) is None
+    assert _first_fractional_row(rows, ((2, 0), (-1, -2))) == 0
+    assert _first_fractional_row(rows, ((1, 0), (-1, -4))) == 1
+    assert _first_fractional_row(rows, ((1, 0), (-1, 0))) == 1
