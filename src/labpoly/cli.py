@@ -177,7 +177,7 @@ def _oracle_rows(p, groups):
 
     ``groups`` are the groups of :func:`labpoly.delzant.face_groups`;
     :func:`labpoly.local_model.structure_group` recomputes each one from a
-    column echelon of the tight normals, one Smith form and the index
+    column echelon of the tight normals, one Smith diagonal and the index
     certificate.
     """
     rows = []

@@ -13,22 +13,26 @@ first n pivots decide whether the normals have full rank.
 The integer-matrix normal forms (Smith and Hermite) return the unimodular
 transforms alongside the reduced matrix and re-verify the defining identity by
 exact multiplication before returning, so a silent arithmetic bug cannot leak
-a wrong decomposition downstream.  Those checks run on every call.  The Smith
-elimination works in place on one list of rows, [D | U] above V, so that on
-the small matrices the callers pass (at most 6 x 6 in practice) the check's
-two products cost about as much as the elimination; they stay cheap because
-:func:`mat_mul` checks B's shape while transposing it and A's in one pass over
-its rows, and :func:`matrix` passes rows of plain ints through unconverted.
-The identity check catches a wrong step of the elimination.  It does not
-prove the transforms unimodular: a U or V of determinant other than +-1 with
-a D that agrees with it passes, so that rests on construction (every step is
-a swap, a negation or the addition of a multiple of one row or column to
-another).
+a wrong decomposition downstream.  Those checks run on every call of
+:func:`smith_normal_form` and :func:`hermite_normal_form`.  The Smith
+elimination (:func:`_eliminate`) works in place on one list of rows, [D | U]
+above V, so that on the small matrices the callers pass (at most 6 x 6 in
+practice) the check's two products cost about as much as the elimination;
+they stay cheap because :func:`mat_mul` checks B's shape while transposing it
+and A's in one pass over its rows, and :func:`matrix` passes rows of plain
+ints through unconverted.  The identity check catches a wrong step of the
+elimination.  It does not prove the transforms unimodular: a U or V of
+determinant other than +-1 with a D that agrees with it passes, so that rests
+on construction (every step is a swap, a negation or the addition of a
+multiple of one row or column to another).
 
-Saturations and lattice quotients are not formed here: the structure-group
-oracle (:mod:`labpoly.local_model`) reduces the tight normals by a column
-echelon of its own, re-reads it by forward substitution, and takes one Smith
-form, of the normals' scaled coordinates, under the index certificate.
+:func:`smith_diagonal` runs the same elimination on the rows of A alone and
+returns the diagonal: it keeps no transform and checks no identity, so its
+caller must certify what it reads.  Its one caller, the structure-group
+oracle (:mod:`labpoly.local_model`), reduces the tight normals by a column
+echelon of its own, re-reads it by forward substitution, and checks the
+diagonal of the normals' scaled coordinates against the index certificate.
+Saturations and lattice quotients are not formed here.
 """
 
 from __future__ import annotations
@@ -204,16 +208,14 @@ def smith_normal_form(a) -> SmithDecomposition:
     """Smith normal form of an integer matrix, with transforms.
 
     The diagonal of D is nonnegative, each entry divides the next, and
-    U * A * V == D exactly (verified before returning).  Pivots are chosen
-    by smallest nonzero absolute value, ties broken by lowest (row, col),
-    which makes the reduction deterministic.
+    U * A * V == D exactly (verified before returning).  The reduction is
+    :func:`_eliminate`'s, and deterministic.
     """
     a = matrix(a)
     m = len(a)
     n = len(a[0]) if m else 0
-    # one elimination in place: rows 0..m-1 are [D | U], so a row operation
-    # is one list comprehension, and rows m..m+n-1 are V, so a column
-    # operation (on a column j < n) is one loop over all rows
+    # one elimination in place: rows 0..m-1 are [D | U] and rows m..m+n-1
+    # are V, so the row operations carry U and the column operations V
     w = []
     for i, row in enumerate(a):
         w.append([*row, *[0] * m])
@@ -221,6 +223,37 @@ def smith_normal_form(a) -> SmithDecomposition:
     for i in range(n):
         w.append([0] * n)
         w[m + i][i] = 1
+    _eliminate(w, m, n)
+    U = tuple([tuple(row[n:]) for row in w[:m]])
+    D = tuple([tuple(row[:n]) for row in w[:m]])
+    V = tuple(map(tuple, w[m:]))
+    if mat_mul(mat_mul(U, a), V) != D:
+        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
+    return SmithDecomposition(U, D, V)
+
+
+def smith_diagonal(a) -> tuple:
+    """The diagonal of ``smith_normal_form(a).D``, by the same elimination
+    (:func:`_eliminate`) on the rows of A alone: no U or V, and so no
+    U * A * V = D check.  The entries are nonnegative and each divides the
+    next; a caller that needs them certified checks them itself."""
+    a = matrix(a)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    w = [list(row) for row in a]
+    _eliminate(w, m, n)
+    return tuple([w[i][i] for i in range(min(m, n))])
+
+
+def _eliminate(w, m, n) -> None:
+    """Reduce the m x n block at the top left of the rows ``w`` to Smith form
+    in place.  A row operation is one list comprehension over the whole of a
+    row among the first m, a column operation (on a column j < n) one loop
+    over every row of ``w``, so columns past n carry U and rows past m carry V.
+
+    Pivots are chosen by smallest nonzero absolute value, ties broken by
+    lowest (row, col), which makes the reduction deterministic.
+    """
     k = 0
     while k < min(m, n):
         best = 0  # smallest |entry| of the block k.., k.. so far; 1 ends the search
@@ -271,13 +304,6 @@ def smith_normal_form(a) -> SmithDecomposition:
                 w[k] = [x + y for x, y in zip(pk, w[offender])]
                 continue
         k += 1
-
-    U = tuple([tuple(row[n:]) for row in w[:m]])
-    D = tuple([tuple(row[:n]) for row in w[:m]])
-    V = tuple(map(tuple, w[m:]))
-    if mat_mul(mat_mul(U, a), V) != D:
-        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
-    return SmithDecomposition(U, D, V)
 
 
 # ---------------------------------------------------------------------------

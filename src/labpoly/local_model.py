@@ -1,5 +1,6 @@
 """The structure group of a face, from a column echelon of the tight normals,
-one Smith form and the index certificate: the independent oracle.
+one transform-free Smith diagonal and the index certificate: the independent
+oracle.
 
 For a face with tight facet set S (k facets) the relevant sublattices of Z^n
 are
@@ -21,28 +22,30 @@ normals' span in its saturation is [l : Z Y] = |L_11 ... L_kk|, and
 
     |l / l-hat| = |det M| = (m_1 ... m_k) * [l : Z Y].
 
-What each runtime check catches:
+The Smith diagonal of M comes from :func:`labpoly.lattice.smith_diagonal`,
+the elimination of :func:`labpoly.lattice.smith_normal_form` run without U
+and V, so no U * M * V = D identity is formed or checked.  What each runtime
+check catches:
 
 - a zero on L's diagonal means the normals are dependent: ValueError;
 - Y = L * R is re-read by forward substitution, each division exact, so an
   echelon whose L is not a left factor of Y with integral R raises
   RuntimeError naming the face (:func:`_first_fractional_row`);
-- :func:`labpoly.lattice.smith_normal_form` verifies U * M * V = D;
 - the index certificate: the product of M's Smith diagonal must equal the
   labels' product times |L_11 ... L_kk|, or RuntimeError names the face.  It
-  catches a diagonal of M that is not the order of Z^k / Z^k M, which
-  U * M * V = D alone does not when a transform has determinant other than
-  +-1, and an M formed from anything but the checked L;
+  catches a wrong step of the elimination that changes the diagonal's
+  product, and an M formed from anything but the checked L;
 - :class:`labpoly.lattice.FiniteAbelianGroup` checks the divisibility chain.
 
 That R is a basis of l, and not of a sublattice of it, rests on every column
-step having determinant +-1, which holds by construction, as the
-unimodularity of a Smith transform does; a wrong split of the right order
-(Z/4 for Z/2 x Z/2) is caught only by the comparison below.
+step having determinant +-1, which holds by construction.  A diagonal of the
+right order but the wrong split (Z/4 for Z/2 x Z/2) passes every check above
+and is caught only by the comparison below.
 :func:`labpoly.delzant.face_groups`, which the CLI prints, reads the group off
-the labels or off one Smith form of the scaled normals and never computes L
-or the index, so this route stays independent of it; ``stabilizers`` and
-``verify`` compare the two on every proper face.
+the labels or off one checked Smith form of the scaled normals and never
+computes L or the index, so this route stays independent of it;
+``stabilizers`` and ``verify`` compare the two on every proper face and exit
+3 on a mismatch.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
     format_rational,
-    smith_normal_form,
+    smith_diagonal,
 )
 from .polytope import Face, LabeledPolytope
 
@@ -76,8 +79,7 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
         raise RuntimeError(
             f"column echelon over face {list(face.active)} broke the identity "
             f"Y = L*R: row {row} of R is not integral")
-    diag = smith_normal_form(tuple([tuple([h.label * x for x in r])
-                                    for h, r in zip(tight, lower)])).diagonal
+    diag = smith_diagonal([[h.label * x for x in r] for h, r in zip(tight, lower)])
     order = math.prod(diag)
     want = (math.prod(h.label for h in tight)
             * math.prod(abs(r[i]) for i, r in enumerate(lower)))

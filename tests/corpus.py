@@ -749,12 +749,29 @@ def labeled_polygon_products(draw):
     as integer row additions, with labels from ``COPRIME_LABELS``."""
     ks = draw(st.lists(st.integers(3, 6), min_size=1, max_size=2))
     p = polygon(ks[0]) if len(ks) == 1 else product(polygon(ks[0]), polygon(ks[1]))
+    return _moved_and_labeled(draw, p, st.sampled_from(COPRIME_LABELS))
+
+
+@st.composite
+def labeled_simplex_products(draw):
+    """A simplex of dimension 3 to 6, or a product of two simplices of total
+    dimension 3 to 6 (the shapes of the benchmark's deep workload), moved by a
+    unimodular map drawn as integer row additions, with labels 1 to 12."""
+    dim = draw(st.integers(3, 6))
+    first = draw(st.integers(1, dim))
+    p = standard_simplex(first, draw(st.integers(1, 3)))
+    if first < dim:
+        p = product(p, standard_simplex(dim - first, draw(st.integers(1, 3))))
+    return _moved_and_labeled(draw, p, st.integers(1, 12))
+
+
+def _moved_and_labeled(draw, p, labels):
+    """p moved by up to six drawn row additions, each facet given a drawn label."""
     n = p.dim
     a = [list(row) for row in identity(n)]
     for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                            st.sampled_from((-2, -1, 1, 2))), max_size=6)):
         if i != j:
             a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-    labels = draw(st.lists(st.sampled_from(COPRIME_LABELS),
-                           min_size=len(p.halfspaces), max_size=len(p.halfspaces)))
+    labels = draw(st.lists(labels, min_size=len(p.halfspaces), max_size=len(p.halfspaces)))
     return transformed(p, a, labels=labels)

@@ -669,21 +669,6 @@ def _break_products_in(function):
     return patch
 
 
-def _break_oracle_products_in_smith(monkeypatch):
-    # lattice.mat_mul off by one inside the Smith form the oracle takes of M,
-    # so smith_normal_form's own check of U*A*V = D fails there; the Smith
-    # forms of face_groups keep the real product
-    real = lattice.mat_mul
-
-    def patched(a, b):
-        c = real(a, b)
-        frames = sys._getframe(1), sys._getframe(2)
-        return _off_by_one(c) if [f.f_code.co_name for f in frames] == [
-            "smith_normal_form", "structure_group"] else c
-
-    monkeypatch.setattr(lattice, "mat_mul", patched)
-
-
 def _change_oracle_echelon(change):
     # ``change(L)`` edits every lower triangular L the oracle's column echelon
     # returns, unchecked
@@ -698,12 +683,12 @@ def _double_first_column(lower):
     return tuple((2 * row[0], *row[1:]) for row in lower)
 
 
-def _change_oracle_smith_input(change):
-    # ``change(M)`` edits the matrix the oracle hands to its Smith form, after
-    # Y = L*R was checked and the index read off L's diagonal
+def _change_oracle_diagonal_input(change):
+    # ``change(M)`` edits the matrix the oracle hands to its Smith diagonal,
+    # after Y = L*R was checked and the index read off L's diagonal
     def patch(monkeypatch):
-        real = local_model.smith_normal_form
-        monkeypatch.setattr(local_model, "smith_normal_form", lambda a: real(change(a)))
+        real = local_model.smith_diagonal
+        monkeypatch.setattr(local_model, "smith_diagonal", lambda a: real(change(a)))
     return patch
 
 
@@ -713,16 +698,16 @@ def _unit_diagonal(a):
                  for i, row in enumerate(a))
 
 
-def _change_oracle_smith(change):
-    # ``change(s)`` edits the Smith decomposition of M, unchecked
+def _change_oracle_diagonal(change):
+    # ``change(diag)`` edits the Smith diagonal of M, unchecked
     def patch(monkeypatch):
-        real = local_model.smith_normal_form
-        monkeypatch.setattr(local_model, "smith_normal_form", lambda a: change(real(a)))
+        real = local_model.smith_diagonal
+        monkeypatch.setattr(local_model, "smith_diagonal", lambda a: change(real(a)))
     return patch
 
 
-def _double_diagonal(s):
-    return s._replace(D=tuple(tuple(2 * x for x in row) for row in s.D))
+def _double_diagonal(diag):
+    return tuple(2 * d for d in diag)
 
 
 def _break_walk_pivots(change):
@@ -761,19 +746,16 @@ def _no_generic_direction(monkeypatch):
     (_break_products_in("hermite_normal_form"), ["delzant", "t1"],
      "Hermite reduction broke the identity U*A = H on the 1x3 matrix with largest "
      "entry bit-length 1"),
-    (_break_oracle_products_in_smith, ["stabilizers", "w2"],
-     "Smith reduction broke the identity U*A*V = D on the 1x1 matrix with largest "
-     "entry bit-length 1"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
     (_change_oracle_echelon(_double_first_column), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
      "not integral"),
     # M built from an L with unit diagonal: the saturation index 2 of the
     # normals (1, 0), (-1, -2), read off the checked L, no longer matches
-    (_change_oracle_smith_input(_unit_diagonal), ["stabilizers", "w2"],
+    (_change_oracle_diagonal_input(_unit_diagonal), ["stabilizers", "w2"],
      "structure group over face [0, 2] has order 1, not the labels' product "
      "times the saturation index, 2"),
-    (_change_oracle_smith(_double_diagonal), ["verify", "w2"],
+    (_change_oracle_diagonal(_double_diagonal), ["verify", "w2"],
      "structure group over face [0] has order 2, not the labels' product times "
      "the saturation index, 1"),
     (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
@@ -783,7 +765,7 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "hermite", "oracle_smith_identity", "oracle_echelon_identity",
+], ids=["smith", "hermite", "oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
@@ -792,6 +774,30 @@ def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, messa
     for flags in ([], ["--json"]):
         assert run(capsys, command, files[name], *flags) == (
             3, "", f"internal error: {message}\n")
+
+
+def test_oracle_wrong_split_exits_3_naming_the_face(files, capsys, monkeypatch):
+    # Z/4 in place of Z/2 x Z/2 at the vertex face [0, 2] of the square with
+    # all labels 2 (M = diag(2, 2) there): the order is right, so the index
+    # certificate and the divisibility chain pass, and only the comparison
+    # with face_groups can see it
+    real = local_model.smith_diagonal
+    monkeypatch.setattr(local_model, "smith_diagonal", lambda a: (
+        (1, 4) if tuple(map(tuple, a)) == ((2, 0), (0, 2)) else real(a)))
+    path = files["write"]("square_label2.json", polytope_to_json(square(1, [2] * 4)))
+    code, out, err = run(capsys, "stabilizers", path)
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith("DISAGREE")] == [
+        "face [0, 2] vertex (0, 0): reduction Z/2 x Z/2, local Z/4, DISAGREE"]
+    assert len(lines) == 9 and lines[-1] == "verdict: ORACLE DISAGREEMENT"
+
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (3, "")
+    assert out.splitlines()[1] == (
+        "FAIL: stabilizer/structure-group agreement at a regular level (8 faces, "
+        "independent scaled normals on each) (face [0, 2]: Z/2 x Z/2 vs Z/4)")
+    assert out.endswith("verify: FAIL\n")
 
 
 def test_non_palindromic_betti_numbers_fail_verify(files, capsys, monkeypatch):

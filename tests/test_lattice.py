@@ -9,7 +9,8 @@ the package no longer forms a saturation or a quotient, and the vertex walk
 no longer takes an adjugate or a separate rank, but the tests still compare
 them with their references.  ``reference_smith_normal_form`` there is the
 Smith elimination with one helper per row or column operation; the in-place
-kernel must return its exact (U, D, V) triple.
+kernel must return its exact (U, D, V) triple, and ``smith_diagonal``, the
+same kernel run without transforms, its diagonal.
 """
 
 import math
@@ -35,6 +36,7 @@ from labpoly.lattice import (
     matrix,
     parse_rational,
     primitive_vector,
+    smith_diagonal,
     smith_normal_form,
     transpose,
 )
@@ -324,7 +326,47 @@ def smith_inputs(draw):
 def test_smith_matches_reference_elimination(a):
     # the in-place elimination makes the reference's row and column
     # operations in the reference's order, so the whole triple agrees
-    assert smith_normal_form(a) == reference_smith_normal_form(a)
+    s = smith_normal_form(a)
+    assert s == reference_smith_normal_form(a)
+    assert smith_diagonal(a) == s.diagonal
+
+
+@st.composite
+def diagonal_inputs(draw):
+    """An m x n integer matrix, 1 <= m, n <= 6: entries in [-20, 20] with some
+    rows and columns zeroed; or of rank below min(m, n), as the product of an
+    m x r and an r x n matrix with entries in [-2, 2]; or k x k lower
+    triangular with a nonzero diagonal, the shape of the oracle's M."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+
+    def block(rows, cols, entries):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    shape = draw(st.sampled_from(("free", "low_rank", "triangular")))
+    if shape == "low_rank":
+        r = draw(st.integers(0, min(m, n) - 1))
+        b, c = block(m, r, st.integers(-2, 2)), block(r, n, st.integers(-2, 2))
+        return mat_mul(b, c) if r else ((0,) * n,) * m
+    if shape == "triangular":
+        rows = block(m, m, st.integers(-20, 20))
+        diag = draw(st.lists(st.integers(-20, 20).filter(bool), min_size=m, max_size=m))
+        return tuple(tuple(diag[i] if i == j else x * (j < i) for j, x in enumerate(row))
+                     for i, row in enumerate(rows))
+    rows = block(m, n, st.integers(-20, 20))
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    return tuple(tuple(0 if i in zero_rows or j in zero_cols else e for j, e in enumerate(row))
+                 for i, row in enumerate(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(diagonal_inputs())
+def test_smith_diagonal_is_the_checked_diagonal(a):
+    # one elimination loop: without U and V it leaves the same diagonal
+    want = smith_normal_form(a).diagonal
+    assert smith_diagonal(a) == want == reference_smith_normal_form(a).diagonal
 
 
 def test_smith_matches_reference_on_every_face():

@@ -18,6 +18,7 @@ from corpus import (
     generated_family,
     interval,
     labeled_polygon_products,
+    labeled_simplex_products,
     rational_rank,
     reference_saturate,
     reference_structure_group,
@@ -150,6 +151,12 @@ def test_oracle_matches_the_saturation_route_on_a_labeled_7_cube():
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(labeled_polygon_products())
 def test_oracle_matches_the_saturation_route_on_generated_polytopes(p):
+    assert_oracles_agree("generated", p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(labeled_simplex_products())
+def test_oracle_matches_the_saturation_route_on_simplices_and_their_products(p):
     assert_oracles_agree("generated", p)
 
 
