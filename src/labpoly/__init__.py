@@ -19,11 +19,9 @@ from .delzant import (
 from .fan import Cone, Fan, build_fan, fan_to_json, fans_equal, make_cone
 from .lattice import (
     FiniteAbelianGroup,
-    HermiteDecomposition,
     SmithDecomposition,
     TRIVIAL_GROUP,
     format_rational,
-    hermite_normal_form,
     kernel_basis,
     parse_rational,
     primitive_vector,
@@ -43,7 +41,6 @@ from .polytope import (
     HalfSpace,
     LabeledPolytope,
     ValidationError,
-    edge_directions,
     isomorphism_report,
     load_polytope,
     polytope_from_json,

@@ -8,8 +8,11 @@ cuts out the subtorus one reduces by; the reduction happens at the level
     kappa = j*(s(beta_0))
 
 where s(beta)_i = <beta, e_i> - c_i are the facet slacks (c_i = m_i * eta_i)
-and j* pairs a vector with the kernel basis rows.  The level does not depend
-on the chosen interior point beta_0, because the kernel rows annihilate the
+and j* pairs a vector with the kernel basis rows.  The kernel basis is the
+Hermite basis of :func:`labpoly.lattice.kernel_basis`, and every build
+certifies that it spans the whole saturated kernel by the kernel index
+identity (:func:`build_construction`).  The level does not depend on the
+chosen interior point beta_0, because the kernel rows annihilate the
 projection (certified exactly on every build); the slacks embed the polytope
 as the nonnegativity locus, and each vertex hits zero slack exactly on its
 tight facets.
@@ -23,7 +26,8 @@ S_i = q <V, e_i> - D * C_i, and the pairings are compared with the level by
 cross-multiplication.
 
 Two finite groups live here: the component group of the kernel subgroup
-(from the Smith form of the projection that gives the kernel), and the
+(from the Smith form of the projection that gives the kernel; the kernel
+index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
 printed by every command as a structure group;
 :func:`labpoly.local_model.structure_group` is an independent route to the
@@ -42,10 +46,12 @@ from .lattice import (
     FiniteAbelianGroup,
     common_denominator,
     dot,
+    format_rational,
     identity,
     kernel_basis,
     mat_mul,
     mat_vec,
+    smith_diagonal,
     smith_normal_form,
     transpose,
     vec_scale,
@@ -83,11 +89,21 @@ class DelzantData:
 def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
-    One Smith form of the projection gives the kernel and the component
+    One Smith form of the projection A gives the kernel and the component
     group, and a zero on its diagonal raises.  The level is the closed form
     -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
-    beta exactly when B annihilates the projection A, which is certified by
-    exact multiplication; a failing kernel row raises, naming the row.
+    beta exactly when B annihilates A, which is certified by exact
+    multiplication; a failing kernel row raises, naming the row.  The level
+    is formed in integers over the offsets' common denominator.
+
+    That B spans all of the saturated kernel is certified by the kernel index
+    identity: B has N - n rows with distinct pivot columns P (the first
+    nonzero entry of each row), and |prod of B's pivots| * g(A) =
+    |det A[:, not P]|, with g(A) the product of A's Smith diagonal.  By
+    Pluecker duality the left side is t times the right when B spans a
+    sublattice of index t in the kernel, so the identity holds exactly when
+    t = 1; it also fails when the Smith diagonal's product is not g(A), the
+    order of the component group.  A failure raises naming both sides.
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
@@ -99,9 +115,29 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     for k, row in enumerate(kernel):
         if any(mat_vec(projection, row)):
             raise RuntimeError(f"projection does not annihilate kernel row {k}")
+    _certify_kernel_index(projection, kernel, snf.diagonal)
+    q, numerators = common_denominator(offsets)
     return DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
-                       level=tuple(-dot(row, offsets) for row in kernel),
+                       level=tuple(Fraction(-dot(row, numerators), q) for row in kernel),
                        component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
+
+
+def _certify_kernel_index(projection, kernel, diagonal) -> None:
+    """The kernel index identity of :func:`build_construction`; raises
+    RuntimeError naming both sides unless it holds."""
+    n, facets = len(projection), len(projection[0])
+    cols = [next((j for j, x in enumerate(row) if x), facets) for row in kernel]
+    free = sorted(set(range(facets)).difference(cols))
+    if len(kernel) != facets - n or len(free) != n:
+        raise RuntimeError(f"kernel rows: {len(kernel)}, distinct pivot columns: "
+                           f"{facets - len(free)}; both must be N - n = {facets - n}")
+    pivots = abs(math.prod(row[j] for row, j in zip(kernel, cols))) * math.prod(diagonal)
+    minor = math.prod(smith_diagonal([[row[j] for j in free] for row in projection]))
+    if pivots != minor:
+        raise RuntimeError(
+            f"kernel index identity fails: the kernel pivots' product times the "
+            f"projection's Smith diagonal product is {format_rational(pivots)}, not "
+            f"|det| of the projection off the pivot columns, {format_rational(minor)}")
 
 
 def face_groups(p: LabeledPolytope) -> tuple:

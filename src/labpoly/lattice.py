@@ -10,11 +10,11 @@ formed here: the vertex walk in :mod:`labpoly.polytope` keeps one integer
 simplex dictionary per basis and moves it by fraction-free pivots, and its
 first n pivots decide whether the normals have full rank.
 
-The integer-matrix normal forms (Smith and Hermite) return the unimodular
-transforms alongside the reduced matrix and re-verify the defining identity by
-exact multiplication before returning, so a silent arithmetic bug cannot leak
-a wrong decomposition downstream.  Those checks run on every call of
-:func:`smith_normal_form` and :func:`hermite_normal_form`.  The Smith
+The Smith normal form returns the unimodular transforms alongside the
+reduced matrix and re-verifies the defining identity by exact multiplication
+before returning, so a silent arithmetic bug cannot leak a wrong
+decomposition downstream.  That check runs on every call of
+:func:`smith_normal_form`.  The Smith
 elimination (:func:`_eliminate`) works in place on one list of rows, [D | U]
 above V, so that on the small matrices the callers pass (at most 6 x 6 in
 practice) the check's two products cost about as much as the elimination;
@@ -27,11 +27,15 @@ on construction (every step is a swap, a negation or the addition of a
 multiple of one row or column to another).
 
 :func:`smith_diagonal` runs the same elimination on the rows of A alone and
-returns the diagonal: it keeps no transform and checks no identity, so its
-caller must certify what it reads.  Its one caller, the structure-group
-oracle (:mod:`labpoly.local_model`), reduces the tight normals by a column
-echelon of its own, re-reads it by forward substitution, and checks the
-diagonal of the normals' scaled coordinates against the index certificate.
+returns the diagonal, and :func:`echelon` reduces rows to a row echelon form
+by Euclid's algorithm.  Neither keeps a transform or checks an identity, so
+their callers certify what they read.  The structure-group oracle
+(:mod:`labpoly.local_model`) takes the echelon of the tight normals' columns,
+re-reads it by forward substitution, and checks the Smith diagonal of the
+normals' scaled coordinates against the index certificate.
+:func:`kernel_basis` turns the echelon of the kernel generators into the
+Hermite basis, and :func:`labpoly.delzant.build_construction` certifies that
+basis with the kernel index identity, which takes one more Smith diagonal.
 Saturations and lattice quotients are not formed here.
 """
 
@@ -236,11 +240,12 @@ def smith_diagonal(a) -> tuple:
     """The diagonal of ``smith_normal_form(a).D``, by the same elimination
     (:func:`_eliminate`) on the rows of A alone: no U or V, and so no
     U * A * V = D check.  The entries are nonnegative and each divides the
-    next; a caller that needs them certified checks them itself."""
-    a = matrix(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
+    next; a caller that needs them certified checks them itself.  The rows
+    must be rows of ints of one length, which are not re-checked: both
+    callers pass rows the package built."""
     w = [list(row) for row in a]
+    m = len(w)
+    n = len(w[0]) if m else 0
     _eliminate(w, m, n)
     return tuple([w[i][i] for i in range(min(m, n))])
 
@@ -307,88 +312,53 @@ def _eliminate(w, m, n) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form (row style)
+# row echelon form and kernels
 # ---------------------------------------------------------------------------
 
-class HermiteDecomposition(NamedTuple):
-    """U * A = H with U unimodular and H in row Hermite normal form."""
+def echelon(rows) -> list:
+    """The nonzero rows of a row echelon form of integer rows, in pivot order.
 
-    H: Mat
-    U: Mat
-
-
-def hermite_normal_form(a) -> HermiteDecomposition:
-    """Row-style Hermite normal form: U * A = H.
-
-    H is in row echelon form with positive pivots, and every entry above a
-    pivot is reduced into [0, pivot).  U is unimodular.  The identity
-    U * A == H is verified by exact multiplication before returning.
+    Column by column, Euclid's algorithm runs on the rows not yet pivoted
+    that are nonzero there: the one with the smallest |entry| in the column
+    is subtracted from each other one as often as that entry goes into
+    theirs, until one row is left nonzero there; it is the pivot row.  A
+    column where no such row is left has no pivot.  Every step is a
+    subtraction of a multiple of one row from another, so the rows span the
+    lattice of the input, their pivot columns strictly increase and there
+    are as many as the rank.  No transform is kept.  A pivot row is a tuple
+    of the input or a list.
     """
-    a = matrix(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    h = [list(r) for r in a]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_add(dst, src, q):
-        h[dst] = [x + q * y for x, y in zip(h[dst], h[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def row_swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
-
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        if all(h[i][c] == 0 for i in range(r, m)):
+    rest = list(rows)
+    done = []
+    for r in range(len(rest[0]) if rest else 0):
+        live, zero = [], []
+        for c in rest:
+            (live if c[r] else zero).append(c)
+        rest = zero
+        if not live:
             continue
-        while True:
-            i0 = min((i for i in range(r, m) if h[i][c] != 0),
-                     key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                row_swap(r, i0)
-            if h[r][c] < 0:
-                row_negate(r)
-            p = h[r][c]
-            done = True
-            for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // p
-                    if q:
-                        row_add(i, r, -q)
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        p = h[r][c]
-        for i in range(r):
-            q = h[i][c] // p
-            if q:
-                row_add(i, r, -q)
-        r += 1
+        while len(live) > 1:
+            pivot = min(live, key=lambda c: abs(c[r]))
+            p = pivot[r]
+            left = [pivot]
+            for c in live:
+                if c is not pivot:
+                    q = c[r] // p
+                    c = [x - q * y for x, y in zip(c, pivot)]
+                    (left if c[r] else rest).append(c)
+            live = left
+        done.append(live[0])
+    return done
 
-    H = tuple(tuple(row) for row in h)
-    U = tuple(tuple(row) for row in u)
-    if mat_mul(U, a) != H:
-        raise RuntimeError(f"Hermite reduction broke the identity U*A = H on the {_describe(a)}")
-    return HermiteDecomposition(H, U)
-
-
-# ---------------------------------------------------------------------------
-# kernels and finite abelian groups
-# ---------------------------------------------------------------------------
 
 def kernel_basis(a, ncols: int, snf=None) -> Mat:
     """Basis rows of the integer kernel {x : A x = 0} of an m x ncols matrix.
 
-    The result is saturated (ker over the rationals meets the integer
-    lattice) and Hermite-normalized, so equal kernels get identical bases.
+    The kernel is spanned by the last columns of V in U * A * V = D, those
+    past D's rank.  Their :func:`echelon` with positive pivots and each entry
+    above a pivot reduced into [0, pivot) is the row Hermite normal form,
+    unique for the lattice, so equal kernels get identical bases.  The
+    result is saturated (ker over the rationals meets the integer lattice).
     ``ncols`` is explicit so that no rows still have an ambient dimension;
     ``snf`` is ``smith_normal_form(A)`` when the caller already took it.
     """
@@ -399,10 +369,20 @@ def kernel_basis(a, ncols: int, snf=None) -> Mat:
         return identity(ncols)
     s = smith_normal_form(a) if snf is None else snf
     r = len(s.nonzero_diagonal)
-    gens = [tuple(s.V[i][j] for i in range(ncols)) for j in range(r, ncols)]
-    if not gens:
-        return ()
-    return tuple(row for row in hermite_normal_form(gens).H if any(row))
+    h = echelon(zip(*(row[r:] for row in s.V)))
+    c = 0
+    for k, row in enumerate(h):
+        while not row[c]:
+            c += 1
+        if row[c] < 0:
+            row = [-x for x in row]
+        h[k] = row
+        p = row[c]
+        for i in range(k):
+            q = h[i][c] // p
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], row)]
+    return tuple(map(tuple, h))
 
 
 @dataclass(frozen=True)

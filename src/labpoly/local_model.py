@@ -12,7 +12,8 @@ and the structure group of the face is the finite quotient l / l-hat.
 
 Column operations of determinant +-1 (a swap of two columns, or a multiple of
 one column subtracted from another) reduce the k x n matrix Y of tight
-normals to [L | 0] with L lower triangular (:func:`_column_echelon`).  So
+normals to [L | 0] with L lower triangular: the rows of
+:func:`labpoly.lattice.echelon` of Y's columns are the columns of L.  So
 Y = L * R, where R is the first k rows of the inverse of the accumulated
 column transform: R is a basis of the saturation l, and row i of L holds the
 coordinates of y_i in that basis.  The scaled normals have coordinates
@@ -27,7 +28,7 @@ the elimination of :func:`labpoly.lattice.smith_normal_form` run without U
 and V, so no U * M * V = D identity is formed or checked.  What each runtime
 check catches:
 
-- a zero on L's diagonal means the normals are dependent: ValueError;
+- fewer than k echelon rows mean the normals are dependent: ValueError;
 - Y = L * R is re-read by forward substitution, each division exact, so an
   echelon whose L is not a left factor of Y with integral R raises
   RuntimeError naming the face (:func:`_first_fractional_row`);
@@ -55,6 +56,7 @@ import math
 from .lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
+    echelon,
     format_rational,
     smith_diagonal,
 )
@@ -65,15 +67,19 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """The finite abelian group l / l-hat of a face, in invariant-factor form.
 
     Trivial for the whole polytope (empty tight set).  Dependent tight
-    normals (a zero on L's diagonal) raise ValueError; an echelon that fails
-    Y = L * R, or a group order that fails the index certificate, raises
-    RuntimeError.
+    normals (fewer than k echelon rows) raise ValueError; an echelon that
+    fails Y = L * R, or a group order that fails the index certificate,
+    raises RuntimeError.
     """
     if not face.active:
         return TRIVIAL_GROUP
     tight = [p.halfspaces[i] for i in face.active]
     normals = [h.normal for h in tight]
-    lower = _column_echelon(normals)
+    # Y * T = [L | 0] is the echelon of Y's columns: its rows are L's columns
+    columns = echelon(zip(*normals))
+    if len(columns) < len(normals):
+        raise ValueError("rows are linearly dependent")
+    lower = tuple(zip(*columns))
     row = _first_fractional_row(normals, lower)
     if row is not None:
         raise RuntimeError(
@@ -89,42 +95,6 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
-
-
-def _column_echelon(rows) -> tuple:
-    """The k x k lower triangular L of Y * T = [L | 0], T a product of column
-    swaps and subtractions of a multiple of one column from another.
-
-    Row r is cleared past its pivot by Euclid's algorithm on the columns not
-    yet pivoted: of those nonzero in row r, the one with the smallest |entry|
-    there is subtracted from each other one as often as that entry goes into
-    theirs, until one column is left nonzero there; it is the pivot column.
-    No nonzero column left raises ValueError.
-    """
-    k = len(rows)
-    rest = list(zip(*rows))
-    done = []
-    for r in range(k):
-        live, zero = [], []
-        for c in rest:
-            (live if c[r] else zero).append(c)
-        rest = zero
-        if not live:
-            raise ValueError("rows are linearly dependent")
-        while len(live) > 1:
-            pivot = min(live, key=lambda c: abs(c[r]))
-            p = pivot[r]
-            left = [pivot]
-            for c in live:
-                if c is not pivot:
-                    q = c[r] // p
-                    c = [x - q * y for x, y in zip(c, pivot)]
-                    (left if c[r] else rest).append(c)
-            live = left
-        done.append(live[0])
-    # the entries above the diagonal are zero by construction; writing them
-    # as zeros makes the L that Y = L * R is checked on triangular
-    return tuple([(*[c[i] for c in done[:i + 1]], *[0] * (k - 1 - i)) for i in range(k)])
 
 
 def _first_fractional_row(rows, lower):

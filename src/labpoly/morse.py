@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .lattice import dot, matrix
-from .polytope import LabeledPolytope, edge_directions
+from .polytope import LabeledPolytope
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ def _direction(xi) -> tuple:
 def is_generic(p: LabeledPolytope, xi) -> bool:
     """Whether xi pairs nonzero with every edge direction at every vertex."""
     xi = _direction(xi)
-    for vi in range(len(p.vertices)):
-        for _, d in edge_directions(p, vi):
+    for edges in p.edges:
+        for _, d in edges:
             if dot(xi, d) == 0:
                 return False
     return True
@@ -65,8 +65,8 @@ def morse_report(p: LabeledPolytope, xi) -> MorseReport:
     """
     xi = _direction(xi)
     indices = []
-    for vi in range(len(p.vertices)):
-        pairings = [dot(xi, d) for _, d in edge_directions(p, vi)]
+    for edges in p.edges:
+        pairings = [dot(xi, d) for _, d in edges]
         if 0 in pairings:
             raise ValueError(f"xi = {xi} is not generic for this polytope")
         indices.append(2 * sum(1 for x in pairings if x < 0))

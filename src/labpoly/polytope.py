@@ -71,8 +71,9 @@ class LabeledPolytope:
     it with :func:`validate`.  ``edges[vi]`` holds one ``(facet, direction)``
     pair per facet tight at vertex ``vi``, ordered by facet index (so the
     tight facets are ``tuple(j for j, _ in edges[vi])``): the primitive integer
-    direction of the edge that leaves that facet and stays on the others.
-    :attr:`faces` is built from these tight sets on first read.
+    direction of the edge that leaves that facet and stays on the others
+    (so <y_j, d> > 0 for the facet j it leaves).  :attr:`faces` is built
+    from these tight sets on first read.
     """
 
     dim: int
@@ -461,22 +462,6 @@ def _check_bounded(normals, dim):
         raise RuntimeError(f"recession phase 1: the basic solution {format_point(ray)} "
                            f"is not a recession ray")
     raise ValidationError(f"unbounded in direction {format_point(ray)}")
-
-
-# ---------------------------------------------------------------------------
-# derived geometry
-# ---------------------------------------------------------------------------
-
-def edge_directions(p: LabeledPolytope, vi: int) -> tuple:
-    """Primitive edge directions leaving vertex ``vi``.
-
-    Returns one (dropped_facet, direction) pair per facet through the vertex:
-    dropping facet j and staying tight on the rest moves along the unique edge
-    whose primitive integer direction d satisfies <y_j, d> > 0 (inward).
-    Pairs are ordered by dropped facet index.  They are found once, by the
-    vertex walk in :func:`validate`.
-    """
-    return p.edges[vi]
 
 
 # ---------------------------------------------------------------------------

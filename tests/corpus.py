@@ -10,6 +10,9 @@ lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 (``_echelon``), ``reference_smith_normal_form`` the Smith elimination written
 with one helper per row or column operation, whose (U, D, V) the package's
 in-place :func:`labpoly.lattice.smith_normal_form` must reproduce exactly,
+``hermite_normal_form`` is the row Hermite form with its transform U and its
+U * A = H check, and ``reference_kernel_basis`` the integer kernel route
+built on it that :func:`labpoly.lattice.kernel_basis` replaced,
 ``unimodular_inverse`` inverts a unimodular matrix by one
 Hermite reduction, ``saturate`` and ``quotient_group`` form the structure
 group of a face the long way (``reference_structure_group``), as l / l-hat
@@ -31,19 +34,19 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hypothesis import strategies as st
 
 from labpoly.lattice import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
+    Mat,
     SmithDecomposition,
     _describe,
     common_denominator,
     dot,
     format_rational,
-    hermite_normal_form,
     identity,
     kernel_basis,
     mat_mul,
@@ -181,6 +184,91 @@ def _echelon(rows) -> tuple:
         if len(pivots) == len(work):
             break
     return tuple(pivots)
+
+
+class HermiteDecomposition(NamedTuple):
+    """U * A = H with U unimodular and H in row Hermite normal form."""
+
+    H: Mat
+    U: Mat
+
+
+def hermite_normal_form(a) -> HermiteDecomposition:
+    """Row-style Hermite normal form: U * A = H.
+
+    H is in row echelon form with positive pivots, and every entry above a
+    pivot is reduced into [0, pivot).  U is unimodular.  The identity
+    U * A == H is verified by exact multiplication before returning.
+    """
+    a = matrix(a)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    h = [list(r) for r in a]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def row_add(dst, src, q):
+        h[dst] = [x + q * y for x, y in zip(h[dst], h[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    def row_swap(i, j):
+        h[i], h[j] = h[j], h[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_negate(i):
+        h[i] = [-x for x in h[i]]
+        u[i] = [-x for x in u[i]]
+
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        if all(h[i][c] == 0 for i in range(r, m)):
+            continue
+        while True:
+            i0 = min((i for i in range(r, m) if h[i][c] != 0),
+                     key=lambda i: (abs(h[i][c]), i))
+            if i0 != r:
+                row_swap(r, i0)
+            if h[r][c] < 0:
+                row_negate(r)
+            p = h[r][c]
+            done = True
+            for i in range(r + 1, m):
+                if h[i][c] != 0:
+                    q = h[i][c] // p
+                    if q:
+                        row_add(i, r, -q)
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        p = h[r][c]
+        for i in range(r):
+            q = h[i][c] // p
+            if q:
+                row_add(i, r, -q)
+        r += 1
+
+    H = tuple(tuple(row) for row in h)
+    U = tuple(tuple(row) for row in u)
+    if mat_mul(U, a) != H:
+        raise RuntimeError(f"Hermite reduction broke the identity U*A = H on the {_describe(a)}")
+    return HermiteDecomposition(H, U)
+
+
+def reference_kernel_basis(a, ncols):
+    """The integer kernel basis as ``kernel_basis`` took it before its
+    transform-free echelon: the last columns of the Smith transform V, reduced
+    by :func:`hermite_normal_form`."""
+    a = matrix(a)
+    if not a:
+        return identity(ncols)
+    s = smith_normal_form(a)
+    r = len(s.nonzero_diagonal)
+    gens = [tuple(s.V[i][j] for i in range(ncols)) for j in range(r, ncols)]
+    if not gens:
+        return ()
+    return tuple(row for row in hermite_normal_form(gens).H if any(row))
 
 
 def unimodular_inverse(m_rows):

@@ -656,6 +656,61 @@ def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
             3, "", "internal error: projection does not annihilate kernel row 1\n")
 
 
+def _double_last_kernel_row(monkeypatch):
+    # still in the kernel, but the rows span a sublattice of index 2
+    real = delzant.kernel_basis
+
+    def doubled(*args):
+        rows = real(*args)
+        return rows[:-1] + (tuple(2 * x for x in rows[-1]),)
+
+    monkeypatch.setattr(delzant, "kernel_basis", doubled)
+
+
+def _drop_last_kernel_row(monkeypatch):
+    # one row short: what is left still annihilates the projection
+    real = delzant.kernel_basis
+    monkeypatch.setattr(delzant, "kernel_basis", lambda *args: real(*args)[:-1])
+
+
+def _double_projection_diagonal(monkeypatch):
+    # the projection's Smith diagonal doubled at its last entry once the
+    # U*A*V = D check has passed; the kernel read off V is unchanged
+    real = delzant.smith_normal_form
+
+    def patched(a):
+        s = real(a)
+        if sys._getframe(1).f_code.co_name != "build_construction":
+            return s
+        last = len(s.D) - 1
+        return s._replace(D=tuple(
+            tuple(2 * x if i == j == last else x for j, x in enumerate(row))
+            for i, row in enumerate(s.D)))
+
+    monkeypatch.setattr(delzant, "smith_normal_form", patched)
+
+
+@pytest.mark.parametrize("patch, message", [
+    # the square's kernel rows (1, 1, 0, 0) and (0, 0, 1, 1) have pivots 1, 1
+    # on columns 0 and 2; with the second doubled, 2 * 1 = 2 against |det| 1
+    # of the projection on columns 1 and 3
+    (_double_last_kernel_row,
+     "kernel index identity fails: the kernel pivots' product times the projection's "
+     "Smith diagonal product is 2, not |det| of the projection off the pivot "
+     "columns, 1"),
+    (_double_projection_diagonal,
+     "kernel index identity fails: the kernel pivots' product times the projection's "
+     "Smith diagonal product is 2, not |det| of the projection off the pivot "
+     "columns, 1"),
+    (_drop_last_kernel_row,
+     "kernel rows: 1, distinct pivot columns: 1; both must be N - n = 2"),
+], ids=["doubled_kernel_row", "doctored_projection_diagonal", "dropped_kernel_row"])
+def test_kernel_index_identity_exit_3(files, capsys, monkeypatch, patch, message):
+    patch(monkeypatch)
+    for argv in (["delzant"], ["delzant", "--json"], ["verify"], ["verify", "--json"]):
+        assert run(capsys, *argv, files["square"]) == (3, "", f"internal error: {message}\n")
+
+
 def _break_products_in(function):
     # lattice.mat_mul off by one in the products ``function`` itself takes
     def patch(monkeypatch):
@@ -670,17 +725,17 @@ def _break_products_in(function):
 
 
 def _change_oracle_echelon(change):
-    # ``change(L)`` edits every lower triangular L the oracle's column echelon
-    # returns, unchecked
+    # ``change(rows)`` edits every echelon the oracle takes of the tight
+    # normals' columns (its rows are the columns of L), unchecked
     def patch(monkeypatch):
-        real = local_model._column_echelon
-        monkeypatch.setattr(local_model, "_column_echelon", lambda rows: change(real(rows)))
+        real = local_model.echelon
+        monkeypatch.setattr(local_model, "echelon", lambda rows: change(real(rows)))
     return patch
 
 
-def _double_first_column(lower):
-    # what a step that doubles a column, determinant 2, leaves in L
-    return tuple((2 * row[0], *row[1:]) for row in lower)
+def _double_first_row(rows):
+    # what a step that doubles a column of Y, determinant 2, leaves in L
+    return [[2 * x for x in rows[0]], *rows[1:]]
 
 
 def _change_oracle_diagonal_input(change):
@@ -743,11 +798,8 @@ def _no_generic_direction(monkeypatch):
     (_break_products_in("smith_normal_form"), ["structure-groups", "w2"],
      "Smith reduction broke the identity U*A*V = D on the 2x2 matrix with largest "
      "entry bit-length 2"),
-    (_break_products_in("hermite_normal_form"), ["delzant", "t1"],
-     "Hermite reduction broke the identity U*A = H on the 1x3 matrix with largest "
-     "entry bit-length 1"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
-    (_change_oracle_echelon(_double_first_column), ["stabilizers", "w2"],
+    (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
      "not integral"),
     # M built from an L with unit diagonal: the saturation index 2 of the
@@ -765,7 +817,7 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "hermite", "oracle_echelon_identity",
+], ids=["smith", "oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):

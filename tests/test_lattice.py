@@ -7,7 +7,11 @@ normal-form implementations never certify themselves.  ``saturate``,
 reference routes kept in ``tests/corpus.py``; the structure-group oracle in
 the package no longer forms a saturation or a quotient, and the vertex walk
 no longer takes an adjugate or a separate rank, but the tests still compare
-them with their references.  ``reference_smith_normal_form`` there is the
+them with their references.  ``hermite_normal_form`` and
+``reference_kernel_basis`` there are the Hermite form with its transform and
+the kernel route built on it, against which the package's transform-free
+:func:`labpoly.lattice.echelon` and kernel basis are checked.
+``reference_smith_normal_form`` there is the
 Smith elimination with one helper per row or column operation; the in-place
 kernel must return its exact (U, D, V) triple, and ``smith_diagonal``, the
 same kernel run without transforms, its diagonal.
@@ -27,8 +31,8 @@ from labpoly import lattice
 from labpoly.lattice import (
     FiniteAbelianGroup,
     SmithDecomposition,
+    echelon,
     format_rational,
-    hermite_normal_form,
     identity,
     kernel_basis,
     mat_mul,
@@ -50,7 +54,9 @@ from corpus import (
     lattices_equal,
     quotient_group,
     generated_family,
+    hermite_normal_form,
     rational_rank,
+    reference_kernel_basis,
     reference_saturate,
     reference_smith_normal_form,
     saturate,
@@ -283,14 +289,14 @@ def test_smith_diagonal_gcd_invariant(rows):
         assert diag[0] == g
 
 
-def _spurious_row(monkeypatch):
-    """Make every product in the lattice module come out with an extra zero row."""
-    real = lattice.mat_mul
+def _spurious_row(monkeypatch, module=lattice):
+    """Make every product in ``module`` come out with an extra zero row."""
+    real = module.mat_mul
 
     def wrong(a, b):
         return real(a, b) + ((0,) * len(b[0]),)
 
-    monkeypatch.setattr(lattice, "mat_mul", wrong)
+    monkeypatch.setattr(module, "mat_mul", wrong)
 
 
 def test_smith_checks_its_identity_on_every_call(monkeypatch):
@@ -427,7 +433,8 @@ def test_hermite_properties_random(rows):
 
 
 def test_hermite_checks_its_identity_on_every_call(monkeypatch):
-    _spurious_row(monkeypatch)
+    # the reference Hermite form in tests/corpus.py keeps its U * A = H check
+    _spurious_row(monkeypatch, corpus)
     with pytest.raises(RuntimeError, match=r"U\*A = H"):
         hermite_normal_form(((2, 4), (6, 8)))
 
@@ -470,6 +477,55 @@ def test_kernel_is_saturated():
     # (2, -2) spans the kernel rationally but (1, -1) is the lattice generator
     kb = kernel_basis(((2, 2),), 2)
     assert kb == ((1, -1),)
+
+
+# ---------------------------------------------------------------------------
+# the transform-free echelon and the kernel's Hermite basis
+# ---------------------------------------------------------------------------
+
+@st.composite
+def echelon_inputs(draw):
+    """An m x n integer matrix, m, n <= 7: random, rank-deficient (each row
+    an integer combination of fewer rows), or wide (n > m); entries small, so
+    that pivots tie, or up to +-2^40."""
+    shape = draw(st.sampled_from(["random", "deficient", "wide"]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m + 1, 7) if shape == "wide" else st.integers(1, 7))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-2 ** 40, 2 ** 40))
+    if shape != "deficient":
+        return tuple(draw(st.lists(st.tuples(*[entries] * n), min_size=m, max_size=m)))
+    r = draw(st.integers(0, min(m, n) - 1))
+    basis = draw(st.lists(st.tuples(*[entries] * n), min_size=r, max_size=r))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r), min_size=m, max_size=m))
+    return tuple(tuple(sum(c * b[j] for c, b in zip(cs, basis)) for j in range(n))
+                 for cs in coeffs)
+
+
+def _pivot_column(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(echelon_inputs())
+def test_echelon_pivots_increase_and_count_the_rank(a):
+    cols = [_pivot_column(row) for row in echelon(a)]
+    assert cols == sorted(set(cols))
+    assert len(cols) == rational_rank(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(echelon_inputs())
+def test_echelon_rows_span_the_input_lattice(a):
+    # equal Hermite bases under the reference: the same row lattice
+    def basis(rows):
+        return tuple(row for row in hermite_normal_form(rows).H if any(row))
+    assert basis(echelon(a)) == basis(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(echelon_inputs())
+def test_kernel_basis_matches_the_reference_route(a):
+    assert kernel_basis(a, len(a[0])) == reference_kernel_basis(a, len(a[0]))
 
 
 def test_saturate_frozen_examples():

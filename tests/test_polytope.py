@@ -11,7 +11,6 @@ from labpoly.lattice import dot
 from labpoly.polytope import (
     FormatError,
     ValidationError,
-    edge_directions,
     isomorphism_report,
     load_polytope,
     polytope_from_json,
@@ -226,7 +225,7 @@ def test_tangent_halfspace_is_rejected():
 def test_edge_directions_t1():
     p = t1()
     vi = p.vertices.index((1, 0))
-    dirs = dict(edge_directions(p, vi))
+    dirs = dict(p.edges[vi])
     # tight facets at (1,0): x>=0 is not tight; facets 1 (y>=0) and 2 (x+y<=1)
     assert dirs == {1: (-1, 1), 2: (-1, 0)}
 
@@ -234,7 +233,7 @@ def test_edge_directions_t1():
 def test_edge_directions_w2():
     p = w2()
     vi = p.vertices.index((0, 1))
-    dirs = dict(edge_directions(p, vi))
+    dirs = dict(p.edges[vi])
     assert set(dirs.values()) == {(0, -1), (2, -1)}
 
 
@@ -242,7 +241,7 @@ def test_edge_count_and_primitivity():
     from math import gcd
     for name, p in standard_corpus()[:25]:
         for vi in range(len(p.vertices)):
-            dirs = edge_directions(p, vi)
+            dirs = p.edges[vi]
             assert len(dirs) == p.dim, name
             for _, d in dirs:
                 assert gcd(*[abs(e) for e in d]) == 1 or p.dim == 1
@@ -259,8 +258,8 @@ def test_edges_pair_up_with_negated_directions():
             # direction at u that stays tight on f.active = drops the one extra facet
             extra_u = ({j for j, _ in p.edges[u_i]} - set(f.active)).pop()
             extra_v = ({j for j, _ in p.edges[v_i]} - set(f.active)).pop()
-            d_u = dict(edge_directions(p, u_i))[extra_u]
-            d_v = dict(edge_directions(p, v_i))[extra_v]
+            d_u = dict(p.edges[u_i])[extra_u]
+            d_v = dict(p.edges[v_i])[extra_v]
             assert d_u == tuple(-x for x in d_v), (name, f.active)
             # d_u points from u toward v
             diff = tuple(a - b for a, b in zip(v, u))
@@ -270,8 +269,8 @@ def test_edges_pair_up_with_negated_directions():
 
 def test_edge_directions_1d():
     p = interval(1, 1)
-    assert dict(edge_directions(p, 0)) == {0: (1,)}
-    assert dict(edge_directions(p, 1)) == {1: (-1,)}
+    assert dict(p.edges[0]) == {0: (1,)}
+    assert dict(p.edges[1]) == {1: (-1,)}
 
 
 # ---------------------------------------------------------------------------
