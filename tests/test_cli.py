@@ -6,6 +6,7 @@ contract (0 ok, 1 validation, 2 parse/I/O, 3 internal) is pinned down.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -574,30 +576,30 @@ def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):
 # internal identity checks of the reduction presentation: exit 3, no report
 # ---------------------------------------------------------------------------
 
-def _smith_dropping_last_divisor(monkeypatch, square):
-    # the real Smith form, with its last diagonal entry zeroed on square
+def _diagonal_dropping_last_entry(monkeypatch, square):
+    # the real diagonal form, with its last diagonal entry zeroed on square
     # matrices (a vertex's tight scaled normals) or on wide ones (the
     # projection), as if the columns were dependent
-    real = delzant.smith_normal_form
+    real = delzant.diagonal_form
 
     def patched(a):
-        snf = real(a)
+        form = real(a)
         if (len(a) == len(a[0])) != square:
-            return snf
-        d = [list(row) for row in snf.D]
+            return form
+        d = [list(row) for row in form.D]
         k = min(len(d), len(d[0])) - 1
         d[k][k] = 0
-        return snf._replace(D=tuple(map(tuple, d)))
+        return form._replace(D=tuple(map(tuple, d)))
 
-    monkeypatch.setattr(delzant, "smith_normal_form", patched)
+    monkeypatch.setattr(delzant, "diagonal_form", patched)
 
 
 def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
     # the only check behind delzant's "regular level" line and the regular
     # level named in verify's structure-group row;
     # face [0, 1] is a vertex whose normals are not unimodular, so its group
-    # takes the Smith route
-    _smith_dropping_last_divisor(monkeypatch, square=True)
+    # takes the diagonal-form route
+    _diagonal_dropping_last_entry(monkeypatch, square=True)
     for argv in (["delzant"], ["delzant", "--json"], ["verify"],
                  ["verify", "--json"]):
         assert run(capsys, *argv, files["w2_singular_first"]) == (
@@ -633,11 +635,27 @@ def test_broken_unimodular_certificate_exit_3(files, capsys, monkeypatch, broken
 
 
 def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
-    _smith_dropping_last_divisor(monkeypatch, square=False)
+    _diagonal_dropping_last_entry(monkeypatch, square=False)
     for argv in (["delzant"], ["delzant", "--json"]):
         assert run(capsys, *argv, files["t1"]) == (
             3, "", "internal error: projection is not surjective over the rationals: "
-                   "its Smith diagonal is zero at position 1\n")
+                   "its diagonal is zero at position 1\n")
+
+
+def test_merge_losing_the_product_exits_3(files, capsys, monkeypatch):
+    # every gcd above 1 in the merge doubled: Z/2 + Z/2 at a vertex of the
+    # square with all labels 2 (and the projection's diagonal (2, 2)) merge to
+    # [4, 0], whose product is not 4; the normals' gcds are 1, so loading and
+    # validation run as usual
+    real = math.gcd
+    monkeypatch.setattr(lattice, "math", SimpleNamespace(
+        **{**vars(math), "gcd": lambda *xs: real(*xs) * (1 + (real(*xs) > 1))}))
+    path = files["write"]("square_label2.json", polytope_to_json(square(1, [2] * 4)))
+    for command in ("structure-groups", "stabilizers", "delzant", "verify"):
+        for flags in ([], ["--json"]):
+            assert run(capsys, command, path, *flags) == (
+                3, "", "internal error: invariant factors [4, 0] of the cyclic orders "
+                       "[2, 2] lost their product\n")
 
 
 def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
@@ -674,9 +692,9 @@ def _drop_last_kernel_row(monkeypatch):
 
 
 def _double_projection_diagonal(monkeypatch):
-    # the projection's Smith diagonal doubled at its last entry once the
+    # the projection's diagonal doubled at its last entry once the
     # U*A*V = D check has passed; the kernel read off V is unchanged
-    real = delzant.smith_normal_form
+    real = delzant.diagonal_form
 
     def patched(a):
         s = real(a)
@@ -687,7 +705,7 @@ def _double_projection_diagonal(monkeypatch):
             tuple(2 * x if i == j == last else x for j, x in enumerate(row))
             for i, row in enumerate(s.D)))
 
-    monkeypatch.setattr(delzant, "smith_normal_form", patched)
+    monkeypatch.setattr(delzant, "diagonal_form", patched)
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -795,8 +813,8 @@ def _no_generic_direction(monkeypatch):
 
 
 @pytest.mark.parametrize("patch, argv, message", [
-    (_break_products_in("smith_normal_form"), ["structure-groups", "w2"],
-     "Smith reduction broke the identity U*A*V = D on the 2x2 matrix with largest "
+    (_break_products_in("diagonal_form"), ["structure-groups", "w2"],
+     "diagonal reduction broke the identity U*A*V = D on the 2x2 matrix with largest "
      "entry bit-length 2"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
     (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],

@@ -1,14 +1,10 @@
 """Tests for the reduction construction: projection, kernel, level,
 stabilizers, and the membership of the two independent group computations."""
 
-import math
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from labpoly import delzant
 from labpoly.delzant import (
@@ -19,7 +15,6 @@ from labpoly.delzant import (
 )
 from labpoly.lattice import dot, mat_vec
 from labpoly.local_model import structure_group
-from labpoly.polytope import Face
 
 from corpus import (
     box,
@@ -111,8 +106,8 @@ def test_stabilizer_rejects_improper_face():
 
 
 def test_stabilizers_match_structure_groups_everywhere():
-    # the central cross-check: the once-computed Smith-form groups against
-    # saturation and quotient, two independent routes to the same groups
+    # the central cross-check: the once-computed printed groups against the
+    # oracle's echelon and index certificate, two routes to the same groups
     for name, p in standard_corpus() + generated_family():
         groups = face_groups(p)
         assert [f for f, _ in groups] == list(p.proper_faces()), name
@@ -128,7 +123,7 @@ CASES = standard_corpus() + generated_family()
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_closed_form_groups_equal_the_smith_route(name, p):
     # a facet, or a face through a vertex of determinant +-1 (by Fraction
-    # elimination here), gets the sum of Z/m_i without a Smith form
+    # elimination here), gets the sum of Z/m_i without a diagonal form
     smooth = {v.vertices[0] for v in p.faces if v.codim == p.dim
               and abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
     assert delzant._unimodular_vertices(p) == smooth
@@ -139,30 +134,11 @@ def test_closed_form_groups_equal_the_smith_route(name, p):
             assert delzant._label_group(p, f) == want, f.active
 
 
-def pairwise_label_group(labels):
-    """Invariant factors of the sum of Z/m by (gcd, lcm) merging of every pair."""
-    fs = list(labels)
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            g = math.gcd(fs[i], fs[j])
-            fs[i], fs[j] = g, fs[i] * fs[j] // g
-    return tuple(x for x in fs if x > 1)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
-def test_label_group_matches_the_pairwise_merge(labels):
-    # _label_group reads only the labels of the face's facets
-    p = SimpleNamespace(halfspaces=[SimpleNamespace(label=m) for m in labels])
-    face = Face(tuple(range(len(labels))), ())
-    assert delzant._label_group(p, face).invariant_factors == pairwise_label_group(labels)
-
-
 def test_labeled_box_takes_no_smith_form(monkeypatch):
     def no_smith(a):
-        raise AssertionError(f"Smith form taken of {a}")
+        raise AssertionError(f"diagonal form taken of {a}")
 
-    monkeypatch.setattr(delzant, "smith_normal_form", no_smith)
+    monkeypatch.setattr(delzant, "diagonal_form", no_smith)
     p = box([1, 2, 3], [2, 3, 1, 4, 6, 5])
     groups = dict(face_groups(p))
     assert len(groups) == 26
@@ -174,9 +150,9 @@ def test_labeled_box_takes_no_smith_form(monkeypatch):
 
 
 def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
-    real = delzant.smith_normal_form
+    real = delzant.diagonal_form
     taken = []
-    monkeypatch.setattr(delzant, "smith_normal_form",
+    monkeypatch.setattr(delzant, "diagonal_form",
                         lambda a: taken.append(a) or real(a))
     p = w2()
     groups = dict(face_groups(p))
@@ -187,9 +163,9 @@ def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
 
 
 def test_projection_takes_one_smith_form(monkeypatch):
-    real = delzant.smith_normal_form
+    real = delzant.diagonal_form
     taken = []
-    monkeypatch.setattr(delzant, "smith_normal_form",
+    monkeypatch.setattr(delzant, "diagonal_form",
                         lambda a: taken.append(a) or real(a))
     d = build_construction(interval(6, 4))
     assert taken == [d.projection]

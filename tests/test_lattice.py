@@ -11,10 +11,14 @@ them with their references.  ``hermite_normal_form`` and
 ``reference_kernel_basis`` there are the Hermite form with its transform and
 the kernel route built on it, against which the package's transform-free
 :func:`labpoly.lattice.echelon` and kernel basis are checked.
-``reference_smith_normal_form`` there is the
-Smith elimination with one helper per row or column operation; the in-place
-kernel must return its exact (U, D, V) triple, and ``smith_diagonal``, the
-same kernel run without transforms, its diagonal.
+``reference_diagonal_form`` there is the elimination with one helper per
+row or column operation, stopped at a diagonal; the in-place
+:func:`labpoly.lattice.diagonal_form` must return its exact (U, D, V)
+triple.  ``reference_smith_normal_form`` is the same elimination with its
+divisibility fold, and ``smith_diagonal``, the package's elimination run
+without transforms and merged by ``lattice._merge``, the merge of
+``FiniteAbelianGroup.from_orders``, must
+return its diagonal.
 """
 
 import math
@@ -22,6 +26,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,8 +34,9 @@ from hypothesis import strategies as st
 
 from labpoly import lattice
 from labpoly.lattice import (
+    DiagonalForm,
     FiniteAbelianGroup,
-    SmithDecomposition,
+    diagonal_form,
     echelon,
     format_rational,
     identity,
@@ -41,7 +47,6 @@ from labpoly.lattice import (
     parse_rational,
     primitive_vector,
     smith_diagonal,
-    smith_normal_form,
     transpose,
 )
 
@@ -56,6 +61,7 @@ from corpus import (
     generated_family,
     hermite_normal_form,
     rational_rank,
+    reference_diagonal_form,
     reference_kernel_basis,
     reference_saturate,
     reference_smith_normal_form,
@@ -180,7 +186,7 @@ def solve_route_quotient(lattice_rows, sub_rows):
         if any(xi.denominator != 1 for xi in x):
             raise ValueError("not a sublattice: generator has fractional coordinates")
         coords.append(tuple(int(xi) for xi in x))
-    diag = smith_normal_form(coords).diagonal
+    diag = reference_smith_normal_form(coords).diagonal
     if any(d == 0 for d in diag):
         raise ValueError("rank mismatch: sublattice has lower rank")
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
@@ -194,7 +200,8 @@ def outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
-def is_snf_shape(d_mat):
+def is_diagonal_shape(d_mat):
+    """Whether D is diagonal and nonnegative with its zeros trailing."""
     m = len(d_mat)
     n = len(d_mat[0]) if m else 0
     diag = [d_mat[i][i] for i in range(min(m, n))]
@@ -205,9 +212,15 @@ def is_snf_shape(d_mat):
     if any(x < 0 for x in diag):
         return False
     nz = [x for x in diag if x != 0]
-    if diag[:len(nz)] != nz:
-        return False  # zeros must trail
-    return all(y % x == 0 for x, y in zip(nz, nz[1:]))
+    return diag[:len(nz)] == nz  # zeros must trail
+
+
+def is_smith_diagonal(diag):
+    """Whether a diagonal is nonnegative, its zeros trailing, and each
+    nonzero entry divides the next."""
+    nz = [x for x in diag if x != 0]
+    return (all(x >= 0 for x in diag) and list(diag[:len(nz)]) == nz
+            and all(y % x == 0 for x, y in zip(nz, nz[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +249,31 @@ def test_primitive_vector_against_gcd_scan(v):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# diagonal form and Smith diagonal
 # ---------------------------------------------------------------------------
 
 def test_smith_frozen_example():
-    d = smith_normal_form(((2, 4), (6, 8))).D
+    d = diagonal_form(((2, 4), (6, 8))).D
     assert d == ((2, 0), (0, 4))
+    # the elimination stops at a diagonal; the merge reads Z/2 + Z/3 as Z/6
+    assert diagonal_form(((2, 0), (0, 3))).D == ((2, 0), (0, 3))
+    assert smith_diagonal(((2, 0), (0, 3))) == (1, 6)
 
 
 def test_smith_identity_and_unimodularity_by_hand():
     a = matrix(((2, 4), (6, 8)))
-    s = smith_normal_form(a)
+    s = diagonal_form(a)
     assert mat_mul(mat_mul(s.U, a), s.V) == s.D
     assert abs(det(s.U)) == 1
     assert abs(det(s.V)) == 1
 
 
 def test_smith_zero_and_empty():
-    s = smith_normal_form(((0, 0), (0, 0)))
+    s = diagonal_form(((0, 0), (0, 0)))
     assert s.D == ((0, 0), (0, 0))
-    assert smith_normal_form(()).D == ()
+    assert diagonal_form(()).D == ()
+    assert smith_diagonal(((0, 0), (0, 0))) == (0, 0)
+    assert smith_diagonal(()) == ()
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -269,11 +287,15 @@ matrices = st.integers(1, 5).flatmap(
 @given(matrices)
 def test_smith_properties_random(rows):
     a = matrix(rows)
-    s = smith_normal_form(a)
+    s = diagonal_form(a)
     assert mat_mul(mat_mul(s.U, a), s.V) == s.D
     assert abs(det(s.U)) == 1
     assert abs(det(s.V)) == 1
-    assert is_snf_shape(s.D)
+    assert is_diagonal_shape(s.D)
+    diag = smith_diagonal(a)
+    assert is_smith_diagonal(diag)
+    # D and A are equivalent, so they have one Smith diagonal
+    assert smith_diagonal(s.D) == diag == reference_smith_normal_form(a).diagonal
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,7 +303,7 @@ def test_smith_properties_random(rows):
 def test_smith_diagonal_gcd_invariant(rows):
     # d_1 equals the gcd of all entries: an independent characterization
     a = matrix(rows)
-    diag = smith_normal_form(a).diagonal
+    diag = smith_diagonal(a)
     g = oracle_gcd([e for row in a for e in row])
     if g == 0:
         assert all(d == 0 for d in diag)
@@ -302,14 +324,15 @@ def _spurious_row(monkeypatch, module=lattice):
 def test_smith_checks_its_identity_on_every_call(monkeypatch):
     _spurious_row(monkeypatch)
     with pytest.raises(RuntimeError, match=r"U\*A\*V = D"):
-        smith_normal_form(((2, 4), (6, 8)))
+        diagonal_form(((2, 4), (6, 8)))
 
 
 def test_smith_is_deterministic():
     rng = random.Random(7)
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        assert smith_normal_form(rows) == smith_normal_form(rows)
+        assert diagonal_form(rows) == diagonal_form(rows)
+        assert smith_diagonal(rows) == smith_diagonal(rows)
 
 
 @st.composite
@@ -331,10 +354,11 @@ def smith_inputs(draw):
 @given(smith_inputs())
 def test_smith_matches_reference_elimination(a):
     # the in-place elimination makes the reference's row and column
-    # operations in the reference's order, so the whole triple agrees
-    s = smith_normal_form(a)
-    assert s == reference_smith_normal_form(a)
-    assert smith_diagonal(a) == s.diagonal
+    # operations in the reference's order, so the whole triple agrees; the
+    # merge of its diagonal is the diagonal of the reference with the fold
+    s = diagonal_form(a)
+    assert s == reference_diagonal_form(a)
+    assert smith_diagonal(a) == reference_smith_normal_form(a).diagonal
 
 
 @st.composite
@@ -370,9 +394,11 @@ def diagonal_inputs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(diagonal_inputs())
 def test_smith_diagonal_is_the_checked_diagonal(a):
-    # one elimination loop: without U and V it leaves the same diagonal
-    want = smith_normal_form(a).diagonal
-    assert smith_diagonal(a) == want == reference_smith_normal_form(a).diagonal
+    # one elimination loop: without U and V it leaves the diagonal of the
+    # checked D, which the merge turns into the reference's Smith diagonal
+    checked = diagonal_form(a).D
+    want = reference_smith_normal_form(a).diagonal
+    assert smith_diagonal(a) == smith_diagonal(checked) == want
 
 
 def test_smith_matches_reference_on_every_face():
@@ -386,7 +412,8 @@ def test_smith_matches_reference_on_every_face():
             seen.add(tuple(tuple(h.label * x for x in h.normal) for h in tight))
     assert len(seen) > 1000
     for a in seen:
-        assert smith_normal_form(a) == reference_smith_normal_form(a), a
+        assert diagonal_form(a) == reference_diagonal_form(a), a
+        assert smith_diagonal(a) == reference_smith_normal_form(a).diagonal, a
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +603,16 @@ def test_saturate_rejects_what_the_rank_check_rejects(rows):
 def test_saturate_rejects_a_non_unimodular_transform(monkeypatch):
     # U * b * V = D holds, but det V = 2, so the rows of V^-1 need not be
     # integral: the generators read off U * b cannot be trusted
-    fake = SmithDecomposition(((1,),), ((2, 0),), ((1, 0), (0, 2)))
-    monkeypatch.setattr(corpus, "smith_normal_form", lambda a: fake)
+    fake = DiagonalForm(((1,),), ((2, 0),), ((1, 0), (0, 2)))
+    monkeypatch.setattr(corpus, "reference_smith_normal_form", lambda a: fake)
     with pytest.raises(RuntimeError, match="not unimodular"):
         saturate(((2, 0),))
 
 
 def test_saturate_rejects_an_inexact_division(monkeypatch):
     # V is unimodular but the diagonal disagrees with U * b: 2 / 4 is not exact
-    fake = SmithDecomposition(((1,),), ((4, 0),), identity(2))
-    monkeypatch.setattr(corpus, "smith_normal_form", lambda a: fake)
+    fake = DiagonalForm(((1,),), ((4, 0),), identity(2))
+    monkeypatch.setattr(corpus, "reference_smith_normal_form", lambda a: fake)
     with pytest.raises(RuntimeError, match="not divisible"):
         saturate(((2, 0),))
 
@@ -708,6 +735,93 @@ def test_group_validation():
     assert g.order == 8 and len(g.invariant_factors) > 1
     assert str(g) == "Z/2 x Z/4"
     assert str(FiniteAbelianGroup(())) == "trivial"
+
+
+# ---------------------------------------------------------------------------
+# the merge from cyclic orders to invariant factors
+# ---------------------------------------------------------------------------
+
+def pairwise_merge(orders):
+    """Invariant factors of the sum of Z/m by (gcd, lcm) merging of every pair."""
+    fs = list(orders)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = math.gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] * fs[j] // g
+    return tuple(x for x in fs if x > 1)
+
+
+def diagonal_matrix(entries):
+    return tuple(tuple(x if i == j else 0 for j in range(len(entries)))
+                 for i, x in enumerate(entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+def test_merge_matches_the_pairwise_merge(orders):
+    assert FiniteAbelianGroup.from_orders(orders).invariant_factors == pairwise_merge(orders)
+
+
+# multisets of orders: small ones repeat, 1s included, and a few large ones
+orders_lists = st.lists(st.one_of(st.integers(1, 12), st.integers(1, 10 ** 12)), max_size=9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(orders_lists)
+def test_merge_is_the_smith_diagonal_of_the_diagonal_matrix(orders):
+    want = reference_smith_normal_form(diagonal_matrix(orders)).diagonal
+    group = FiniteAbelianGroup.from_orders(orders)
+    assert group.invariant_factors == tuple(d for d in want if d > 1)
+    assert group.order == math.prod(orders)
+
+
+@st.composite
+def monomial_matrices(draw):
+    """A signed permutation of a diagonal matrix, zeros allowed on the diagonal."""
+    entries = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=9))
+    perm = draw(st.permutations(range(len(entries))))
+    return tuple(tuple(entries[i] if perm[i] == j else 0 for j in range(len(entries)))
+                 for i in range(len(entries)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(monomial_matrices())
+def test_smith_diagonal_of_monomial_matrices(a):
+    assert smith_diagonal(a) == reference_smith_normal_form(a).diagonal
+
+
+def test_smith_diagonal_of_the_labeled_cube_vertices():
+    # M at a vertex of the labeled 9-cube, labels 2, 3, 4 in turn, with the
+    # signs of its normals: entries that do not divide each other
+    for entries in ((2, 3, 4) * 3, (-2, 3, -4) * 3, (2, 3, 4, 2, 3, 4, 2, 3)):
+        a = diagonal_matrix(entries)
+        assert smith_diagonal(a) == reference_smith_normal_form(a).diagonal
+        # the pivots are the smallest entries left, so D sorts them
+        assert diagonal_form(a).diagonal == tuple(sorted(map(abs, entries)))
+    assert smith_diagonal(diagonal_matrix((2, 3, 4) * 3)) == (1, 1, 1, 2, 2, 2, 12, 12, 12)
+
+
+def test_merge_rejects_orders_below_one():
+    for orders in ((0,), (2, -3)):
+        with pytest.raises(ValueError, match="< 1"):
+            FiniteAbelianGroup.from_orders(orders)
+    assert FiniteAbelianGroup.from_orders(()).is_trivial
+    assert FiniteAbelianGroup.from_orders((1, 1)).is_trivial
+
+
+def _doubled_gcd(monkeypatch):
+    # every gcd above 1 in the merge comes out doubled: 2 // 4 * 2 drops a factor
+    real = math.gcd
+    monkeypatch.setattr(lattice, "math", SimpleNamespace(
+        **{**vars(math), "gcd": lambda *xs: real(*xs) * (1 + (real(*xs) > 1))}))
+
+
+def test_merge_checks_its_product_on_every_call(monkeypatch):
+    _doubled_gcd(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"cyclic orders \[2, 2\] lost their product"):
+        FiniteAbelianGroup.from_orders((2, 2))
+    with pytest.raises(RuntimeError, match="lost their product"):
+        smith_diagonal(((2, 0), (0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -892,5 +1006,7 @@ def test_adjugate_examples():
 
 
 def test_elementary_divisors():
-    assert smith_normal_form(((2, 0), (0, 3))).nonzero_diagonal == (1, 6)
-    assert smith_normal_form(((0, 0),)).nonzero_diagonal == ()
+    assert smith_diagonal(((2, 0), (0, 3))) == (1, 6)
+    assert diagonal_form(((2, 0), (0, 3))).diagonal == (2, 3)
+    assert smith_diagonal(((0, 0),)) == (0,)
+    assert diagonal_form(((0, 0),)).diagonal == (0,)
