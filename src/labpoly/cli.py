@@ -113,7 +113,7 @@ def cmd_fan(args, p):
         return fan_mod.fan_to_json(f), 0
     rays = ", ".join(str(tuple(r)) for r in f.rays())
     return [f"dim {f.ambient_dim}, {len(f.cones)} cones, rays [{rays}]",
-            *("cone " + str([list(g) for g in c.generators])
+            *("cone " + str([list(g) for g in c])
               for c in f.sorted_cones())], 0
 
 
@@ -150,7 +150,7 @@ def cmd_delzant(args, p):
             "scaled_offsets": [format_rational(x) for x in d.scaled_offsets],
             "kernel_basis": [list(r) for r in d.kernel_rows],
             "level": [format_rational(x) for x in d.level],
-            "torus_dim": d.num_facets - d.ambient_dim,
+            "torus_dim": len(d.kernel_rows),
             "component_group": _group_json(d.component_group),
             "stabilizers": [
                 {"active": list(f.active), **_group_json(g)} for f, g in stab],
@@ -164,7 +164,7 @@ def cmd_delzant(args, p):
         "kernel basis:",
         *(f"  {_int_row(r)}" for r in d.kernel_rows),
         f"level: {[format_rational(x) for x in d.level]}",
-        f"torus dim: {d.num_facets - d.ambient_dim}",
+        f"torus dim: {len(d.kernel_rows)}",
         f"component group: {d.component_group}",
         "stabilizers:",
         *(f"  {_face_name(p, f)}: {g}" for f, g in stab),

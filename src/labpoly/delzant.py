@@ -11,11 +11,12 @@ where s(beta)_i = <beta, e_i> - c_i are the facet slacks (c_i = m_i * eta_i)
 and j* pairs a vector with the kernel basis rows.  The kernel basis is the
 Hermite basis of :func:`labpoly.lattice.kernel_basis`, and every build
 certifies that it spans the whole saturated kernel by the kernel index
-identity (:func:`build_construction`).  The level does not depend on the
-chosen interior point beta_0, because the kernel rows annihilate the
-projection (certified exactly on every build); the slacks embed the polytope
-as the nonnegativity locus, and each vertex hits zero slack exactly on its
-tight facets.
+identity (:func:`build_construction`).  The identity also requires N - n
+kernel rows, so their number is the dimension of the reduced torus.  The
+level does not depend on the chosen interior point beta_0, because the
+kernel rows annihilate the projection (certified exactly on every build);
+the slacks embed the polytope as the nonnegativity locus, and each vertex
+hits zero slack exactly on its tight facets.
 
 The slacks are affine in beta, so the identities that hold at every vertex
 hold at every convex combination of the vertices, that is on all of P:
@@ -67,9 +68,9 @@ class DelzantData:
     ``projection`` is the n x N matrix with columns m_i * y_i,
     ``scaled_offsets`` the vector c with c_i = m_i * eta_i, ``kernel_rows``
     a Hermite-normalized basis of the integer kernel of the projection (one
-    row per reduced circle factor), ``level`` the value of j* shared by
-    every point of the polytope, and ``component_group`` the cokernel of the
-    projection, the component group of the reduced subgroup.
+    row per reduced circle factor, N - n in all), ``level`` the value of j*
+    shared by every point of the polytope, and ``component_group`` the
+    cokernel of the projection, the component group of the reduced subgroup.
     """
 
     projection: tuple
@@ -77,14 +78,6 @@ class DelzantData:
     kernel_rows: tuple
     level: tuple
     component_group: FiniteAbelianGroup
-
-    @property
-    def num_facets(self) -> int:
-        return len(self.projection[0]) if self.projection else 0
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.projection)
 
 
 def build_construction(p: LabeledPolytope) -> DelzantData:
@@ -113,7 +106,7 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     if 0 in form.diagonal:
         raise RuntimeError(f"projection is not surjective over the rationals: its "
                            f"diagonal is zero at position {form.diagonal.index(0)}")
-    kernel = kernel_basis(projection, len(p.halfspaces), form)
+    kernel = kernel_basis(form)
     for k, row in enumerate(kernel):
         if any(mat_vec(projection, row)):
             raise RuntimeError(f"projection does not annihilate kernel row {k}")

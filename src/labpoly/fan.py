@@ -1,7 +1,9 @@
 """Fans of labeled polytopes.
 
 Each face contributes the cone spanned by the primitive inward normals of the
-facets tight on it; the collection over all faces is the fan.  Labels and
+facets tight on it; the collection over all faces is the fan.  A cone is the
+sorted tuple of its generators, so two descriptions of the same simplicial
+cone compare equal, and the zero cone is the empty tuple.  Labels and
 offsets are forgotten, so distinct labeled polytopes can share a fan: fan
 equality is exactly the complex-structure comparison used by the ``compare``
 command.
@@ -16,41 +18,25 @@ from .polytope import Face, LabeledPolytope
 
 
 @dataclass(frozen=True)
-class Cone:
-    """Rational polyhedral cone recorded by its primitive generators.
-
-    Generators are stored sorted so two descriptions of the same simplicial
-    cone compare equal.  The zero cone has no generators.
-    """
-
-    generators: tuple
-
-
-def make_cone(generators) -> Cone:
-    return Cone(generators=tuple(sorted(set(tuple(g) for g in generators))))
-
-
-@dataclass(frozen=True)
 class Fan:
     ambient_dim: int
-    cones: frozenset
+    cones: frozenset  # of sorted tuples of generators
 
     def sorted_cones(self) -> tuple:
-        return tuple(sorted(self.cones, key=lambda c: (len(c.generators), c.generators)))
+        return tuple(sorted(self.cones, key=lambda c: (len(c), c)))
 
     def rays(self) -> tuple:
-        return tuple(sorted({g for c in self.cones for g in c.generators}))
+        return tuple(sorted({g for c in self.cones for g in c}))
 
 
-def _checked_cone(face: Face, generators, minimizers) -> Cone:
+def _checked_cone(face: Face, generators, minimizers) -> tuple:
     """The face's cone; the vertices minimizing all its generators must be
     exactly the face's vertices, or RuntimeError names the face."""
-    cone = make_cone(generators)
-    if cone.generators and set.intersection(
-            *(minimizers[g] for g in cone.generators)) != set(face.vertices):
+    if generators and set.intersection(
+            *(minimizers[g] for g in generators)) != set(face.vertices):
         raise RuntimeError(
             f"cone of face {list(face.active)} fails the minimization characterization")
-    return cone
+    return tuple(sorted(generators))
 
 
 def build_fan(p: LabeledPolytope) -> Fan:
@@ -82,5 +68,5 @@ def fans_equal(f1: Fan, f2: Fan) -> bool:
 def fan_to_json(f: Fan) -> dict:
     return {
         "ambient_dim": f.ambient_dim,
-        "cones": [[list(g) for g in c.generators] for c in f.sorted_cones()],
+        "cones": [[list(g) for g in c] for c in f.sorted_cones()],
     }

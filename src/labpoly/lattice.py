@@ -17,7 +17,9 @@ downstream.  Its elimination (:func:`_eliminate`) works in place on one list
 of rows, [D | U] above V.  The check does not prove U and V unimodular (one
 of determinant other than +-1 with a D that agrees with it passes): that
 rests on construction, every step being a swap, a negation or the addition
-of a multiple of one row or column to another.
+of a multiple of one row or column to another.  :func:`kernel_basis` takes
+that checked form as its one input and reads the kernel off V, so no matrix
+is passed beside a form that might not be its own.
 
 The elimination stops at a diagonal whose entries need not divide each
 other.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`, is
@@ -333,25 +335,18 @@ def echelon(rows) -> list:
     return done
 
 
-def kernel_basis(a, ncols: int, form=None) -> Mat:
-    """Basis rows of the integer kernel {x : A x = 0} of an m x ncols matrix.
+def kernel_basis(form: DiagonalForm) -> Mat:
+    """Basis rows of the integer kernel {x : A x = 0}, read off the checked
+    diagonal form U * A * V = D of a nonempty matrix A.
 
-    The kernel is spanned by the last columns of V in U * A * V = D, those
-    past D's rank.  Their :func:`echelon` with positive pivots and each entry
-    above a pivot reduced into [0, pivot) is the row Hermite normal form,
-    unique for the lattice, so equal kernels get identical bases.  The
-    result is saturated (ker over the rationals meets the integer lattice).
-    ``ncols`` is explicit so that no rows still have an ambient dimension;
-    ``form`` is ``diagonal_form(A)`` when the caller already took it.
+    The kernel is spanned by the last columns of V, those past D's rank.
+    Their :func:`echelon` with positive pivots and each entry above a pivot
+    reduced into [0, pivot) is the row Hermite normal form, unique for the
+    lattice, so equal kernels get identical bases.  The result is saturated
+    (ker over the rationals meets the integer lattice).
     """
-    a = matrix(a)
-    if a and len(a[0]) != ncols:
-        raise ValueError("ncols disagrees with the rows")
-    if not a:
-        return identity(ncols)
-    s = diagonal_form(a) if form is None else form
-    r = len(s.diagonal) - s.diagonal.count(0)
-    h = echelon(zip(*(row[r:] for row in s.V)))
+    r = len(form.diagonal) - form.diagonal.count(0)
+    h = echelon(zip(*(row[r:] for row in form.V)))
     c = 0
     for k, row in enumerate(h):
         while not row[c]:

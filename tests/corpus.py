@@ -16,7 +16,8 @@ every other reference here takes its Smith forms from
 ``reference_smith_normal_form``, not from the package's elimination;
 ``hermite_normal_form`` is the row Hermite form with its transform U and its
 U * A = H check, and ``reference_kernel_basis`` the integer kernel route
-built on it that :func:`labpoly.lattice.kernel_basis` replaced,
+built on it that :func:`labpoly.lattice.kernel_basis` replaced (the other
+oracles here that need a kernel take it, not the package's route),
 ``unimodular_inverse`` inverts a unimodular matrix by one
 Hermite reduction, ``saturate`` and ``quotient_group`` form the structure
 group of a face the long way (``reference_structure_group``), as l / l-hat
@@ -52,7 +53,6 @@ from labpoly.lattice import (
     dot,
     format_rational,
     identity,
-    kernel_basis,
     mat_mul,
     mat_vec,
     matrix,
@@ -622,7 +622,7 @@ def ray_scan(normals, dim):
     system, it needs no rank check first.
     """
     for subset in combinations(range(len(normals)), dim - 1):
-        kb = kernel_basis(tuple(normals[i] for i in subset), dim)
+        kb = reference_kernel_basis(tuple(normals[i] for i in subset), dim)
         if len(kb) != 1:  # the dim-1 rows are dependent
             continue
         d = kb[0]

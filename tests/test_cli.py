@@ -691,6 +691,19 @@ def _drop_last_kernel_row(monkeypatch):
     monkeypatch.setattr(delzant, "kernel_basis", lambda *args: real(*args)[:-1])
 
 
+def _duplicate_last_kernel_row(monkeypatch):
+    # one row too long: every row annihilates the projection and the pivot
+    # columns are those of the true kernel, so only the row count is wrong,
+    # and the torus dimension, printed as that count, must never be printed
+    real = delzant.kernel_basis
+
+    def duplicated(*args):
+        rows = real(*args)
+        return rows + rows[-1:]
+
+    monkeypatch.setattr(delzant, "kernel_basis", duplicated)
+
+
 def _double_projection_diagonal(monkeypatch):
     # the projection's diagonal doubled at its last entry once the
     # U*A*V = D check has passed; the kernel read off V is unchanged
@@ -722,7 +735,10 @@ def _double_projection_diagonal(monkeypatch):
      "columns, 1"),
     (_drop_last_kernel_row,
      "kernel rows: 1, distinct pivot columns: 1; both must be N - n = 2"),
-], ids=["doubled_kernel_row", "doctored_projection_diagonal", "dropped_kernel_row"])
+    (_duplicate_last_kernel_row,
+     "kernel rows: 3, distinct pivot columns: 2; both must be N - n = 2"),
+], ids=["doubled_kernel_row", "doctored_projection_diagonal", "dropped_kernel_row",
+        "duplicated_kernel_row"])
 def test_kernel_index_identity_exit_3(files, capsys, monkeypatch, patch, message):
     patch(monkeypatch)
     for argv in (["delzant"], ["delzant", "--json"], ["verify"], ["verify", "--json"]):

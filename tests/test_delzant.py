@@ -51,7 +51,7 @@ def test_kernel_rows_annihilate_projection():
         d = build_construction(p)
         for row in d.kernel_rows:
             assert mat_vec(d.projection, row) == tuple(0 for _ in range(p.dim)), name
-        assert len(d.kernel_rows) == d.num_facets - p.dim
+        assert len(d.kernel_rows) == len(p.halfspaces) - p.dim
 
 
 def test_level_is_constant_across_the_polytope():
@@ -77,13 +77,15 @@ def test_kernel_group_values():
     # component group = cokernel of the projection
     assert build_construction(interval(1, 1)).component_group.is_trivial
     assert build_construction(interval(2, 1)).component_group.is_trivial
-    d = build_construction(interval(2, 2))
+    p = interval(2, 2)
+    d = build_construction(p)
     assert d.component_group.invariant_factors == (2,)
-    assert d.num_facets - d.ambient_dim == 1
+    assert len(d.kernel_rows) == len(p.halfspaces) - p.dim == 1
     assert build_construction(t1()).component_group.is_trivial
     assert build_construction(w2()).component_group.is_trivial
-    d = build_construction(cube())
-    assert d.num_facets - d.ambient_dim == 3
+    p = cube()
+    d = build_construction(p)
+    assert len(d.kernel_rows) == len(p.halfspaces) - p.dim == 3
     g64 = build_construction(interval(6, 4)).component_group
     assert g64.invariant_factors == (2,)
 

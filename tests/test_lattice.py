@@ -480,13 +480,14 @@ def test_unimodular_inverse_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_kernel_basis_simple():
-    kb = kernel_basis(((1, 0, -1), (0, 1, -1)), 3)
+    kb = kernel_basis(diagonal_form(((1, 0, -1), (0, 1, -1))))
     assert kb == ((1, 1, 1),)
 
 
 def test_kernel_basis_empty_and_full():
-    assert kernel_basis((), 3) == identity(3)
-    assert kernel_basis(((1, 0), (0, 1)), 2) == ()
+    # the kernel of a zero row is everything, of a full-rank square nothing
+    assert kernel_basis(diagonal_form(((0, 0, 0),))) == identity(3)
+    assert kernel_basis(diagonal_form(((1, 0), (0, 1)))) == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,7 +495,7 @@ def test_kernel_basis_empty_and_full():
 def test_kernel_vectors_annihilate(rows):
     a = matrix(rows)
     n = len(a[0])
-    kb = kernel_basis(a, n)
+    kb = kernel_basis(diagonal_form(a))
     for v in kb:
         assert mat_vec(a, v) == tuple(0 for _ in a)
     assert len(kb) == n - rational_rank(a)
@@ -502,7 +503,7 @@ def test_kernel_vectors_annihilate(rows):
 
 def test_kernel_is_saturated():
     # (2, -2) spans the kernel rationally but (1, -1) is the lattice generator
-    kb = kernel_basis(((2, 2),), 2)
+    kb = kernel_basis(diagonal_form(((2, 2),)))
     assert kb == ((1, -1),)
 
 
@@ -552,7 +553,7 @@ def test_echelon_rows_span_the_input_lattice(a):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(echelon_inputs())
 def test_kernel_basis_matches_the_reference_route(a):
-    assert kernel_basis(a, len(a[0])) == reference_kernel_basis(a, len(a[0]))
+    assert kernel_basis(diagonal_form(a)) == reference_kernel_basis(a, len(a[0]))
 
 
 def test_saturate_frozen_examples():

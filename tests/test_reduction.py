@@ -28,7 +28,7 @@ def reference_slacks(d, beta):
     return tuple(
         sum(d.projection[r][i] * Fraction(beta[r]) for r in range(len(d.projection)))
         - d.scaled_offsets[i]
-        for i in range(d.num_facets))
+        for i in range(len(d.projection[0])))
 
 
 def reference_level(d, slacks):
@@ -78,7 +78,7 @@ def test_outside_point_error_matches_reference(p):
     # vertices on facet i off the polytope d describes
     d = build_construction(p)
     slacks = [reference_slacks(d, v) for v in p.vertices]
-    for i in range(d.num_facets):
+    for i in range(len(p.halfspaces)):
         bad = with_offset(d, i, min(s[i] for s in slacks if s[i] > 0) / 2)
         failure = verify_reduction_invariants(bad, p)
         assert failure == reference_verify(bad, p)
@@ -103,7 +103,7 @@ def test_corrupted_level_matches_reference(p):
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
 def test_corrupted_offset_matches_reference(p):
     d = build_construction(p)
-    for i in range(d.num_facets):
+    for i in range(len(p.halfspaces)):
         # lowering c_i lifts every vertex on facet i off it
         looser = with_offset(d, i, -Fraction(1, 2))
         failure = verify_reduction_invariants(looser, p)

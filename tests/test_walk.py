@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labpoly import polytope
-from labpoly.lattice import dot, kernel_basis, primitive_vector
+from labpoly.lattice import dot, primitive_vector
 from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, validate
 
 from corpus import (
@@ -39,6 +39,7 @@ from corpus import (
     product,
     pyramid,
     rational_rank,
+    reference_kernel_basis,
     solve_rational,
     standard_corpus,
     subset_scan,
@@ -52,7 +53,7 @@ def kernel_edge_directions(p, vi):
     act = [i for i, h in enumerate(p.halfspaces) if dot(v, h.normal) == h.offset]
     out = []
     for j in act:
-        (d,) = kernel_basis([p.halfspaces[i].normal for i in act if i != j], p.dim)
+        (d,) = reference_kernel_basis([p.halfspaces[i].normal for i in act if i != j], p.dim)
         if dot(p.halfspaces[j].normal, d) < 0:
             d = vec_neg(d)
         out.append((j, d))
