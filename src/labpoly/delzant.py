@@ -30,7 +30,9 @@ Two finite groups live here: the component group of the kernel subgroup
 (from the diagonal form of the projection that gives the kernel; the kernel
 index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
-printed by every command as a structure group.  Both are merged from cyclic
+printed by every command as a structure group: the labels' sum on a facet
+or on a face through a vertex of basis determinant 1 (read off the vertex
+walk), one diagonal form on any other face.  Both are merged from cyclic
 orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
 :func:`labpoly.local_model.structure_group` is a route to the same groups
 independent up to that merge, and the two are cross-checked in the tests and
@@ -50,12 +52,9 @@ from .lattice import (
     diagonal_form,
     dot,
     format_rational,
-    identity,
     kernel_basis,
-    mat_mul,
     mat_vec,
     smith_diagonal,
-    transpose,
     vec_scale,
 )
 from .polytope import Face, LabeledPolytope, format_point
@@ -138,31 +137,17 @@ def _certify_kernel_index(projection, kernel, diagonal) -> None:
 def face_groups(p: LabeledPolytope) -> tuple:
     """``(face, stabilizer)`` for every proper face, in face order.
 
-    A facet, or a face through a vertex of unimodular normals
-    (:func:`_unimodular_vertices`), has normals y_i that extend to a basis of
-    Z^n, so its group is the sum of the Z/m_i (:func:`_label_group`).  Any
-    other face takes one diagonal form (:func:`face_stabilizer`), which
-    raises if its scaled normals are dependent: a return means a regular level.
+    A facet, or a face through a vertex whose basis determinant is 1
+    (``p.determinants``, certified by the vertex walk), has normals y_i that
+    extend to a basis of Z^n, so its group is the sum of the Z/m_i
+    (:func:`_label_group`).  Any other face takes one diagonal form
+    (:func:`face_stabilizer`), which raises if its scaled normals are
+    dependent: a return means a regular level.
     """
-    unimodular = _unimodular_vertices(p)
+    unimodular = {vi for vi, d in enumerate(p.determinants) if d == 1}
     return tuple((f, _label_group(p, f) if f.codim == 1
                   or not unimodular.isdisjoint(f.vertices) else face_stabilizer(p, f))
                  for f in p.proper_faces())
-
-
-def _unimodular_vertices(p: LabeledPolytope) -> set:
-    """Indices of the vertices whose tight normals (rows Y) form a basis of Z^n:
-    with the walk's edges as columns E, Y * E is diagonal with entries
-    <y_j, e_j> > 0, so that holds exactly when Y * E = I, which is certified
-    in full once the diagonal is all 1; a failure raises naming the vertex."""
-    out = set()
-    for vi, edges in enumerate(p.edges):
-        rows = tuple(p.halfspaces[j].normal for j, _ in edges)
-        if all(dot(y, e) == 1 for y, (_, e) in zip(rows, edges)):
-            if mat_mul(rows, transpose(tuple(e for _, e in edges))) != identity(p.dim):
-                raise RuntimeError(f"Y * E != I at vertex {format_point(p.vertices[vi])}")
-            out.add(vi)
-    return out
 
 
 def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:

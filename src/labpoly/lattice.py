@@ -121,14 +121,6 @@ def _as_int(e) -> int:
     raise ValueError(f"not an integer entry: {e!r}")
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(a) -> Mat:
-    return tuple(zip(*a)) if a else ()
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError("length mismatch")

@@ -22,7 +22,6 @@ from .polytope import LabeledPolytope
 
 @dataclass(frozen=True)
 class MorseReport:
-    xi: tuple
     vertex_indices: tuple  # index (an even integer) per vertex, vertex order
     poincare: tuple        # coefficient list, degree 0 .. 2*dim
 
@@ -73,7 +72,7 @@ def morse_report(p: LabeledPolytope, xi) -> MorseReport:
     coeffs = [0] * (2 * p.dim + 1)
     for k in indices:
         coeffs[k] += 1
-    return MorseReport(xi=xi, vertex_indices=tuple(indices), poincare=tuple(coeffs))
+    return MorseReport(vertex_indices=tuple(indices), poincare=tuple(coeffs))
 
 
 def h_vector(p: LabeledPolytope) -> tuple:

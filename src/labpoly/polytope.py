@@ -6,10 +6,10 @@ rational offsets eta_i, and a positive integer label m_i attached to each
 facet.  "Simple" means exactly n facets meet at every vertex.
 
 :func:`validate` is the only constructor that should be used: it checks all
-of the above exactly (no floating point) and keeps the walk's vertices and
-edges, from which the face lattice is built on first read.  Faces are named
-by the sorted tuple of facet indices tight on them; the facet order of the
-input is preserved as the canonical indexing everywhere.
+of the above exactly (no floating point) and keeps the walk's vertices,
+edges and basis determinants; the face lattice is built on first read.
+Faces are named by the sorted tuple of facet indices tight on them; the
+facet order of the input is preserved as the canonical indexing everywhere.
 """
 
 from __future__ import annotations
@@ -72,14 +72,19 @@ class LabeledPolytope:
     pair per facet tight at vertex ``vi``, ordered by facet index (so the
     tight facets are ``tuple(j for j, _ in edges[vi])``): the primitive integer
     direction of the edge that leaves that facet and stays on the others
-    (so <y_j, d> > 0 for the facet j it leaves).  :attr:`faces` is built
-    from these tight sets on first read.
+    (so <y_j, d> > 0 for the facet j it leaves).  ``determinants[vi]`` is
+    |det Y_v| for the tight normals Y_v: the scale d that the walk's
+    fraction-free pivots keep for the dictionary there.  :func:`_certify`
+    checks Y_v * adj = d * I at every basis, so at d = 1 the integer matrix
+    adj is an inverse of Y_v, and Y_v is a basis of Z^n.  :attr:`faces` is
+    built from the tight sets on first read.
     """
 
     dim: int
     halfspaces: tuple
     vertices: tuple
     edges: tuple
+    determinants: tuple
 
     @cached_property
     def faces(self) -> tuple:
@@ -170,13 +175,14 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     if walked is None:
         _check_bounded([h.normal for h in hs], dim)
         raise ValidationError("not full-dimensional: the polytope is empty")
-    vertices, active_sets, edges = walked
+    vertices, active_sets, edges, determinants = walked
     _check_vertices(dim, len(hs), vertices, active_sets)
-    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices, edges=edges)
+    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices, edges=edges,
+                           determinants=determinants)
 
 
 def _walk(dim, hs):
-    """(vertices, tight sets, edges) by pivoting over the vertex graph, or None.
+    """(vertices, tight sets, edges, determinants) by pivoting over the vertex graph, or None.
 
     Lexicographic pivoting: offset eta_i is read as eta_i - eps^(i+1) for a
     tiny eps > 0.  The perturbed polytope contains P, has its recession cone
@@ -199,7 +205,8 @@ def _walk(dim, hs):
     this one, made when it is taken off the stack.  Each dictionary is
     checked against the input (:func:`_certify`).  Each vertex of P is kept
     once, with all facets of zero slack as its tight set, for
-    :func:`_check_vertices` to judge.
+    :func:`_check_vertices` to judge, and with its dictionary's
+    d = |det Y_B| (:func:`_pivot`).
 
     An unblocked edge is a recession direction, so :func:`_check_bounded`,
     phase 1 on the recession cone, must then name a ray; RuntimeError if it
@@ -251,7 +258,8 @@ def _walk(dim, hs):
     walked = sorted(found.values(), key=lambda item: [x * (lcm // item[0]) for x in item[1]])
     return (tuple(tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
             tuple(tight for _, _, tight, _ in walked),
-            tuple(edges for *_, edges in walked))
+            tuple(edges for *_, edges in walked),
+            tuple(d for d, *_ in walked))
 
 
 def _pivot(dictionary, col, i):
@@ -396,8 +404,11 @@ def _certify(dictionary, normals, offsets):
     """Check a basis's dictionary against the input, exactly, in O(n^2).
 
     Each basis row must read ``d * e_c`` with zero slack, and the basic
-    solution must satisfy ``Y_B * num = d * b_B``.  Raises RuntimeError
-    naming the basis; an ``assert`` would vanish under ``python -O``.
+    solution must satisfy ``Y_B * num = d * b_B``.  :func:`_pivot` maps
+    every row by one linear map, so facet j's row stays ``y_j * adj`` with
+    its slack, and the first check is ``Y_B * adj = d * I``.  Raises
+    RuntimeError naming the basis; an ``assert`` would vanish under
+    ``python -O``.
     """
     d, basis, rows = dictionary
     n = len(basis)

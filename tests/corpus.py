@@ -32,7 +32,8 @@ its vertices, ``face_by_active`` looks a face up by its tight set,
 reads, ``subset_scan`` is the brute-force reference for the vertex walk and
 ``ray_scan`` its recession ray search over C(N, n - 1) facet subsets, and
 ``labeled_polygon_products`` is a ``hypothesis`` strategy for generated
-labeled polytopes.
+labeled polytopes; ``identity`` and ``transpose`` build the matrices the
+tests compare with.
 """
 
 import math
@@ -52,13 +53,19 @@ from labpoly.lattice import (
     common_denominator,
     dot,
     format_rational,
-    identity,
     mat_mul,
     mat_vec,
     matrix,
-    transpose,
 )
 from labpoly.polytope import ValidationError, _check_vertices, format_point, validate
+
+
+def identity(n: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def transpose(a) -> Mat:
+    return tuple(zip(*a)) if a else ()
 
 
 def lattices_equal(a, b) -> bool:

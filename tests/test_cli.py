@@ -158,6 +158,28 @@ def test_nonprimitive_normal_warns_on_stderr(files, capsys):
     assert "warning" in err and "not primitive" in err
 
 
+def _facets(*triples):
+    return [{"normal": list(y), "offset": eta, "label": 1} for y, eta in triples]
+
+
+@pytest.mark.parametrize("dim, halfspaces, message", [
+    (2, _facets(((1, 0), "0"), ((0, 0), "0"), ((-1, -1), "-1")),
+     "zero normal on facet 1"),
+    (2, _facets(((1, 0), "0"), ((0, 1, 0), "0"), ((-1, -1), "-1")),
+     "normal of facet 1 has length 3, expected 2"),
+    (0, [], "dimension must be a positive integer"),
+    # the segment 0 <= y <= 1 on the line x = 0: x >= 0 and -x >= 0 are tight
+    # at both vertices
+    (2, _facets(((1, 0), "0"), ((-1, 0), "0"), ((0, 1), "0"), ((0, -1), "-1")),
+     "not full-dimensional"),
+], ids=["zero_normal", "normal_length", "dim_0", "flat"])
+def test_file_that_parses_but_does_not_validate_is_exit_1(files, capsys, dim, halfspaces,
+                                                          message):
+    path = files["write"]("rejected.json", {"dim": dim, "halfspaces": halfspaces})
+    for flags in ([], ["--json"]):
+        assert run(capsys, "validate", path, *flags) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # vertices / faces / structure-groups / fan
 # ---------------------------------------------------------------------------
@@ -610,30 +632,6 @@ def _off_by_one(m):
     return ((m[0][0] + 1, *m[0][1:]), *m[1:])
 
 
-@pytest.mark.parametrize("broken", ["edge", "mat_mul"])
-def test_broken_unimodular_certificate_exit_3(files, capsys, monkeypatch, broken):
-    # the closed-form groups rest on Y * E = I at a vertex whose stored edges
-    # give <y_j, e_j> = 1; an edge that also leaves another tight facet, or a
-    # wrong product, must not pass it
-    if broken == "edge":
-        real = labpoly.cli.load_polytope
-
-        def load_with_bad_edge(path):
-            p = real(path)
-            (j, e), (k, f) = p.edges[0]  # the vertex (0, 0) of t1
-            bad = ((j, tuple(x + y for x, y in zip(e, f))), (k, f))
-            return replace(p, edges=(bad,) + p.edges[1:])
-
-        monkeypatch.setattr(labpoly.cli, "load_polytope", load_with_bad_edge)
-    else:
-        real = delzant.mat_mul
-        monkeypatch.setattr(delzant, "mat_mul", lambda a, b: _off_by_one(real(a, b)))
-    for argv in (["structure-groups"], ["delzant", "--json"], ["stabilizers"],
-                 ["verify"]):
-        assert run(capsys, *argv, files["t1"]) == (
-            3, "", "internal error: Y * E != I at vertex (0, 0)\n")
-
-
 def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
     _diagonal_dropping_last_entry(monkeypatch, square=False)
     for argv in (["delzant"], ["delzant", "--json"]):
@@ -846,6 +844,10 @@ def _no_generic_direction(monkeypatch):
      "the saturation index, 1"),
     (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
      "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
+    # the closed form's premise: t1's basis (0, 1) is its vertex (0, 0), of
+    # determinant 1, which face_groups reads off the same checked dictionary
+    (_break_walk_pivots(_raise_first_basis_slack), ["structure-groups", "t1"],
+     "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
     (_break_walk_pivots(_raise_last_num), ["vertices", "w2"],
      "vertex walk: the basic solution at basis (0, 1) misses facet 1"),
     (_no_generic_direction, ["betti", "square"],
@@ -853,7 +855,7 @@ def _no_generic_direction(monkeypatch):
      f"(last bound tried {9 * 2 ** 99})"),
 ], ids=["smith", "oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
-        "walk_basic_solution", "morse"])
+        "walk_basis_row_under_the_closed_form", "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)
     command, name = argv

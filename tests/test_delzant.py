@@ -3,8 +3,10 @@ stabilizers, and the membership of the two independent group computations."""
 
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from labpoly import delzant
 from labpoly.delzant import (
@@ -24,6 +26,8 @@ from corpus import (
     face_by_active,
     generated_family,
     interval,
+    labeled_polygon_products,
+    labeled_simplex_products,
     square,
     standard_corpus,
     t1,
@@ -119,21 +123,41 @@ def test_stabilizers_match_structure_groups_everywhere():
             assert a == b, (name, f.active, a, b)
 
 
+def assert_closed_form_exactly_through_determinant_1(p):
+    # the walk's determinant at each vertex is |det Y_v| by Fraction
+    # elimination; the diagonal form runs on exactly the faces of codimension
+    # > 1 with no vertex of determinant 1, the others take the labels' sum,
+    # and every group equals the diagonal form's
+    for vi, edges in enumerate(p.edges):
+        normals = [p.halfspaces[j].normal for j, _ in edges]
+        assert p.determinants[vi] == abs(det_rational(normals)), (vi, normals)
+    smooth = {vi for vi, d in enumerate(p.determinants) if d == 1}
+    with mock.patch.object(delzant, "face_stabilizer", wraps=face_stabilizer) as diagonal:
+        groups = face_groups(p)
+    assert [args[1] for args, _ in diagonal.call_args_list] == [
+        f for f, _ in groups if f.codim > 1 and smooth.isdisjoint(f.vertices)]
+    for f, g in groups:
+        assert g == face_stabilizer(p, f), (f.active, str(g))
+
+
 CASES = standard_corpus() + generated_family()
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_closed_form_groups_equal_the_smith_route(name, p):
-    # a facet, or a face through a vertex of determinant +-1 (by Fraction
-    # elimination here), gets the sum of Z/m_i without a diagonal form
-    smooth = {v.vertices[0] for v in p.faces if v.codim == p.dim
-              and abs(det_rational([p.halfspaces[i].normal for i in v.active])) == 1}
-    assert delzant._unimodular_vertices(p) == smooth
-    for f, g in face_groups(p):
-        want = face_stabilizer(p, f)
-        assert g == want, (f.active, str(g), str(want))
-        if f.codim == 1 or smooth.intersection(f.vertices):
-            assert delzant._label_group(p, f) == want, f.active
+    assert_closed_form_exactly_through_determinant_1(p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(labeled_polygon_products())
+def test_walk_determinants_decide_the_closed_form_on_polygon_products(p):
+    assert_closed_form_exactly_through_determinant_1(p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(labeled_simplex_products())
+def test_walk_determinants_decide_the_closed_form_on_simplex_products(p):
+    assert_closed_form_exactly_through_determinant_1(p)
 
 
 def test_labeled_box_takes_no_smith_form(monkeypatch):

@@ -39,7 +39,6 @@ from labpoly.lattice import (
     diagonal_form,
     echelon,
     format_rational,
-    identity,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -47,7 +46,6 @@ from labpoly.lattice import (
     parse_rational,
     primitive_vector,
     smith_diagonal,
-    transpose,
 )
 
 import corpus
@@ -60,6 +58,7 @@ from corpus import (
     quotient_group,
     generated_family,
     hermite_normal_form,
+    identity,
     rational_rank,
     reference_diagonal_form,
     reference_kernel_basis,
@@ -68,6 +67,7 @@ from corpus import (
     saturate,
     solve_rational,
     standard_corpus,
+    transpose,
     unimodular_inverse,
 )
 
