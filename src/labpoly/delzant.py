@@ -31,9 +31,9 @@ Two finite groups live here: the component group of the kernel subgroup
 index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
 printed by every command as a structure group: the labels' sum on a facet
-or on a face through a vertex of basis determinant 1 (read off the vertex
-walk), one diagonal form on any other face.  Both are merged from cyclic
-orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
+or on a face through a vertex of basis determinant 1 (read off the walk,
+certified by Y * E = I), one diagonal form elsewhere.  Both are merged from
+cyclic orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
 :func:`labpoly.local_model.structure_group` is a route to the same groups
 independent up to that merge, and the two are cross-checked in the tests and
 by the ``stabilizers`` and ``verify`` commands.
@@ -138,13 +138,20 @@ def face_groups(p: LabeledPolytope) -> tuple:
     """``(face, stabilizer)`` for every proper face, in face order.
 
     A facet, or a face through a vertex whose basis determinant is 1
-    (``p.determinants``, certified by the vertex walk), has normals y_i that
-    extend to a basis of Z^n, so its group is the sum of the Z/m_i
-    (:func:`_label_group`).  Any other face takes one diagonal form
-    (:func:`face_stabilizer`), which raises if its scaled normals are
-    dependent: a return means a regular level.
+    (``p.determinants``), has normals y_i that extend to a basis of Z^n, so
+    its group is the sum of the Z/m_i (:func:`_label_group`).  The walk does
+    not pin d, so each such vertex is certified by Y * E = I, its tight
+    normals as rows and the walk's edges as columns (E is then an integer
+    inverse of Y); a failure raises naming the vertex.  Any other face takes
+    one diagonal form (:func:`face_stabilizer`), which raises if its scaled
+    normals are dependent: a return means a regular level.
     """
     unimodular = {vi for vi, d in enumerate(p.determinants) if d == 1}
+    for vi in sorted(unimodular):
+        edges = p.edges[vi]
+        if any(dot(p.halfspaces[i].normal, e) != (i == j) for i, _ in edges for j, e in edges):
+            raise RuntimeError(f"Y * E != I at vertex {format_point(p.vertices[vi])}, "
+                               f"of basis determinant 1")
     return tuple((f, _label_group(p, f) if f.codim == 1
                   or not unimodular.isdisjoint(f.vertices) else face_stabilizer(p, f))
                  for f in p.proper_faces())

@@ -74,10 +74,10 @@ class LabeledPolytope:
     direction of the edge that leaves that facet and stays on the others
     (so <y_j, d> > 0 for the facet j it leaves).  ``determinants[vi]`` is
     |det Y_v| for the tight normals Y_v: the scale d that the walk's
-    fraction-free pivots keep for the dictionary there.  :func:`_certify`
-    checks Y_v * adj = d * I at every basis, so at d = 1 the integer matrix
-    adj is an inverse of Y_v, and Y_v is a basis of Z^n.  :attr:`faces` is
-    built from the tight sets on first read.
+    fraction-free pivots keep for the dictionary there.  The walk does not
+    certify d (:func:`_certify`); :func:`labpoly.delzant.face_groups`
+    certifies each d = 1 it reads.  :attr:`faces` is built from the tight
+    sets on first read.
     """
 
     dim: int
@@ -406,7 +406,8 @@ def _certify(dictionary, normals, offsets):
     Each basis row must read ``d * e_c`` with zero slack, and the basic
     solution must satisfy ``Y_B * num = d * b_B``.  :func:`_pivot` maps
     every row by one linear map, so facet j's row stays ``y_j * adj`` with
-    its slack, and the first check is ``Y_B * adj = d * I``.  Raises
+    its slack, and the first check is ``Y_B * adj = d * I``, read off those
+    rows: the input normals never meet adj, so d is not pinned.  Raises
     RuntimeError naming the basis; an ``assert`` would vanish under
     ``python -O``.
     """

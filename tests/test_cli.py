@@ -822,6 +822,17 @@ def _raise_last_num(rows, basis):
     rows[-1][-1] += 1
 
 
+def _misread_determinants(monkeypatch):
+    # the walk reports basis determinant 1 at every vertex, unchecked
+    real = polytope._walk
+
+    def patched(dim, hs):
+        *walked, determinants = real(dim, hs)
+        return *walked, (1,) * len(determinants)
+
+    monkeypatch.setattr(polytope, "_walk", patched)
+
+
 def _no_generic_direction(monkeypatch):
     monkeypatch.setattr(morse, "is_generic", lambda p, xi: False)
 
@@ -844,10 +855,10 @@ def _no_generic_direction(monkeypatch):
      "the saturation index, 1"),
     (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
      "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
-    # the closed form's premise: t1's basis (0, 1) is its vertex (0, 0), of
-    # determinant 1, which face_groups reads off the same checked dictionary
-    (_break_walk_pivots(_raise_first_basis_slack), ["structure-groups", "t1"],
-     "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
+    # the closed form's premise: w2's vertex (0, 1) has |det Y_v| = 2; read
+    # as determinant 1, it fails face_groups' Y * E = I certificate
+    (_misread_determinants, ["structure-groups", "w2"],
+     "Y * E != I at vertex (0, 1), of basis determinant 1"),
     (_break_walk_pivots(_raise_last_num), ["vertices", "w2"],
      "vertex walk: the basic solution at basis (0, 1) misses facet 1"),
     (_no_generic_direction, ["betti", "square"],
@@ -855,7 +866,7 @@ def _no_generic_direction(monkeypatch):
      f"(last bound tried {9 * 2 ** 99})"),
 ], ids=["smith", "oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
-        "walk_basis_row_under_the_closed_form", "walk_basic_solution", "morse"])
+        "closed_form_premise", "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)
     command, name = argv

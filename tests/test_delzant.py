@@ -17,6 +17,7 @@ from labpoly.delzant import (
 )
 from labpoly.lattice import dot, mat_vec
 from labpoly.local_model import structure_group
+from labpoly.polytope import format_point
 
 from corpus import (
     box,
@@ -158,6 +159,21 @@ def test_walk_determinants_decide_the_closed_form_on_polygon_products(p):
 @given(labeled_simplex_products())
 def test_walk_determinants_decide_the_closed_form_on_simplex_products(p):
     assert_closed_form_exactly_through_determinant_1(p)
+
+
+MISREAD = [(name, p, next(vi for vi, d in enumerate(p.determinants) if d > 1))
+           for name, p in CASES if max(p.determinants) > 1]
+
+
+@pytest.mark.parametrize("name,p,vi", MISREAD, ids=[name for name, *_ in MISREAD])
+def test_determinant_misread_as_1_raises_naming_the_vertex(name, p, vi):
+    # the walk's checks do not pin d; a vertex of |det Y_v| > 1 stored with
+    # d = 1 must fail face_groups' Y * E = I certificate, not print Z/m_i
+    misread = replace(p, determinants=p.determinants[:vi] + (1,) + p.determinants[vi + 1:])
+    with pytest.raises(RuntimeError) as exc:
+        face_groups(misread)
+    assert str(exc.value) == (
+        f"Y * E != I at vertex {format_point(p.vertices[vi])}, of basis determinant 1")
 
 
 def test_labeled_box_takes_no_smith_form(monkeypatch):
