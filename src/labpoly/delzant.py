@@ -42,7 +42,7 @@ by the ``stabilizers`` and ``verify`` commands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -60,8 +60,8 @@ from .lattice import (
 from .polytope import Face, LabeledPolytope, format_point
 
 
-@dataclass(frozen=True)
-class DelzantData:
+class DelzantData(namedtuple(
+        "DelzantData", "projection scaled_offsets kernel_rows level component_group")):
     """Exact data of the reduction presentation.
 
     ``projection`` is the n x N matrix with columns m_i * y_i,
@@ -72,11 +72,7 @@ class DelzantData:
     cokernel of the projection, the component group of the reduced subgroup.
     """
 
-    projection: tuple
-    scaled_offsets: tuple
-    kernel_rows: tuple
-    level: tuple
-    component_group: FiniteAbelianGroup
+    __slots__ = ()
 
 
 def build_construction(p: LabeledPolytope) -> DelzantData:
@@ -170,11 +166,15 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     diagonal form of their projection columns m_i * y_i, merged by
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
-    :func:`labpoly.local_model.structure_group` up to that merge.
+    :func:`labpoly.local_model.structure_group` up to that merge.  A failed
+    U * A * V = D check is raised again naming the face.
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
-    diag = diagonal_form(_scaled_columns(p, face.active)).diagonal
+    try:
+        diag = diagonal_form(_scaled_columns(p, face.active)).diagonal
+    except RuntimeError as exc:
+        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
     if len([x for x in diag if x != 0]) != len(face.active):
         raise RuntimeError(f"dependent facet normals over face {list(face.active)}")
     return FiniteAbelianGroup.from_orders(diag)

@@ -11,16 +11,16 @@ command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import dot
 from .polytope import Face, LabeledPolytope
 
 
-@dataclass(frozen=True)
-class Fan:
-    ambient_dim: int
-    cones: frozenset  # of sorted tuples of generators
+class Fan(namedtuple("Fan", "ambient_dim cones")):
+    """``cones`` is a frozenset of sorted tuples of generators."""
+
+    __slots__ = ()
 
     def sorted_cones(self) -> tuple:
         return tuple(sorted(self.cones, key=lambda c: (len(c), c)))

@@ -39,10 +39,9 @@ lattice quotients are not formed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple
 
 Vec = tuple  # integer row vector
 Mat = tuple  # tuple of integer row vectors
@@ -180,12 +179,10 @@ def primitive_vector(v) -> Vec:
 # diagonal form
 # ---------------------------------------------------------------------------
 
-class DiagonalForm(NamedTuple):
+class DiagonalForm(namedtuple("DiagonalForm", "U D V")):
     """U * A * V = D with U, V unimodular and D diagonal (see :func:`diagonal_form`)."""
 
-    U: Mat
-    D: Mat
-    V: Mat
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple:
@@ -354,8 +351,7 @@ def kernel_basis(form: DiagonalForm) -> Mat:
     return tuple(map(tuple, h))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is a tuple (d_1, ..., d_k) with each d_i >= 2 and
@@ -363,22 +359,27 @@ class FiniteAbelianGroup:
     plain ints is kept as it is; any other sequence is coerced entry by entry,
     and a factor that is not an integer (a float, bool, str or fractional
     Fraction) raises ValueError.  The bound and the divisibility chain are
-    checked on every group.
+    checked on every group, also one built by ``_make`` or ``_replace``.
     """
 
-    invariant_factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __new__(cls, invariant_factors):
+        fs = invariant_factors
         if type(fs) is not tuple or not all(type(d) is int for d in fs):
             fs = tuple(_as_int(d) for d in fs)
-            object.__setattr__(self, "invariant_factors", fs)
         for d in fs:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
         for x, y in zip(fs, fs[1:]):
             if y % x != 0:
                 raise ValueError(f"broken divisibility chain: {x} does not divide {y}")
+        return super().__new__(cls, fs)
+
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's ``_make``, which ``_replace`` also calls, routed through the checks."""
+        return cls(*iterable)
 
     @classmethod
     def from_orders(cls, orders) -> FiniteAbelianGroup:

@@ -13,17 +13,16 @@ have integer entries; anything else raises ValueError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .lattice import dot, matrix
 from .polytope import LabeledPolytope
 
 
-@dataclass(frozen=True)
-class MorseReport:
-    vertex_indices: tuple  # index (an even integer) per vertex, vertex order
-    poincare: tuple        # coefficient list, degree 0 .. 2*dim
+# vertex_indices: the index (an even integer) per vertex, in vertex order;
+# poincare: the coefficient list, degree 0 .. 2*dim.
+MorseReport = namedtuple("MorseReport", "vertex_indices poincare")
 
 
 def _direction(xi) -> tuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -40,33 +40,27 @@ class FormatError(ValueError):
     """The input file or object does not match the polytope JSON schema."""
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(namedtuple("HalfSpace", "normal offset label")):
     """One labeled facet inequality <beta, normal> >= offset."""
 
-    normal: tuple
-    offset: Fraction
-    label: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "active vertices")):
     """A face, recorded by the facets tight on it and the vertices in it.
 
     ``active`` is the sorted tuple of facet indices; its length is the
     codimension.  The empty tuple is the polytope itself.
     """
 
-    active: tuple
-    vertices: tuple
+    __slots__ = ()
 
     @property
     def codim(self) -> int:
         return len(self.active)
 
 
-@dataclass(frozen=True)
-class LabeledPolytope:
+class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edges determinants")):
     """A validated labeled polytope, holding what the vertex walk proved; build
     it with :func:`validate`.  ``edges[vi]`` holds one ``(facet, direction)``
     pair per facet tight at vertex ``vi``, ordered by facet index (so the
@@ -77,14 +71,9 @@ class LabeledPolytope:
     fraction-free pivots keep for the dictionary there.  The walk does not
     certify d (:func:`_certify`); :func:`labpoly.delzant.face_groups`
     certifies each d = 1 it reads.  :attr:`faces` is built from the tight
-    sets on first read.
+    sets on first read, so this class keeps a ``__dict__`` for its cached
+    properties.
     """
-
-    dim: int
-    halfspaces: tuple
-    vertices: tuple
-    edges: tuple
-    determinants: tuple
 
     @cached_property
     def faces(self) -> tuple:

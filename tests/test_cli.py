@@ -11,7 +11,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -525,14 +524,14 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
 def _shift_offset(i, shift):
     def corrupt(d):
         c = d.scaled_offsets
-        return replace(d, scaled_offsets=c[:i] + (c[i] + shift,) + c[i + 1:])
+        return d._replace(scaled_offsets=c[:i] + (c[i] + shift,) + c[i + 1:])
     return corrupt
 
 
 @pytest.mark.parametrize("corrupt, failure", [
     (_shift_offset(0, -1), "vertex (0, 0) has zero slacks [1], tight facets [0, 1]"),
     (_shift_offset(0, 1), "vertex (0, 0) has negative slack on facet 0"),
-    (lambda d: replace(d, level=(d.level[0] + Fraction(1, 3),)),
+    (lambda d: d._replace(level=(d.level[0] + Fraction(1, 3),)),
      "vertex (0, 0) does not pair to the level"),
 ], ids=["offset_lowered", "offset_raised", "level_off_by_a_third"])
 def test_failing_reduction_row_prints_the_full_report_and_exits_3(
@@ -569,7 +568,7 @@ def test_consistently_wrong_betti_numbers_fail_verify(files, capsys, monkeypatch
         coeffs = list(rep.poincare)
         coeffs[0] += 1
         coeffs[2] -= 1
-        return replace(rep, vertex_indices=tuple(indices), poincare=tuple(coeffs))
+        return rep._replace(vertex_indices=tuple(indices), poincare=tuple(coeffs))
 
     monkeypatch.setattr(morse, "morse_report", moved)
     code, out, _ = run(capsys, "verify", files["square"])
@@ -839,8 +838,8 @@ def _no_generic_direction(monkeypatch):
 
 @pytest.mark.parametrize("patch, argv, message", [
     (_break_products_in("diagonal_form"), ["structure-groups", "w2"],
-     "diagonal reduction broke the identity U*A*V = D on the 2x2 matrix with largest "
-     "entry bit-length 2"),
+     "face [0, 2]: diagonal reduction broke the identity U*A*V = D on the 2x2 matrix "
+     "with largest entry bit-length 2"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
     (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "

@@ -1,7 +1,6 @@
 """Tests for the reduction construction: projection, kernel, level,
 stabilizers, and the membership of the two independent group computations."""
 
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -169,7 +168,7 @@ MISREAD = [(name, p, next(vi for vi, d in enumerate(p.determinants) if d > 1))
 def test_determinant_misread_as_1_raises_naming_the_vertex(name, p, vi):
     # the walk's checks do not pin d; a vertex of |det Y_v| > 1 stored with
     # d = 1 must fail face_groups' Y * E = I certificate, not print Z/m_i
-    misread = replace(p, determinants=p.determinants[:vi] + (1,) + p.determinants[vi + 1:])
+    misread = p._replace(determinants=p.determinants[:vi] + (1,) + p.determinants[vi + 1:])
     with pytest.raises(RuntimeError) as exc:
         face_groups(misread)
     assert str(exc.value) == (
@@ -226,5 +225,5 @@ def test_reduction_invariants_reject_outside_point():
     p = t1()
     d = build_construction(p)
     c = d.scaled_offsets[:2] + (Fraction(-1, 2),)
-    bad = replace(d, scaled_offsets=c, level=tuple(-dot(row, c) for row in d.kernel_rows))
+    bad = d._replace(scaled_offsets=c, level=tuple(-dot(row, c) for row in d.kernel_rows))
     assert verify_reduction_invariants(bad, p) == "vertex (0, 1) has negative slack on facet 2"

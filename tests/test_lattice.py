@@ -738,6 +738,22 @@ def test_group_validation():
     assert str(FiniteAbelianGroup(())) == "trivial"
 
 
+@pytest.mark.parametrize("build", [
+    FiniteAbelianGroup,
+    lambda fs: FiniteAbelianGroup._make([fs]),
+    lambda fs: FiniteAbelianGroup((2,))._replace(invariant_factors=fs),
+], ids=["call", "make", "replace"])
+def test_group_checks_run_on_every_construction_path(build):
+    # namedtuple's _make, which _replace calls, would build the tuple
+    # without __new__ and so without its checks
+    for bad, message in (((4, 2), "broken divisibility chain"), ((1,), "invariant factor 1 < 2"),
+                         ((2.0,), "not an integer entry")):
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+    g = build([2, Fraction(4)])
+    assert type(g) is FiniteAbelianGroup and g.invariant_factors == (2, 4)
+
+
 # ---------------------------------------------------------------------------
 # the merge from cyclic orders to invariant factors
 # ---------------------------------------------------------------------------

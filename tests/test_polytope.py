@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labpoly.lattice import dot
 from labpoly.polytope import (
@@ -22,6 +24,8 @@ from corpus import (
     cube,
     face_by_active,
     interval,
+    labeled_polygon_products,
+    labeled_simplex_products,
     polytope_to_json,
     solve_rational,
     square,
@@ -323,6 +327,23 @@ def test_isomorphism_is_an_equivalence():
         c2 = isomorphism_report(q, p)[0]
         assert c1 == t
         assert c2 == tuple(-x for x in t)  # symmetric (inverse translation)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(labeled_polygon_products(), labeled_simplex_products()), st.data())
+def test_isomorphism_report_reads_back_a_drawn_translation(p, data):
+    # q = p + c facet-wise: the report returns exactly c, and -c the other
+    # way; one facet relabeled on q makes it return None naming that facet
+    c = data.draw(st.tuples(*[st.fractions(-10, 10, max_denominator=12)] * p.dim))
+    moved = [(h.normal, h.offset + dot(c, h.normal), h.label) for h in p.halfspaces]
+    assert isomorphism_report(p, validate(p.dim, moved)) == (c, "translation")
+    assert isomorphism_report(validate(p.dim, moved), p) == (
+        tuple(-x for x in c), "translation")
+    i = data.draw(st.integers(0, len(moved) - 1))
+    normal, offset, label = moved[i]
+    relabeled = validate(p.dim, moved[:i] + [(normal, offset, label + 1)] + moved[i + 1:])
+    assert isomorphism_report(p, relabeled) == (
+        None, f"labels differ on the facet with normal {normal}")
 
 
 def test_dimension_mismatch_raises():

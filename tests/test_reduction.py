@@ -9,7 +9,6 @@ the barycenter and seeded convex combinations of the vertices: the slacks are
 affine, so the level that holds at the vertices must hold there too.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,7 +54,7 @@ def with_offset(d, i, shift):
     """``d`` with c_i moved by ``shift`` and the level recomputed from the new
     offsets, so that only the slacks at the vertices can show the change."""
     c = d.scaled_offsets[:i] + (d.scaled_offsets[i] + shift,) + d.scaled_offsets[i + 1:]
-    return replace(d, scaled_offsets=c, level=tuple(-dot(row, c) for row in d.kernel_rows))
+    return d._replace(scaled_offsets=c, level=tuple(-dot(row, c) for row in d.kernel_rows))
 
 
 @pytest.mark.parametrize("p", [p for _, p in POLYTOPES], ids=IDS)
@@ -92,11 +91,11 @@ def test_corrupted_level_matches_reference(p):
     first = p.vertices[0]  # the vertices are checked in order
     for wrong in (d.level[last] + Fraction(1, 3), d.level[last] / 7,
                   d.level[last] + 1):
-        bad = replace(d, level=d.level[:last] + (wrong,))
+        bad = d._replace(level=d.level[:last] + (wrong,))
         failure = verify_reduction_invariants(bad, p)
         assert failure == reference_verify(bad, p)
         assert failure == f"vertex {format_point(first)} does not pair to the level"
-    short = replace(d, level=d.level[:last])
+    short = d._replace(level=d.level[:last])
     assert verify_reduction_invariants(short, p) == reference_verify(short, p) is not None
 
 
@@ -111,5 +110,5 @@ def test_corrupted_offset_matches_reference(p):
         assert " has zero slacks " in failure
         # the same offsets with the built level: whichever check sees it first
         for shift in (Fraction(-1, 2), Fraction(1, 2)):
-            bad = replace(with_offset(d, i, shift), level=d.level)
+            bad = with_offset(d, i, shift)._replace(level=d.level)
             assert verify_reduction_invariants(bad, p) == reference_verify(bad, p) is not None

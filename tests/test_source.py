@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import labpoly
@@ -102,3 +104,32 @@ def test_the_structure_group_oracle_does_not_use_the_printed_route():
             continue
         found += [f"line {node.lineno}: {name}" for name in names if name in forbidden]
     assert found == [], f"local_model.py uses the printed route: {found}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays this import first, and dataclasses brings inspect,
+    # ast, dis and tokenize with it; -S keeps site's own imports out
+    src = Path(labpoly.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import labpoly.cli; "
+            "print(labpoly.cli.__file__); print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [str(src / "labpoly" / "cli.py"), ""]
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # typing is checked in the source only: a stdlib module may load it
+    # itself on some Python versions
+    found = []
+    for path in sorted(Path(labpoly.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == [], f"modules that import dataclasses or typing: {found}"
