@@ -16,7 +16,7 @@ from .delzant import (
     face_stabilizer,
     verify_reduction_invariants,
 )
-from .fan import Fan, build_fan, fan_to_json, fans_equal
+from .fan import build_fan
 from .lattice import (
     DiagonalForm,
     FiniteAbelianGroup,

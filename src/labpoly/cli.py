@@ -25,9 +25,9 @@ import sys
 import warnings
 
 from . import delzant as dz
-from . import fan as fan_mod
 from . import local_model as lm
 from . import morse as morse_mod
+from .fan import build_fan
 from .lattice import format_rational
 from .polytope import (
     FormatError,
@@ -108,18 +108,19 @@ def cmd_structure_groups(args, p):
 
 
 def cmd_fan(args, p):
-    f = fan_mod.build_fan(p)
+    cones = sorted(build_fan(p), key=lambda c: (len(c), c))
     if args.json:
-        return fan_mod.fan_to_json(f), 0
-    rays = ", ".join(str(tuple(r)) for r in f.rays())
-    return [f"dim {f.ambient_dim}, {len(f.cones)} cones, rays [{rays}]",
-            *("cone " + str([list(g) for g in c])
-              for c in f.sorted_cones())], 0
+        return {"ambient_dim": p.dim, "cones": [[list(g) for g in c] for c in cones]}, 0
+    rays = ", ".join(map(str, sorted({g for c in cones for g in c})))
+    return [f"dim {p.dim}, {len(cones)} cones, rays [{rays}]",
+            *(f"cone {[list(g) for g in c]}" for c in cones)], 0
 
 
 def cmd_compare(args, p, q):
     do_symp = args.symplectic or not args.biholomorphic
     do_biho = args.biholomorphic or not args.symplectic
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
     out = {}
     lines = []
     if do_symp:
@@ -133,7 +134,7 @@ def cmd_compare(args, p, q):
             out["symplectomorphic"] = False
             out["reason"] = reason
     if do_biho:
-        equal = fan_mod.fans_equal(fan_mod.build_fan(p), fan_mod.build_fan(q))
+        equal = build_fan(p) == build_fan(q)
         lines.append("fans equal: biholomorphic" if equal
                       else "fans differ: not biholomorphic")
         out["fans_equal"] = equal

@@ -35,8 +35,10 @@ or on a face through a vertex of basis determinant 1 (read off the walk,
 certified by Y * E = I), one diagonal form elsewhere.  Both are merged from
 cyclic orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
 :func:`labpoly.local_model.structure_group` is a route to the same groups
-independent up to that merge, and the two are cross-checked in the tests and
-by the ``stabilizers`` and ``verify`` commands.
+that shares with :func:`face_stabilizer` only that merge and the elimination
+loop of :mod:`labpoly.lattice` (guarded here by U * A * V = D, there by the
+index certificate), and the two are cross-checked in the tests and by the
+``stabilizers`` and ``verify`` commands.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
     One diagonal form U * A * V = D of the projection A gives the kernel and
-    the component group, and a zero on its diagonal raises.  The level is the
+    the component group; a failed U * A * V = D check is raised again naming
+    the projection, and a zero on its diagonal raises.  The level is the
     closed form
     -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
     beta exactly when B annihilates A, which is certified by exact
@@ -97,7 +100,10 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
-    form = diagonal_form(projection)
+    try:
+        form = diagonal_form(projection)
+    except RuntimeError as exc:
+        raise RuntimeError(f"projection: {exc}") from exc
     if 0 in form.diagonal:
         raise RuntimeError(f"projection is not surjective over the rationals: its "
                            f"diagonal is zero at position {form.diagonal.index(0)}")
@@ -166,8 +172,9 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     diagonal form of their projection columns m_i * y_i, merged by
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
-    :func:`labpoly.local_model.structure_group` up to that merge.  A failed
-    U * A * V = D check is raised again naming the face.
+    :func:`labpoly.local_model.structure_group` up to that merge and the
+    elimination loop both run.  A failed U * A * V = D check is raised again
+    naming the face.
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")

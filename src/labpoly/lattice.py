@@ -67,10 +67,16 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``, of any size."""
+    """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``, of any size.
+
+    ``x`` must be an int that is not a bool, or a Fraction; anything else
+    (a float, a bool, a string) raises ValueError.
+    """
     if type(x) is int:
         return _decimal(x)
     if not isinstance(x, Fraction):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"not an exact rational: {x!r}")
         x = Fraction(x)
     num = _decimal(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
@@ -370,10 +376,11 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
             fs = tuple(_as_int(d) for d in fs)
         for d in fs:
             if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+                raise ValueError(f"invariant factor {_decimal(d)} < 2")
         for x, y in zip(fs, fs[1:]):
             if y % x != 0:
-                raise ValueError(f"broken divisibility chain: {x} does not divide {y}")
+                raise ValueError(f"broken divisibility chain: {_decimal(x)} does not "
+                                 f"divide {_decimal(y)}")
         return super().__new__(cls, fs)
 
     @classmethod

@@ -41,7 +41,10 @@ That R is a basis of l, and not of a sublattice of it, rests on every column
 step having determinant +-1, which holds by construction.
 :func:`labpoly.delzant.face_groups`, which the CLI prints, reads the group off
 the labels or off one checked diagonal form of the scaled normals and never
-computes L or the index: the two routes share only the merge.
+computes L or the index.  The two routes share the merge and the elimination
+loop :func:`labpoly.lattice._eliminate`: ``face_stabilizer`` runs it through
+``diagonal_form``, whose exact U * A * V = D check guards it there, and this
+oracle through ``smith_diagonal``, guarded here by the index certificate.
 ``stabilizers`` and ``verify`` compare them on every proper face and exit 3
 on a mismatch, which catches a diagonal of the right order but the wrong
 split (diag(1, 4) for diag(2, 2)); where the printed group comes from the

@@ -17,7 +17,7 @@ from collections import namedtuple
 from math import comb
 
 from .lattice import dot, matrix
-from .polytope import LabeledPolytope
+from .polytope import LabeledPolytope, format_point
 
 
 # vertex_indices: the index (an even integer) per vertex, in vertex order;
@@ -66,7 +66,7 @@ def morse_report(p: LabeledPolytope, xi) -> MorseReport:
     for edges in p.edges:
         pairings = [dot(xi, d) for _, d in edges]
         if 0 in pairings:
-            raise ValueError(f"xi = {xi} is not generic for this polytope")
+            raise ValueError(f"xi = {format_point(xi)} is not generic for this polytope")
         indices.append(2 * sum(1 for x in pairings if x < 0))
     coeffs = [0] * (2 * p.dim + 1)
     for k in indices:

@@ -122,11 +122,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
         raise ValidationError("dimension must be a positive integer")
 
     hs = []
-    for i, raw in enumerate(halfspaces):
-        if isinstance(raw, HalfSpace):
-            normal, offset, label = raw.normal, raw.offset, raw.label
-        else:
-            normal, offset, label = raw
+    for i, (normal, offset, label) in enumerate(halfspaces):
         if not isinstance(label, int) or isinstance(label, bool):
             raise ValidationError(f"label must be an integer on facet {i}")
         if label < 1:
@@ -146,7 +142,8 @@ def validate(dim, halfspaces) -> LabeledPolytope:
         offset = Fraction(offset)
         g = math.gcd(*normal)
         if g > 1:
-            warnings.warn(f"facet {i}: normal {normal} is not primitive, dividing by {g}")
+            warnings.warn(f"facet {i}: normal {format_point(normal)} is not primitive, "
+                          f"dividing by {format_rational(g)}")
             offset = offset / g
             normal = tuple(e // g for e in normal)
         hs.append(HalfSpace(normal, offset, label))
@@ -242,9 +239,10 @@ def _walk(dim, hs):
         if tight not in found:  # a degenerate vertex is reached from several bases
             found[tight] = (d, [row[dim] for row in rows[n_facets:]], tight, tuple(edges))
 
-    # sort on integer numerators over one common denominator, then form the Fractions
+    # sort on integer numerators over one common denominator, each vertex's
+    # numerators times one quotient lcm // d, then form the Fractions
     lcm = math.lcm(*(d for d, *_ in found.values()))
-    walked = sorted(found.values(), key=lambda item: [x * (lcm // item[0]) for x in item[1]])
+    walked = sorted(found.values(), key=lambda item: list(map((lcm // item[0]).__mul__, item[1])))
     return (tuple(tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
             tuple(tight for _, _, tight, _ in walked),
             tuple(edges for *_, edges in walked),

@@ -112,7 +112,7 @@ def test_criterion_4_w2():
     for f in p.proper_faces():
         if f.active != (0, 2):
             assert structure_group(p, f).is_trivial
-    assert set(build_fan(p).rays()) == {(1, 0), (0, 1), (-1, -2)}
+    assert {g for c in build_fan(p) for g in c} == {(1, 0), (0, 1), (-1, -2)}
 
 
 @criterion(5, "label twin: not symplectomorphic, fans equal")
@@ -149,10 +149,9 @@ def test_criterion_5_label_twin():
         assert "fans equal: biholomorphic" in out
 
     # and the library agrees with the CLI
-    from labpoly.fan import fans_equal
     from labpoly.polytope import isomorphism_report
     assert isomorphism_report(t1(), t1((1, 1, 2)))[0] is None
-    assert fans_equal(build_fan(t1()), build_fan(t1((1, 1, 2))))
+    assert build_fan(t1()) == build_fan(t1((1, 1, 2)))
 
 
 @criterion(6, "reduction identity at every vertex, level at 100 seeded points")

@@ -840,6 +840,13 @@ def _no_generic_direction(monkeypatch):
     (_break_products_in("diagonal_form"), ["structure-groups", "w2"],
      "face [0, 2]: diagonal reduction broke the identity U*A*V = D on the 2x2 matrix "
      "with largest entry bit-length 2"),
+    # the projection's diagonal form, which delzant and verify take first
+    (_break_products_in("diagonal_form"), ["delzant", "w2"],
+     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
+     "with largest entry bit-length 2"),
+    (_break_products_in("diagonal_form"), ["verify", "w2"],
+     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
+     "with largest entry bit-length 2"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
     (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
@@ -863,7 +870,7 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "oracle_echelon_identity",
+], ids=["smith", "projection_delzant", "projection_verify", "oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "closed_form_premise", "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):

@@ -1,14 +1,24 @@
 """Tests for face cones and fan comparison."""
 
 import copy
+import json
 
 import pytest
 
-from labpoly.fan import build_fan, fan_to_json, fans_equal
+from labpoly.cli import main
+from labpoly.fan import build_fan
 from labpoly.lattice import dot
 from labpoly.polytope import Face, validate
 
-from corpus import generated_family, interval, square, standard_corpus, t1, w2
+from corpus import (
+    generated_family,
+    interval,
+    polytope_to_json,
+    square,
+    standard_corpus,
+    t1,
+    w2,
+)
 
 
 def fraction_duality_holds(p, face, cone):
@@ -24,6 +34,11 @@ def fraction_duality_holds(p, face, cone):
         elif at_min and cone:
             return False
     return True
+
+
+def rays(fan):
+    """The sorted generators of every cone, as ``labpoly fan`` lists them."""
+    return tuple(sorted({g for c in fan for g in c}))
 
 
 def cone_of(p, face):
@@ -55,15 +70,16 @@ CASES = standard_corpus() + generated_family()
 def test_t1_fan_contents():
     p = t1()
     f = build_fan(p)
-    assert f.ambient_dim == 2
-    assert f.rays() == ((-1, -1), (0, 1), (1, 0))
-    sizes = sorted(len(c) for c in f.cones)
+    assert type(f) is frozenset
+    assert all(len(g) == p.dim == 2 for c in f for g in c)
+    assert rays(f) == ((-1, -1), (0, 1), (1, 0))
+    sizes = sorted(len(c) for c in f)
     assert sizes == [0, 1, 1, 1, 2, 2, 2]  # zero cone, three rays, three 2-cones
 
 
 def test_w2_fan_rays():
     f = build_fan(w2())
-    assert set(f.rays()) == {(1, 0), (0, 1), (-1, -2)}
+    assert set(rays(f)) == {(1, 0), (0, 1), (-1, -2)}
 
 
 def test_fan_forgets_labels_and_offsets():
@@ -71,24 +87,36 @@ def test_fan_forgets_labels_and_offsets():
     p2 = t1((1, 1, 2))
     p3 = validate(2, [((1, 0), 1, 1), ((0, 1), -2, 5), ((-1, -1), -4, 3)])
     fan1 = build_fan(p1)
-    assert fans_equal(fan1, build_fan(p2))
-    assert fans_equal(fan1, build_fan(p3))
+    assert fan1 == build_fan(p2)
+    assert fan1 == build_fan(p3)
 
 
 def test_different_shapes_different_fans():
-    assert not fans_equal(build_fan(t1()), build_fan(w2()))
-    assert not fans_equal(build_fan(t1()), build_fan(square()))
+    assert build_fan(t1()) != build_fan(w2())
+    assert build_fan(t1()) != build_fan(square())
 
 
-def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        fans_equal(build_fan(t1()), build_fan(interval(1, 1)))
+def write_polytope(tmp_path, name, p):
+    path = tmp_path / name
+    path.write_text(json.dumps(polytope_to_json(p)))
+    return str(path)
+
+
+def test_dimension_mismatch(tmp_path, capsys):
+    # compare checks the dimensions before either comparison, so fans of
+    # different dimensions are never compared as sets
+    a = write_polytope(tmp_path, "t1.json", t1())
+    b = write_polytope(tmp_path, "interval.json", interval(1, 1))
+    for flags in ([], ["--biholomorphic"], ["--symplectic"], ["--json"]):
+        assert main(["compare", a, b, *flags]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: dimension mismatch\n")
 
 
 def test_cone_count_matches_face_count():
     for name, p in standard_corpus()[:25]:
         f = build_fan(p)
-        assert len(f.cones) == len(p.faces), name
+        assert len(f) == len(p.faces), name
 
 
 def test_failing_duality_check_raises():
@@ -104,7 +132,7 @@ def test_failing_duality_check_raises():
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
 def test_duality_table_matches_fraction_reference(name, p):
     cones = [cone_of(p, f) for f in p.faces]
-    assert build_fan(p).cones == frozenset(cones)
+    assert build_fan(p) == frozenset(cones)
     verdicts = set()
     for k, face in enumerate(p.faces):
         assert fraction_duality_holds(p, face, cones[k])
@@ -128,16 +156,23 @@ def test_permuted_facets_give_an_equal_fan_of_sorted_tuples(name, p):
     for order in (hs[::-1], hs[1:] + hs[:1]):
         g = build_fan(validate(p.dim, order))
         assert g == f
-        assert fans_equal(g, f)
-    for c in f.cones:
+    for c in f:
         assert type(c) is tuple and all(type(y) is tuple for y in c)
         assert list(c) == sorted(set(c))
-    assert f.cones == frozenset(cone_of(p, face) for face in p.faces)
+    assert f == frozenset(cone_of(p, face) for face in p.faces)
 
 
-def test_fan_json_is_deterministic():
-    p = w2()
-    assert fan_to_json(build_fan(p)) == fan_to_json(build_fan(w2()))
-    obj = fan_to_json(build_fan(p))
+def test_fan_json_is_deterministic(tmp_path, capsys):
+    path = write_polytope(tmp_path, "w2.json", w2())
+    reports = []
+    for _ in range(2):
+        assert main(["fan", path, "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    obj = json.loads(reports[0])
+    assert obj["ambient_dim"] == 2
     assert obj["cones"][0] == []  # zero cone sorts first
     assert [[-1, -2]] in obj["cones"]
+    # by (length, generators): the zero cone, the rays, then the 2-cones
+    assert obj["cones"] == sorted(obj["cones"], key=lambda c: (len(c), c))
+    assert [len(c) for c in obj["cones"]] == [0, 1, 1, 1, 2, 2, 2]

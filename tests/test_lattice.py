@@ -754,6 +754,18 @@ def test_group_checks_run_on_every_construction_path(build):
     assert type(g) is FiniteAbelianGroup and g.invariant_factors == (2, 4)
 
 
+def test_group_messages_print_factors_past_the_digit_limit():
+    # 5001-digit factors, past the interpreter's default limit for str(int):
+    # the message prints them instead of failing to
+    ones = "1" + "0" * 4999
+    with pytest.raises(ValueError) as exc:
+        FiniteAbelianGroup((10**5000 + 1, 10**5000 + 3))
+    assert str(exc.value) == f"broken divisibility chain: {ones}1 does not divide {ones}3"
+    with pytest.raises(ValueError) as exc:
+        FiniteAbelianGroup((-10**5000,))
+    assert str(exc.value) == f"invariant factor -1{'0' * 5000} < 2"
+
+
 # ---------------------------------------------------------------------------
 # the merge from cyclic orders to invariant factors
 # ---------------------------------------------------------------------------
@@ -880,6 +892,16 @@ def test_format_rational_past_the_digit_limit(value):
         sys.set_int_max_str_digits(limit)
     assert got == want
     assert parse_rational(got[:600]) == Fraction(want[:600])
+
+
+def test_format_rational_formats_only_exact_values():
+    # Fraction(0.1) and Fraction(True) would print values that
+    # parse_rational, the inverse, refuses
+    for bad in (0.1, 2.0, True, False, "1/2", None):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            format_rational(bad)
+    assert format_rational(-7) == "-7"
+    assert format_rational(Fraction(1, 10)) == "1/10"
 
 
 def test_parse_rational_rejects_floats_and_bools():

@@ -54,6 +54,10 @@ def test_non_generic_direction_raises():
         poincare_polynomial(p, (1, 0))
     with pytest.raises(ValueError, match="not generic"):
         morse_report(p, (0, 1))
+    # a 5001-digit entry, past the interpreter's default limit for str(int)
+    with pytest.raises(ValueError) as exc:
+        morse_report(p, (10**5000, 0))
+    assert str(exc.value) == f"xi = (1{'0' * 5000}, 0) is not generic for this polytope"
 
 
 def test_unique_min_and_max():

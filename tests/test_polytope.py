@@ -188,6 +188,26 @@ def test_nonprimitive_normal_warns_and_rescales():
     assert set(p.vertices) == set(t1().vertices)
 
 
+def test_nonprimitive_normal_past_the_digit_limit_warns_and_validates():
+    # the unit interval with a normal 2 * 10^5000 times too long: the
+    # warning prints the normal and the gcd, 5001 digits each
+    g = 2 * 10**5000
+    with pytest.warns(UserWarning) as caught:
+        p = validate(1, [((g,), 0, 1), ((-1,), -1, 1)])
+    digits = "2" + "0" * 5000
+    assert [str(w.message) for w in caught] == [
+        f"facet 0: normal ({digits}) is not primitive, dividing by {digits}"]
+    assert p.halfspaces[0].normal == (1,)
+    assert p.vertices == ((0,), (1,))
+
+
+def test_halfspace_records_and_triples_give_equal_polytopes():
+    # a HalfSpace unpacks as its (normal, offset, label) triple
+    for name, p in standard_corpus()[:20]:
+        triples = [(h.normal, h.offset, h.label) for h in p.halfspaces]
+        assert validate(p.dim, p.halfspaces) == validate(p.dim, triples) == p, name
+
+
 def test_non_integer_normal_is_rejected():
     # int(1.7) would silently turn the normal into (1, 0)
     with pytest.raises(ValidationError, match="normal of facet 0 must have integer entries"):
