@@ -81,8 +81,9 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
     One diagonal form U * A * V = D of the projection A gives the kernel and
-    the component group; a failed U * A * V = D check is raised again naming
-    the projection, and a zero on its diagonal raises.  The level is the
+    the component group; a failed U * A * V = D check, or a merge that loses
+    the product, is raised again naming the projection, and a zero on its
+    diagonal raises.  The level is the
     closed form
     -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
     beta exactly when B annihilates A, which is certified by exact
@@ -112,15 +113,20 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
         if any(mat_vec(projection, row)):
             raise RuntimeError(f"projection does not annihilate kernel row {k}")
     _certify_kernel_index(projection, kernel, form.diagonal)
+    try:
+        component_group = FiniteAbelianGroup.from_orders(form.diagonal)
+    except RuntimeError as exc:
+        raise RuntimeError(f"projection: {exc}") from exc
     q, numerators = common_denominator(offsets)
     return DelzantData(projection=projection, scaled_offsets=offsets, kernel_rows=kernel,
                        level=tuple(Fraction(-dot(row, numerators), q) for row in kernel),
-                       component_group=FiniteAbelianGroup.from_orders(form.diagonal))
+                       component_group=component_group)
 
 
 def _certify_kernel_index(projection, kernel, diagonal) -> None:
     """The kernel index identity of :func:`build_construction`; raises
-    RuntimeError naming both sides unless it holds."""
+    RuntimeError naming both sides unless it holds, and raises the merge's
+    RuntimeError again naming the projection."""
     n, facets = len(projection), len(projection[0])
     cols = [next((j for j, x in enumerate(row) if x), facets) for row in kernel]
     free = sorted(set(range(facets)).difference(cols))
@@ -128,7 +134,10 @@ def _certify_kernel_index(projection, kernel, diagonal) -> None:
         raise RuntimeError(f"kernel rows: {len(kernel)}, distinct pivot columns: "
                            f"{facets - len(free)}; both must be N - n = {facets - n}")
     pivots = abs(math.prod(row[j] for row, j in zip(kernel, cols))) * math.prod(diagonal)
-    minor = math.prod(smith_diagonal([[row[j] for j in free] for row in projection]))
+    try:
+        minor = math.prod(smith_diagonal([[row[j] for j in free] for row in projection]))
+    except RuntimeError as exc:
+        raise RuntimeError(f"projection: {exc}") from exc
     if pivots != minor:
         raise RuntimeError(
             f"kernel index identity fails: the kernel pivots' product times the "
@@ -160,8 +169,12 @@ def face_groups(p: LabeledPolytope) -> tuple:
 
 
 def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
-    """Sum of Z/m_i over the face's facets (:meth:`FiniteAbelianGroup.from_orders`)."""
-    return FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in face.active])
+    """Sum of Z/m_i over the face's facets (:meth:`FiniteAbelianGroup.from_orders`),
+    a merge that loses the product raised again naming the face."""
+    try:
+        return FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in face.active])
+    except RuntimeError as exc:
+        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
 
 
 def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
@@ -173,18 +186,18 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
     :func:`labpoly.local_model.structure_group` up to that merge and the
-    elimination loop both run.  A failed U * A * V = D check is raised again
-    naming the face.
+    elimination loop both run.  A failed U * A * V = D check, or a merge
+    that loses the product, is raised again naming the face.
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
     try:
         diag = diagonal_form(_scaled_columns(p, face.active)).diagonal
+        if len([x for x in diag if x != 0]) == len(face.active):
+            return FiniteAbelianGroup.from_orders(diag)
     except RuntimeError as exc:
         raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
-    if len([x for x in diag if x != 0]) != len(face.active):
-        raise RuntimeError(f"dependent facet normals over face {list(face.active)}")
-    return FiniteAbelianGroup.from_orders(diag)
+    raise RuntimeError(f"dependent facet normals over face {list(face.active)}")
 
 
 def _scaled_columns(p: LabeledPolytope, facets) -> tuple:

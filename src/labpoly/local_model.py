@@ -35,7 +35,8 @@ What each runtime check catches:
   labels' product times |L_11 ... L_kk|, or RuntimeError names the face.  It
   catches a wrong step of the elimination that changes the diagonal's
   product, and an M formed from anything but the checked L;
-- the merge keeps the diagonal's product or raises RuntimeError.
+- the merge keeps the diagonal's product or raises RuntimeError, raised again
+  naming the face.
 
 That R is a basis of l, and not of a sublattice of it, rests on every column
 step having determinant +-1, which holds by construction.
@@ -72,8 +73,9 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
 
     Trivial for the whole polytope (empty tight set).  Dependent tight
     normals (fewer than k echelon rows) raise ValueError; an echelon that
-    fails Y = L * R, or a group order that fails the index certificate,
-    raises RuntimeError.
+    fails Y = L * R, a merge that loses the diagonal's product, or a group
+    order that fails the index certificate, raises RuntimeError naming the
+    face.
     """
     if not face.active:
         return TRIVIAL_GROUP
@@ -89,7 +91,10 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
         raise RuntimeError(
             f"column echelon over face {list(face.active)} broke the identity "
             f"Y = L*R: row {row} of R is not integral")
-    diag = smith_diagonal([[h.label * x for x in r] for h, r in zip(tight, lower)])
+    try:
+        diag = smith_diagonal([[h.label * x for x in r] for h, r in zip(tight, lower)])
+    except RuntimeError as exc:
+        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
     order = math.prod(diag)
     want = (math.prod(h.label for h in tight)
             * math.prod(abs(r[i]) for i, r in enumerate(lower)))

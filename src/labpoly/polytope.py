@@ -178,7 +178,9 @@ def _walk(dim, hs):
     every vertex of P is one (minimize a functional that P minimizes only
     there).  Offsets are scaled to a common denominator once, so everything
     runs on integers, in one dictionary per basis that a single
-    fraction-free :func:`_pivot` carries to the next.
+    fraction-free :func:`_pivot` carries to the next.  The dictionary is kept
+    by columns, so each step below reads one column: the slacks and tight
+    set, an edge's rates and direction, the vertex numerators.
 
     The start: :func:`_eliminate` pivots n independent facets into the basis,
     and :func:`_phase_one` moves from there to a lex-feasible basis, or
@@ -188,11 +190,14 @@ def _walk(dim, hs):
     every facet's rate along it in the same column.  An exact ratio test,
     ties broken on the slack rows, finds the facet i that blocks it, and
     B - {j} + {i} is lex-feasible again; its dictionary is one pivot from
-    this one, made when it is taken off the stack.  Each dictionary is
-    checked against the input (:func:`_certify`).  Each vertex of P is kept
-    once, with all facets of zero slack as its tight set, for
-    :func:`_check_vertices` to judge, and with its dictionary's
-    d = |det Y_B| (:func:`_pivot`).
+    this one, made when it is taken off the stack.  At a basis reached by
+    pivoting facet i in for facet j, the edge that leaves i goes back to that
+    parent basis, already seen: the lexicographic pivot is reversible, so
+    the ratio test there would name j, and it is not run; the edge's
+    direction is still kept.  Each dictionary is checked against the input
+    (:func:`_certify`).  Each vertex of P is kept once, with all facets of
+    zero slack as its tight set, for :func:`_check_vertices` to judge, and
+    with its dictionary's d = |det Y_B| (:func:`_pivot`).
 
     An unblocked edge is a recession direction, so :func:`_check_bounded`,
     phase 1 on the recession cone, must then name a ray; RuntimeError if it
@@ -216,28 +221,32 @@ def _walk(dim, hs):
     seen = {frozenset(start[1])}
     todo = [(start, None, None)]
     while todo:
-        dictionary, col, entering = todo.pop()
-        if col is not None:
-            dictionary = _pivot(dictionary, col, entering)
+        dictionary, arrival, entering = todo.pop()
+        if arrival is not None:
+            dictionary = _pivot(dictionary, arrival, entering)
         _certify(dictionary, normals, offsets)
-        d, basis, rows = dictionary
+        d, basis, cols = dictionary
         edges = []
         for col in sorted(range(dim), key=basis.__getitem__):
             j = basis[col]
-            best = _ratio_test(dictionary, col, [i for i in range(n_facets) if rows[i][col] < 0])
+            rates = cols[col]
+            edges.append((j, primitive_vector(rates[n_facets:])))
+            if col == arrival:  # the edge back to the parent basis
+                continue
+            best = _ratio_test(dictionary, col, [i for i in range(n_facets) if rates[i] < 0])
             if best is None:
                 _check_bounded(normals, dim)
                 raise RuntimeError(f"vertex walk: no facet blocks the edge leaving facet {j} "
                                    f"at basis {tuple(sorted(basis))}, yet no recession ray "
                                    f"was found")
-            edges.append((j, primitive_vector([row[col] for row in rows[n_facets:]])))
             neighbour = frozenset(basis) - {j} | {best}
             if neighbour not in seen:
                 seen.add(neighbour)
                 todo.append((dictionary, col, best))
-        tight = tuple([i for i in range(n_facets) if rows[i][dim] == 0])
+        slacks = cols[dim]
+        tight = tuple([i for i in range(n_facets) if slacks[i] == 0])
         if tight not in found:  # a degenerate vertex is reached from several bases
-            found[tight] = (d, [row[dim] for row in rows[n_facets:]], tight, tuple(edges))
+            found[tight] = (d, slacks[n_facets:], tight, tuple(edges))
 
     # sort on integer numerators over one common denominator, each vertex's
     # numerators times one quotient lcm // d, then form the Fractions
@@ -252,39 +261,40 @@ def _walk(dim, hs):
 def _pivot(dictionary, col, i):
     """The dictionary with facet i in place of ``basis[col]``: one fraction-free pivot.
 
-    A dictionary is ``(d, basis, rows)``, the exact simplex dictionary of a
+    A dictionary is ``(d, basis, cols)``, the exact simplex dictionary of a
     basis in integers.  ``basis[c]`` is the facet tight in column c (None for
     a coordinate row during :func:`_eliminate`).  With A the basis normals as
     rows, ``d > 0`` and b the offsets times ``scale``, ``adj = d * A^-1`` and
     ``num = adj * b_B``, so the basic solution is ``v = num / (d * scale)``.
-    ``rows`` holds one row per facet i, ``y_i * adj`` followed by the slack
-    ``<y_i, num> - d * b_i = d * scale * (<y_i, v> - eta_i)``, and then the n
-    rows of ``[adj | num]``: N + n rows of n + 1 integers.
+    Read by rows, it holds one row per facet i, ``y_i * adj`` followed by the
+    slack ``<y_i, num> - d * b_i = d * scale * (<y_i, v> - eta_i)``, and then
+    the n rows of ``[adj | num]``: N + n rows of n + 1 integers.  It is kept
+    as its n + 1 columns of N + n integers, ``cols[c][r]`` being entry c of
+    row r, so that a pivot is n + 1 passes over whole columns.
 
     Row i of the old dictionary is W.  The new determinant is ``|W[col]|``;
     column ``col`` keeps its entries, and an entry x in column b != col of a
     row whose entry in column ``col`` is x_col becomes
     ``(W[col] * x - x_col * W[b]) / d``, an exact division (both are minors of
     integer matrices); all of it negated if W[col] < 0, so that d stays
-    positive.  The slack and ``num`` columns are updated as the others are:
-    they are the dictionary's column of the homogenized system.  O((N + n) * n).
+    positive.  The slack and ``num`` column is updated as the others are: it
+    is the dictionary's column of the homogenized system.  O((N + n) * n).
     """
-    d, basis, rows = dictionary
-    entering = rows[i]
-    p = entering[col]
+    d, basis, cols = dictionary
+    pivot_col = cols[col]
+    p = pivot_col[i]
     sign = 1 if p > 0 else -1
-    if sign < 0:
-        p, entering = -p, [-x for x in entering]
-    new_rows = []
-    for row in rows:
-        x_col = row[col]
-        if not x_col:
-            new_rows.append(row if p == d else [p * x // d for x in row])
-            continue
-        new = [(p * x - x_col * y) // d for x, y in zip(row, entering)]
-        new[col] = sign * x_col
-        new_rows.append(new)
-    return p, basis[:col] + (i,) + basis[col + 1:], new_rows
+    p *= sign
+    new_cols = []
+    for b, column in enumerate(cols):
+        w = sign * column[i]
+        if b == col:
+            new_cols.append(column if sign > 0 else [-x for x in column])
+        elif not w:
+            new_cols.append(column if p == d else [p * x // d for x in column])
+        else:
+            new_cols.append([(p * x - x_col * w) // d for x, x_col in zip(column, pivot_col)])
+    return p, basis[:col] + (i,) + basis[col + 1:], new_cols
 
 
 def _eliminate(dim, normals, offsets):
@@ -296,12 +306,12 @@ def _eliminate(dim, normals, offsets):
     of the other n - 1 basis rows, so the normals have rank < n and the input
     is unbounded.
     """
-    rows = ([list(y) + [-b] for y, b in zip(normals, offsets)]
-            + [[int(r == c) for c in range(dim)] + [0] for r in range(dim)])
-    dictionary = 1, (None,) * dim, rows
+    cols = ([[y[c] for y in normals] + [int(r == c) for r in range(dim)] for c in range(dim)]
+            + [[-b for b in offsets] + [0] * dim])
+    dictionary = 1, (None,) * dim, cols
     for col in range(dim):
-        rows = dictionary[2]
-        i = next((i for i in range(len(normals)) if rows[i][col]), None)
+        column = dictionary[2][col]
+        i = next((i for i in range(len(normals)) if column[i]), None)
         if i is None:
             raise ValidationError("unbounded")
         dictionary = _pivot(dictionary, col, i)
@@ -323,21 +333,22 @@ def _phase_one(dictionary):
     halfspace, so the perturbed polyhedron, and the P inside it, is empty.
     P is the input polytope, or the recession system of :func:`_check_bounded`.
     """
-    n_facets = len(dictionary[2]) - len(dictionary[1])
+    n_facets = len(dictionary[2][0]) - len(dictionary[1])
     zero = [0] * (n_facets + 1)
     while True:
-        _, basis, rows = dictionary
-        slack_col = len(basis)
-        outside = [i for i in range(n_facets) if rows[i][slack_col] < 0 or (
-            rows[i][slack_col] == 0 and i not in basis
+        _, basis, cols = dictionary
+        slacks = cols[-1]
+        outside = [i for i in range(n_facets) if slacks[i] < 0 or (
+            slacks[i] == 0 and i not in basis
             and _perturbed_row(dictionary, i) < zero)]
         if not outside:
             return dictionary
         k = outside[0]
-        col = next((c for c in range(slack_col) if rows[k][c] > 0), None)
+        col = next((c for c in range(len(basis)) if cols[c][k] > 0), None)
         if col is None:
             return None
-        blockers = [i for i in range(n_facets) if rows[i][col] < 0 and i not in outside]
+        rates = cols[col]
+        blockers = [i for i in range(n_facets) if rates[i] < 0 and i not in outside]
         dictionary = _pivot(dictionary, col, _ratio_test(dictionary, col, blockers + [k]))
 
 
@@ -345,21 +356,21 @@ def _ratio_test(dictionary, col, blockers):
     """The facet among ``blockers`` whose perturbed slack first reaches zero along column ``col``.
 
     As the edge leaving ``basis[col]`` is followed, facet i's slack changes
-    at the rate ``rows[i][col]``: each blocker is a facet whose slack is
+    at the rate ``cols[col][i]``: each blocker is a facet whose slack is
     lexicographically >= 0 and falls, or < 0 and rises (phase 1's target).
     It reaches zero after ``|slack / rate|``: compared by cross-multiplying,
     and a tie by the perturbed slack rows, which no two facets share.  None
     if ``blockers`` is empty.
     """
-    _, basis, rows = dictionary
-    slack_col = len(basis)
+    cols = dictionary[2]
+    rates, slacks = cols[col], cols[-1]
     best = best_rate = best_sign = None
     for i in blockers:
-        rate = rows[i][col]
+        rate = rates[i]
         sign = 1 if rate < 0 else -1
         rate *= -sign
         if best is not None:
-            gap = sign * rows[i][slack_col] * best_rate - best_sign * rows[best][slack_col] * rate
+            gap = sign * slacks[i] * best_rate - best_sign * slacks[best] * rate
             if gap > 0 or (gap == 0 and (
                     [sign * x * best_rate for x in _perturbed_row(dictionary, i)]
                     > [best_sign * x * rate for x in _perturbed_row(dictionary, best)])):
@@ -375,15 +386,15 @@ def _perturbed_row(dictionary, i):
     column, read off its row i with no product: lowering eta_k adds
     ``d * eps^(k+1)`` on facet k and, for k in the basis, moves the vertex by
     ``-eps^(k+1)`` times its edge column, which changes facet i's slack by
-    ``-rows[i][column of k] * eps^(k+1)``.  Small slacks compare as the rows
+    ``-cols[column of k][i] * eps^(k+1)``.  Small slacks compare as the rows
     do lexicographically; a basic facet's row is zero.
     """
-    d, basis, rows = dictionary
+    d, basis, cols = dictionary
     n = len(basis)
-    row = [rows[i][n]] + [0] * (len(rows) - n)
+    row = [cols[n][i]] + [0] * (len(cols[n]) - n)
     row[i + 1] = d
-    for k, x in zip(basis, rows[i]):
-        row[k + 1] -= x
+    for k, column in zip(basis, cols):
+        row[k + 1] -= column[i]
     return row
 
 
@@ -398,13 +409,12 @@ def _certify(dictionary, normals, offsets):
     RuntimeError naming the basis; an ``assert`` would vanish under
     ``python -O``.
     """
-    d, basis, rows = dictionary
-    n = len(basis)
-    num = [row[n] for row in rows[len(normals):]]
-    unit = [0] * (n + 1)
+    d, basis, cols = dictionary
+    num = cols[-1][len(normals):]
+    unit = [0] * len(cols)
     for c, j in enumerate(basis):
         unit[c] = d
-        if rows[j] != unit:
+        if [column[j] for column in cols] != unit:
             raise RuntimeError(f"vertex walk: row {j} of the dictionary at basis "
                                f"{tuple(sorted(basis))} is not d * e_{c}")
         unit[c] = 0
@@ -456,7 +466,7 @@ def _check_bounded(normals, dim):
     dictionary = _phase_one(_eliminate(dim, [*normals, s], [0] * len(normals) + [1]))
     if dictionary is None:
         return
-    ray = primitive_vector([row[dim] for row in dictionary[2][-dim:]])
+    ray = primitive_vector(dictionary[2][dim][-dim:])
     if not any(ray) or any(dot(y, ray) < 0 for y in normals):
         raise RuntimeError(f"recession phase 1: the basic solution {format_point(ray)} "
                            f"is not a recession ray")
@@ -492,7 +502,9 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     for i, h in enumerate(p.halfspaces):
         j = qmap[h.normal]
         if q.halfspaces[j].label != h.label:
-            return None, f"labels differ on the facet with normal {h.normal}"
+            # str(h.normal) at any size: a 1-D normal reads (1,)
+            normal = ", ".join(map(format_rational, h.normal)) + "," * (p.dim == 1)
+            return None, f"labels differ on the facet with normal ({normal})"
     return c, "translation"
 
 

@@ -21,6 +21,7 @@ import labpoly.cli
 from labpoly import delzant, lattice, local_model, morse, polytope
 from labpoly.cli import build_parser, main
 from labpoly.lattice import FiniteAbelianGroup
+from labpoly.polytope import validate
 
 from corpus import interval, polytope_to_json, square, t1, w2
 from test_golden import GOLDEN, run_job
@@ -195,17 +196,21 @@ def test_vertices_json(files, capsys):
     assert obj == {"vertices": [["0", "0"], ["0", "1"], ["2", "0"]]}
 
 
-def _str_past_digit_limit(x):
-    # str() of a number past the interpreter's digit limit, with the limit
-    # lifted for this call only (Python 3.10 before 3.10.7 has no limit)
+def _past_digit_limit(f, *args):
+    # f(*args) with the interpreter's digit limit lifted for this call only
+    # (Python 3.10 before 3.10.7 has no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return str(x)
+        return f(*args)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _str_past_digit_limit(x):
+    return _past_digit_limit(str, x)
 
 
 def test_unbounded_ray_prints_past_the_int_digit_limit(files, capsys):
@@ -338,6 +343,24 @@ def test_compare_label_twin(files, capsys):
     assert "NOT symplectomorphic" in out
     assert "labels differ" in out
     assert "fans equal: biholomorphic" in out
+
+
+def test_compare_names_a_normal_past_the_int_digit_limit(files, capsys, monkeypatch):
+    # x, y >= 0 and x + 10^5000 y <= 1, labeled 1 and then 2 on the last
+    # facet; json neither writes nor reads its 5,001-digit normal entry at the
+    # digit limit, so the files are written and loaded with the limit lifted,
+    # and compare runs with it set
+    big = 10**5000
+    paths = [_past_digit_limit(files["write"], f"thin{m}.json", polytope_to_json(
+        validate(2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -big), -1, m)]))) for m in (1, 2)]
+    load = labpoly.cli.load_polytope
+    monkeypatch.setattr(labpoly.cli, "load_polytope", lambda path: _past_digit_limit(load, path))
+    reason = f"labels differ on the facet with normal (-1, -1{'0' * 5000})"
+    assert run(capsys, "compare", *paths) == (
+        0, f"NOT symplectomorphic ({reason})\nfans equal: biholomorphic\n", "")
+    code, out, err = run(capsys, "compare", *paths, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"symplectomorphic": False, "reason": reason, "fans_equal": True}
 
 
 def test_compare_flags_limit_the_checks(files, capsys):
@@ -648,11 +671,55 @@ def test_merge_losing_the_product_exits_3(files, capsys, monkeypatch):
     monkeypatch.setattr(lattice, "math", SimpleNamespace(
         **{**vars(math), "gcd": lambda *xs: real(*xs) * (1 + (real(*xs) > 1))}))
     path = files["write"]("square_label2.json", polytope_to_json(square(1, [2] * 4)))
-    for command in ("structure-groups", "stabilizers", "delzant", "verify"):
+    for command, witness in [("structure-groups", "face [0, 2]"), ("stabilizers", "face [0, 2]"),
+                             ("delzant", "projection"), ("verify", "projection")]:
         for flags in ([], ["--json"]):
             assert run(capsys, command, path, *flags) == (
-                3, "", "internal error: invariant factors [4, 0] of the cyclic orders "
-                       "[2, 2] lost their product\n")
+                3, "", f"internal error: {witness}: invariant factors [4, 0] of the "
+                       f"cyclic orders [2, 2] lost their product\n")
+
+
+def _double_merge_gcds_under(function):
+    # every gcd above 1 that lattice._merge takes doubled, where ``function``
+    # called the merge's caller (from_orders or smith_diagonal); every other
+    # gcd is the real one
+    def patch(monkeypatch):
+        real = math.gcd
+
+        def gcd(*xs):
+            g = real(*xs)
+            return g * (1 + (g > 1 and sys._getframe(1).f_code.co_name == "_merge"
+                             and sys._getframe(3).f_code.co_name == function))
+
+        monkeypatch.setattr(lattice, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    return patch
+
+
+@pytest.mark.parametrize("function, command, labels, message", [
+    # square, all labels 2: its first vertex face [0, 2] takes Z/2 + Z/2
+    ("_label_group", "structure-groups", "square",
+     "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
+    ("structure_group", "stabilizers", "square",
+     "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
+    # the projection's minor off the kernel pivots, then its own diagonal
+    ("_certify_kernel_index", "delzant", "square",
+     "projection: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
+    ("build_construction", "verify", "square",
+     "projection: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
+    # w2, all labels 2: its vertex (0, 1) has determinant 2, and the diagonal
+    # of its scaled normals is (2, 4)
+    ("face_stabilizer", "structure-groups", "w2",
+     "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 4] lost their product"),
+], ids=["label_route", "oracle", "kernel_index", "component_group", "face_stabilizer"])
+def test_merge_losing_the_product_names_its_witness(files, capsys, monkeypatch, function,
+                                                    command, labels, message):
+    obj = polytope_to_json({"square": square, "w2": w2}[labels]())
+    for h in obj["halfspaces"]:
+        h["label"] = 2
+    path = files["write"](f"{labels}_label2.json", obj)
+    _double_merge_gcds_under(function)(monkeypatch)
+    for flags in ([], ["--json"]):
+        assert run(capsys, command, path, *flags) == (3, "", f"internal error: {message}\n")
 
 
 def test_kernel_certificate_exit_3(files, capsys, monkeypatch):
@@ -797,28 +864,29 @@ def _double_diagonal(diag):
 
 
 def _break_walk_pivots(change):
-    # ``change(rows, basis)`` edits every dictionary the walk pivots to once
-    # its basis holds facets only, unchecked
+    # ``change(cols, basis)`` edits every dictionary the walk pivots to once
+    # its basis holds facets only, unchecked; ``cols[c][r]`` is entry c of
+    # row r, and the last column holds the slacks and then ``num``
     def patch(monkeypatch):
         real = polytope._pivot
 
         def patched(dictionary, col, i):
-            d, basis, rows = real(dictionary, col, i)
+            d, basis, cols = real(dictionary, col, i)
             if None not in basis:
-                rows = [list(row) for row in rows]
-                change(rows, basis)
-            return d, basis, rows
+                cols = [list(column) for column in cols]
+                change(cols, basis)
+            return d, basis, cols
 
         monkeypatch.setattr(polytope, "_pivot", patched)
     return patch
 
 
-def _raise_first_basis_slack(rows, basis):
-    rows[basis[0]][-1] += 1
+def _raise_first_basis_slack(cols, basis):
+    cols[-1][basis[0]] += 1
 
 
-def _raise_last_num(rows, basis):
-    rows[-1][-1] += 1
+def _raise_last_num(cols, basis):
+    cols[-1][-1] += 1
 
 
 def _misread_determinants(monkeypatch):

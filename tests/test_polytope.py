@@ -316,6 +316,17 @@ def test_labels_break_isomorphism():
     assert trans is None and "labels differ" in reason
 
 
+def test_labels_differ_reason_prints_a_normal_of_any_size():
+    # the normal reads as str() of its tuple would: (-1,) in dimension 1, and
+    # every digit of the triangle x, y >= 0, x + 10^5000 y <= 1's last normal
+    assert isomorphism_report(interval(3, 5), interval(3, 7)) == (
+        None, "labels differ on the facet with normal (-1,)")
+    big = 10**5000
+    p, q = (validate(2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -big), -1, m)]) for m in (1, 2))
+    assert isomorphism_report(p, q) == (
+        None, f"labels differ on the facet with normal (-1, -1{'0' * 5000})")
+
+
 def test_shape_difference_detected():
     p = t1()
     q = standard_simplex(2, 2)  # scaled, same normals, offsets not a translation

@@ -12,7 +12,8 @@ seeded random sweep whose small entries make ratio-test ties common, and
 generated polytopes with shuffled facets and a cut through a vertex or past
 the polytope.  The bases phase 1 ends at and the walk pivots into are
 checked against the lex-feasible ones found with a small rational epsilon,
-and its pivot count on a non-simple pyramid is pinned.  Edge directions
+its pivot count on a non-simple pyramid is pinned, and so is its count of
+ratio tests on unit cubes and k-gons, none on the edge back to a parent basis.  Edge directions
 are checked against a kernel basis per dropped facet, and the
 full-dimension verdict (some facet tight at every vertex) against the rank
 of the vertex differences.  Large empty and unbounded inputs are rejected
@@ -328,9 +329,10 @@ def test_a_ray_outside_the_recession_cone_is_an_internal_error(monkeypatch):
     phase_one = polytope._phase_one
 
     def reflected_phase_one(dictionary):
-        d, basis, rows = phase_one(dictionary)
-        n_facets = len(rows) - len(basis)
-        return d, basis, rows[:n_facets] + [row[:-1] + [-row[-1]] for row in rows[n_facets:]]
+        d, basis, cols = phase_one(dictionary)
+        n_facets = len(cols[0]) - len(basis)
+        num = cols[-1]
+        return d, basis, cols[:-1] + [num[:n_facets] + [-x for x in num[n_facets:]]]
 
     monkeypatch.setattr(polytope, "_phase_one", reflected_phase_one)
     with pytest.raises(RuntimeError, match=r"^recession phase 1: the basic solution "
@@ -341,6 +343,40 @@ def test_a_ray_outside_the_recession_cone_is_an_internal_error(monkeypatch):
 def unit_cube(n):
     return [(tuple(s * (j == i) for j in range(n)), 0 if s > 0 else -1, 1)
             for i in range(n) for s in (1, -1)]
+
+
+def labeled_gon(k):
+    """The k-gon with vertices (t, t^2), t = 0, ..., k - 1, labels 2-6 in turn."""
+    hs = [((-(2 * t + 1), 1), -t * (t + 1)) for t in range(k - 1)] + [((k - 1, -1), 0)]
+    return [(y, eta, 2 + i % 5) for i, (y, eta) in enumerate(hs)]
+
+
+@pytest.mark.parametrize("dim, triples, vertices",
+                         [(n, unit_cube(n), 2 ** n) for n in (1, 2, 3, 6)]
+                         + [(2, labeled_gon(k), k) for k in (3, 16, 64)],
+                         ids=[f"cube{n}" for n in (1, 2, 3, 6)] + [f"gon{k}" for k in (3, 16, 64)])
+def test_walk_runs_no_ratio_test_on_the_edge_back(dim, triples, vertices, monkeypatch):
+    """After phase 1, n ratio tests at the start basis and n - 1 at each other:
+    at a basis reached by pivoting facet i in for j, the edge that leaves i
+    leads back to the parent basis, already seen.  These inputs are simple
+    with no degenerate vertex, so there is one basis per vertex."""
+    tests = []
+    phase_one, ratio_test = polytope._phase_one, polytope._ratio_test
+
+    def recording_phase_one(dictionary):
+        start = phase_one(dictionary)
+        tests.append(0)
+        return start
+
+    def counting_ratio_test(dictionary, col, blockers):
+        if tests:
+            tests[-1] += 1
+        return ratio_test(dictionary, col, blockers)
+
+    monkeypatch.setattr(polytope, "_phase_one", recording_phase_one)
+    monkeypatch.setattr(polytope, "_ratio_test", counting_ratio_test)
+    assert len(validate(dim, triples).vertices) == vertices
+    assert tests == [dim + (vertices - 1) * (dim - 1)]
 
 
 def polygon20_squared():
