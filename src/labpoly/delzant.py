@@ -32,13 +32,14 @@ index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
 printed by every command as a structure group: the labels' sum on a facet
 or on a face through a vertex of basis determinant 1 (read off the walk,
-certified by Y * E = I), one diagonal form elsewhere.  Both are merged from
-cyclic orders by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
+certified by Y * E = I), elsewhere the diagonal of one elimination of the
+face's columns of ``p.scaled_normals``.  Both are merged from cyclic orders
+by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
 :func:`labpoly.local_model.structure_group` is a route to the same groups
 that shares with :func:`face_stabilizer` only that merge and the elimination
-loop of :mod:`labpoly.lattice` (guarded here by U * A * V = D, there by the
-index certificate), and the two are cross-checked in the tests and by the
-``stabilizers`` and ``verify`` commands.
+loop of :mod:`labpoly.lattice` (guarded here by the U * A * V = D check of
+``lattice._diagonal_rows``, there by the index certificate), and the two are
+cross-checked in the tests and by the ``stabilizers`` and ``verify`` commands.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from operator import mul
 
 from .lattice import (
     FiniteAbelianGroup,
+    _diagonal_rows,
     common_denominator,
     diagonal_form,
     dot,
@@ -57,7 +59,6 @@ from .lattice import (
     kernel_basis,
     mat_vec,
     smith_diagonal,
-    vec_scale,
 )
 from .polytope import Face, LabeledPolytope, format_point
 
@@ -181,8 +182,9 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """Stabilizer group of the points above a proper face.
 
     The quotient of the preimage of the integer lattice by the coordinate
-    lattice of the face's tight facets: the sum of the Z/d over the checked
-    diagonal form of their projection columns m_i * y_i, merged by
+    lattice of the face's tight facets: the sum of the Z/d over the diagonal
+    of their columns m_i * y_i, read off the rows of ``lattice._diagonal_rows``
+    (checked by U * A * V = D) and merged by
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
     :func:`labpoly.local_model.structure_group` up to that merge and the
@@ -192,7 +194,8 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
     try:
-        diag = diagonal_form(_scaled_columns(p, face.active)).diagonal
+        w = _diagonal_rows(_scaled_columns(p, face.active))
+        diag = [w[i][i] for i in range(min(p.dim, len(face.active)))]
         if len([x for x in diag if x != 0]) == len(face.active):
             return FiniteAbelianGroup.from_orders(diag)
     except RuntimeError as exc:
@@ -201,9 +204,9 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
 
 
 def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
-    """The n x k matrix whose columns are m_i * y_i for the given facets."""
-    cols = [vec_scale(p.halfspaces[i].label, p.halfspaces[i].normal) for i in facets]
-    return tuple(tuple(col[r] for col in cols) for r in range(p.dim))
+    """The n x k matrix whose columns are ``p.scaled_normals`` of k >= 1 facets."""
+    rows = p.scaled_normals
+    return tuple(zip(*[rows[i] for i in facets]))
 
 
 def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | None:

@@ -11,15 +11,15 @@ simplex dictionary per basis and moves it by fraction-free pivots, and its
 first n pivots decide whether the normals have full rank.
 
 :func:`diagonal_form` returns U * A * V = D with D diagonal and its
-transforms, and re-verifies the identity by exact multiplication on every
-call, so a silent arithmetic bug cannot leak a wrong decomposition
-downstream.  Its elimination (:func:`_eliminate`) works in place on one list
-of rows, [D | U] above V.  The check does not prove U and V unimodular (one
-of determinant other than +-1 with a D that agrees with it passes): that
-rests on construction, every step being a swap, a negation or the addition
-of a multiple of one row or column to another.  :func:`kernel_basis` takes
-that checked form as its one input and reads the kernel off V, so no matrix
-is passed beside a form that might not be its own.
+transforms, read off the rows [D | U] above V that :func:`_diagonal_rows`
+reduces in place (:func:`_eliminate`) and re-verifies by exact
+multiplication on every call, so a silent arithmetic bug cannot leak a
+wrong decomposition downstream.  The check does not prove U and V
+unimodular (one of determinant other than +-1 with a D that agrees with it
+passes): that rests on construction, every step being a swap, a negation or
+the addition of a multiple of one row or column to another.
+:func:`kernel_basis` takes that checked form as its one input and reads the
+kernel off V, so no matrix is passed beside a form that might not be its own.
 
 The elimination stops at a diagonal whose entries need not divide each
 other.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`, is
@@ -132,25 +132,8 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vec_scale(c, u):
-    return tuple(c * x for x in u)
-
-
 def mat_vec(a, v):
     return tuple(dot(row, v) for row in a)
-
-
-def mat_mul(a, b):
-    """The product A * B; raises ValueError unless every row of A has len(B)
-    entries and every row of B the same number."""
-    try:
-        bt = tuple(zip(*b, strict=True))
-    except ValueError:
-        raise ValueError("length mismatch") from None
-    for row in a:
-        if len(row) != len(b):
-            raise ValueError("length mismatch")
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def _describe(a) -> str:
@@ -199,26 +182,33 @@ class DiagonalForm(namedtuple("DiagonalForm", "U D V")):
 def diagonal_form(a) -> DiagonalForm:
     """A diagonal form of an integer matrix, by :func:`_eliminate`, with
     transforms: D's diagonal is nonnegative with its zeros trailing, and
-    U * A * V == D exactly (verified before returning)."""
+    U * A * V == D exactly (verified by :func:`_diagonal_rows`)."""
     a = matrix(a)
     m = len(a)
     n = len(a[0]) if m else 0
-    # one elimination in place: rows 0..m-1 are [D | U] and rows m..m+n-1
-    # are V, so the row operations carry U and the column operations V
-    w = []
-    for i, row in enumerate(a):
-        w.append([*row, *[0] * m])
-        w[i][n + i] = 1
-    for i in range(n):
-        w.append([0] * n)
-        w[m + i][i] = 1
+    w = _diagonal_rows(a)
+    return DiagonalForm(tuple([tuple(row[n:]) for row in w[:m]]),
+                        tuple([tuple(row[:n]) for row in w[:m]]), tuple(map(tuple, w[m:])))
+
+
+def _diagonal_rows(a) -> list:
+    """The rows [D | U] above V of :func:`diagonal_form`, for rows ``a`` of ints
+    of one length (unchecked).  Each row u of U is multiplied into A once, and
+    (u * A) * V must be D's row, or RuntimeError names A's shape and size."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    # one elimination in place: the row operations carry U, the column ones V
+    w = [[*row, *[0] * i, 1, *[0] * (m - i - 1)] for i, row in enumerate(a)]
+    w += [[*[0] * i, 1, *[0] * (n - i - 1)] for i in range(n)]
     _eliminate(w, m, n)
-    U = tuple([tuple(row[n:]) for row in w[:m]])
-    D = tuple([tuple(row[:n]) for row in w[:m]])
-    V = tuple(map(tuple, w[m:]))
-    if mat_mul(mat_mul(U, a), V) != D:
-        raise RuntimeError(f"diagonal reduction broke the identity U*A*V = D on the {_describe(a)}")
-    return DiagonalForm(U, D, V)
+    columns = tuple(zip(*a))
+    v_columns = tuple(zip(*w[m:]))
+    for row in w[:m]:
+        ua = [sum(map(mul, row[n:], c)) for c in columns]
+        if [sum(map(mul, ua, c)) for c in v_columns] != row[:n]:
+            raise RuntimeError(
+                f"diagonal reduction broke the identity U*A*V = D on the {_describe(a)}")
+    return w
 
 
 def smith_diagonal(a) -> tuple:

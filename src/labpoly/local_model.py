@@ -44,8 +44,9 @@ step having determinant +-1, which holds by construction.
 the labels or off one checked diagonal form of the scaled normals and never
 computes L or the index.  The two routes share the merge and the elimination
 loop :func:`labpoly.lattice._eliminate`: ``face_stabilizer`` runs it through
-``diagonal_form``, whose exact U * A * V = D check guards it there, and this
-oracle through ``smith_diagonal``, guarded here by the index certificate.
+``lattice._diagonal_rows``, whose exact U * A * V = D check guards it there,
+and this oracle through ``smith_diagonal``, guarded here by the index
+certificate.
 ``stabilizers`` and ``verify`` compare them on every proper face and exit 3
 on a mismatch, which catches a diagonal of the right order but the wrong
 split (diag(1, 4) for diag(2, 2)); where the printed group comes from the

@@ -70,9 +70,9 @@ class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edg
     |det Y_v| for the tight normals Y_v: the scale d that the walk's
     fraction-free pivots keep for the dictionary there.  The walk does not
     certify d (:func:`_certify`); :func:`labpoly.delzant.face_groups`
-    certifies each d = 1 it reads.  :attr:`faces` is built from the tight
-    sets on first read, so this class keeps a ``__dict__`` for its cached
-    properties.
+    certifies each d = 1 it reads.  :attr:`faces` and the tables
+    :attr:`scaled_vertices` and :attr:`scaled_normals` are built on first
+    read, so this class keeps a ``__dict__`` for its cached properties.
     """
 
     @cached_property
@@ -89,6 +89,11 @@ class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edg
         """
         scale, flat = common_denominator(x for v in self.vertices for x in v)
         return scale, tuple(tuple(flat[k:k + self.dim]) for k in range(0, len(flat), self.dim))
+
+    @cached_property
+    def scaled_normals(self) -> tuple:
+        """The rows m_i * y_i, one per facet, for :func:`labpoly.delzant._scaled_columns`."""
+        return tuple(tuple(h.label * x for x in h.normal) for h in self.halfspaces)
 
     def proper_faces(self) -> tuple:
         return tuple(f for f in self.faces if f.codim > 0)

@@ -32,18 +32,23 @@ its vertices, ``face_by_active`` looks a face up by its tight set,
 reads, ``subset_scan`` is the brute-force reference for the vertex walk and
 ``ray_scan`` its recession ray search over C(N, n - 1) facet subsets, and
 ``labeled_polygon_products`` is a ``hypothesis`` strategy for generated
-labeled polytopes; ``identity`` and ``transpose`` build the matrices the
-tests compare with.
+labeled polytopes; ``identity``, ``transpose`` and ``mat_mul`` build the
+matrices the tests compare with, and ``doctor_elimination`` with
+``raise_first_entry`` edits what the elimination leaves before its
+U * A * V = D check.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Optional
 
 from hypothesis import strategies as st
 
+from labpoly import lattice
 from labpoly.lattice import (
     TRIVIAL_GROUP,
     DiagonalForm,
@@ -53,7 +58,6 @@ from labpoly.lattice import (
     common_denominator,
     dot,
     format_rational,
-    mat_mul,
     mat_vec,
     matrix,
 )
@@ -66,6 +70,43 @@ def identity(n: int) -> Mat:
 
 def transpose(a) -> Mat:
     return tuple(zip(*a)) if a else ()
+
+
+def mat_mul(a, b):
+    """The product A * B; raises ValueError unless every row of A has len(B)
+    entries and every row of B the same number."""
+    try:
+        bt = tuple(zip(*b, strict=True))
+    except ValueError:
+        raise ValueError("length mismatch") from None
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError("length mismatch")
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
+def doctor_elimination(monkeypatch, change):
+    """Make ``change(w, m, n)`` edit the rows [D | U] above V (D and U in the
+    first m, for an m x n matrix A) that each elimination with transforms
+    leaves, before U * A * V = D is checked; the transform-free elimination
+    of ``smith_diagonal`` is left as it is."""
+    real = lattice._eliminate
+
+    def patched(w, m, n):
+        real(w, m, n)
+        if sys._getframe(1).f_code.co_name == "_diagonal_rows":
+            change(w, m, n)
+
+    monkeypatch.setattr(lattice, "_eliminate", patched)
+
+
+def raise_first_entry(block):
+    """A ``change`` for :func:`doctor_elimination` that adds 1 to the first
+    entry of ``block``, "U", "V" or "D"."""
+    def change(w, m, n):
+        i, j = {"U": (0, n), "V": (m, 0), "D": (0, 0)}[block]
+        w[i][j] += 1
+    return change
 
 
 def lattices_equal(a, b) -> bool:

@@ -17,7 +17,7 @@ from labpoly.delzant import (
     verify_reduction_invariants,
 )
 from labpoly.fan import build_fan
-from labpoly.lattice import diagonal_form, dot, mat_mul, smith_diagonal
+from labpoly.lattice import diagonal_form, dot, smith_diagonal
 from labpoly.local_model import structure_group
 from labpoly.morse import h_vector, poincare_polynomial, random_generic_direction
 
@@ -27,6 +27,7 @@ from corpus import (
     det,
     face_by_active,
     interval,
+    mat_mul,
     polytope_to_json,
     product,
     reference_smith_normal_form,

@@ -23,7 +23,15 @@ from labpoly.cli import build_parser, main
 from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import validate
 
-from corpus import interval, polytope_to_json, square, t1, w2
+from corpus import (
+    doctor_elimination,
+    interval,
+    polytope_to_json,
+    raise_first_entry,
+    square,
+    t1,
+    w2,
+)
 from test_golden import GOLDEN, run_job
 
 
@@ -621,21 +629,18 @@ def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _diagonal_dropping_last_entry(monkeypatch, square):
-    # the real diagonal form, with its last diagonal entry zeroed on square
-    # matrices (a vertex's tight scaled normals) or on wide ones (the
-    # projection), as if the columns were dependent
-    real = delzant.diagonal_form
+    # the elimination's last diagonal entry and V's column under it zeroed,
+    # so U*A*V = D still holds, on square matrices (a vertex's tight scaled
+    # normals) or on wide ones (the projection), as if the columns were
+    # dependent
+    def change(w, m, n):
+        if (m == n) == square:
+            k = min(m, n) - 1
+            w[k][k] = 0
+            for row in w[m:]:
+                row[k] = 0
 
-    def patched(a):
-        form = real(a)
-        if (len(a) == len(a[0])) != square:
-            return form
-        d = [list(row) for row in form.D]
-        k = min(len(d), len(d[0])) - 1
-        d[k][k] = 0
-        return form._replace(D=tuple(map(tuple, d)))
-
-    monkeypatch.setattr(delzant, "diagonal_form", patched)
+    doctor_elimination(monkeypatch, change)
 
 
 def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
@@ -648,10 +653,6 @@ def test_dependent_vertex_normals_exit_3(files, capsys, monkeypatch):
                  ["verify", "--json"]):
         assert run(capsys, *argv, files["w2_singular_first"]) == (
             3, "", "internal error: dependent facet normals over face [0, 1]\n")
-
-
-def _off_by_one(m):
-    return ((m[0][0] + 1, *m[0][1:]), *m[1:])
 
 
 def test_projection_not_surjective_exit_3(files, capsys, monkeypatch):
@@ -809,19 +810,6 @@ def test_kernel_index_identity_exit_3(files, capsys, monkeypatch, patch, message
         assert run(capsys, *argv, files["square"]) == (3, "", f"internal error: {message}\n")
 
 
-def _break_products_in(function):
-    # lattice.mat_mul off by one in the products ``function`` itself takes
-    def patch(monkeypatch):
-        real = lattice.mat_mul
-
-        def patched(a, b):
-            c = real(a, b)
-            return _off_by_one(c) if sys._getframe(1).f_code.co_name == function else c
-
-        monkeypatch.setattr(lattice, "mat_mul", patched)
-    return patch
-
-
 def _change_oracle_echelon(change):
     # ``change(rows)`` edits every echelon the oracle takes of the tight
     # normals' columns (its rows are the columns of L), unchecked
@@ -905,16 +893,6 @@ def _no_generic_direction(monkeypatch):
 
 
 @pytest.mark.parametrize("patch, argv, message", [
-    (_break_products_in("diagonal_form"), ["structure-groups", "w2"],
-     "face [0, 2]: diagonal reduction broke the identity U*A*V = D on the 2x2 matrix "
-     "with largest entry bit-length 2"),
-    # the projection's diagonal form, which delzant and verify take first
-    (_break_products_in("diagonal_form"), ["delzant", "w2"],
-     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
-     "with largest entry bit-length 2"),
-    (_break_products_in("diagonal_form"), ["verify", "w2"],
-     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
-     "with largest entry bit-length 2"),
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
     (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
@@ -938,11 +916,34 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["smith", "projection_delzant", "projection_verify", "oracle_echelon_identity",
+], ids=["oracle_echelon_identity",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "closed_form_premise", "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):
     patch(monkeypatch)
+    command, name = argv
+    for flags in ([], ["--json"]):
+        assert run(capsys, command, files[name], *flags) == (
+            3, "", f"internal error: {message}\n")
+
+
+@pytest.mark.parametrize("block", ["U", "V", "D"])
+@pytest.mark.parametrize("argv, message", [
+    (["structure-groups", "w2"],
+     "face [0, 2]: diagonal reduction broke the identity U*A*V = D on the 2x2 matrix "
+     "with largest entry bit-length 2"),
+    # the projection's diagonal form, which delzant and verify take first
+    (["delzant", "w2"],
+     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
+     "with largest entry bit-length 2"),
+    (["verify", "w2"],
+     "projection: diagonal reduction broke the identity U*A*V = D on the 2x3 matrix "
+     "with largest entry bit-length 2"),
+], ids=["smith", "projection_delzant", "projection_verify"])
+def test_broken_diagonal_form_exits_3_naming_the_operand(files, capsys, monkeypatch,
+                                                         argv, message, block):
+    # one entry of U, V or D off by one once the elimination has run
+    doctor_elimination(monkeypatch, raise_first_entry(block))
     command, name = argv
     for flags in ([], ["--json"]):
         assert run(capsys, command, files[name], *flags) == (

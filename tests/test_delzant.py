@@ -28,6 +28,7 @@ from corpus import (
     interval,
     labeled_polygon_products,
     labeled_simplex_products,
+    reference_smith_normal_form,
     square,
     standard_corpus,
     t1,
@@ -160,6 +161,19 @@ def test_walk_determinants_decide_the_closed_form_on_simplex_products(p):
     assert_closed_form_exactly_through_determinant_1(p)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(labeled_polygon_products().filter(lambda p: 1 not in p.determinants))
+def test_face_groups_equal_the_reference_smith_route_off_determinant_1(p):
+    # no vertex of determinant 1, so every face of codimension 2 or more
+    # takes face_stabilizer's checked elimination; the reference reduces the
+    # same columns m_i * y_i with its own elimination and divisibility fold
+    for f, g in face_groups(p):
+        columns = [[p.halfspaces[i].label * x for x in p.halfspaces[i].normal]
+                   for i in f.active]
+        diagonal = reference_smith_normal_form(tuple(zip(*columns))).diagonal
+        assert g.invariant_factors == tuple(d for d in diagonal if d > 1), f.active
+
+
 MISREAD = [(name, p, next(vi for vi, d in enumerate(p.determinants) if d > 1))
            for name, p in CASES if max(p.determinants) > 1]
 
@@ -179,7 +193,7 @@ def test_labeled_box_takes_no_smith_form(monkeypatch):
     def no_smith(a):
         raise AssertionError(f"diagonal form taken of {a}")
 
-    monkeypatch.setattr(delzant, "diagonal_form", no_smith)
+    monkeypatch.setattr(delzant, "_diagonal_rows", no_smith)
     p = box([1, 2, 3], [2, 3, 1, 4, 6, 5])
     groups = dict(face_groups(p))
     assert len(groups) == 26
@@ -191,9 +205,9 @@ def test_labeled_box_takes_no_smith_form(monkeypatch):
 
 
 def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
-    real = delzant.diagonal_form
+    real = delzant._diagonal_rows
     taken = []
-    monkeypatch.setattr(delzant, "diagonal_form",
+    monkeypatch.setattr(delzant, "_diagonal_rows",
                         lambda a: taken.append(a) or real(a))
     p = w2()
     groups = dict(face_groups(p))

@@ -40,7 +40,6 @@ from labpoly.lattice import (
     echelon,
     format_rational,
     kernel_basis,
-    mat_mul,
     mat_vec,
     matrix,
     parse_rational,
@@ -53,12 +52,15 @@ from corpus import (
     adjugate,
     det,
     det_rational,
+    doctor_elimination,
     invert_rational,
     lattices_equal,
     quotient_group,
+    raise_first_entry,
     generated_family,
     hermite_normal_form,
     identity,
+    mat_mul,
     rational_rank,
     reference_diagonal_form,
     reference_kernel_basis,
@@ -311,19 +313,21 @@ def test_smith_diagonal_gcd_invariant(rows):
         assert diag[0] == g
 
 
-def _spurious_row(monkeypatch, module=lattice):
-    """Make every product in ``module`` come out with an extra zero row."""
-    real = module.mat_mul
+def _spurious_row(monkeypatch):
+    """Make every product in ``tests/corpus.py`` come out with an extra zero row."""
+    real = corpus.mat_mul
 
     def wrong(a, b):
         return real(a, b) + ((0,) * len(b[0]),)
 
-    monkeypatch.setattr(module, "mat_mul", wrong)
+    monkeypatch.setattr(corpus, "mat_mul", wrong)
 
 
-def test_smith_checks_its_identity_on_every_call(monkeypatch):
-    _spurious_row(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"U\*A\*V = D"):
+@pytest.mark.parametrize("block", ["U", "V", "D"])
+def test_smith_checks_its_identity_on_every_call(monkeypatch, block):
+    doctor_elimination(monkeypatch, raise_first_entry(block))
+    with pytest.raises(RuntimeError, match=r"^diagonal reduction broke the identity "
+                       r"U\*A\*V = D on the 2x2 matrix with largest entry bit-length 4$"):
         diagonal_form(((2, 4), (6, 8)))
 
 
@@ -359,6 +363,27 @@ def test_smith_matches_reference_elimination(a):
     s = diagonal_form(a)
     assert s == reference_diagonal_form(a)
     assert smith_diagonal(a) == reference_smith_normal_form(a).diagonal
+
+
+@st.composite
+def full_column_rank_inputs(draw):
+    """An n x k integer matrix of rank k, 1 <= k <= n <= 6, with entries up to
+    +-2^64: the shape of a face's scaled normals taken as columns."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entries = st.integers(-2 ** 64, 2 ** 64)
+    rows = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    assume(rational_rank(rows) == k)
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(full_column_rank_inputs())
+def test_full_column_rank_forms_pass_the_check_and_match_the_reference(a):
+    # a return means the U*A*V = D check passed, row by row of U
+    s = diagonal_form(a)
+    assert s == reference_diagonal_form(a)
+    assert 0 not in s.diagonal
 
 
 @st.composite
@@ -461,7 +486,7 @@ def test_hermite_properties_random(rows):
 
 def test_hermite_checks_its_identity_on_every_call(monkeypatch):
     # the reference Hermite form in tests/corpus.py keeps its U * A = H check
-    _spurious_row(monkeypatch, corpus)
+    _spurious_row(monkeypatch)
     with pytest.raises(RuntimeError, match=r"U\*A = H"):
         hermite_normal_form(((2, 4), (6, 8)))
 
