@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Every subcommand is a view over one (or two) validated polytopes: it works in
-exact arithmetic and returns a deterministic report with its exit code, and
-the same input always produces byte-identical output.  ``--json`` switches any
-subcommand to a machine readable report: a JSON object in place of a list of
-text lines.  :func:`main` alone reads the input files, writes each report to
-stdout with a single write once it is complete, and turns errors into exit
-codes, so a command that fails partway writes nothing to stdout.
+exact arithmetic and returns a deterministic report with its exit code; the
+same input gives byte-identical output.  ``--json`` makes the report a JSON
+object, which :func:`_dumps` writes as ``json.dumps(report, indent=2)`` in one
+pass, every int in full.  :func:`main` alone reads the input files, writes
+each report to stdout in one write once it is complete, and turns errors into
+exit codes, so a command that fails partway writes nothing to stdout.
 
 Exit codes: 0 success, 1 validation failure (the file parses but is not a
 labeled rational simple polytope, or an argument like --xi fails a required
@@ -23,12 +23,13 @@ import json
 import random
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import delzant as dz
 from . import local_model as lm
 from . import morse as morse_mod
 from .fan import build_fan
-from .lattice import format_rational
+from .lattice import _decimal, format_rational
 from .polytope import (
     FormatError,
     format_point,
@@ -62,13 +63,23 @@ def _group_json(g):
 
 
 def _dumps(x, pad="\n"):
-    """``json.dumps(x, indent=2)``, also for integers past the interpreter's digit limit."""
-    if isinstance(x, (dict, list)) and x:
-        items = ([f"{json.dumps(k)}: {_dumps(v, pad + '  ')}" for k, v in x.items()]
-                 if isinstance(x, dict) else [_dumps(v, pad + "  ") for v in x])
-        ends = "{}" if isinstance(x, dict) else "[]"
-        return ends[0] + pad + "  " + f",{pad}  ".join(items) + pad + ends[1]
-    return format_rational(x) if type(x) is int else json.dumps(x)
+    """``json.dumps(x, indent=2)`` in one pass, every int in full, a tuple as a list; keys
+    must be strings, and a value of a type no report holds goes through ``json.dumps``."""
+    if type(x) is str:
+        return _encode(x)
+    if type(x) is int:
+        return _decimal(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [f"{_encode(k)}: {_dumps(v, inner)}" for k, v in x.items()]
+    elif isinstance(x, (list, tuple)):
+        items = [_decimal(v) if type(v) is int else _dumps(v, inner) for v in x]
+    elif x is None or type(x) is bool:
+        return "null" if x is None else "true" if x else "false"
+    else:
+        return json.dumps(x)
+    ends = "{}" if isinstance(x, dict) else "[]"
+    return ends[0] + inner + f",{inner}".join(items) + pad + ends[1] if items else ends
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +138,11 @@ def cmd_compare(args, p, q):
         translation, reason = isomorphism_report(p, q)
         if translation is not None:
             lines.append(f"symplectomorphic (translation by {format_point(translation)})")
-            out["symplectomorphic"] = True
-            out["translation"] = [format_rational(x) for x in translation]
+            out.update(symplectomorphic=True,
+                       translation=[format_rational(x) for x in translation])
         else:
             lines.append(f"NOT symplectomorphic ({reason})")
-            out["symplectomorphic"] = False
-            out["reason"] = reason
+            out.update(symplectomorphic=False, reason=reason)
     if do_biho:
         equal = build_fan(p) == build_fan(q)
         lines.append("fans equal: biholomorphic" if equal
@@ -181,11 +191,8 @@ def _oracle_rows(p, groups):
     column echelon of the tight normals, one Smith diagonal and the index
     certificate.
     """
-    rows = []
-    for f, a in groups:
-        b = lm.structure_group(p, f)
-        rows.append((f, a, b, a.invariant_factors == b.invariant_factors))
-    return rows
+    return [(f, a, b, a.invariant_factors == b.invariant_factors)
+            for f, a in groups for b in [lm.structure_group(p, f)]]
 
 
 def cmd_stabilizers(args, p):
@@ -272,14 +279,9 @@ def cmd_verify(args, p):
         return {"checks": [{"name": name, "passed": ok, "detail": detail}
                            for name, ok, detail in checks],
                 "passed": all_ok}, code
-    lines = []
-    for name, ok, detail in checks:
-        line = f"{'PASS' if ok else 'FAIL'}: {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        lines.append(line)
-    lines.append("verify: PASS" if all_ok else "verify: FAIL")
-    return lines, code
+    return [*(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail and not ok else "")
+              for name, ok, detail in checks),
+            "verify: PASS" if all_ok else "verify: FAIL"], code
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +336,8 @@ def main(argv=None) -> int:
     try:
         polytopes = [_load(getattr(args, dest)) for dest in args.inputs]
         report, code = args.func(args, *polytopes)
-        if args.json:
-            report = [_dumps(report)]
-        sys.stdout.write("".join(f"{line}\n" for line in report))
+        sys.stdout.write(_dumps(report) + "\n" if args.json
+                         else "".join(f"{line}\n" for line in report))
     except (FormatError, OSError) as exc:  # FormatError first: it is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,14 +52,15 @@ Mat = tuple  # tuple of integer row vectors
 # ---------------------------------------------------------------------------
 
 def parse_rational(text) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (or an int) into a Fraction.
+    """Parse ``"p/q"`` or ``"p"`` (or a decimal like ``"0.5"``, or an int) into a Fraction.
 
-    A bool or a float raises ValueError: a float is not an exact input.
+    A bool, a float or a string with an exponent raises ValueError: a float is
+    not exact, and Fraction expands an exponent in full (``"1e10000000"``).
     """
-    if isinstance(text, (bool, float)):
-        raise ValueError(f"not a rational number: {text!r}")
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
+    if isinstance(text, (bool, float)) or "e" in str(text).lower():
+        raise ValueError(f"not a rational number: {text!r}")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -117,9 +118,7 @@ def matrix(rows) -> Mat:
 
 
 def _as_int(e) -> int:
-    if isinstance(e, bool):
-        raise ValueError(f"not an integer entry: {e!r}")
-    if isinstance(e, int):
+    if isinstance(e, int) and not isinstance(e, bool):
         return e
     if isinstance(e, Fraction) and e.denominator == 1:
         return e.numerator

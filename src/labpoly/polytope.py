@@ -144,7 +144,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
             raise ValidationError(
                 f"offset of facet {i} must be exact (int, Fraction or 'p/q'), "
                 f"got {offset!r}")
-        offset = Fraction(offset)
+        offset = parse_rational(offset)
         g = math.gcd(*normal)
         if g > 1:
             warnings.warn(f"facet {i}: normal {format_point(normal)} is not primitive, "

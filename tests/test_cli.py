@@ -16,6 +16,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labpoly.cli
 from labpoly import delzant, lattice, local_model, morse, polytope
@@ -146,6 +148,28 @@ def test_float_offset_is_exit_2(files, capsys):
     for command in ("validate", "vertices"):
         assert run(capsys, command, path) == (
             2, "", "error: halfspace 1: bad offset: not a rational number: -2.5\n")
+
+
+def _fresh_python(code, *argv, timeout):
+    # python -c code in a fresh interpreter that imports labpoly from this checkout
+    src = str(Path(labpoly.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("offset", ["-1e100000000", "1E5", "-2.5e-3"])
+def test_offset_with_an_exponent_is_exit_2_at_once(files, offset):
+    # Fraction would expand the exponent: "-1e100000000" is a 10^8-digit integer
+    path = files["write"]("exponent.json", {"dim": 1, "halfspaces": [
+        {"normal": [1], "offset": "0", "label": 1},
+        {"normal": [-1], "offset": offset, "label": 1}]})
+    for flags in ([], ["--json"]):
+        done = _fresh_python("import sys, labpoly.cli; sys.exit(labpoly.cli.main())",
+                             "validate", path, *flags, timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: halfspace 1: bad offset: not a rational number: '{offset}'\n")
 
 
 def test_missing_file_is_exit_2(files, capsys):
@@ -328,6 +352,39 @@ def test_json_writes_integers_past_the_int_digit_limit(files, capsys):
         "stabilizers"]["faces"]
     assert reports["delzant"]["projection"][0] == [a, -b, 0, 0]
     assert reports["delzant"]["max_stabilizer_order"] == b * b
+
+
+def test_json_writer_lays_out_a_tuple_as_a_list():
+    # as json.dumps(x, indent=2) does, one item a line, every digit of an int
+    # past the digit limit written in place, the limit left as it was
+    assert labpoly.cli._dumps({"a": (1, 2)}) == json.dumps({"a": (1, 2)}, indent=2)
+    assert labpoly.cli._dumps({"a": (1, 2)}) == '{\n  "a": [\n    1,\n    2\n  ]\n}'
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = 10**5000 + 7
+    assert labpoly.cli._dumps(((big, -big), ())) == (
+        f"[\n  [\n    {_str_past_digit_limit(big)},\n    -{_str_past_digit_limit(big)}\n"
+        f"  ],\n  []\n]")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+# ASCII, the characters json escapes, and non-ASCII ones up to an astral
+# one (a surrogate pair) and a lone surrogate; a fixed alphabet, since
+# st.text() first builds a Unicode table that costs seconds
+_json_strings = st.text("az09 \"\\/\x00\x1f\x7f\n\t\xe9\u4e2d\u2028\ud800\U0001f600")
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_strings | st.integers() | st.integers(-2**20000, 2**20000),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_json_values)
+def test_json_writer_equals_json_dumps(x):
+    # the digit limit lifted for the reference only: _dumps writes every
+    # digit under the limit as it stands
+    want = _past_digit_limit(lambda: json.dumps(x, indent=2))
+    assert labpoly.cli._dumps(x) == want
 
 
 def test_fan_text_and_json(files, capsys):
@@ -993,14 +1050,9 @@ def test_non_palindromic_betti_numbers_fail_verify(files, capsys, monkeypatch):
 def test_importing_the_cli_builds_no_parser():
     # the benchmark times this import in a fresh interpreter: the parser is
     # built by the first call to main, not at import
-    src = str(Path(labpoly.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import labpoly.cli; print(labpoly.cli.build_parser.cache_info().currsize)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        check=True, timeout=60)
-    assert done.stdout == "0\n"
+    done = _fresh_python(
+        "import labpoly.cli; print(labpoly.cli.build_parser.cache_info().currsize)", timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n")
 
 
 def test_a_narrow_first_call_leaves_later_help_unchanged(capsys, monkeypatch, tmp_path):

@@ -935,6 +935,17 @@ def test_parse_rational_rejects_floats_and_bools():
             parse_rational(bad)
 
 
+def test_parse_rational_rejects_exponents_and_keeps_decimals():
+    # Fraction expands an exponent in full: "1e10000000" took seconds and
+    # gave a 33-million-bit integer; a decimal is bounded by its text
+    for bad in ("1e10000000", "-1e100000000", "1E5", "2.5e-3", "1/2e3", "e"):
+        with pytest.raises(ValueError, match=f"^not a rational number: '{bad}'$"):
+            parse_rational(bad)
+    assert parse_rational("0.5") == Fraction(1, 2)
+    assert parse_rational("-1.25") == Fraction(-5, 4)
+    assert parse_rational(" 3/4 ") == Fraction(3, 4)
+
+
 def test_matrix_coerces_and_rejects():
     m = matrix([[1, Fraction(2, 1)], (3, 4)])
     assert m == ((1, 2), (3, 4))

@@ -173,6 +173,13 @@ def test_empty_polytope():
         validate(1, [((1,), 2, 1), ((-1,), 0, 1)])  # x >= 2 and x <= 0
 
 
+def test_offset_string_with_an_exponent_is_refused():
+    # validate reads a string offset as parse_rational does
+    with pytest.raises(ValueError, match="^not a rational number: '-1e100000000'$"):
+        validate(1, [((1,), "0", 1), ((-1,), "-1e100000000", 1)])
+    assert validate(1, [((1,), "0", 1), ((-1,), "-1/2", 1)]).vertices == ((0,), (Fraction(1, 2),))
+
+
 def test_zero_normal():
     with pytest.raises(ValidationError, match="zero normal on facet 0"):
         validate(2, [((0, 0), 0, 1), ((1, 0), 0, 1), ((0, 1), 0, 1)])
