@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from . import delzant as dz
 from . import local_model as lm
 from . import morse as morse_mod
-from .fan import build_fan
+from .fan import build_fan, face_lattice_failure, vertex_cones
 from .lattice import _decimal, format_rational
 from .polytope import (
     FormatError,
@@ -119,15 +119,22 @@ def cmd_structure_groups(args, p):
 
 
 def cmd_fan(args, p):
-    cones = sorted(build_fan(p), key=lambda c: (len(c), c))
+    cones = sorted(build_fan(p))
+    cones.sort(key=len)  # by (length, generators): the sort is stable
     if args.json:
-        return {"ambient_dim": p.dim, "cones": [[list(g) for g in c] for c in cones]}, 0
-    rays = ", ".join(map(str, sorted({g for c in cones for g in c})))
-    return [f"dim {p.dim}, {len(cones)} cones, rays [{rays}]",
-            *(f"cone {[list(g) for g in c]}" for c in cones)], 0
+        return {"ambient_dim": p.dim, "cones": cones}, 0
+    rays = {g: _int_row(g) for g in sorted({g for c in cones for g in c})}
+    # each ray as str(tuple) would print it, also past the digit limit
+    listed = ", ".join(f"({r[1:-1]}{',' * (p.dim == 1)})" for r in rays.values())
+    return [f"dim {p.dim}, {len(cones)} cones, rays [{listed}]",
+            *(f"cone [{', '.join(map(rays.__getitem__, c))}]" for c in cones)], 0
 
 
 def cmd_compare(args, p, q):
+    """Symplectomorphism by a label-preserving translation, biholomorphism by
+    fan equality: two simple polytopes' fans are equal exactly when their sets
+    of vertex cones are, each vertex's tight set checked by (a) of
+    :mod:`labpoly.fan`, so no face lattice is built."""
     do_symp = args.symplectic or not args.biholomorphic
     do_biho = args.biholomorphic or not args.symplectic
     if p.dim != q.dim:
@@ -144,7 +151,7 @@ def cmd_compare(args, p, q):
             lines.append(f"NOT symplectomorphic ({reason})")
             out.update(symplectomorphic=False, reason=reason)
     if do_biho:
-        equal = build_fan(p) == build_fan(q)
+        equal = vertex_cones(p) == vertex_cones(q)
         lines.append("fans equal: biholomorphic" if equal
                       else "fans differ: not biholomorphic")
         out["fans_equal"] = equal
@@ -248,6 +255,11 @@ def cmd_verify(args, p):
 
     failure = dz.verify_reduction_invariants(d, p)
     checks.append((f"reduction invariants (level and tight facets at {len(p.vertices)} vertices)",
+                   failure is None, failure))
+
+    failure = face_lattice_failure(p)
+    checks.append((f"face lattice ({len(p.faces)} faces listing {len(p.vertices) << p.dim} "
+                   f"vertices; each vertex minimizes exactly its tight facets)",
                    failure is None, failure))
 
     # face_groups raised above unless every face's scaled normals are

@@ -112,7 +112,9 @@ def validate(dim, halfspaces) -> LabeledPolytope:
 
     ``halfspaces`` is an iterable of HalfSpace or (normal, offset, label)
     triples.  Normals must have integer entries and offsets must be exact
-    (int, Fraction or a rational string; a float is rejected).  Non-primitive
+    (int, Fraction or a rational string; a float is rejected): an int or a
+    Fraction is taken as it is, and only any other offset is parsed, by
+    :func:`labpoly.lattice.parse_rational`.  Non-primitive
     normals are divided down (with the offset scaled to keep the same
     halfspace) and a warning is issued.  Checks, in order: labels >= 1,
     nonzero integer normals, no duplicate normals; at least n + 1 facets and
@@ -144,7 +146,8 @@ def validate(dim, halfspaces) -> LabeledPolytope:
             raise ValidationError(
                 f"offset of facet {i} must be exact (int, Fraction or 'p/q'), "
                 f"got {offset!r}")
-        offset = parse_rational(offset)
+        if not isinstance(offset, Fraction):
+            offset = Fraction(offset) if isinstance(offset, int) else parse_rational(offset)
         g = math.gcd(*normal)
         if g > 1:
             warnings.warn(f"facet {i}: normal {format_point(normal)} is not primitive, "

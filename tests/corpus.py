@@ -28,6 +28,7 @@ saturation route that inverts the Smith transform with
 ``unimodular_inverse``, ``contains`` tests a point against every facet
 inequality, ``convex_combinations`` draws seeded points of a polytope from
 its vertices, ``face_by_active`` looks a face up by its tight set,
+``reference_fan`` is the fan with the per-face duality check of each cone,
 ``polytope_to_json`` writes the file format that ``polytope_from_json``
 reads, ``subset_scan`` is the brute-force reference for the vertex walk and
 ``ray_scan`` its recession ray search over C(N, n - 1) facet subsets, and
@@ -646,6 +647,29 @@ def face_by_active(p, active):
         if f.active == key:
             return f
     raise KeyError(f"no face with active set {key}")
+
+
+def reference_fan(p) -> frozenset:
+    """The fan by the per-face duality check that :func:`labpoly.fan.build_fan`
+    replaced: the vertices on which each facet normal is smallest, found once
+    from the integer pairings, must be, intersected over a face's normals,
+    exactly the face's vertices, or RuntimeError names the face."""
+    normals = [h.normal for h in p.halfspaces]
+    _, points = p.scaled_vertices
+    minimizers = {}
+    for y in normals:
+        values = [dot(y, w) for w in points]
+        low = min(values)
+        minimizers[y] = {vi for vi, x in enumerate(values) if x == low}
+    cones = []
+    for f in p.faces:
+        generators = [normals[i] for i in f.active]
+        if generators and set.intersection(
+                *(minimizers[g] for g in generators)) != set(f.vertices):
+            raise RuntimeError(
+                f"cone of face {list(f.active)} fails the minimization characterization")
+        cones.append(tuple(sorted(generators)))
+    return frozenset(cones)
 
 
 def polytope_to_json(p) -> dict:

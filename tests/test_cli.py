@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import labpoly.cli
 from labpoly import delzant, lattice, local_model, morse, polytope
 from labpoly.cli import build_parser, main
+from labpoly.fan import build_fan
 from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import validate
 
@@ -398,6 +399,23 @@ def test_fan_text_and_json(files, capsys):
     assert [[0, 1], [1, 0]] in obj["cones"]
 
 
+def test_fan_prints_a_normal_past_the_int_digit_limit(files, capsys, monkeypatch):
+    # x, y >= 0 and x + 10^5000 y <= 1: the rays line and the cones print the
+    # 5,001-digit normal entry as str would with the limit lifted
+    big = 10**5000
+    p = validate(2, [((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, -big), -1, 1)])
+    monkeypatch.setattr(labpoly.cli, "load_polytope", lambda path: p)
+    cones = sorted(build_fan(p), key=lambda c: (len(c), c))
+    rays = sorted({g for c in cones for g in c})
+    want = _past_digit_limit(lambda: "".join(
+        [f"dim 2, {len(cones)} cones, rays [{', '.join(map(str, rays))}]\n",
+         *(f"cone {[list(g) for g in c]}\n" for c in cones)]))
+    assert run(capsys, "fan", "p.json") == (0, want, "")
+    code, out, err = run(capsys, "fan", "p.json", "--json")
+    assert (code, err) == (0, "")
+    assert _past_digit_limit(json.loads, out)["cones"] == [[list(g) for g in c] for c in cones]
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -561,7 +579,7 @@ def test_verify_json(files, capsys):
     obj = json.loads(out)
     assert obj["passed"] is True
     assert all(c["passed"] for c in obj["checks"])
-    assert len(obj["checks"]) == 3
+    assert len(obj["checks"]) == 4
 
 
 def test_outputs_are_byte_identical(files, capsys):
@@ -598,14 +616,14 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
     code, out, _ = run(capsys, "verify", files["w2"])
     assert code == 3
     lines = out.splitlines()
-    assert len(lines) == 4
-    assert lines[1].startswith("FAIL: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each) (")
+    assert len(lines) == 5
+    assert lines[2].startswith("FAIL: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each) (")
     assert lines[-1] == "verify: FAIL"
 
     code, out, _ = run(capsys, "verify", files["w2"], "--json")
     assert code == 3
     obj = json.loads(out)
-    assert [c["passed"] for c in obj["checks"]] == [True, False, True]
+    assert [c["passed"] for c in obj["checks"]] == [True, True, False, True]
     assert obj["passed"] is False
 
 
@@ -631,6 +649,7 @@ def test_failing_reduction_row_prints_the_full_report_and_exits_3(
     assert (code, err) == (3, "")
     assert out.splitlines() == [
         f"FAIL: {name} ({failure})",
+        "PASS: face lattice (7 faces listing 12 vertices; each vertex minimizes exactly its tight facets)",
         "PASS: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each)",
         "PASS: Betti numbers independent of direction (5 draws)",
         "verify: FAIL",
@@ -639,7 +658,7 @@ def test_failing_reduction_row_prints_the_full_report_and_exits_3(
     assert (code, err) == (3, "")
     obj = json.loads(out)
     assert obj["checks"][0] == {"name": name, "passed": False, "detail": failure}
-    assert [c["passed"] for c in obj["checks"]] == [False, True, True]
+    assert [c["passed"] for c in obj["checks"]] == [False, True, True, True]
     assert obj["passed"] is False
 
 
@@ -1025,7 +1044,7 @@ def test_oracle_wrong_split_exits_3_naming_the_face(files, capsys, monkeypatch):
 
     code, out, err = run(capsys, "verify", path)
     assert (code, err) == (3, "")
-    assert out.splitlines()[1] == (
+    assert out.splitlines()[2] == (
         "FAIL: stabilizer/structure-group agreement at a regular level (8 faces, "
         "independent scaled normals on each) (face [0, 2]: Z/2 x Z/2 vs Z/4)")
     assert out.endswith("verify: FAIL\n")

@@ -7,10 +7,11 @@ recorded once from the release these jobs first ran on; any change to a
 printed byte is a change to the contract.
 
 The same jobs pin when the face lattice is built: never for ``validate``,
-``vertices``, ``betti`` and ``compare --symplectic``, which read the walk's
-vertices and edges only, and once per loaded polytope for every other
-command.  The unit 10-cube, whose lattice has 3^10 faces, checks the first
-half on an input where building it would cost more than the walk.
+``vertices``, ``betti`` and ``compare``, which read the walk's vertices and
+edges only (``compare`` compares vertex cones), and once per loaded polytope
+for every other command.  The unit 10-cube, whose lattice has 3^10 faces,
+checks the first half on an input where building it would cost more than the
+walk.
 """
 
 import contextlib
@@ -183,13 +184,13 @@ def test_cli_output_matches_golden(key, expected, workdir, monkeypatch):
 
 
 # the commands that print only what the walk stored: vertices and edges
-LATTICE_FREE = {"validate", "vertices", "betti"}
+LATTICE_FREE = {"validate", "vertices", "betti", "compare"}
 
 
 def _lattice_builds(argv) -> int:
     """How often a successful job builds the face lattice: once per loaded
     polytope, unless the command never reads it."""
-    if argv[0] in LATTICE_FREE or "--symplectic" in argv:
+    if argv[0] in LATTICE_FREE:
         return 0
     return sum(arg.endswith(".json") for arg in argv)
 
@@ -247,6 +248,9 @@ def test_lattice_free_commands_never_build_the_lattice_of_the_10_cube(tmp_path, 
             (["vertices", cube], points),
             (["betti", cube, "--xi", "1,2,3,4,5,6,7,8,9,10"], betti),
             (["compare", cube, moved, "--symplectic"],
-             ["symplectomorphic (translation by (1/2, 0, 0, 0, 0, 0, 0, 0, 0, 0))"])]:
+             ["symplectomorphic (translation by (1/2, 0, 0, 0, 0, 0, 0, 0, 0, 0))"]),
+            (["compare", cube, moved],
+             ["symplectomorphic (translation by (1/2, 0, 0, 0, 0, 0, 0, 0, 0, 0))",
+              "fans equal: biholomorphic"])]:
         assert run_job(argv) == {"exit": 0, "stdout": "".join(f"{x}\n" for x in lines),
                                  "stderr": ""}, argv[0]

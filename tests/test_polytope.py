@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labpoly import polytope
 from labpoly.lattice import dot
 from labpoly.polytope import (
     FormatError,
@@ -404,6 +405,37 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(obj))
     assert load_polytope(path) == p
+
+
+def test_load_polytope_parses_each_offset_once(tmp_path, monkeypatch):
+    # polytope_from_json parses every offset, string or JSON integer, and
+    # validate takes the resulting Fraction as it is
+    real, calls = polytope.parse_rational, []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(polytope, "parse_rational", counting)
+    obj = polytope_to_json(cube(2, [1, 2, 3, 1, 2, 5]))
+    obj["halfspaces"][0]["offset"] = 0
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(obj))
+    p = load_polytope(path)
+    assert calls == [0, "-2", "0", "-2", "0", "-2"]
+    assert p == cube(2, [1, 2, 3, 1, 2, 5])
+    assert all(type(h.offset) is Fraction for h in p.halfspaces)
+
+
+def test_validate_takes_an_int_or_fraction_offset_as_it_is(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(polytope, "parse_rational", refuse)
+    with pytest.warns(UserWarning, match="facet 1"):
+        p = validate(1, [((1,), Fraction(1, 2), 1), ((-2,), -3, 1)])
+    assert p.vertices == ((Fraction(1, 2),), (Fraction(3, 2),))
+    assert all(type(h.offset) is Fraction for h in p.halfspaces)
 
 
 def test_json_schema_errors():
