@@ -27,7 +27,7 @@ from .lattice import (
     parse_rational,
     primitive_vector,
 )
-from .local_model import structure_group
+from .local_model import structure_groups
 from .morse import (
     MorseReport,
     is_generic,

@@ -194,12 +194,12 @@ def _oracle_rows(p, groups):
     """``(face, reduction group, local group, agree)`` for every proper face.
 
     ``groups`` are the groups of :func:`labpoly.delzant.face_groups`;
-    :func:`labpoly.local_model.structure_group` recomputes each one from a
-    column echelon of the tight normals, one Smith diagonal and the index
-    certificate.
+    :func:`labpoly.local_model.structure_groups` recomputes them in the same
+    face order, each face's column echelon extended from its parent's by one
+    Euclid step, with one Smith diagonal and the index certificate per face.
     """
     return [(f, a, b, a.invariant_factors == b.invariant_factors)
-            for f, a in groups for b in [lm.structure_group(p, f)]]
+            for (f, a), (_, b) in zip(groups, lm.structure_groups(p))]
 
 
 def cmd_stabilizers(args, p):

@@ -35,7 +35,7 @@ or on a face through a vertex of basis determinant 1 (read off the walk,
 certified by Y * E = I), elsewhere the diagonal of one elimination of the
 face's columns of ``p.scaled_normals``.  Both are merged from cyclic orders
 by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
-:func:`labpoly.local_model.structure_group` is a route to the same groups
+:func:`labpoly.local_model.structure_groups` is a route to the same groups
 that shares with :func:`face_stabilizer` only that merge and the elimination
 loop of :mod:`labpoly.lattice` (guarded here by the U * A * V = D check of
 ``lattice._diagonal_rows``, there by the index certificate), and the two are
@@ -187,7 +187,7 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     (checked by U * A * V = D) and merged by
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
-    :func:`labpoly.local_model.structure_group` up to that merge and the
+    :func:`labpoly.local_model.structure_groups` up to that merge and the
     elimination loop both run.  A failed U * A * V = D check, or a merge
     that loses the product, is raised again naming the face.
     """

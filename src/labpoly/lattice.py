@@ -28,8 +28,9 @@ Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and every group the package prints
 is read through it.
 :func:`smith_diagonal` runs the elimination on the rows of A alone and
 merges the diagonal, and :func:`echelon` reduces rows to a row echelon form
-by Euclid's algorithm.  Neither keeps a transform or checks an identity, so
-their callers certify what they read: the structure-group oracle
+by :func:`_euclid`, the package's one Euclid loop, which the structure-group
+oracle runs on its own columns too.  Neither keeps a transform or checks an
+identity, so their callers certify what they read: the structure-group oracle
 (:mod:`labpoly.local_model`) by forward substitution and the index
 certificate, and :func:`labpoly.delzant.build_construction` the Hermite
 basis of :func:`kernel_basis` by the kernel index identity.  Saturations and
@@ -286,15 +287,12 @@ def _eliminate(w, m, n) -> None:
 def echelon(rows) -> list:
     """The nonzero rows of a row echelon form of integer rows, in pivot order.
 
-    Column by column, Euclid's algorithm runs on the rows not yet pivoted
-    that are nonzero there: the one with the smallest |entry| in the column
-    is subtracted from each other one as often as that entry goes into
-    theirs, until one row is left nonzero there; it is the pivot row.  A
-    column where no such row is left has no pivot.  Every step is a
-    subtraction of a multiple of one row from another, so the rows span the
-    lattice of the input, their pivot columns strictly increase and there
-    are as many as the rank.  No transform is kept.  A pivot row is a tuple
-    of the input or a list.
+    Column by column, the rows not yet pivoted that are nonzero there go
+    through :func:`_euclid`; the one it leaves nonzero there is the pivot
+    row, and a column with no such row has none.  Every step subtracts a
+    multiple of one row from another, so the rows span the lattice of the
+    input, their pivot columns strictly increase and there are as many as
+    the rank.  A pivot row is a tuple of the input or a list.
     """
     rest = list(rows)
     done = []
@@ -303,20 +301,30 @@ def echelon(rows) -> list:
         for c in rest:
             (live if c[r] else zero).append(c)
         rest = zero
-        if not live:
-            continue
-        while len(live) > 1:
-            pivot = min(live, key=lambda c: abs(c[r]))
-            p = pivot[r]
-            left = [pivot]
-            for c in live:
-                if c is not pivot:
-                    q = c[r] // p
-                    c = [x - q * y for x, y in zip(c, pivot)]
-                    (left if c[r] else rest).append(c)
-            live = left
-        done.append(live[0])
+        if live:
+            pivot, zeroed = _euclid(live, r)
+            done.append(pivot)
+            rest += zeroed
     return done
+
+
+def _euclid(live, r) -> tuple:
+    """Euclid's algorithm on vectors nonzero at index r: the one with the
+    smallest |entry| there is subtracted from each other one as often as that
+    entry goes into theirs, until one is left nonzero there.  Returns it and
+    the others, lists zero at r, in the order they became zero."""
+    zeroed = []
+    while len(live) > 1:
+        pivot = min(live, key=lambda c: abs(c[r]))
+        p = pivot[r]
+        left = [pivot]
+        for c in live:
+            if c is not pivot:
+                q = c[r] // p
+                c = [x - q * y for x, y in zip(c, pivot)]
+                (left if c[r] else zeroed).append(c)
+        live = left
+    return live[0], zeroed
 
 
 def kernel_basis(form: DiagonalForm) -> Mat:

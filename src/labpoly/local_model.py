@@ -1,130 +1,130 @@
-"""The structure group of a face, from a column echelon of the tight normals,
-one transform-free Smith diagonal and the index certificate: the independent
-oracle.
+"""The structure group of every face, l / l-hat, from a column echelon of
+the tight normals that each face extends from its parent's by one row, a
+transform-free Smith diagonal and the index certificate: the independent
+oracle.  For a face with tight facet set S (k facets), l is the rational
+span of the normals y_i (i in S) intersected with Z^n, and l-hat the integer
+span of the scaled normals m_i * y_i.
 
-For a face with tight facet set S (k facets) the relevant sublattices of Z^n
-are
+Column operations of determinant +-1 reduce the k x n matrix Y of tight
+normals row by row to Y * T = [L | 0], L lower triangular: at row r the
+columns of T not yet pivoted and nonzero in row r of Y * T go through
+:func:`labpoly.lattice._euclid`, the step of :func:`labpoly.lattice.echelon`,
+and the one it leaves is the pivot.  So Y = L * R, R the first k rows of
+T's inverse: a basis of l, in which row i of L holds y_i.  With
+M = diag(m_S) * L, l / l-hat = Z^k / Z^k M, read off the Smith diagonal of
+M (:func:`labpoly.lattice.smith_diagonal`, merged by ``lattice._merge``),
+and |l / l-hat| = |det M| = (m_1 ... m_k) * |L_11 ... L_kk|, the labels'
+product times the index [l : Z Y].  The step at row r reads only row r, so
+S's echelon extends that of S minus its last facet, a face one codimension
+earlier: :func:`structure_groups` keeps T, the rows of R and M and the
+running product of the m_i * |L_ii| for the faces of one codimension and
+extends each face's parent by one step.  Its checks, each raising on the
+first face in face order that fails:
 
-    l      = (rational span of the normals y_i, i in S) intersect Z^n
-    l-hat  = integer span of the scaled normals e_i = m_i * y_i, i in S
+- a row with no live column means dependent normals: ValueError;
+- each new row of R comes by forward substitution, every division exact, or
+  RuntimeError names the face (a step of determinant other than +-1);
+- the index certificate: the product of M's Smith diagonal must be the
+  labels' product times |L_11 ... L_kk|, or RuntimeError names the face (a
+  wrong elimination step, or an M not built from the checked L);
+- the merge keeps the diagonal's product, or its RuntimeError is raised
+  again naming the face.
 
-and the structure group of the face is the finite quotient l / l-hat.
-
-Column operations of determinant +-1 (a swap of two columns, or a multiple of
-one column subtracted from another) reduce the k x n matrix Y of tight
-normals to [L | 0] with L lower triangular: the rows of
-:func:`labpoly.lattice.echelon` of Y's columns are the columns of L.  So
-Y = L * R, where R is the first k rows of the inverse of the accumulated
-column transform: R is a basis of the saturation l, and row i of L holds the
-coordinates of y_i in that basis.  The scaled normals have coordinates
-M = diag(m_S) * L, so l / l-hat = Z^k / Z^k M, whose invariant factors are the
-entries > 1 of the Smith diagonal of M.  L is triangular, so the index of the
-normals' span in its saturation is [l : Z Y] = |L_11 ... L_kk|, and
-
-    |l / l-hat| = |det M| = (m_1 ... m_k) * [l : Z Y].
-
-The Smith diagonal of M comes from :func:`labpoly.lattice.smith_diagonal`,
-with no U * M * V = D identity, merged by :func:`labpoly.lattice._merge`.
-What each runtime check catches:
-
-- fewer than k echelon rows mean the normals are dependent: ValueError;
-- Y = L * R is re-read by forward substitution, each division exact, so an
-  echelon whose L is not a left factor of Y with integral R raises
-  RuntimeError naming the face (:func:`_first_fractional_row`);
-- the index certificate: the product of M's Smith diagonal must equal the
-  labels' product times |L_11 ... L_kk|, or RuntimeError names the face.  It
-  catches a wrong step of the elimination that changes the diagonal's
-  product, and an M formed from anything but the checked L;
-- the merge keeps the diagonal's product or raises RuntimeError, raised again
-  naming the face.
-
-That R is a basis of l, and not of a sublattice of it, rests on every column
-step having determinant +-1, which holds by construction.
-:func:`labpoly.delzant.face_groups`, which the CLI prints, reads the group off
-the labels or off one checked diagonal form of the scaled normals and never
-computes L or the index.  The two routes share the merge and the elimination
-loop :func:`labpoly.lattice._eliminate`: ``face_stabilizer`` runs it through
-``lattice._diagonal_rows``, whose exact U * A * V = D check guards it there,
-and this oracle through ``smith_diagonal``, guarded here by the index
-certificate.
-``stabilizers`` and ``verify`` compare them on every proper face and exit 3
-on a mismatch, which catches a diagonal of the right order but the wrong
-split (diag(1, 4) for diag(2, 2)); where the printed group comes from the
-labels, the comparison checks the oracle's diagonal against them.  A merge
-of the wrong split but the right product passes both routes alike: only the
-tests catch it, against a Smith elimination with a divisibility fold.
+That R is a basis of l, not of a sublattice, rests on every step having
+determinant +-1, by construction.  :func:`labpoly.delzant.face_groups`, the
+printed route, reads the groups off the labels or one checked diagonal form
+of the scaled normals, never L or the index; the routes share only the merge
+and the elimination loop ``lattice._eliminate``, guarded there by
+U * A * V = D and here by the index certificate.  ``stabilizers`` and
+``verify`` compare them on every proper face and exit 3 on a mismatch, which
+catches a diagonal of the right order but the wrong split (diag(1, 4) for
+diag(2, 2)).  A merge of the wrong split but the right product passes both
+routes alike: only the tests catch it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
-from .lattice import (
-    TRIVIAL_GROUP,
-    FiniteAbelianGroup,
-    echelon,
-    format_rational,
-    smith_diagonal,
-)
+from .lattice import FiniteAbelianGroup, _euclid, format_rational, smith_diagonal
 from .polytope import Face, LabeledPolytope
 
 
-def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
-    """The finite abelian group l / l-hat of a face, in invariant-factor form.
+def structure_groups(p: LabeledPolytope) -> tuple:
+    """``(face, l / l-hat)`` for every proper face, in face order, each group
+    in invariant-factor form; equal groups are one object."""
+    level, codim, prefix, groups, out = {(): _start(p.dim)}, 0, None, {}, []
+    for f in p.proper_faces():
+        if f.codim > codim:  # the faces of one codimension are done
+            codim, parents, level = f.codim, level, {}
+        if f.active[:-1] != prefix:  # and so are the children of the last prefix
+            prefix = f.active[:-1]
+            state = parents.pop(prefix)
+        level[f.active], factors = _extend(p, f.active, state)
+        if factors not in groups:
+            groups[factors] = FiniteAbelianGroup(factors)
+        out.append((f, groups[factors]))
+    return tuple(out)
 
-    Trivial for the whole polytope (empty tight set).  Dependent tight
-    normals (fewer than k echelon rows) raise ValueError; an echelon that
-    fails Y = L * R, a merge that loses the diagonal's product, or a group
-    order that fails the index certificate, raises RuntimeError naming the
-    face.
-    """
-    if not face.active:
-        return TRIVIAL_GROUP
-    tight = [p.halfspaces[i] for i in face.active]
-    normals = [h.normal for h in tight]
-    # Y * T = [L | 0] is the echelon of Y's columns: its rows are L's columns
-    columns = echelon(zip(*normals))
-    if len(columns) < len(normals):
+
+def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
+    """The group of one face, by the steps of :func:`structure_groups` along
+    the prefixes of its tight set; trivial for the whole polytope."""
+    state, factors = _start(p.dim), ()
+    for k in range(1, face.codim + 1):
+        state, factors = _extend(p, face.active[:k], state)
+    return FiniteAbelianGroup(factors)
+
+
+def _start(n) -> tuple:
+    """The state of the empty tight set: T = I, no rows."""
+    return 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
+def _extend(p, active, state) -> tuple:
+    """The state of tight set ``active`` from that of ``active[:-1]``, and the
+    invariant factors of its group."""
+    # T's columns, its k pivot columns first; row i holds R's row i, then M's to its diagonal
+    want, columns, *rows = state
+    k, n = len(rows), len(columns)
+    h = p.halfspaces[active[-1]]
+    y = h.normal
+    live, zero = [], []  # working columns t, as [<y, t>, *t] where <y, t> != 0
+    for t in columns[k:]:
+        e = sum(map(mul, y, t))
+        if e:
+            live.append([e, *t])
+        else:
+            zero.append(t)
+    if not live:
         raise ValueError("rows are linearly dependent")
-    lower = tuple(zip(*columns))
-    row = _first_fractional_row(normals, lower)
-    if row is not None:
-        raise RuntimeError(
-            f"column echelon over face {list(face.active)} broke the identity "
-            f"Y = L*R: row {row} of R is not integral")
+    pivot, zeroed = _euclid(live, 0)
+    row = [sum(map(mul, y, t)) for t in columns[:k]]  # L's new row, left of the diagonal
+    d = pivot[0]
+    acc = y  # R's new row: y minus the rows above, over d
+    for c, r in zip(row, rows):
+        if c:
+            acc = [a - c * b for a, b in zip(acc, r)]  # zip stops at R's row
+    if d == -1:
+        acc = [-a for a in acc]
+    elif d != 1:
+        if not d or any(a % d for a in acc):
+            raise RuntimeError(
+                f"column echelon over face {list(active)} broke the identity "
+                f"Y = L*R: row {k} of R is not integral")
+        acc = [a // d for a in acc]
+    m = h.label
+    rows.append((*acc, *[m * x for x in row], m * d))
     try:
-        diag = smith_diagonal([[h.label * x for x in r] for h, r in zip(tight, lower)])
+        diag = smith_diagonal([r[n:] + (0,) * (k - i) for i, r in enumerate(rows)])
     except RuntimeError as exc:
-        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
-    order = math.prod(diag)
-    want = (math.prod(h.label for h in tight)
-            * math.prod(abs(r[i]) for i, r in enumerate(lower)))
+        raise RuntimeError(f"face {list(active)}: {exc}") from exc
+    order, want = math.prod(diag), want * m * abs(d)
     if order != want:
         raise RuntimeError(
-            f"structure group over face {list(face.active)} has order "
+            f"structure group over face {list(active)} has order "
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
-
-
-def _first_fractional_row(rows, lower):
-    """The first row of R with Y = L * R that is not integral, or None.
-
-    R is found by forward substitution on the lower triangular L; a row is
-    integral when its division by L's diagonal entry is exact.
-    """
-    solved = []
-    for i, (y, l) in enumerate(zip(rows, lower)):
-        acc = y
-        for c, r in zip(l, solved):  # the i entries left of the diagonal
-            if c:
-                acc = [a - c * b for a, b in zip(acc, r)]
-        d = l[i]
-        if d == -1:
-            acc = [-a for a in acc]
-        elif d != 1:
-            if not d or any(a % d for a in acc):
-                return i
-            acc = [a // d for a in acc]
-        solved.append(acc)
-    return None
+    columns = (*columns[:k], tuple(pivot[1:]), *zero, *[tuple(c[1:]) for c in zeroed])
+    return (want, columns, *rows), tuple([x for x in diag if x > 1])

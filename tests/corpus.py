@@ -58,9 +58,11 @@ from labpoly.lattice import (
     _describe,
     common_denominator,
     dot,
+    echelon,
     format_rational,
     mat_vec,
     matrix,
+    smith_diagonal,
 )
 from labpoly.polytope import ValidationError, _check_vertices, format_point, validate
 
@@ -597,6 +599,69 @@ def reference_structure_group(p, face):
     scaled = tuple(tuple(p.halfspaces[i].label * x for x in p.halfspaces[i].normal)
                    for i in face.active)
     return quotient_group(saturate(normals), scaled)
+
+
+def per_face_structure_group(p, face):
+    """The finite abelian group l / l-hat of a face, in invariant-factor form,
+    from a column echelon of all its tight normals: the per-face oracle that
+    :func:`labpoly.local_model.structure_groups` replaced.
+
+    Trivial for the whole polytope (empty tight set).  Dependent tight
+    normals (fewer than k echelon rows) raise ValueError; an echelon that
+    fails Y = L * R, a merge that loses the diagonal's product, or a group
+    order that fails the index certificate, raises RuntimeError naming the
+    face.
+    """
+    if not face.active:
+        return TRIVIAL_GROUP
+    tight = [p.halfspaces[i] for i in face.active]
+    normals = [h.normal for h in tight]
+    # Y * T = [L | 0] is the echelon of Y's columns: its rows are L's columns
+    columns = echelon(zip(*normals))
+    if len(columns) < len(normals):
+        raise ValueError("rows are linearly dependent")
+    lower = tuple(zip(*columns))
+    row = _first_fractional_row(normals, lower)
+    if row is not None:
+        raise RuntimeError(
+            f"column echelon over face {list(face.active)} broke the identity "
+            f"Y = L*R: row {row} of R is not integral")
+    try:
+        diag = smith_diagonal([[h.label * x for x in r] for h, r in zip(tight, lower)])
+    except RuntimeError as exc:
+        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
+    order = math.prod(diag)
+    want = (math.prod(h.label for h in tight)
+            * math.prod(abs(r[i]) for i, r in enumerate(lower)))
+    if order != want:
+        raise RuntimeError(
+            f"structure group over face {list(face.active)} has order "
+            f"{format_rational(order)}, not the labels' product times the "
+            f"saturation index, {format_rational(want)}")
+    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+
+
+def _first_fractional_row(rows, lower):
+    """The first row of R with Y = L * R that is not integral, or None.
+
+    R is found by forward substitution on the lower triangular L; a row is
+    integral when its division by L's diagonal entry is exact.
+    """
+    solved = []
+    for i, (y, l) in enumerate(zip(rows, lower)):
+        acc = y
+        for c, r in zip(l, solved):  # the i entries left of the diagonal
+            if c:
+                acc = [a - c * b for a, b in zip(acc, r)]
+        d = l[i]
+        if d == -1:
+            acc = [-a for a in acc]
+        elif d != 1:
+            if not d or any(a % d for a in acc):
+                return i
+            acc = [a // d for a in acc]
+        solved.append(acc)
+    return None
 
 
 def two_smith_structure_group(p, face):

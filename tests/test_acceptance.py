@@ -18,7 +18,7 @@ from labpoly.delzant import (
 )
 from labpoly.fan import build_fan
 from labpoly.lattice import diagonal_form, dot, smith_diagonal
-from labpoly.local_model import structure_group
+from labpoly.local_model import structure_groups
 from labpoly.morse import h_vector, poincare_polynomial, random_generic_direction
 
 from corpus import (
@@ -60,9 +60,8 @@ def criterion(num, name):
 def test_criterion_1_football_structure_groups():
     for n in range(1, 7):
         for m in range(1, 7):
-            p = interval(n, m)
-            left = structure_group(p, face_by_active(p, (0,)))
-            right = structure_group(p, face_by_active(p, (1,)))
+            groups = {f.active: g for f, g in structure_groups(interval(n, m))}
+            left, right = groups[(0,)], groups[(1,)]
             assert left.invariant_factors == ((n,) if n > 1 else ())
             assert right.invariant_factors == ((m,) if m > 1 else ())
 
@@ -73,9 +72,9 @@ def test_criterion_2_oracle_equivalence():
     assert len(corpus) >= 50
     checked = 0
     for name, p in corpus:
-        for f in p.proper_faces():
+        for f, g in structure_groups(p):
             a = face_stabilizer(p, f).invariant_factors
-            b = structure_group(p, f).invariant_factors
+            b = g.invariant_factors
             assert a == b, (name, f.active, a, b)
             checked += 1
     assert checked > 200  # plenty of faces actually compared
@@ -86,8 +85,7 @@ def test_criterion_3_manifold_case():
     smooth = [t1(), square(), cube(), standard_simplex(3),
               product(t1(), interval(1, 1))]
     for p in smooth:
-        for f in p.proper_faces():
-            assert structure_group(p, f).is_trivial
+        assert all(g.is_trivial for _, g in structure_groups(p))
         d = build_construction(p)
         assert d.component_group.is_trivial
     # hand-computed component groups of the kernel subgroup
@@ -109,10 +107,8 @@ def test_criterion_4_w2():
     p = w2()
     singular = face_by_active(p, (0, 2))
     assert p.vertices[singular.vertices[0]] == (0, 1)
-    assert structure_group(p, singular).invariant_factors == (2,)
-    for f in p.proper_faces():
-        if f.active != (0, 2):
-            assert structure_group(p, f).is_trivial
+    for f, g in structure_groups(p):
+        assert g.invariant_factors == ((2,) if f == singular else ()), f.active
     assert {g for c in build_fan(p) for g in c} == {(1, 0), (0, 1), (-1, -2)}
 
 

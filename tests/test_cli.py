@@ -27,6 +27,7 @@ from labpoly.lattice import FiniteAbelianGroup
 from labpoly.polytope import validate
 
 from corpus import (
+    box,
     doctor_elimination,
     interval,
     polytope_to_json,
@@ -57,6 +58,8 @@ def files(tmp_path):
         "w2": write("w2.json", polytope_to_json(w2())),
         "w2_singular_first": write("w2_singular_first.json", w2_singular_first),
         "square": write("square.json", polytope_to_json(square())),
+        "cube_labeled": write("cube_labeled.json",
+                              polytope_to_json(box([1, 1, 1], [2, 3, 1, 4, 6, 5]))),
         "football35": write("football35.json", polytope_to_json(interval(3, 5))),
         "bad_geometry": write("bad.json", {
             "dim": 2,
@@ -598,8 +601,8 @@ def test_oracle_disagreement_prints_the_full_report_and_exits_3(
         files, capsys, monkeypatch):
     # a wrong local group on every face: both commands must still report all
     # faces and their verdict, not stop at the first disagreement
-    monkeypatch.setattr(local_model, "structure_group",
-                        lambda p, f: FiniteAbelianGroup((7,)))
+    monkeypatch.setattr(local_model, "structure_groups", lambda p: [
+        (f, FiniteAbelianGroup((7,))) for f in p.proper_faces()])
     code, out, _ = run(capsys, "stabilizers", files["w2"])
     assert code == 3
     lines = out.splitlines()
@@ -776,7 +779,7 @@ def _double_merge_gcds_under(function):
     # square, all labels 2: its first vertex face [0, 2] takes Z/2 + Z/2
     ("_label_group", "structure-groups", "square",
      "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
-    ("structure_group", "stabilizers", "square",
+    ("_extend", "stabilizers", "square",
      "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
     # the projection's minor off the kernel pivots, then its own diagonal
     ("_certify_kernel_index", "delzant", "square",
@@ -886,18 +889,26 @@ def test_kernel_index_identity_exit_3(files, capsys, monkeypatch, patch, message
         assert run(capsys, *argv, files["square"]) == (3, "", f"internal error: {message}\n")
 
 
-def _change_oracle_echelon(change):
-    # ``change(rows)`` edits every echelon the oracle takes of the tight
-    # normals' columns (its rows are the columns of L), unchecked
+def _change_oracle_echelon(change, at=None):
+    # ``change(pivot)`` edits the pivot that each Euclid step of the oracle
+    # leaves, [its entry of Y * T, *its column of T], unchecked; with ``at``,
+    # only the step that extends a face to the tight set ``at``
     def patch(monkeypatch):
-        real = local_model.echelon
-        monkeypatch.setattr(local_model, "echelon", lambda rows: change(real(rows)))
+        real = local_model._euclid
+
+        def step(live, r):
+            pivot, zeroed = real(live, r)
+            if at in (None, sys._getframe(1).f_locals["active"]):
+                pivot = change(pivot)
+            return pivot, zeroed
+
+        monkeypatch.setattr(local_model, "_euclid", step)
     return patch
 
 
-def _double_first_row(rows):
-    # what a step that doubles a column of Y, determinant 2, leaves in L
-    return [[2 * x for x in rows[0]], *rows[1:]]
+def _double_pivot(pivot):
+    # a column step of determinant 2: it doubles L's new diagonal entry
+    return [2 * x for x in pivot]
 
 
 def _change_oracle_diagonal_input(change):
@@ -970,8 +981,18 @@ def _no_generic_direction(monkeypatch):
 
 @pytest.mark.parametrize("patch, argv, message", [
     # L's first column doubled: Y = L*R leaves R = (1, 0) / 2 for face [0]
-    (_change_oracle_echelon(_double_first_row), ["stabilizers", "w2"],
+    (_change_oracle_echelon(_double_pivot), ["stabilizers", "w2"],
      "column echelon over face [0] broke the identity Y = L*R: row 0 of R is "
+     "not integral"),
+    # the labeled 3-cube, the step broken at the edge face [0, 3] alone: its
+    # parent [0] and every face before it pass, and the edge's own row
+    # R = (0, -1, 0) / -2 fails before any vertex below it is reached
+    (_change_oracle_echelon(_double_pivot, at=(0, 3)), ["stabilizers", "cube_labeled"],
+     "column echelon over face [0, 3] broke the identity Y = L*R: row 1 of R is "
+     "not integral"),
+    # broken at the facet [2] alone: the facet's own row fails, not a child's
+    (_change_oracle_echelon(_double_pivot, at=(2,)), ["verify", "cube_labeled"],
+     "column echelon over face [2] broke the identity Y = L*R: row 0 of R is "
      "not integral"),
     # M built from an L with unit diagonal: the saturation index 2 of the
     # normals (1, 0), (-1, -2), read off the checked L, no longer matches
@@ -992,7 +1013,7 @@ def _no_generic_direction(monkeypatch):
     (_no_generic_direction, ["betti", "square"],
      f"could not find a generic direction in dimension 2 for 4 vertices "
      f"(last bound tried {9 * 2 ** 99})"),
-], ids=["oracle_echelon_identity",
+], ids=["oracle_echelon_identity", "oracle_echelon_at_an_edge", "oracle_echelon_at_a_facet",
         "oracle_index_diagonal", "oracle_index_certificate", "walk_basis_row",
         "closed_form_premise", "walk_basic_solution", "morse"])
 def test_exit_3_names_the_operand(files, capsys, monkeypatch, patch, argv, message):

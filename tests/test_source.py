@@ -84,9 +84,10 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_the_structure_group_oracle_does_not_use_the_printed_route():
-    # local_model.structure_group checks delzant.face_groups on every proper
-    # face, so its code may not import delzant or name the printed route's
-    # functions (its docstring may)
+    # local_model.structure_groups checks delzant.face_groups on every proper
+    # face, each face's echelon extended from its parent's by the Euclid step
+    # it shares with lattice.echelon, so its code may not import delzant or
+    # name the printed route's functions (its docstring may)
     path = Path(labpoly.__file__).parent / "local_model.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     forbidden = {"delzant", "face_groups", "face_stabilizer", "_label_group"}
