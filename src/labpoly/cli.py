@@ -193,10 +193,10 @@ def cmd_delzant(args, p):
 def _oracle_rows(p, groups):
     """``(face, reduction group, local group, agree)`` for every proper face.
 
-    ``groups`` are the groups of :func:`labpoly.delzant.face_groups`;
-    :func:`labpoly.local_model.structure_groups` recomputes them in the same
-    face order, each face's column echelon extended from its parent's by one
-    Euclid step, with one Smith diagonal and the index certificate per face.
+    ``groups`` are those of :func:`labpoly.delzant.face_groups`; in the same
+    face order :func:`labpoly.local_model.structure_groups` extends each face's
+    column echelon from its parent's by one Euclid step, then takes the labels'
+    merge at index 1 (L unimodular), else a Smith diagonal and the index check.
     """
     return [(f, a, b, a.invariant_factors == b.invariant_factors)
             for (f, a), (_, b) in zip(groups, lm.structure_groups(p))]

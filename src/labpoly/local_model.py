@@ -1,9 +1,9 @@
 """The structure group of every face, l / l-hat, from a column echelon of
-the tight normals that each face extends from its parent's by one row, a
-transform-free Smith diagonal and the index certificate: the independent
-oracle.  For a face with tight facet set S (k facets), l is the rational
-span of the normals y_i (i in S) intersected with Z^n, and l-hat the integer
-span of the scaled normals m_i * y_i.
+the tight normals that each face extends from its parent's by one row, and
+on a face of index above 1 a transform-free Smith diagonal and the index
+certificate: the independent oracle.  For a face with tight facet set S
+(k facets), l is the rational span of the normals y_i (i in S) intersected
+with Z^n, and l-hat the integer span of the scaled normals m_i * y_i.
 
 Column operations of determinant +-1 reduce the k x n matrix Y of tight
 normals row by row to Y * T = [L | 0], L lower triangular: at row r the
@@ -11,12 +11,15 @@ columns of T not yet pivoted and nonzero in row r of Y * T go through
 :func:`labpoly.lattice._euclid`, the step of :func:`labpoly.lattice.echelon`,
 and the one it leaves is the pivot.  So Y = L * R, R the first k rows of
 T's inverse: a basis of l, in which row i of L holds y_i.  With
-M = diag(m_S) * L, l / l-hat = Z^k / Z^k M, read off the Smith diagonal of
-M (:func:`labpoly.lattice.smith_diagonal`, merged by ``lattice._merge``),
-and |l / l-hat| = |det M| = (m_1 ... m_k) * |L_11 ... L_kk|, the labels'
-product times the index [l : Z Y].  The step at row r reads only row r, so
-S's echelon extends that of S minus its last facet, a face one codimension
-earlier: :func:`structure_groups` keeps T, the rows of R and M and the
+M = diag(m_S) * L, l / l-hat = Z^k / Z^k M, of order |det M| =
+(m_1 ... m_k) * |L_11 ... L_kk|, the labels' product times the index
+[l : Z Y].  At index 1, L is unimodular, x -> x * L^-1 maps Z^k M onto
+Z^k diag(m_S), and the group is the labels' merge
+(``FiniteAbelianGroup.from_orders``); above 1 it is read off the Smith
+diagonal of M (:func:`labpoly.lattice.smith_diagonal`, merged by
+``lattice._merge``).  The step at row r reads only row r, so S's echelon
+extends that of S minus its last facet, a face one codimension earlier:
+:func:`structure_groups` keeps T, the rows of R and M, the index and the
 running product of the m_i * |L_ii| for the faces of one codimension and
 extends each face's parent by one step.  Its checks, each raising on the
 first face in face order that fails:
@@ -24,22 +27,24 @@ first face in face order that fails:
 - a row with no live column means dependent normals: ValueError;
 - each new row of R comes by forward substitution, every division exact, or
   RuntimeError names the face (a step of determinant other than +-1);
-- the index certificate: the product of M's Smith diagonal must be the
-  labels' product times |L_11 ... L_kk|, or RuntimeError names the face (a
-  wrong elimination step, or an M not built from the checked L);
-- the merge keeps the diagonal's product, or its RuntimeError is raised
-  again naming the face.
+- at index above 1, the index certificate: the product of M's Smith
+  diagonal must be the labels' product times the index, or RuntimeError
+  names the face (a wrong elimination step, or an M not built from the
+  checked L); at index 1 there is no diagonal to certify;
+- the merge keeps its orders' product, or its RuntimeError is raised again
+  naming the face.
 
 That R is a basis of l, not of a sublattice, rests on every step having
 determinant +-1, by construction.  :func:`labpoly.delzant.face_groups`, the
-printed route, reads the groups off the labels or one checked diagonal form
-of the scaled normals, never L or the index; the routes share only the merge
-and the elimination loop ``lattice._eliminate``, guarded there by
-U * A * V = D and here by the index certificate.  ``stabilizers`` and
-``verify`` compare them on every proper face and exit 3 on a mismatch, which
-catches a diagonal of the right order but the wrong split (diag(1, 4) for
-diag(2, 2)).  A merge of the wrong split but the right product passes both
-routes alike: only the tests catch it.
+printed route, reads the groups off the labels where the vertex walk finds
+determinant 1 and Y * E = I, or one checked diagonal form of the scaled
+normals, never L or the index; the routes share only the merge and the
+elimination loop ``lattice._eliminate``, guarded there by U * A * V = D and
+here by the index certificate.  ``stabilizers`` and ``verify`` compare them
+on every proper face and exit 3 on a mismatch, which catches a diagonal of
+the right order but the wrong split (Z/8 for Z/2 x Z/4) and an index misread
+as 1.  A merge of the wrong split but the right product passes both routes
+alike: only the tests catch it.
 """
 
 from __future__ import annotations
@@ -78,15 +83,16 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
 
 
 def _start(n) -> tuple:
-    """The state of the empty tight set: T = I, no rows."""
-    return 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    """The state of the empty tight set: product and index 1, T = I, no rows."""
+    return 1, 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def _extend(p, active, state) -> tuple:
     """The state of tight set ``active`` from that of ``active[:-1]``, and the
-    invariant factors of its group."""
+    invariant factors of its group: the labels' merge at index 1, else the
+    Smith diagonal of M, certified by the index."""
     # T's columns, its k pivot columns first; row i holds R's row i, then M's to its diagonal
-    want, columns, *rows = state
+    want, index, columns, *rows = state
     k, n = len(rows), len(columns)
     h = p.halfspaces[active[-1]]
     y = h.normal
@@ -116,15 +122,19 @@ def _extend(p, active, state) -> tuple:
         acc = [a // d for a in acc]
     m = h.label
     rows.append((*acc, *[m * x for x in row], m * d))
+    columns = (*columns[:k], tuple(pivot[1:]), *zero, *[tuple(c[1:]) for c in zeroed])
+    want, index = want * m * abs(d), index * abs(d)
     try:
+        if index == 1:  # L unimodular: x -> x * L^-1 maps Z^k M onto Z^k diag(m)
+            group = FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in active])
+            return (want, index, columns, *rows), group.invariant_factors
         diag = smith_diagonal([r[n:] + (0,) * (k - i) for i, r in enumerate(rows)])
     except RuntimeError as exc:
         raise RuntimeError(f"face {list(active)}: {exc}") from exc
-    order, want = math.prod(diag), want * m * abs(d)
+    order = math.prod(diag)
     if order != want:
         raise RuntimeError(
             f"structure group over face {list(active)} has order "
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
-    columns = (*columns[:k], tuple(pivot[1:]), *zero, *[tuple(c[1:]) for c in zeroed])
-    return (want, columns, *rows), tuple([x for x in diag if x > 1])
+    return (want, index, columns, *rows), tuple([x for x in diag if x > 1])

@@ -999,9 +999,12 @@ def _no_generic_direction(monkeypatch):
     (_change_oracle_diagonal_input(_unit_diagonal), ["stabilizers", "w2"],
      "structure group over face [0, 2] has order 1, not the labels' product "
      "times the saturation index, 2"),
+    # the Smith diagonal runs on faces of index above 1 only: w2's facets
+    # and its other vertices take the labels' merge, and the first face the
+    # doubling reaches is the vertex (0, 1), of index 2
     (_change_oracle_diagonal(_double_diagonal), ["verify", "w2"],
-     "structure group over face [0] has order 2, not the labels' product times "
-     "the saturation index, 1"),
+     "structure group over face [0, 2] has order 8, not the labels' product "
+     "times the saturation index, 2"),
     (_break_walk_pivots(_raise_first_basis_slack), ["validate", "w2"],
      "vertex walk: row 0 of the dictionary at basis (0, 1) is not d * e_0"),
     # the closed form's premise: w2's vertex (0, 1) has |det Y_v| = 2; read
@@ -1048,27 +1051,71 @@ def test_broken_diagonal_form_exits_3_naming_the_operand(files, capsys, monkeypa
 
 
 def test_oracle_wrong_split_exits_3_naming_the_face(files, capsys, monkeypatch):
-    # Z/4 in place of Z/2 x Z/2 at the vertex face [0, 2] of the square with
-    # all labels 2 (M = diag(2, 2) there): the order is right, so the index
-    # certificate and the divisibility chain pass, and only the comparison
-    # with face_groups can see it
+    # Z/8 in place of Z/2 x Z/4 at the vertex face [0, 2] of w2 with all
+    # labels 2 (index 2, M = diag(2, 2) * L = ((2, 0), (-2, -4)) there): the
+    # order is right, so the index certificate and the divisibility chain
+    # pass, and only the comparison with face_groups can see it
     real = local_model.smith_diagonal
     monkeypatch.setattr(local_model, "smith_diagonal", lambda a: (
-        (1, 4) if tuple(map(tuple, a)) == ((2, 0), (0, 2)) else real(a)))
-    path = files["write"]("square_label2.json", polytope_to_json(square(1, [2] * 4)))
+        (1, 8) if tuple(map(tuple, a)) == ((2, 0), (-2, -4)) else real(a)))
+    obj = polytope_to_json(w2())
+    for h in obj["halfspaces"]:
+        h["label"] = 2
+    path = files["write"]("w2_label2.json", obj)
     code, out, err = run(capsys, "stabilizers", path)
     assert (code, err) == (3, "")
     lines = out.splitlines()
     assert [line for line in lines if line.endswith("DISAGREE")] == [
-        "face [0, 2] vertex (0, 0): reduction Z/2 x Z/2, local Z/4, DISAGREE"]
-    assert len(lines) == 9 and lines[-1] == "verdict: ORACLE DISAGREEMENT"
+        "face [0, 2] vertex (0, 1): reduction Z/2 x Z/4, local Z/8, DISAGREE"]
+    assert len(lines) == 7 and lines[-1] == "verdict: ORACLE DISAGREEMENT"
 
     code, out, err = run(capsys, "verify", path)
     assert (code, err) == (3, "")
     assert out.splitlines()[2] == (
-        "FAIL: stabilizer/structure-group agreement at a regular level (8 faces, "
-        "independent scaled normals on each) (face [0, 2]: Z/2 x Z/2 vs Z/4)")
+        "FAIL: stabilizer/structure-group agreement at a regular level (6 faces, "
+        "independent scaled normals on each) (face [0, 2]: Z/2 x Z/4 vs Z/8)")
     assert out.endswith("verify: FAIL\n")
+
+
+def _unit_pivot_entry(pivot):
+    # the pivot's entry of Y * T read as its sign, its column of T kept: L's
+    # new diagonal entry reads +-1, so the running index does too
+    return [(pivot[0] > 0) - (pivot[0] < 0), *pivot[1:]]
+
+
+def test_oracle_closed_form_on_a_misread_index_exits_3(files, capsys, monkeypatch):
+    # w2's vertex face [0, 2] has index 2; with its pivot entry read as -1,
+    # R's row (0, -2) / -1 is still integral and M = diag(1, 1) * L has
+    # determinant 1 = the labels' product times the misread index, so only
+    # the comparison with face_groups sees the trivial group the labels'
+    # merge gives there
+    _change_oracle_echelon(_unit_pivot_entry, at=(0, 2))(monkeypatch)
+    code, out, err = run(capsys, "stabilizers", files["w2"])
+    assert (code, err) == (3, "")
+    assert [line for line in out.splitlines() if line.endswith("DISAGREE")] == [
+        "face [0, 2] vertex (0, 1): reduction Z/2, local trivial, DISAGREE"]
+    assert out.endswith("verdict: ORACLE DISAGREEMENT\n")
+
+    code, out, err = run(capsys, "stabilizers", files["w2"], "--json")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert [(f["active"], f["local"]) for f in report["faces"] if not f["agree"]] == [
+        ([0, 2], {"invariant_factors": [], "order": 1})]
+    assert report["oracles_agree"] is False
+
+    row = ("stabilizer/structure-group agreement at a regular level (6 faces, "
+           "independent scaled normals on each)")
+    code, out, err = run(capsys, "verify", files["w2"])
+    assert (code, err) == (3, "")
+    assert f"FAIL: {row} (face [0, 2]: Z/2 vs trivial)" in out.splitlines()
+    assert out.endswith("verify: FAIL\n")
+
+    code, out, err = run(capsys, "verify", files["w2"], "--json")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert [c for c in report["checks"] if not c["passed"]] == [
+        {"name": row, "passed": False, "detail": "face [0, 2]: Z/2 vs trivial"}]
+    assert report["passed"] is False
 
 
 def test_non_palindromic_betti_numbers_fail_verify(files, capsys, monkeypatch):

@@ -3,11 +3,13 @@
 import functools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labpoly import lattice, local_model
 from labpoly.delzant import face_groups
 from labpoly.lattice import echelon
 from labpoly.local_model import structure_group, structure_groups
@@ -200,14 +202,61 @@ def moved_inputs(draw):
     return transformed(p, random_unimodular(random.Random(draw(st.integers(0, 9999))), p.dim))
 
 
-# 60 examples take about 1.9 s (Python 3.11, shared 2-vCPU host)
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(moved_inputs())
-def test_each_face_extends_its_parent_to_the_per_face_echelon(p):
+def unimodular_off_diagonal(p, f):
+    """Whether the face's L, of Y * T = [L | 0], has index 1 and an entry
+    off its diagonal, so that M = diag(m) * L is not diag(m)."""
+    lower = lower_factor([p.halfspaces[i].normal for i in f.active])
+    return (math.prod(abs(r[i]) for i, r in enumerate(lower)) == 1
+            and any(x for i, r in enumerate(lower) for x in r[:i]))
+
+
+# 60 examples take about 1.5 s (Python 3.11, shared 2-vCPU host)
+def test_each_face_extends_its_parent_to_the_per_face_echelon():
     # the state a face takes from its parent gives the group that one column
-    # echelon of all its tight normals gives
-    for f, got in structure_groups(p):
-        assert got == per_face_structure_group(p, f) == reference_structure_group(p, f), f.active
+    # echelon of all its tight normals gives; the draws include faces of
+    # index 1 whose L is not diagonal, where the oracle takes the labels'
+    # merge for the group of Z^k / Z^k M with M != diag(m)
+    seen = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(moved_inputs())
+    def check(p):
+        for f, got in structure_groups(p):
+            assert got == per_face_structure_group(p, f) == reference_structure_group(p, f), \
+                f.active
+            if not seen and unimodular_off_diagonal(p, f):
+                seen.append(f)
+
+    check()
+    assert seen
+
+
+def smith_diagonal_calls(monkeypatch, p):
+    """The tight sets of the faces on which the oracle runs its Smith diagonal."""
+    calls, real = [], lattice.smith_diagonal
+
+    def spy(a):
+        calls.append(sys._getframe(1).f_locals["active"])
+        return real(a)
+
+    monkeypatch.setattr(local_model, "smith_diagonal", spy)
+    structure_groups(p)
+    return calls
+
+
+def test_smith_diagonal_runs_on_faces_of_index_above_1_only(monkeypatch):
+    # L = I on every face of the labeled 3-cube
+    assert smith_diagonal_calls(monkeypatch, cube(1, [2, 3, 4, 2, 3, 4])) == []
+    # a unimodular image of a labeled box: index 1 on every face, L != I on some
+    p = transformed(box([1, 2, 3], [2, 3, 4, 2, 3, 4]), ((1, 0, 0), (1, 1, 0), (0, 2, 1)))
+    assert any(unimodular_off_diagonal(p, f) for f in p.proper_faces())
+    assert smith_diagonal_calls(monkeypatch, p) == []
+    # w2: the diagonal runs on the faces whose normals have invariant factors
+    # of product above 1, the vertex (0, 1) alone
+    p = w2()
+    assert smith_diagonal_calls(monkeypatch, p) == [
+        f.active for f in p.proper_faces()
+        if math.prod(reference_smith_normal_form(normals_of(p, f)[0]).diagonal) > 1] == [(0, 2)]
 
 
 # ---------------------------------------------------------------------------
