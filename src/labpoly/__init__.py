@@ -18,10 +18,7 @@ from .delzant import (
 )
 from .fan import build_fan
 from .lattice import (
-    DiagonalForm,
     FiniteAbelianGroup,
-    TRIVIAL_GROUP,
-    diagonal_form,
     format_rational,
     kernel_basis,
     parse_rational,

@@ -53,11 +53,9 @@ from .lattice import (
     FiniteAbelianGroup,
     _diagonal_rows,
     common_denominator,
-    diagonal_form,
     dot,
     format_rational,
     kernel_basis,
-    mat_vec,
     smith_diagonal,
 )
 from .polytope import Face, LabeledPolytope, format_point
@@ -81,13 +79,14 @@ class DelzantData(namedtuple(
 def build_construction(p: LabeledPolytope) -> DelzantData:
     """Assemble projection, kernel, level and component group.
 
-    One diagonal form U * A * V = D of the projection A gives the kernel and
-    the component group; a failed U * A * V = D check, or a merge that loses
-    the product, is raised again naming the projection, and a zero on its
-    diagonal raises.  The level is the
-    closed form
-    -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for every
-    beta exactly when B annihilates A, which is certified by exact
+    One diagonal form U * A * V = D of the projection A, the rows of
+    ``lattice._diagonal_rows``, gives the component group, read off the
+    diagonal in the first n rows, and the kernel, read off V's rows at rank
+    n (:func:`labpoly.lattice.kernel_basis`); a failed U * A * V = D check,
+    or a merge that loses the product, is raised again naming the
+    projection, and a zero on its diagonal raises.  The level is the closed
+    form -B c (B the kernel basis): j*(s(beta)) = B (A^T beta - c) = -B c for
+    every beta exactly when B annihilates A, which is certified by exact
     multiplication; a failing kernel row raises, naming the row.  The level
     is formed in integers over the offsets' common denominator.
 
@@ -102,20 +101,22 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     """
     projection = _scaled_columns(p, range(len(p.halfspaces)))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
+    n = len(projection)
     try:
-        form = diagonal_form(projection)
+        w = _diagonal_rows(projection)
     except RuntimeError as exc:
         raise RuntimeError(f"projection: {exc}") from exc
-    if 0 in form.diagonal:
+    diagonal = [w[i][i] for i in range(n)]
+    if 0 in diagonal:
         raise RuntimeError(f"projection is not surjective over the rationals: its "
-                           f"diagonal is zero at position {form.diagonal.index(0)}")
-    kernel = kernel_basis(form)
+                           f"diagonal is zero at position {diagonal.index(0)}")
+    kernel = kernel_basis(w[n:], n)
     for k, row in enumerate(kernel):
-        if any(mat_vec(projection, row)):
+        if any(dot(r, row) for r in projection):
             raise RuntimeError(f"projection does not annihilate kernel row {k}")
-    _certify_kernel_index(projection, kernel, form.diagonal)
+    _certify_kernel_index(projection, kernel, diagonal)
     try:
-        component_group = FiniteAbelianGroup.from_orders(form.diagonal)
+        component_group = FiniteAbelianGroup.from_orders(diagonal)
     except RuntimeError as exc:
         raise RuntimeError(f"projection: {exc}") from exc
     q, numerators = common_denominator(offsets)

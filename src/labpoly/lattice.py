@@ -10,16 +10,15 @@ formed here: the vertex walk in :mod:`labpoly.polytope` keeps one integer
 simplex dictionary per basis and moves it by fraction-free pivots, and its
 first n pivots decide whether the normals have full rank.
 
-:func:`diagonal_form` returns U * A * V = D with D diagonal and its
-transforms, read off the rows [D | U] above V that :func:`_diagonal_rows`
-reduces in place (:func:`_eliminate`) and re-verifies by exact
-multiplication on every call, so a silent arithmetic bug cannot leak a
-wrong decomposition downstream.  The check does not prove U and V
-unimodular (one of determinant other than +-1 with a D that agrees with it
-passes): that rests on construction, every step being a swap, a negation or
-the addition of a multiple of one row or column to another.
-:func:`kernel_basis` takes that checked form as its one input and reads the
-kernel off V, so no matrix is passed beside a form that might not be its own.
+:func:`_diagonal_rows` reduces the rows [A | I] above I in place
+(:func:`_eliminate`) to [D | U] above V with U * A * V = D and D diagonal,
+and re-verifies that identity by exact multiplication on every call, so a
+silent arithmetic bug cannot leak a wrong decomposition downstream.  The
+check does not prove U and V unimodular (one of determinant other than +-1
+with a D that agrees with it passes): that rests on construction, every step
+being a swap, a negation or the addition of a multiple of one row or column
+to another.  Its callers read the diagonal off the first rows, and
+:func:`kernel_basis` reads the kernel off V's rows and the rank.
 
 The elimination stops at a diagonal whose entries need not divide each
 other.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`, is
@@ -95,27 +94,16 @@ def _decimal(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# small vector/matrix helpers
+# small vector helpers
 # ---------------------------------------------------------------------------
 
-def matrix(rows) -> Mat:
-    """Coerce to an immutable integer matrix, checking shape and integrality.
-
-    A row of plain ints passes through as a tuple; any other row is coerced
-    entry by entry (:func:`_as_int`).
-    """
-    out = []
-    width = None
-    for r in rows:
-        row = tuple(r)
-        if not all(type(e) is int for e in row):
-            row = tuple(_as_int(e) for e in row)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        out.append(row)
-    return tuple(out)
+def _ints(v) -> tuple:
+    """``v`` as a tuple of ints: plain ints pass as they are, any other entry
+    is coerced by :func:`_as_int`, which raises ValueError."""
+    v = tuple(v)
+    if all(type(e) is int for e in v):
+        return v
+    return tuple(_as_int(e) for e in v)
 
 
 def _as_int(e) -> int:
@@ -130,10 +118,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise ValueError("length mismatch")
     return sum(map(mul, u, v))
-
-
-def mat_vec(a, v):
-    return tuple(dot(row, v) for row in a)
 
 
 def _describe(a) -> str:
@@ -155,9 +139,7 @@ def primitive_vector(v) -> Vec:
     The zero vector is returned unchanged.  Sign is preserved, so the result
     points the same way as the input.
     """
-    v = tuple(v)
-    if not all(type(e) is int for e in v):
-        v = tuple(_as_int(e) for e in v)
+    v = _ints(v)
     g = math.gcd(*v)
     if g <= 1:
         return v
@@ -168,33 +150,12 @@ def primitive_vector(v) -> Vec:
 # diagonal form
 # ---------------------------------------------------------------------------
 
-class DiagonalForm(namedtuple("DiagonalForm", "U D V")):
-    """U * A * V = D with U, V unimodular and D diagonal (see :func:`diagonal_form`)."""
-
-    __slots__ = ()
-
-    @property
-    def diagonal(self) -> tuple:
-        k = min(len(self.D), len(self.D[0]) if self.D else 0)
-        return tuple(self.D[i][i] for i in range(k))
-
-
-def diagonal_form(a) -> DiagonalForm:
-    """A diagonal form of an integer matrix, by :func:`_eliminate`, with
-    transforms: D's diagonal is nonnegative with its zeros trailing, and
-    U * A * V == D exactly (verified by :func:`_diagonal_rows`)."""
-    a = matrix(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    w = _diagonal_rows(a)
-    return DiagonalForm(tuple([tuple(row[n:]) for row in w[:m]]),
-                        tuple([tuple(row[:n]) for row in w[:m]]), tuple(map(tuple, w[m:])))
-
-
 def _diagonal_rows(a) -> list:
-    """The rows [D | U] above V of :func:`diagonal_form`, for rows ``a`` of ints
-    of one length (unchecked).  Each row u of U is multiplied into A once, and
-    (u * A) * V must be D's row, or RuntimeError names A's shape and size."""
+    """The rows [D | U] above V of a diagonal form U * A * V = D of the m x n
+    matrix A, by :func:`_eliminate`: D's diagonal is nonnegative with its zeros
+    trailing.  ``a`` is m rows of ints of one length (unchecked).  Each row u
+    of U is multiplied into A once, and (u * A) * V must be D's row, or
+    RuntimeError names A's shape and size."""
     m = len(a)
     n = len(a[0]) if m else 0
     # one elimination in place: the row operations carry U, the column ones V
@@ -327,18 +288,18 @@ def _euclid(live, r) -> tuple:
     return live[0], zeroed
 
 
-def kernel_basis(form: DiagonalForm) -> Mat:
-    """Basis rows of the integer kernel {x : A x = 0}, read off the checked
-    diagonal form U * A * V = D of a nonempty matrix A.
+def kernel_basis(v, r) -> Mat:
+    """Basis rows of the integer kernel {x : A x = 0}, read off the rows ``v``
+    of V of a checked diagonal form U * A * V = D of A with rank r
+    (:func:`_diagonal_rows`).
 
-    The kernel is spanned by the last columns of V, those past D's rank.
-    Their :func:`echelon` with positive pivots and each entry above a pivot
-    reduced into [0, pivot) is the row Hermite normal form, unique for the
-    lattice, so equal kernels get identical bases.  The result is saturated
-    (ker over the rationals meets the integer lattice).
+    The kernel is spanned by the columns of V past r.  Their :func:`echelon`
+    with positive pivots and each entry above a pivot reduced into
+    [0, pivot) is the row Hermite normal form, unique for the lattice, so
+    equal kernels get identical bases.  The result is saturated (ker over
+    the rationals meets the integer lattice).
     """
-    r = len(form.diagonal) - form.diagonal.count(0)
-    h = echelon(zip(*(row[r:] for row in form.V)))
+    h = echelon(zip(*(row[r:] for row in v)))
     c = 0
     for k, row in enumerate(h):
         while not row[c]:
@@ -368,9 +329,7 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     __slots__ = ()
 
     def __new__(cls, invariant_factors):
-        fs = invariant_factors
-        if type(fs) is not tuple or not all(type(d) is int for d in fs):
-            fs = tuple(_as_int(d) for d in fs)
+        fs = _ints(invariant_factors)
         for d in fs:
             if d < 2:
                 raise ValueError(f"invariant factor {_decimal(d)} < 2")
@@ -428,6 +387,3 @@ def _merge(orders) -> tuple:
             f"invariant factors [{', '.join(map(_decimal, fs))}] of the cyclic "
             f"orders [{', '.join(map(_decimal, orders))}] lost their product")
     return tuple(fs)
-
-
-TRIVIAL_GROUP = FiniteAbelianGroup(())

@@ -19,10 +19,9 @@ Z^k diag(m_S), and the group is the labels' merge
 diagonal of M (:func:`labpoly.lattice.smith_diagonal`, merged by
 ``lattice._merge``).  The step at row r reads only row r, so S's echelon
 extends that of S minus its last facet, a face one codimension earlier:
-:func:`structure_groups` keeps T, the rows of R and M, the index and the
-running product of the m_i * |L_ii| for the faces of one codimension and
-extends each face's parent by one step.  Its checks, each raising on the
-first face in face order that fails:
+:func:`structure_groups` keeps T, the rows of R and M and the index for
+the faces of one codimension and extends each face's parent by one step.
+Its checks, each raising on the first face in face order that fails:
 
 - a row with no live column means dependent normals: ValueError;
 - each new row of R comes by forward substitution, every division exact, or
@@ -83,8 +82,8 @@ def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
 
 
 def _start(n) -> tuple:
-    """The state of the empty tight set: product and index 1, T = I, no rows."""
-    return 1, 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    """The state of the empty tight set: index 1, T = I, no rows."""
+    return 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def _extend(p, active, state) -> tuple:
@@ -92,7 +91,7 @@ def _extend(p, active, state) -> tuple:
     invariant factors of its group: the labels' merge at index 1, else the
     Smith diagonal of M, certified by the index."""
     # T's columns, its k pivot columns first; row i holds R's row i, then M's to its diagonal
-    want, index, columns, *rows = state
+    index, columns, *rows = state
     k, n = len(rows), len(columns)
     h = p.halfspaces[active[-1]]
     y = h.normal
@@ -123,18 +122,19 @@ def _extend(p, active, state) -> tuple:
     m = h.label
     rows.append((*acc, *[m * x for x in row], m * d))
     columns = (*columns[:k], tuple(pivot[1:]), *zero, *[tuple(c[1:]) for c in zeroed])
-    want, index = want * m * abs(d), index * abs(d)
+    index *= abs(d)
+    labels = [p.halfspaces[i].label for i in active]
     try:
         if index == 1:  # L unimodular: x -> x * L^-1 maps Z^k M onto Z^k diag(m)
-            group = FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in active])
-            return (want, index, columns, *rows), group.invariant_factors
+            group = FiniteAbelianGroup.from_orders(labels)
+            return (index, columns, *rows), group.invariant_factors
         diag = smith_diagonal([r[n:] + (0,) * (k - i) for i, r in enumerate(rows)])
     except RuntimeError as exc:
         raise RuntimeError(f"face {list(active)}: {exc}") from exc
-    order = math.prod(diag)
+    order, want = math.prod(diag), index * math.prod(labels)
     if order != want:
         raise RuntimeError(
             f"structure group over face {list(active)} has order "
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
-    return (want, index, columns, *rows), tuple([x for x in diag if x > 1])
+    return (index, columns, *rows), tuple([x for x in diag if x > 1])

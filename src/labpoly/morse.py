@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 from math import comb
 
-from .lattice import dot, matrix
+from .lattice import _ints, dot
 from .polytope import LabeledPolytope, format_point
 
 
@@ -28,7 +28,7 @@ MorseReport = namedtuple("MorseReport", "vertex_indices poincare")
 def _direction(xi) -> tuple:
     """xi as a tuple of ints; a float, bool or fractional entry, or xi = 0, raises."""
     try:
-        (xi,) = matrix((tuple(xi),))
+        xi = _ints(xi)
     except ValueError as exc:
         raise ValueError(f"xi must have integer entries ({exc})") from None
     if not any(xi):

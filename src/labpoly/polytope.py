@@ -23,10 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import (
+    _ints,
     common_denominator,
     dot,
     format_rational,
-    matrix,
     parse_rational,
     primitive_vector,
 )
@@ -135,7 +135,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
         if label < 1:
             raise ValidationError(f"label < 1 on facet {i}")
         try:
-            (normal,) = matrix((normal,))
+            normal = _ints(normal)
         except ValueError:
             raise ValidationError(f"normal of facet {i} must have integer entries") from None
         if len(normal) != dim:

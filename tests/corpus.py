@@ -11,7 +11,8 @@ lattice comparison the tests share, ``solve_rational``/``invert_rational``/
 with one helper per row or column operation, which folds a row into the
 pivot row until each pivot divides the rest, and ``reference_diagonal_form``
 the same elimination stopped at a diagonal, whose (U, D, V) the package's
-in-place :func:`labpoly.lattice.diagonal_form` must reproduce exactly;
+in-place elimination must reproduce exactly (``diagonal_form`` reads them
+off the rows of ``lattice._diagonal_rows`` as a ``DiagonalForm``);
 every other reference here takes its Smith forms from
 ``reference_smith_normal_form``, not from the package's elimination;
 ``hermite_normal_form`` is the row Hermite form with its transform U and its
@@ -33,8 +34,9 @@ its vertices, ``face_by_active`` looks a face up by its tight set,
 reads, ``subset_scan`` is the brute-force reference for the vertex walk and
 ``ray_scan`` its recession ray search over C(N, n - 1) facet subsets, and
 ``labeled_polygon_products`` is a ``hypothesis`` strategy for generated
-labeled polytopes; ``identity``, ``transpose`` and ``mat_mul`` build the
-matrices the tests compare with, and ``doctor_elimination`` with
+labeled polytopes; ``identity``, ``transpose``, ``matrix``, ``mat_mul`` and
+``mat_vec`` build the matrices the tests compare with, ``TRIVIAL_GROUP`` is
+the trivial group the references return, and ``doctor_elimination`` with
 ``raise_first_entry`` edits what the elimination leaves before its
 U * A * V = D check.
 """
@@ -42,6 +44,7 @@ U * A * V = D check.
 import math
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -51,8 +54,6 @@ from hypothesis import strategies as st
 
 from labpoly import lattice
 from labpoly.lattice import (
-    TRIVIAL_GROUP,
-    DiagonalForm,
     FiniteAbelianGroup,
     Mat,
     _describe,
@@ -60,11 +61,46 @@ from labpoly.lattice import (
     dot,
     echelon,
     format_rational,
-    mat_vec,
-    matrix,
     smith_diagonal,
 )
 from labpoly.polytope import ValidationError, _check_vertices, format_point, validate
+
+TRIVIAL_GROUP = FiniteAbelianGroup(())
+
+
+class DiagonalForm(namedtuple("DiagonalForm", "U D V")):
+    """U * A * V = D with U, V unimodular and D diagonal."""
+
+    __slots__ = ()
+
+    @property
+    def diagonal(self) -> tuple:
+        k = min(len(self.D), len(self.D[0]) if self.D else 0)
+        return tuple(self.D[i][i] for i in range(k))
+
+
+def diagonal_form(a) -> DiagonalForm:
+    """(U, D, V) read off the rows [D | U] above V that
+    ``lattice._diagonal_rows`` leaves once it has checked U * A * V = D."""
+    a = matrix(a)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    w = lattice._diagonal_rows(a)
+    return DiagonalForm(tuple(tuple(row[n:]) for row in w[:m]),
+                        tuple(tuple(row[:n]) for row in w[:m]), tuple(map(tuple, w[m:])))
+
+
+def matrix(rows) -> Mat:
+    """Rows of one length, each coerced to ints by ``lattice._ints``: a float,
+    a bool or a fractional Fraction raises ValueError, and so do ragged rows."""
+    out = tuple(lattice._ints(r) for r in rows)
+    if len({len(r) for r in out}) > 1:
+        raise ValueError("ragged matrix")
+    return out
+
+
+def mat_vec(a, v):
+    return tuple(dot(row, v) for row in a)
 
 
 def identity(n: int) -> Mat:

@@ -17,7 +17,7 @@ from labpoly.delzant import (
     verify_reduction_invariants,
 )
 from labpoly.fan import build_fan
-from labpoly.lattice import diagonal_form, dot, smith_diagonal
+from labpoly.lattice import dot, smith_diagonal
 from labpoly.local_model import structure_groups
 from labpoly.morse import h_vector, poincare_polynomial, random_generic_direction
 
@@ -25,6 +25,7 @@ from corpus import (
     convex_combinations,
     cube,
     det,
+    diagonal_form,
     face_by_active,
     interval,
     mat_mul,

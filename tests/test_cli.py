@@ -851,18 +851,15 @@ def _duplicate_last_kernel_row(monkeypatch):
 def _double_projection_diagonal(monkeypatch):
     # the projection's diagonal doubled at its last entry once the
     # U*A*V = D check has passed; the kernel read off V is unchanged
-    real = delzant.diagonal_form
+    real = delzant._diagonal_rows
 
     def patched(a):
-        s = real(a)
-        if sys._getframe(1).f_code.co_name != "build_construction":
-            return s
-        last = len(s.D) - 1
-        return s._replace(D=tuple(
-            tuple(2 * x if i == j == last else x for j, x in enumerate(row))
-            for i, row in enumerate(s.D)))
+        w = real(a)
+        if sys._getframe(1).f_code.co_name == "build_construction":
+            w[len(a) - 1][len(a) - 1] *= 2
+        return w
 
-    monkeypatch.setattr(delzant, "diagonal_form", patched)
+    monkeypatch.setattr(delzant, "_diagonal_rows", patched)
 
 
 @pytest.mark.parametrize("patch, message", [

@@ -14,7 +14,7 @@ from labpoly.delzant import (
     face_stabilizer,
     verify_reduction_invariants,
 )
-from labpoly.lattice import dot, mat_vec
+from labpoly.lattice import dot
 from labpoly.local_model import structure_groups
 from labpoly.polytope import format_point
 
@@ -28,6 +28,8 @@ from corpus import (
     interval,
     labeled_polygon_products,
     labeled_simplex_products,
+    mat_vec,
+    reference_kernel_basis,
     reference_smith_normal_form,
     square,
     standard_corpus,
@@ -173,6 +175,30 @@ def test_face_groups_equal_the_reference_smith_route_off_determinant_1(p):
         assert g.invariant_factors == tuple(d for d in diagonal if d > 1), f.active
 
 
+def assert_construction_matches_the_references(p):
+    # the projection's columns m_i * y_i, its Hermite kernel read off the
+    # reference Smith transform, and the reference Smith diagonal (with its
+    # divisibility fold) for the component group
+    d = build_construction(p)
+    projection = tuple(zip(*[[h.label * x for x in h.normal] for h in p.halfspaces]))
+    assert d.projection == projection
+    assert d.kernel_rows == reference_kernel_basis(projection, len(p.halfspaces))
+    diagonal = reference_smith_normal_form(projection).diagonal
+    assert d.component_group.invariant_factors == tuple(x for x in diagonal if x > 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(labeled_polygon_products())
+def test_construction_matches_the_references_on_polygon_products(p):
+    assert_construction_matches_the_references(p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(labeled_simplex_products())
+def test_construction_matches_the_references_on_simplex_products(p):
+    assert_construction_matches_the_references(p)
+
+
 MISREAD = [(name, p, next(vi for vi, d in enumerate(p.determinants) if d > 1))
            for name, p in CASES if max(p.determinants) > 1]
 
@@ -216,9 +242,10 @@ def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
 
 
 def test_projection_takes_one_smith_form(monkeypatch):
-    real = delzant.diagonal_form
+    # one checked elimination gives the kernel and the component group
+    real = delzant._diagonal_rows
     taken = []
-    monkeypatch.setattr(delzant, "diagonal_form",
+    monkeypatch.setattr(delzant, "_diagonal_rows",
                         lambda a: taken.append(a) or real(a))
     d = build_construction(interval(6, 4))
     assert taken == [d.projection]

@@ -12,17 +12,20 @@ them with their references.  ``hermite_normal_form`` and
 the kernel route built on it, against which the package's transform-free
 :func:`labpoly.lattice.echelon` and kernel basis are checked.
 ``reference_diagonal_form`` there is the elimination with one helper per
-row or column operation, stopped at a diagonal; the in-place
-:func:`labpoly.lattice.diagonal_form` must return its exact (U, D, V)
-triple.  ``reference_smith_normal_form`` is the same elimination with its
+row or column operation, stopped at a diagonal; the (U, D, V) triple that
+``diagonal_form`` there reads off the rows of the package's in-place
+``lattice._diagonal_rows`` must be exactly its triple, and
+:func:`labpoly.lattice.kernel_basis` reads the kernel off those rows' V as
+:func:`labpoly.delzant.build_construction` does (:func:`kernel_of`).
+``reference_smith_normal_form`` is the same elimination with its
 divisibility fold, and ``smith_diagonal``, the package's elimination run
 without transforms and merged by ``lattice._merge``, the merge of
-``FiniteAbelianGroup.from_orders``, must
-return its diagonal.
+``FiniteAbelianGroup.from_orders``, must return its diagonal.
 """
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -34,14 +37,10 @@ from hypothesis import strategies as st
 
 from labpoly import lattice
 from labpoly.lattice import (
-    DiagonalForm,
     FiniteAbelianGroup,
-    diagonal_form,
     echelon,
     format_rational,
     kernel_basis,
-    mat_vec,
-    matrix,
     parse_rational,
     primitive_vector,
     smith_diagonal,
@@ -49,9 +48,11 @@ from labpoly.lattice import (
 
 import corpus
 from corpus import (
+    DiagonalForm,
     adjugate,
     det,
     det_rational,
+    diagonal_form,
     doctor_elimination,
     invert_rational,
     lattices_equal,
@@ -61,6 +62,8 @@ from corpus import (
     hermite_normal_form,
     identity,
     mat_mul,
+    mat_vec,
+    matrix,
     rational_rank,
     reference_diagonal_form,
     reference_kernel_basis,
@@ -504,15 +507,21 @@ def test_unimodular_inverse_round_trip():
 # kernels and saturation
 # ---------------------------------------------------------------------------
 
+def kernel_of(a):
+    """:func:`kernel_basis` of V's rows and the rank of one checked form of A."""
+    s = diagonal_form(a)
+    return kernel_basis(s.V, len(s.diagonal) - s.diagonal.count(0))
+
+
 def test_kernel_basis_simple():
-    kb = kernel_basis(diagonal_form(((1, 0, -1), (0, 1, -1))))
+    kb = kernel_of(((1, 0, -1), (0, 1, -1)))
     assert kb == ((1, 1, 1),)
 
 
 def test_kernel_basis_empty_and_full():
     # the kernel of a zero row is everything, of a full-rank square nothing
-    assert kernel_basis(diagonal_form(((0, 0, 0),))) == identity(3)
-    assert kernel_basis(diagonal_form(((1, 0), (0, 1)))) == ()
+    assert kernel_of(((0, 0, 0),)) == identity(3)
+    assert kernel_of(((1, 0), (0, 1))) == ()
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,7 +529,7 @@ def test_kernel_basis_empty_and_full():
 def test_kernel_vectors_annihilate(rows):
     a = matrix(rows)
     n = len(a[0])
-    kb = kernel_basis(diagonal_form(a))
+    kb = kernel_of(a)
     for v in kb:
         assert mat_vec(a, v) == tuple(0 for _ in a)
     assert len(kb) == n - rational_rank(a)
@@ -528,7 +537,7 @@ def test_kernel_vectors_annihilate(rows):
 
 def test_kernel_is_saturated():
     # (2, -2) spans the kernel rationally but (1, -1) is the lattice generator
-    kb = kernel_basis(diagonal_form(((2, 2),)))
+    kb = kernel_of(((2, 2),))
     assert kb == ((1, -1),)
 
 
@@ -578,7 +587,7 @@ def test_echelon_rows_span_the_input_lattice(a):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(echelon_inputs())
 def test_kernel_basis_matches_the_reference_route(a):
-    assert kernel_basis(diagonal_form(a)) == reference_kernel_basis(a, len(a[0]))
+    assert kernel_of(a) == reference_kernel_basis(a, len(a[0]))
 
 
 def test_saturate_frozen_examples():
@@ -953,6 +962,22 @@ def test_matrix_coerces_and_rejects():
     for bad in ([[True, 1]], [[Fraction(1, 2), 1]], [[1.0]], [[1, 2], [3]]):
         with pytest.raises(ValueError):
             matrix(bad)
+
+
+def test_ints_coerces_and_rejects():
+    # the one coercion behind validate's normals, morse's xi,
+    # primitive_vector, FiniteAbelianGroup and the tests' matrix
+    v = lattice._ints([1, Fraction(2, 1), Fraction(-6, 3)])
+    assert v == (1, 2, -2)
+    assert all(type(e) is int for e in v)
+    ints = (3, 4)
+    assert lattice._ints(ints) is ints
+    for bad in ([True, 1], [Fraction(1, 2), 1], [1.0], ["3", 2]):
+        with pytest.raises(ValueError, match=re.escape(f"not an integer entry: {bad[0]!r}")):
+            lattice._ints(bad)
+    assert primitive_vector([Fraction(4), 6]) == (2, 3)
+    with pytest.raises(ValueError, match="^not an integer entry: 1.0$"):
+        FiniteAbelianGroup([2, 1.0])
 
 
 def test_mat_mul_checks_shapes():

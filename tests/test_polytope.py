@@ -217,9 +217,14 @@ def test_halfspace_records_and_triples_give_equal_polytopes():
 
 
 def test_non_integer_normal_is_rejected():
-    # int(1.7) would silently turn the normal into (1, 0)
-    with pytest.raises(ValidationError, match="normal of facet 0 must have integer entries"):
-        validate(2, [((1.7, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)])
+    # int(1.7) would silently turn the normal into (1, 0); a Fraction of
+    # denominator 1 is an integer entry, a float, bool or fraction is not
+    for bad in (1.7, 1.0, True, Fraction(1, 2)):
+        with pytest.raises(ValidationError,
+                           match="^normal of facet 0 must have integer entries$"):
+            validate(2, [((bad, 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)])
+    p = validate(2, [((Fraction(1), 0), 0, 1), ((0, 1), 0, 1), ((-1, -1), -1, 1)])
+    assert p.halfspaces[0].normal == (1, 0) and type(p.halfspaces[0].normal[0]) is int
 
 
 def test_dimension_must_be_a_positive_int():

@@ -34,22 +34,29 @@ def _references(paths):
 
 
 def _public_definitions(path):
-    """Public top-level functions and classes, and the public methods and
-    properties of those classes, as AST nodes."""
+    """``(name, node)`` of the public top-level functions, classes and
+    assigned names (``Mat = tuple``), and of the public methods and
+    properties of those classes."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    kinds = (ast.FunctionDef, ast.ClassDef)
     for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
-            yield node
-            if isinstance(node, ast.ClassDef):
-                yield from (item for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
 
 
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     # a name only tests or docstrings mention is surface nothing runs; a
-    # use inside the definition itself (recursion) does not count
+    # use inside the definition itself (recursion, or an assignment's own
+    # target) does not count
     package = sorted(Path(labpoly.__file__).parent.rglob("*.py"))
     bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
     bench = sorted(bench_dir.rglob("*.py"))
@@ -57,12 +64,18 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     refs = _references(package + bench)
     unused = []
     for path in package:
-        for node in _public_definitions(path):
-            if not any(name == node.name and not (
+        for name, node in _public_definitions(path):
+            if not any(ref == name and not (
                     where == path and node.lineno <= line <= node.end_lineno)
-                    for where, line, name in refs):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                    for where, line, ref in refs):
+                unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names that nothing runs: {unused}"
+
+
+def test_public_assignments_are_checked():
+    # the check above sees the module-level names, not only defs and classes
+    lattice = Path(labpoly.__file__).parent / "lattice.py"
+    assert {"Vec", "Mat"} <= {name for name, _ in _public_definitions(lattice)}
 
 
 def test_no_module_imports_a_name_it_never_uses():
