@@ -32,11 +32,12 @@ index identity certifies its order, not its split), and the
 stabilizer of a face, computed once per polytope (:func:`face_groups`) and
 printed by every command as a structure group: the labels' sum on a facet
 or on a face through a vertex of basis determinant 1 (read off the walk,
-certified by Y * E = I), elsewhere the diagonal of one elimination of the
-face's columns of ``p.scaled_normals``.  Both are merged from cyclic orders
-by :meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`;
+certified by Y * E = I), one merge step ``lattice._merge_step`` from its
+prefix face's, elsewhere the diagonal of one elimination of the face's rows
+of ``p.scaled_normals``, merged by
+:meth:`labpoly.lattice.FiniteAbelianGroup.from_orders`.
 :func:`labpoly.local_model.structure_groups` is a route to the same groups
-that shares with :func:`face_stabilizer` only that merge and the elimination
+that shares with :func:`face_groups` only that merge step and the elimination
 loop of :mod:`labpoly.lattice` (guarded here by the U * A * V = D check of
 ``lattice._diagonal_rows``, there by the index certificate), and the two are
 cross-checked in the tests and by the ``stabilizers`` and ``verify`` commands.
@@ -52,6 +53,7 @@ from operator import mul
 from .lattice import (
     FiniteAbelianGroup,
     _diagonal_rows,
+    _merge_step,
     common_denominator,
     dot,
     format_rational,
@@ -99,7 +101,7 @@ def build_construction(p: LabeledPolytope) -> DelzantData:
     t = 1; it also fails when the diagonal's product is not g(A), the
     order of the component group.  A failure raises naming both sides.
     """
-    projection = _scaled_columns(p, range(len(p.halfspaces)))
+    projection = tuple(zip(*p.scaled_normals))
     offsets = tuple(Fraction(h.label) * h.offset for h in p.halfspaces)
     n = len(projection)
     try:
@@ -152,31 +154,41 @@ def face_groups(p: LabeledPolytope) -> tuple:
 
     A facet, or a face through a vertex whose basis determinant is 1
     (``p.determinants``), has normals y_i that extend to a basis of Z^n, so
-    its group is the sum of the Z/m_i (:func:`_label_group`).  The walk does
-    not pin d, so each such vertex is certified by Y * E = I, its tight
-    normals as rows and the walk's edges as columns (E is then an integer
-    inverse of Y); a failure raises naming the vertex.  Any other face takes
-    one diagonal form (:func:`face_stabilizer`), which raises if its scaled
-    normals are dependent: a return means a regular level.
+    its group is the sum of the Z/m_i: one ``lattice._merge_step`` of its
+    last label into the factors of its prefix face (its tight set without
+    the last facet), which holds every vertex of the face, so it is the
+    improper face or takes the labels' sum too.  A step that loses the
+    product is raised again naming the face.  The walk does not pin d, so
+    each such vertex is certified by Y * E = I, its tight normals as rows and
+    the walk's edges as columns (E is then an integer inverse of Y); a
+    failure raises naming the vertex.  Any other face takes one diagonal
+    form (:func:`face_stabilizer`), which raises if its scaled normals are
+    dependent: a return means a regular level.
     """
+    normals = [h.normal for h in p.halfspaces]
+    labels = [h.label for h in p.halfspaces]
     unimodular = {vi for vi, d in enumerate(p.determinants) if d == 1}
     for vi in sorted(unimodular):
         edges = p.edges[vi]
-        if any(dot(p.halfspaces[i].normal, e) != (i == j) for i, _ in edges for j, e in edges):
+        if any(sum(map(mul, normals[i], e)) != (i == j) for i, _ in edges for j, e in edges):
             raise RuntimeError(f"Y * E != I at vertex {format_point(p.vertices[vi])}, "
                                f"of basis determinant 1")
-    return tuple((f, _label_group(p, f) if f.codim == 1
-                  or not unimodular.isdisjoint(f.vertices) else face_stabilizer(p, f))
-                 for f in p.proper_faces())
-
-
-def _label_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
-    """Sum of Z/m_i over the face's facets (:meth:`FiniteAbelianGroup.from_orders`),
-    a merge that loses the product raised again naming the face."""
-    try:
-        return FiniteAbelianGroup.from_orders([p.halfspaces[i].label for i in face.active])
-    except RuntimeError as exc:
-        raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
+    # the factors of the label-route faces of this codimension and the one before
+    level, codim, groups, out = {(): ()}, 0, {}, []
+    for f in p.proper_faces():
+        if f.codim > codim:
+            codim, parents, level = f.codim, level, {}
+        if codim > 1 and unimodular.isdisjoint(f.vertices):
+            out.append((f, face_stabilizer(p, f)))
+            continue
+        try:
+            factors = level[f.active] = _merge_step(parents[f.active[:-1]], labels[f.active[-1]])
+        except RuntimeError as exc:
+            raise RuntimeError(f"face {list(f.active)}: {exc}") from exc
+        if factors not in groups:
+            groups[factors] = FiniteAbelianGroup(factors)
+        out.append((f, groups[factors]))
+    return tuple(out)
 
 
 def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
@@ -184,8 +196,8 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
 
     The quotient of the preimage of the integer lattice by the coordinate
     lattice of the face's tight facets: the sum of the Z/d over the diagonal
-    of their columns m_i * y_i, read off the rows of ``lattice._diagonal_rows``
-    (checked by U * A * V = D) and merged by
+    of their rows m_i * y_i of ``p.scaled_normals``, read off the rows of
+    ``lattice._diagonal_rows`` (checked by U * A * V = D) and merged by
     :meth:`FiniteAbelianGroup.from_orders`.  This route never looks at the
     saturated normal span, so it is independent of
     :func:`labpoly.local_model.structure_groups` up to that merge and the
@@ -194,20 +206,16 @@ def face_stabilizer(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """
     if not face.active:
         raise ValueError("the improper face has no stabilizer attached")
+    rows = p.scaled_normals
+    k = len(face.active)
     try:
-        w = _diagonal_rows(_scaled_columns(p, face.active))
-        diag = [w[i][i] for i in range(min(p.dim, len(face.active)))]
-        if len([x for x in diag if x != 0]) == len(face.active):
+        w = _diagonal_rows([rows[i] for i in face.active])
+        diag = [w[i][i] for i in range(min(k, p.dim))]
+        if 0 not in diag and len(diag) == k:
             return FiniteAbelianGroup.from_orders(diag)
     except RuntimeError as exc:
         raise RuntimeError(f"face {list(face.active)}: {exc}") from exc
     raise RuntimeError(f"dependent facet normals over face {list(face.active)}")
-
-
-def _scaled_columns(p: LabeledPolytope, facets) -> tuple:
-    """The n x k matrix whose columns are ``p.scaled_normals`` of k >= 1 facets."""
-    rows = p.scaled_normals
-    return tuple(zip(*[rows[i] for i in facets]))
 
 
 def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | None:

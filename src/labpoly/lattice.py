@@ -21,10 +21,12 @@ to another.  Its callers read the diagonal off the first rows, and
 :func:`kernel_basis` reads the kernel off V's rows and the rank.
 
 The elimination stops at a diagonal whose entries need not divide each
-other.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`, is
-the one place that turns cyclic orders into invariant factors, by
-Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and every group the package prints
-is read through it.
+other.  :func:`_merge_step` merges one cyclic order into invariant factors by
+Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b) and checks the product: it is the
+package's one merge loop, and every group the package prints is read
+through it.  :func:`_merge`, behind :meth:`FiniteAbelianGroup.from_orders`,
+folds it over a list of orders; both structure-group routes take one step
+per face from its parent face's factors.
 :func:`smith_diagonal` runs the elimination on the rows of A alone and
 merges the diagonal, and :func:`echelon` reduces rows to a row echelon form
 by :func:`_euclid`, the package's one Euclid loop, which the structure-group
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 Vec = tuple  # integer row vector
@@ -54,12 +57,15 @@ Mat = tuple  # tuple of integer row vectors
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (or a decimal like ``"0.5"``, or an int) into a Fraction.
 
-    A bool, a float or a string with an exponent raises ValueError: a float is
-    not exact, and Fraction expands an exponent in full (``"1e10000000"``).
+    A bool, a float or a string with an exponent or an underscore raises
+    ValueError: a float is not exact, Fraction expands an exponent in full
+    (``"1e10000000"``), and it reads digit-group underscores (``"1_000"``)
+    from Python 3.11 on only.
     """
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, (bool, float)) or "e" in str(text).lower():
+    s = str(text).lower()
+    if isinstance(text, (bool, float)) or "e" in s or "_" in s:
         raise ValueError(f"not a rational number: {text!r}")
     try:
         return Fraction(str(text))
@@ -366,24 +372,32 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
 
 def _merge(orders) -> tuple:
     """The invariant factors of the sum of the Z/m over a sequence of ints m:
-    each m joins the factors so far, from the largest down, by Z/d + Z/m =
-    Z/lcm(d, m) + Z/gcd(d, m), the gcd carried on, in O(k * r) gcd steps for
-    k orders and rank r.  A result that loses the orders' product raises
-    RuntimeError; an order below 1 raises ValueError."""
-    fs = []  # invariant factors so far, each >= 2 and dividing the next
-    for m in orders:
-        j = len(fs)
-        while m > 1 and j:
-            j -= 1
-            g = math.gcd(fs[j], m)
-            fs[j] = fs[j] // g * m
-            m = g
-        if m > 1:
-            fs.insert(0, m)
-        elif m < 1:
-            raise ValueError(f"cyclic order {_decimal(m)} < 1")
-    if math.prod(fs) != math.prod(orders):
+    :func:`_merge_step` folded over the orders from the trivial group, in
+    O(k * r) gcd steps for k orders and rank r.  Each step keeps its product
+    or raises RuntimeError; an order below 1 raises ValueError."""
+    return reduce(_merge_step, orders, ())
+
+
+def _merge_step(factors, order) -> tuple:
+    """The invariant factors of Z/d_1 + ... + Z/d_r + Z/order, for invariant
+    factors ``factors`` (a tuple) and an int ``order``: the order joins the
+    factors from the largest down, by Z/d + Z/m = Z/lcm(d, m) + Z/gcd(d, m),
+    the gcd carried on.  A result whose product is not the factors' product
+    times the order raises RuntimeError; an order below 1 raises ValueError.
+    This is the package's one merge loop."""
+    fs = list(factors)
+    m, j = order, len(fs)
+    while m > 1 and j:
+        j -= 1
+        g = math.gcd(fs[j], m)
+        fs[j] = fs[j] // g * m
+        m = g
+    if m > 1:
+        fs.insert(0, m)
+    elif m < 1:
+        raise ValueError(f"cyclic order {_decimal(m)} < 1")
+    if math.prod(fs) != math.prod(factors) * order:
         raise RuntimeError(
             f"invariant factors [{', '.join(map(_decimal, fs))}] of the cyclic "
-            f"orders [{', '.join(map(_decimal, orders))}] lost their product")
+            f"orders [{', '.join(map(_decimal, (*factors, order)))}] lost their product")
     return tuple(fs)

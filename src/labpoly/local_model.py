@@ -14,13 +14,15 @@ T's inverse: a basis of l, in which row i of L holds y_i.  With
 M = diag(m_S) * L, l / l-hat = Z^k / Z^k M, of order |det M| =
 (m_1 ... m_k) * |L_11 ... L_kk|, the labels' product times the index
 [l : Z Y].  At index 1, L is unimodular, x -> x * L^-1 maps Z^k M onto
-Z^k diag(m_S), and the group is the labels' merge
-(``FiniteAbelianGroup.from_orders``); above 1 it is read off the Smith
-diagonal of M (:func:`labpoly.lattice.smith_diagonal`, merged by
+Z^k diag(m_S), and the group is the labels' merge; above 1 it is read off
+the Smith diagonal of M (:func:`labpoly.lattice.smith_diagonal`, merged by
 ``lattice._merge``).  The step at row r reads only row r, so S's echelon
 extends that of S minus its last facet, a face one codimension earlier:
-:func:`structure_groups` keeps T, the rows of R and M and the index for
-the faces of one codimension and extends each face's parent by one step.
+:func:`structure_groups` keeps T, the rows of R and M, the index and the
+invariant factors for the faces of one codimension and extends each face's
+parent by one step.  The index only grows from parent to child, so a face
+of index 1 has a parent of index 1, and its factors are the parent's with
+its last label merged in by one ``lattice._merge_step``.
 Its checks, each raising on the first face in face order that fails:
 
 - a row with no live column means dependent normals: ValueError;
@@ -30,15 +32,15 @@ Its checks, each raising on the first face in face order that fails:
   diagonal must be the labels' product times the index, or RuntimeError
   names the face (a wrong elimination step, or an M not built from the
   checked L); at index 1 there is no diagonal to certify;
-- the merge keeps its orders' product, or its RuntimeError is raised again
+- each merge step keeps its product, or its RuntimeError is raised again
   naming the face.
 
 That R is a basis of l, not of a sublattice, rests on every step having
 determinant +-1, by construction.  :func:`labpoly.delzant.face_groups`, the
 printed route, reads the groups off the labels where the vertex walk finds
 determinant 1 and Y * E = I, or one checked diagonal form of the scaled
-normals, never L or the index; the routes share only the merge and the
-elimination loop ``lattice._eliminate``, guarded there by U * A * V = D and
+normals, never L or the index; the routes share only the merge step and
+the elimination loop ``lattice._eliminate``, guarded there by U * A * V = D and
 here by the index certificate.  ``stabilizers`` and ``verify`` compare them
 on every proper face and exit 3 on a mismatch, which catches a diagonal of
 the right order but the wrong split (Z/8 for Z/2 x Z/4) and an index misread
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .lattice import FiniteAbelianGroup, _euclid, format_rational, smith_diagonal
+from .lattice import FiniteAbelianGroup, _euclid, _merge_step, format_rational, smith_diagonal
 from .polytope import Face, LabeledPolytope
 
 
@@ -65,7 +67,8 @@ def structure_groups(p: LabeledPolytope) -> tuple:
         if f.active[:-1] != prefix:  # and so are the children of the last prefix
             prefix = f.active[:-1]
             state = parents.pop(prefix)
-        level[f.active], factors = _extend(p, f.active, state)
+        level[f.active] = child = _extend(p, f.active, state)
+        factors = child[1]
         if factors not in groups:
             groups[factors] = FiniteAbelianGroup(factors)
         out.append((f, groups[factors]))
@@ -75,23 +78,24 @@ def structure_groups(p: LabeledPolytope) -> tuple:
 def structure_group(p: LabeledPolytope, face: Face) -> FiniteAbelianGroup:
     """The group of one face, by the steps of :func:`structure_groups` along
     the prefixes of its tight set; trivial for the whole polytope."""
-    state, factors = _start(p.dim), ()
+    state = _start(p.dim)
     for k in range(1, face.codim + 1):
-        state, factors = _extend(p, face.active[:k], state)
-    return FiniteAbelianGroup(factors)
+        state = _extend(p, face.active[:k], state)
+    return FiniteAbelianGroup(state[1])
 
 
 def _start(n) -> tuple:
-    """The state of the empty tight set: index 1, T = I, no rows."""
-    return 1, tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    """The state of the empty tight set: index 1, no invariant factors, T = I, no rows."""
+    return 1, (), tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
 
 def _extend(p, active, state) -> tuple:
-    """The state of tight set ``active`` from that of ``active[:-1]``, and the
-    invariant factors of its group: the labels' merge at index 1, else the
-    Smith diagonal of M, certified by the index."""
+    """The state of tight set ``active`` from that of ``active[:-1]``, its
+    group's invariant factors second: at index 1 the parent's (index 1 too,
+    as the index only grows) merged with the new label, else the Smith
+    diagonal of M, certified by the index."""
     # T's columns, its k pivot columns first; row i holds R's row i, then M's to its diagonal
-    index, columns, *rows = state
+    index, factors, columns, *rows = state
     k, n = len(rows), len(columns)
     h = p.halfspaces[active[-1]]
     y = h.normal
@@ -123,18 +127,16 @@ def _extend(p, active, state) -> tuple:
     rows.append((*acc, *[m * x for x in row], m * d))
     columns = (*columns[:k], tuple(pivot[1:]), *zero, *[tuple(c[1:]) for c in zeroed])
     index *= abs(d)
-    labels = [p.halfspaces[i].label for i in active]
     try:
         if index == 1:  # L unimodular: x -> x * L^-1 maps Z^k M onto Z^k diag(m)
-            group = FiniteAbelianGroup.from_orders(labels)
-            return (index, columns, *rows), group.invariant_factors
+            return (index, _merge_step(factors, m), columns, *rows)
         diag = smith_diagonal([r[n:] + (0,) * (k - i) for i, r in enumerate(rows)])
     except RuntimeError as exc:
         raise RuntimeError(f"face {list(active)}: {exc}") from exc
-    order, want = math.prod(diag), index * math.prod(labels)
+    order, want = math.prod(diag), index * math.prod(p.halfspaces[i].label for i in active)
     if order != want:
         raise RuntimeError(
             f"structure group over face {list(active)} has order "
             f"{format_rational(order)}, not the labels' product times the "
             f"saturation index, {format_rational(want)}")
-    return (index, columns, *rows), tuple([x for x in diag if x > 1])
+    return (index, tuple([x for x in diag if x > 1]), columns, *rows)

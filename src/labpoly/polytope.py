@@ -92,11 +92,12 @@ class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edg
 
     @cached_property
     def scaled_normals(self) -> tuple:
-        """The rows m_i * y_i, one per facet, for :func:`labpoly.delzant._scaled_columns`."""
+        """The rows m_i * y_i, one per facet, for :mod:`labpoly.delzant`."""
         return tuple(tuple(h.label * x for x in h.normal) for h in self.halfspaces)
 
     def proper_faces(self) -> tuple:
-        return tuple(f for f in self.faces if f.codim > 0)
+        """Every face but the polytope itself, which :attr:`faces` lists first."""
+        return self.faces[1:]
 
 
 def format_point(point) -> str:

@@ -176,6 +176,18 @@ def test_offset_with_an_exponent_is_exit_2_at_once(files, offset):
             2, "", f"error: halfspace 1: bad offset: not a rational number: '{offset}'\n")
 
 
+@pytest.mark.parametrize("offset", ["1_000", "-1_0/3", "0.2_5"])
+def test_offset_with_an_underscore_is_exit_2(files, capsys, offset):
+    # Fraction reads digit-group underscores from Python 3.11 on only: every
+    # version refuses them alike
+    path = files["write"]("underscore.json", {"dim": 1, "halfspaces": [
+        {"normal": [1], "offset": offset, "label": 1},
+        {"normal": [-1], "offset": "-2000", "label": 1}]})
+    for flags in ([], ["--json"]):
+        assert run(capsys, "validate", path, *flags) == (
+            2, "", f"error: halfspace 0: bad offset: not a rational number: '{offset}'\n")
+
+
 def test_missing_file_is_exit_2(files, capsys):
     code, _, err = run(capsys, "validate", str(files["dir"] / "nope.json"))
     assert code == 2
@@ -760,16 +772,20 @@ def test_merge_losing_the_product_exits_3(files, capsys, monkeypatch):
 
 
 def _double_merge_gcds_under(function):
-    # every gcd above 1 that lattice._merge takes doubled, where ``function``
-    # called the merge's caller (from_orders or smith_diagonal); every other
-    # gcd is the real one
+    # every gcd above 1 that the merge step lattice._merge_step takes doubled,
+    # where ``function`` is its first caller outside lattice (past _merge,
+    # from_orders and smith_diagonal); every other gcd is the real one
     def patch(monkeypatch):
         real = math.gcd
 
         def gcd(*xs):
             g = real(*xs)
-            return g * (1 + (g > 1 and sys._getframe(1).f_code.co_name == "_merge"
-                             and sys._getframe(3).f_code.co_name == function))
+            frame = sys._getframe(1)
+            if g == 1 or frame.f_code.co_name != "_merge_step":
+                return g
+            while frame.f_globals["__name__"] == lattice.__name__:
+                frame = frame.f_back
+            return g * (1 + (frame.f_code.co_name == function))
 
         monkeypatch.setattr(lattice, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
     return patch
@@ -777,7 +793,7 @@ def _double_merge_gcds_under(function):
 
 @pytest.mark.parametrize("function, command, labels, message", [
     # square, all labels 2: its first vertex face [0, 2] takes Z/2 + Z/2
-    ("_label_group", "structure-groups", "square",
+    ("face_groups", "structure-groups", "square",
      "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),
     ("_extend", "stabilizers", "square",
      "face [0, 2]: invariant factors [4, 0] of the cyclic orders [2, 2] lost their product"),

@@ -14,7 +14,7 @@ from labpoly.delzant import (
     face_stabilizer,
     verify_reduction_invariants,
 )
-from labpoly.lattice import dot
+from labpoly.lattice import FiniteAbelianGroup, dot
 from labpoly.local_model import structure_groups
 from labpoly.polytope import format_point
 
@@ -129,7 +129,8 @@ def assert_closed_form_exactly_through_determinant_1(p):
     # the walk's determinant at each vertex is |det Y_v| by Fraction
     # elimination; the diagonal form runs on exactly the faces of codimension
     # > 1 with no vertex of determinant 1, the others take the labels' sum,
-    # and every group equals the diagonal form's
+    # one merge step from their prefix face's, which must be the whole merge
+    # of their labels; every group equals the diagonal form's
     for vi, edges in enumerate(p.edges):
         normals = [p.halfspaces[j].normal for j, _ in edges]
         assert p.determinants[vi] == abs(det_rational(normals)), (vi, normals)
@@ -140,6 +141,9 @@ def assert_closed_form_exactly_through_determinant_1(p):
         f for f, _ in groups if f.codim > 1 and smooth.isdisjoint(f.vertices)]
     for f, g in groups:
         assert g == face_stabilizer(p, f), (f.active, str(g))
+        if f.codim == 1 or not smooth.isdisjoint(f.vertices):
+            labels = [p.halfspaces[i].label for i in f.active]
+            assert g == FiniteAbelianGroup.from_orders(labels), (f.active, str(g))
 
 
 CASES = standard_corpus() + generated_family()
@@ -199,6 +203,12 @@ def test_construction_matches_the_references_on_simplex_products(p):
     assert_construction_matches_the_references(p)
 
 
+def test_closed_form_groups_on_a_labeled_7_cube():
+    # every vertex has determinant 1, so all 2186 proper faces take the labels' route
+    assert_closed_form_exactly_through_determinant_1(
+        box([1] * 7, [2, 3, 1, 4, 6, 5, 1, 2, 9, 3, 4, 8, 7, 1]))
+
+
 MISREAD = [(name, p, next(vi for vi, d in enumerate(p.determinants) if d > 1))
            for name, p in CASES if max(p.determinants) > 1]
 
@@ -235,8 +245,9 @@ def test_w2_takes_one_smith_form_at_its_order_2_vertex(monkeypatch):
                         lambda a: taken.append(a) or real(a))
     p = w2()
     groups = dict(face_groups(p))
-    # the columns m_i * y_i of facets 0 and 2, tight at the vertex (0, 1)
-    assert taken == [((1, -1), (0, -2))]
+    # the rows m_i * y_i of facets 0 and 2, tight at the vertex (0, 1), as
+    # p.scaled_normals stores them
+    assert taken == [[(1, 0), (-1, -2)]]
     assert str(groups[face_by_active(p, (0, 2))]) == "Z/2"
     assert all(g.is_trivial for f, g in groups.items() if f.active != (0, 2))
 

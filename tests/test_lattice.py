@@ -820,9 +820,28 @@ def diagonal_matrix(entries):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.integers(1, 60), min_size=1, max_size=8))
+@given(st.lists(st.integers(1, 60), max_size=8))
 def test_merge_matches_the_pairwise_merge(orders):
-    assert FiniteAbelianGroup.from_orders(orders).invariant_factors == pairwise_merge(orders)
+    # from_orders, and the merge step folded by hand as both group routes take
+    # it, one label per face
+    factors = ()
+    for m in orders:
+        factors = lattice._merge_step(factors, m)
+    assert factors == FiniteAbelianGroup.from_orders(orders).invariant_factors
+    assert factors == pairwise_merge(orders)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 60), max_size=6), st.integers(-10 ** 12, 0),
+       st.lists(st.integers(-5, 60), max_size=3))
+def test_merge_step_refuses_an_order_below_1_as_the_merge_does(before, bad, after):
+    factors = lattice._merge(before)
+    with pytest.raises(ValueError) as step:
+        for m in [bad, *after]:
+            factors = lattice._merge_step(factors, m)
+    with pytest.raises(ValueError) as merge:
+        lattice._merge([*before, bad, *after])
+    assert str(step.value) == str(merge.value) == f"cyclic order {bad} < 1"
 
 
 # multisets of orders: small ones repeat, 1s included, and a few large ones
@@ -942,6 +961,15 @@ def test_parse_rational_rejects_floats_and_bools():
     for bad in (1.5, -2.5, 2.0, True):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(bad)
+
+
+def test_parse_rational_rejects_underscores_on_every_version():
+    # Fraction reads digit-group underscores from Python 3.11 on, so "1_000"
+    # would be 1000 there and refused on 3.10
+    for bad in ("1_000", "-1_0/3", "1/1_0", "0.2_5", "_1", "1_"):
+        with pytest.raises(ValueError, match=f"^not a rational number: '{bad}'$"):
+            parse_rational(bad)
+    assert parse_rational("1000") == 1000
 
 
 def test_parse_rational_rejects_exponents_and_keeps_decimals():
