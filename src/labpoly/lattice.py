@@ -105,7 +105,12 @@ def _decimal(n: int) -> str:
 
 def _ints(v) -> tuple:
     """``v`` as a tuple of ints: plain ints pass as they are, any other entry
-    is coerced by :func:`_as_int`, which raises ValueError."""
+    is coerced by :func:`_as_int`, which raises ValueError.
+
+    For data entering the package: parsed normals, ``--xi``, the factors
+    handed to :class:`FiniteAbelianGroup`, a recession ray.  The vertex
+    walk's and Morse's per-edge loops read integers the walk made and do
+    not pass them through here."""
     v = tuple(v)
     if all(type(e) is int for e in v):
         return v
@@ -121,6 +126,13 @@ def _as_int(e) -> int:
 
 
 def dot(u, v):
+    """<u, v>; vectors of different lengths raise ValueError.
+
+    For pairings at the package's boundary, once per input or per report:
+    the recession ray's check, :func:`labpoly.polytope.isomorphism_report`,
+    :func:`labpoly.delzant.build_construction`.  The vertex walk's
+    :func:`labpoly.polytope._certify` and Morse's per-edge pairings read
+    vectors the walk built at length n and form ``sum(map(mul, u, v))``."""
     if len(u) != len(v):
         raise ValueError("length mismatch")
     return sum(map(mul, u, v))
@@ -143,7 +155,9 @@ def primitive_vector(v) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 
     The zero vector is returned unchanged.  Sign is preserved, so the result
-    points the same way as the input.
+    points the same way as the input.  Entries are checked by :func:`_ints`:
+    this is for vectors entering the package, such as a recession ray; the
+    vertex walk divides its own edge columns by their gcd in place.
     """
     v = _ints(v)
     g = math.gcd(*v)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from math import comb
+from operator import mul
 
-from .lattice import _ints, dot
+from .lattice import _ints
 from .polytope import LabeledPolytope, format_point
 
 
@@ -25,23 +26,27 @@ from .polytope import LabeledPolytope, format_point
 MorseReport = namedtuple("MorseReport", "vertex_indices poincare")
 
 
-def _direction(xi) -> tuple:
-    """xi as a tuple of ints; a float, bool or fractional entry, or xi = 0, raises."""
+def _direction(xi, dim) -> tuple:
+    """xi as a tuple of ``dim`` ints; a float, bool or fractional entry, xi = 0
+    or a length other than ``dim`` raises.  The callers then pair xi with the
+    walk's edge directions, ints of length ``dim``, with no further check."""
     try:
         xi = _ints(xi)
     except ValueError as exc:
         raise ValueError(f"xi must have integer entries ({exc})") from None
     if not any(xi):
         raise ValueError("xi must be nonzero")
+    if len(xi) != dim:
+        raise ValueError("length mismatch")
     return xi
 
 
 def is_generic(p: LabeledPolytope, xi) -> bool:
     """Whether xi pairs nonzero with every edge direction at every vertex."""
-    xi = _direction(xi)
+    xi = _direction(xi, p.dim)
     for edges in p.edges:
         for _, d in edges:
-            if dot(xi, d) == 0:
+            if sum(map(mul, xi, d)) == 0:
                 return False
     return True
 
@@ -61,10 +66,10 @@ def morse_report(p: LabeledPolytope, xi) -> MorseReport:
     Each edge is paired with xi once; a zero pairing means xi is not generic
     and raises ValueError.
     """
-    xi = _direction(xi)
+    xi = _direction(xi, p.dim)
     indices = []
     for edges in p.edges:
-        pairings = [dot(xi, d) for _, d in edges]
+        pairings = [sum(map(mul, xi, d)) for _, d in edges]
         if 0 in pairings:
             raise ValueError(f"xi = {format_point(xi)} is not generic for this polytope")
         indices.append(2 * sum(1 for x in pairings if x < 0))

@@ -21,6 +21,7 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .lattice import (
     _ints,
@@ -203,10 +204,14 @@ def _walk(dim, hs):
     pivoting facet i in for facet j, the edge that leaves i goes back to that
     parent basis, already seen: the lexicographic pivot is reversible, so
     the ratio test there would name j, and it is not run; the edge's
-    direction is still kept.  Each dictionary is checked against the input
+    direction is still kept.  That direction is the column's last n entries,
+    ``adj``'s column, divided in place by their gcd: they are ints the
+    pivots made, so no boundary check (:func:`labpoly.lattice._ints`) runs
+    per basis.  Each dictionary is checked against the input
     (:func:`_certify`).  Each vertex of P is kept once, with all facets of
     zero slack as its tight set, for :func:`_check_vertices` to judge, and
-    with its dictionary's d = |det Y_B| (:func:`_pivot`).
+    with its dictionary's d = |det Y_B| (:func:`_pivot`); its coordinates
+    are ``num / (d * scale)``, taken as they are when d * scale = 1.
 
     An unblocked edge is a recession direction, so :func:`_check_bounded`,
     phase 1 on the recession cone, must then name a ray; RuntimeError if it
@@ -235,11 +240,14 @@ def _walk(dim, hs):
             dictionary = _pivot(dictionary, arrival, entering)
         _certify(dictionary, normals, offsets)
         d, basis, cols = dictionary
+        here = frozenset(basis)
         edges = []
         for col in sorted(range(dim), key=basis.__getitem__):
             j = basis[col]
             rates = cols[col]
-            edges.append((j, primitive_vector(rates[n_facets:])))
+            direction = rates[n_facets:]
+            g = math.gcd(*direction)
+            edges.append((j, tuple(direction) if g <= 1 else tuple([x // g for x in direction])))
             if col == arrival:  # the edge back to the parent basis
                 continue
             best = _ratio_test(dictionary, col, [i for i in range(n_facets) if rates[i] < 0])
@@ -248,7 +256,7 @@ def _walk(dim, hs):
                 raise RuntimeError(f"vertex walk: no facet blocks the edge leaving facet {j} "
                                    f"at basis {tuple(sorted(basis))}, yet no recession ray "
                                    f"was found")
-            neighbour = frozenset(basis) - {j} | {best}
+            neighbour = here - {j} | {best}
             if neighbour not in seen:
                 seen.add(neighbour)
                 todo.append((dictionary, col, best))
@@ -261,7 +269,8 @@ def _walk(dim, hs):
     # numerators times one quotient lcm // d, then form the Fractions
     lcm = math.lcm(*(d for d, *_ in found.values()))
     walked = sorted(found.values(), key=lambda item: list(map((lcm // item[0]).__mul__, item[1])))
-    return (tuple(tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
+    return (tuple(tuple(map(Fraction, num)) if d * scale == 1
+                  else tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
             tuple(tight for _, _, tight, _ in walked),
             tuple(edges for *_, edges in walked),
             tuple(d for d, *_ in walked))
@@ -286,8 +295,11 @@ def _pivot(dictionary, col, i):
     row whose entry in column ``col`` is x_col becomes
     ``(W[col] * x - x_col * W[b]) / d``, an exact division (both are minors of
     integer matrices); all of it negated if W[col] < 0, so that d stays
-    positive.  The slack and ``num`` column is updated as the others are: it
-    is the dictionary's column of the homogenized system.  O((N + n) * n).
+    positive.  At d = 1 the division is skipped, and the product by W[col]
+    as well when W[col] = 1 too, as at every pivot between bases of
+    determinant 1.  The slack and ``num`` column is updated as the others
+    are: it is the dictionary's column of the homogenized system.
+    O((N + n) * n).
     """
     d, basis, cols = dictionary
     pivot_col = cols[col]
@@ -300,9 +312,14 @@ def _pivot(dictionary, col, i):
         if b == col:
             new_cols.append(column if sign > 0 else [-x for x in column])
         elif not w:
-            new_cols.append(column if p == d else [p * x // d for x in column])
-        else:
+            new_cols.append(column if p == d else
+                            [p * x // d for x in column] if d > 1 else [p * x for x in column])
+        elif d > 1:
             new_cols.append([(p * x - x_col * w) // d for x, x_col in zip(column, pivot_col)])
+        elif p > 1:
+            new_cols.append([p * x - x_col * w for x, x_col in zip(column, pivot_col)])
+        else:
+            new_cols.append([x - x_col * w for x, x_col in zip(column, pivot_col)])
     return p, basis[:col] + (i,) + basis[col + 1:], new_cols
 
 
@@ -414,7 +431,9 @@ def _certify(dictionary, normals, offsets):
     solution must satisfy ``Y_B * num = d * b_B``.  :func:`_pivot` maps
     every row by one linear map, so facet j's row stays ``y_j * adj`` with
     its slack, and the first check is ``Y_B * adj = d * I``, read off those
-    rows: the input normals never meet adj, so d is not pinned.  Raises
+    rows: the input normals never meet adj, so d is not pinned.  Each
+    <y_j, num> pairs two vectors of length n, a validated normal and the
+    walk's own column, so no length check runs per basis.  Raises
     RuntimeError naming the basis; an ``assert`` would vanish under
     ``python -O``.
     """
@@ -427,7 +446,7 @@ def _certify(dictionary, normals, offsets):
             raise RuntimeError(f"vertex walk: row {j} of the dictionary at basis "
                                f"{tuple(sorted(basis))} is not d * e_{c}")
         unit[c] = 0
-        if dot(normals[j], num) != d * offsets[j]:
+        if sum(map(mul, normals[j], num)) != d * offsets[j]:
             raise RuntimeError(f"vertex walk: the basic solution at basis "
                                f"{tuple(sorted(basis))} misses facet {j}")
 

@@ -102,6 +102,16 @@ def test_is_generic_rejects_non_integer_xi():
         is_generic(p, (True, 2))
 
 
+def test_xi_of_another_length_raises():
+    # xi is checked once, then paired with each edge unchecked
+    p = square()
+    for xi in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            is_generic(p, xi)
+        with pytest.raises(ValueError, match="^length mismatch$"):
+            morse_report(p, xi)
+
+
 def test_morse_report_rejects_non_integer_xi():
     p = square()
     with pytest.raises(ValueError, match="integer entries"):

@@ -17,9 +17,13 @@ ratio tests on unit cubes and k-gons, none on the edge back to a parent basis.  
 are checked against a kernel basis per dropped facet, and the
 full-dimension verdict (some facet tight at every vertex) against the rank
 of the vertex differences.  Large empty and unbounded inputs are rejected
-with no facet subset scanned.
+with no facet subset scanned.  Edge directions are primitive tuples of plain
+ints and determinants plain ints, and ``validate``, ``betti`` and ``verify``
+succeed with the boundary helpers ``primitive_vector`` and ``dot`` made to
+raise in :mod:`labpoly.polytope`.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labpoly import polytope
+from labpoly.cli import main
 from labpoly.lattice import dot, primitive_vector
 from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, validate
 
@@ -38,6 +43,7 @@ from corpus import (
     labeled_polygon_products,
     polygon,
     product,
+    polytope_to_json,
     pyramid,
     rational_rank,
     reference_kernel_basis,
@@ -83,6 +89,43 @@ def test_walk_matches_subset_scan(name, p):
 def test_stored_edges_match_kernel_route(name, p):
     for vi in range(len(p.vertices)):
         assert p.edges[vi] == kernel_edge_directions(p, vi)
+
+
+def assert_plain_ints(p):
+    """Every edge direction is a primitive tuple of ints and every determinant
+    an int: not a bool or a Fraction, which compare equal to ints under ``==``.
+    The walk divides its own columns by their gcd with no boundary check, so
+    this is what the Morse pairings and the structure groups rely on."""
+    for edges in p.edges:
+        for _, direction in edges:
+            assert type(direction) is tuple and all(type(x) is int for x in direction), direction
+            assert math.gcd(*direction) == 1, direction
+    assert all(type(d) is int for d in p.determinants), p.determinants
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
+def test_walk_outputs_are_plain_ints(name, p):
+    assert_plain_ints(p)
+
+
+def test_no_boundary_helper_runs_per_basis(monkeypatch, tmp_path, capsys):
+    """``validate``, ``betti`` and ``verify`` run with ``primitive_vector`` and
+    ``dot`` unreachable from :mod:`labpoly.polytope`: the walk reads its own
+    integers, and the helpers are left to the recession ray and
+    ``isomorphism_report``."""
+    def boundary_helper(*args):
+        raise AssertionError("a boundary helper ran on the walk's own integers")
+
+    monkeypatch.setattr(polytope, "primitive_vector", boundary_helper)
+    monkeypatch.setattr(polytope, "dot", boundary_helper)
+    for _, p in CASES:
+        q = validate(p.dim, p.halfspaces)
+        assert (q.vertices, q.edges, q.determinants) == (p.vertices, p.edges, p.determinants)
+    for name, p in standard_corpus():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(polytope_to_json(p)))
+        for command in ("betti", "verify"):
+            assert main([command, str(path)]) == 0, (name, command, capsys.readouterr())
 
 
 def scan_message(dim, triples):
@@ -247,6 +290,7 @@ def test_walk_matches_subset_scan_on_generated_inputs(case):
     assert p.faces == _face_lattice(dim, active_sets)
     for vi in range(len(p.vertices)):
         assert p.edges[vi] == kernel_edge_directions(p, vi)
+    assert_plain_ints(p)
 
 
 def test_pyramid_rejection_is_output_sensitive(monkeypatch):
