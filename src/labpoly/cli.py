@@ -49,7 +49,7 @@ def _load(path):
 
 def _face_name(p, f):
     if f.codim == p.dim:
-        return f"face {list(f.active)} vertex {format_point(p.vertices[f.vertices[0]])}"
+        return f"face {list(f.active)} vertex {p.format_vertex(f.vertices[0])}"
     return f"face {list(f.active)}"
 
 
@@ -90,15 +90,16 @@ def cmd_validate(args, p):
     labels = [h.label for h in p.halfspaces]
     if args.json:
         return {"valid": True, "dim": p.dim, "facets": len(p.halfspaces),
-                "vertices": len(p.vertices), "labels": labels}, 0
+                "vertices": len(p.scaled_vertices[1]), "labels": labels}, 0
     return [f"valid: dim {p.dim}, {len(p.halfspaces)} facets, "
-            f"{len(p.vertices)} vertices, labels {labels}"], 0
+            f"{len(p.scaled_vertices[1])} vertices, labels {labels}"], 0
 
 
 def cmd_vertices(args, p):
+    den, points = p.scaled_vertices
     if args.json:
-        return {"vertices": [[format_rational(x) for x in v] for v in p.vertices]}, 0
-    return [format_point(v) for v in p.vertices], 0
+        return {"vertices": [[format_rational(x, den) for x in w] for w in points]}, 0
+    return [format_point(w, den) for w in points], 0
 
 
 def cmd_faces(args, p):
@@ -236,15 +237,16 @@ def cmd_betti(args, p):
     else:
         xi = morse_mod.random_generic_direction(p, random.Random(args.seed))
     rep = morse_mod.morse_report(p, xi)
+    den, points = p.scaled_vertices
     if args.json:
         return {"xi": list(xi),
                 "vertex_indices": [
-                    {"vertex": [format_rational(x) for x in v], "index": k}
-                    for v, k in zip(p.vertices, rep.vertex_indices)],
+                    {"vertex": [format_rational(x, den) for x in w], "index": k}
+                    for w, k in zip(points, rep.vertex_indices)],
                 "poincare": list(rep.poincare)}, 0
     return [f"xi = {tuple(xi)}",
-            *(f"vertex {format_point(v)}: index {k}"
-              for v, k in zip(p.vertices, rep.vertex_indices)),
+            *(f"vertex {format_point(w, den)}: index {k}"
+              for w, k in zip(points, rep.vertex_indices)),
             f"poincare coefficients: {list(rep.poincare)}"], 0
 
 
@@ -252,13 +254,14 @@ def cmd_verify(args, p):
     d = dz.build_construction(p)
     groups = dz.face_groups(p)
     checks = []
+    n_vertices = len(p.scaled_vertices[1])
 
     failure = dz.verify_reduction_invariants(d, p)
-    checks.append((f"reduction invariants (level and tight facets at {len(p.vertices)} vertices)",
+    checks.append((f"reduction invariants (level and tight facets at {n_vertices} vertices)",
                    failure is None, failure))
 
     failure = face_lattice_failure(p)
-    checks.append((f"face lattice ({len(p.faces)} faces listing {len(p.vertices) << p.dim} "
+    checks.append((f"face lattice ({len(p.faces)} faces listing {n_vertices << p.dim} "
                    f"vertices; each vertex minimizes exactly its tight facets)",
                    failure is None, failure))
 

@@ -60,7 +60,7 @@ from .lattice import (
     kernel_basis,
     smith_diagonal,
 )
-from .polytope import Face, LabeledPolytope, format_point
+from .polytope import Face, LabeledPolytope
 
 
 class DelzantData(namedtuple(
@@ -171,7 +171,7 @@ def face_groups(p: LabeledPolytope) -> tuple:
     for vi in sorted(unimodular):
         edges = p.edges[vi]
         if any(sum(map(mul, normals[i], e)) != (i == j) for i, _ in edges for j, e in edges):
-            raise RuntimeError(f"Y * E != I at vertex {format_point(p.vertices[vi])}, "
+            raise RuntimeError(f"Y * E != I at vertex {p.format_vertex(vi)}, "
                                f"of basis determinant 1")
     # the factors of the label-route faces of this codimension and the one before
     level, codim, groups, out = {(): ()}, 0, {}, []
@@ -251,5 +251,5 @@ def verify_reduction_invariants(d: DelzantData, p: LabeledPolytope) -> str | Non
             failure = "does not pair to the level"
         else:
             continue
-        return f"vertex {format_point(p.vertices[vi])} {failure}"
+        return f"vertex {p.format_vertex(vi)} {failure}"
     return None

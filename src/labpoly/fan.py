@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, lt, mul
 
-from .polytope import LabeledPolytope, format_point
+from .polytope import LabeledPolytope
 
 
 def _tight_masks(p: LabeledPolytope) -> list:
@@ -41,8 +41,8 @@ def _vertex_failure(p: LabeledPolytope, tight: list):
     """(a): the first vertex whose minimized facets are not its tight set, or None.
 
     The facets whose normal y a vertex minimizes come from the integer
-    pairings <y, D v> (D the lcm of every vertex denominator, see
-    :attr:`LabeledPolytope.scaled_vertices`).
+    pairings <y, D v> with the walk's table :attr:`LabeledPolytope.scaled_vertices`
+    (D the lcm of every vertex denominator).
     """
     _, points = p.scaled_vertices
     minimized = [0] * len(points)
@@ -55,7 +55,7 @@ def _vertex_failure(p: LabeledPolytope, tight: list):
                 minimized[vi] |= bit
     for vi, (got, want) in enumerate(zip(minimized, tight)):
         if got != want:
-            return (f"vertex {format_point(p.vertices[vi])} minimizes the normals of "
+            return (f"vertex {p.format_vertex(vi)} minimizes the normals of "
                     f"facets {_facets(got)}, but its tight set is {_facets(want)}")
     return None
 
@@ -67,7 +67,7 @@ def _increasing(seq, stop) -> bool:
 
 def _lattice_failure(p: LabeledPolytope, tight: list):
     """(b): the first face the lattice certificate refuses, named, or None."""
-    n_facets, n_vertices = len(p.halfspaces), len(p.vertices)
+    n_facets, n_vertices = len(p.halfspaces), len(p.scaled_vertices[1])
     faces = {}
     total = 0
     for f in p.faces:
@@ -84,7 +84,7 @@ def _lattice_failure(p: LabeledPolytope, tight: list):
             return f"face {list(active)}: its vertices are not strictly increasing"
         if mask & ~reduce(and_, map(tight.__getitem__, vs)):
             vi = next(vi for vi in vs if mask & ~tight[vi])
-            return (f"face {list(active)} lists vertex {format_point(p.vertices[vi])}, "
+            return (f"face {list(active)} lists vertex {p.format_vertex(vi)}, "
                     f"which is not on facets {_facets(mask & ~tight[vi])}")
         total += len(vs)
     if total == n_vertices << p.dim:
@@ -97,9 +97,9 @@ def _lattice_failure(p: LabeledPolytope, tight: list):
             f = faces.get(mask)
             if f is None:
                 return (f"face {_facets(mask)} is missing; it holds vertex "
-                        f"{format_point(p.vertices[vi])}")
+                        f"{p.format_vertex(vi)}")
             if vi not in f.vertices:
-                return f"face {list(f.active)} misses vertex {format_point(p.vertices[vi])}"
+                return f"face {list(f.active)} misses vertex {p.format_vertex(vi)}"
             if not mask:
                 break
             mask = (mask - 1) & t

@@ -60,27 +60,36 @@ def parse_rational(text) -> Fraction:
     A bool, a float or a string with an exponent or an underscore raises
     ValueError: a float is not exact, Fraction expands an exponent in full
     (``"1e10000000"``), and it reads digit-group underscores (``"1_000"``)
-    from Python 3.11 on only.
+    from Python 3.11 on only.  A string ``-?digits[/digits]`` is read by
+    ``int`` with no regex, and refused as any other: past the digit limit,
+    or at a zero denominator, it raises the same ValueError.
     """
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     s = str(text).lower()
     if isinstance(text, (bool, float)) or "e" in s or "_" in s:
         raise ValueError(f"not a rational number: {text!r}")
+    num, slash, den = s.partition("/")
     try:
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den or 1))
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def format_rational(x) -> str:
+def format_rational(x, den=1) -> str:
     """Inverse of :func:`parse_rational`: ``p/q`` with q > 0, or ``p``, of any size.
 
     ``x`` must be an int that is not a bool, or a Fraction; anything else
-    (a float, a bool, a string) raises ValueError.
+    (a float, a bool, a string) raises ValueError.  An int x is printed over
+    ``den``, an int > 0, in lowest terms by one gcd, with no Fraction formed.
     """
     if type(x) is int:
-        return _decimal(x)
+        if den == 1:
+            return _decimal(x)
+        g = math.gcd(x, den)
+        return _decimal(x // g) if g == den else f"{_decimal(x // g)}/{_decimal(den // g)}"
     if not isinstance(x, Fraction):
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"not an exact rational: {x!r}")
@@ -381,7 +390,7 @@ class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     def __str__(self) -> str:
         if self.is_trivial:
             return "trivial"
-        return " x ".join(f"Z/{_decimal(d)}" for d in self.invariant_factors)
+        return "Z/" + " x Z/".join(map(_decimal, self.invariant_factors))
 
 
 def _merge(orders) -> tuple:

@@ -99,4 +99,4 @@ def random_generic_direction(p: LabeledPolytope, rng: random.Random) -> tuple:
         if any(xi) and is_generic(p, xi):
             return xi
     raise RuntimeError(f"could not find a generic direction in dimension {p.dim} for "
-                       f"{len(p.vertices)} vertices (last bound tried {bound})")
+                       f"{len(p.scaled_vertices[1])} vertices (last bound tried {bound})")

@@ -6,8 +6,8 @@ rational offsets eta_i, and a positive integer label m_i attached to each
 facet.  "Simple" means exactly n facets meet at every vertex.
 
 :func:`validate` is the only constructor that should be used: it checks all
-of the above exactly (no floating point) and keeps the walk's vertices,
-edges and basis determinants; the face lattice is built on first read.
+of the above exactly (no floating point) and keeps the walk's integer vertex
+table, edges and basis determinants; the face lattice is built on first read.
 Faces are named by the sorted tuple of facet indices tight on them; the
 facet order of the input is preserved as the canonical indexing everywhere.
 """
@@ -61,19 +61,22 @@ class Face(namedtuple("Face", "active vertices")):
         return len(self.active)
 
 
-class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edges determinants")):
+class LabeledPolytope(namedtuple("LabeledPolytope",
+                                 "dim halfspaces scaled_vertices edges determinants")):
     """A validated labeled polytope, holding what the vertex walk proved; build
-    it with :func:`validate`.  ``edges[vi]`` holds one ``(facet, direction)``
-    pair per facet tight at vertex ``vi``, ordered by facet index (so the
-    tight facets are ``tuple(j for j, _ in edges[vi])``): the primitive integer
-    direction of the edge that leaves that facet and stays on the others
-    (so <y_j, d> > 0 for the facet j it leaves).  ``determinants[vi]`` is
-    |det Y_v| for the tight normals Y_v: the scale d that the walk's
-    fraction-free pivots keep for the dictionary there.  The walk does not
-    certify d (:func:`_certify`); :func:`labpoly.delzant.face_groups`
-    certifies each d = 1 it reads.  :attr:`faces` and the tables
-    :attr:`scaled_vertices` and :attr:`scaled_normals` are built on first
-    read, so this class keeps a ``__dict__`` for its cached properties.
+    it with :func:`validate`.  ``scaled_vertices`` is ``(D, numerators)``:
+    vertex ``vi`` is the int tuple ``numerators[vi]`` over D, the lcm of all
+    coordinate denominators (printed by :meth:`format_vertex`).  ``edges[vi]``
+    holds one ``(facet, direction)`` pair per facet tight at vertex ``vi``, by
+    facet index (so the tight facets are ``tuple(j for j, _ in edges[vi])``):
+    the primitive integer direction of the edge that leaves that facet and
+    stays on the others (so <y_j, d> > 0).  ``determinants[vi]`` is |det Y_v|
+    for the tight normals Y_v: the scale d that the walk's fraction-free
+    pivots keep for the dictionary there.  The walk does not certify d
+    (:func:`_certify`); :func:`labpoly.delzant.face_groups` certifies each
+    d = 1 it reads.  :attr:`faces`, :attr:`scaled_normals` and the Fraction
+    tuples :attr:`vertices`, read by no command, are built on first read, so
+    this class keeps a ``__dict__`` for its cached properties.
     """
 
     @cached_property
@@ -82,14 +85,10 @@ class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edg
         return _face_lattice(self.dim, [tuple(j for j, _ in e) for e in self.edges])
 
     @cached_property
-    def scaled_vertices(self) -> tuple:
-        """``(D, numerators)``: each vertex is its integer numerator tuple over D.
-
-        D is the lcm of every vertex coordinate denominator, so the pairings
-        and convex combinations that read these tables stay in integers.
-        """
-        scale, flat = common_denominator(x for v in self.vertices for x in v)
-        return scale, tuple(tuple(flat[k:k + self.dim]) for k in range(0, len(flat), self.dim))
+    def vertices(self) -> tuple:
+        """Each vertex as a tuple of Fractions, formed from :attr:`scaled_vertices`."""
+        den, points = self.scaled_vertices
+        return tuple(tuple(Fraction(x, den) for x in w) for w in points)
 
     @cached_property
     def scaled_normals(self) -> tuple:
@@ -100,9 +99,14 @@ class LabeledPolytope(namedtuple("LabeledPolytope", "dim halfspaces vertices edg
         """Every face but the polytope itself, which :attr:`faces` lists first."""
         return self.faces[1:]
 
+    def format_vertex(self, vi) -> str:
+        """:func:`format_point` of vertex ``vi``, read off the integer table."""
+        return format_point(self.scaled_vertices[1][vi], self.scaled_vertices[0])
 
-def format_point(point) -> str:
-    return "(" + ", ".join(format_rational(x) for x in point) + ")"
+
+def format_point(point, den=1) -> str:
+    """``(x, ...)``, each x by :func:`format_rational` (an int over ``den``)."""
+    return "(" + ", ".join(format_rational(x, den) for x in point) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,7 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     unblocked edge (:func:`_check_bounded`); nonempty; full-dimensional,
     simple at every vertex, no redundant facet.
 
-    It keeps the vertices and edges of the walk (:func:`_walk`), not the faces.
+    It keeps the walk's integer vertex table and edges (:func:`_walk`), no faces.
     """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError("dimension must be a positive integer")
@@ -171,14 +175,13 @@ def validate(dim, halfspaces) -> LabeledPolytope:
     if walked is None:
         _check_bounded([h.normal for h in hs], dim)
         raise ValidationError("not full-dimensional: the polytope is empty")
-    vertices, active_sets, edges, determinants = walked
-    _check_vertices(dim, len(hs), vertices, active_sets)
-    return LabeledPolytope(dim=dim, halfspaces=tuple(hs), vertices=vertices, edges=edges,
-                           determinants=determinants)
+    scaled_vertices, active_sets, edges, determinants = walked
+    _check_vertices(dim, len(hs), scaled_vertices, active_sets)
+    return LabeledPolytope(dim, tuple(hs), scaled_vertices, edges, determinants)
 
 
 def _walk(dim, hs):
-    """(vertices, tight sets, edges, determinants) by pivoting over the vertex graph, or None.
+    """(vertex table, tight sets, edges, determinants) by pivoting over the vertex graph, or None.
 
     Lexicographic pivoting: offset eta_i is read as eta_i - eps^(i+1) for a
     tiny eps > 0.  The perturbed polytope contains P, has its recession cone
@@ -204,14 +207,13 @@ def _walk(dim, hs):
     pivoting facet i in for facet j, the edge that leaves i goes back to that
     parent basis, already seen: the lexicographic pivot is reversible, so
     the ratio test there would name j, and it is not run; the edge's
-    direction is still kept.  That direction is the column's last n entries,
-    ``adj``'s column, divided in place by their gcd: they are ints the
-    pivots made, so no boundary check (:func:`labpoly.lattice._ints`) runs
-    per basis.  Each dictionary is checked against the input
-    (:func:`_certify`).  Each vertex of P is kept once, with all facets of
-    zero slack as its tight set, for :func:`_check_vertices` to judge, and
-    with its dictionary's d = |det Y_B| (:func:`_pivot`); its coordinates
-    are ``num / (d * scale)``, taken as they are when d * scale = 1.
+    direction is still kept: ``adj``'s column over its gcd, with no boundary
+    check (:func:`labpoly.lattice._ints`) on the ints the pivots made.  Each
+    dictionary is checked against the input (:func:`_certify`).  Each vertex
+    of P is kept once, with all facets of zero slack as its tight set (for
+    :func:`_check_vertices`) and d = |det Y_B| (:func:`_pivot`).  It is
+    ``num / (d * scale)``: the sorted table ``(D, numerators)`` holds each
+    ``num`` times lcm(d) / d over lcm(d) * scale, all over their gcd.
 
     An unblocked edge is a recession direction, so :func:`_check_bounded`,
     phase 1 on the recession cone, must then name a ray; RuntimeError if it
@@ -265,15 +267,15 @@ def _walk(dim, hs):
         if tight not in found:  # a degenerate vertex is reached from several bases
             found[tight] = (d, slacks[n_facets:], tight, tuple(edges))
 
-    # sort on integer numerators over one common denominator, each vertex's
-    # numerators times one quotient lcm // d, then form the Fractions
+    # each vertex's numerators times one quotient lcm // d, over one denominator;
+    # distinct vertices, so the sort never compares past the numerators
     lcm = math.lcm(*(d for d, *_ in found.values()))
-    walked = sorted(found.values(), key=lambda item: list(map((lcm // item[0]).__mul__, item[1])))
-    return (tuple(tuple(map(Fraction, num)) if d * scale == 1
-                  else tuple(Fraction(x, d * scale) for x in num) for d, num, _, _ in walked),
-            tuple(tight for _, _, tight, _ in walked),
-            tuple(edges for *_, edges in walked),
-            tuple(d for d, *_ in walked))
+    nums, tight_sets, vertex_edges, determinants = zip(*sorted(
+        (list(map((lcm // d).__mul__, num)), tight, edges, d)
+        for d, num, tight, edges in found.values()))
+    g = math.gcd(lcm * scale, *(x for num in nums for x in num))
+    points = tuple(tuple(num) if g == 1 else tuple([x // g for x in num]) for num in nums)
+    return (lcm * scale // g, points), tight_sets, vertex_edges, determinants
 
 
 def _pivot(dictionary, col, i):
@@ -451,16 +453,16 @@ def _certify(dictionary, normals, offsets):
                                f"{tuple(sorted(basis))} misses facet {j}")
 
 
-def _check_vertices(dim, n_facets, vertices, active_sets):
-    """Full dimension, simplicity and irredundancy, given every vertex.  P is
-    bounded and nonempty here, so it is flat exactly when some facet
+def _check_vertices(dim, n_facets, scaled_vertices, active_sets):
+    """Full dimension, simplicity and irredundancy, given the vertex table.  P
+    is bounded and nonempty here, so it is flat exactly when some facet
     inequality is an implicit equality: tight at every vertex."""
     if set.intersection(*map(set, active_sets)):
         raise ValidationError("not full-dimensional")
 
-    for v, act in zip(vertices, active_sets):
+    for w, act in zip(scaled_vertices[1], active_sets):
         if len(act) != dim:
-            raise ValidationError(f"not simple at vertex {format_point(v)}")
+            raise ValidationError(f"not simple at vertex {format_point(w, scaled_vertices[0])}")
 
     tight_somewhere = set().union(*active_sets)
     for i in range(n_facets):
@@ -469,14 +471,13 @@ def _check_vertices(dim, n_facets, vertices, active_sets):
 
 
 def _face_lattice(dim, active_sets):
-    """Faces sorted by (codimension, tight set), from the vertices' tight sets."""
-    face_map = {}
+    """Faces by (codimension, tight set) from the vertices' tight sets: a dict per codimension."""
+    by_codim = [{} for _ in range(dim + 1)]
     for vi, act in enumerate(active_sets):
-        for r in range(dim + 1):
+        for r, faces in enumerate(by_codim):
             for sub in combinations(act, r):
-                face_map.setdefault(sub, []).append(vi)
-    return tuple(Face(active=key, vertices=tuple(vs))
-                 for key, vs in sorted(face_map.items(), key=lambda kv: (len(kv[0]), kv[0])))
+                faces.setdefault(sub, []).append(vi)
+    return tuple(Face(key, tuple(vs)) for faces in by_codim for key, vs in sorted(faces.items()))
 
 
 def _check_bounded(normals, dim):

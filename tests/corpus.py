@@ -837,8 +837,17 @@ def subset_scan(dim, hs):
         raise ValidationError("not full-dimensional: the polytope is empty")
     vertices = tuple(sorted(found))
     active_sets = tuple(found[v] for v in vertices)
-    _check_vertices(dim, len(hs), vertices, active_sets)
+    _check_vertices(dim, len(hs), scaled_table(vertices), active_sets)
     return vertices, active_sets
+
+
+def scaled_table(vertices):
+    """``(D, numerators)``: Fraction vertices as integer numerators over the lcm
+    D of their denominators, formed from the Fractions; the walk's
+    ``LabeledPolytope.scaled_vertices`` must be this table."""
+    scale, flat = common_denominator(x for v in vertices for x in v)
+    dim = len(vertices[0])
+    return scale, tuple(tuple(flat[k:k + dim]) for k in range(0, len(flat), dim))
 
 
 def interval(n, m, length=1, left=0):

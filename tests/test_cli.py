@@ -23,16 +23,18 @@ import labpoly.cli
 from labpoly import delzant, lattice, local_model, morse, polytope
 from labpoly.cli import build_parser, main
 from labpoly.fan import build_fan
-from labpoly.lattice import FiniteAbelianGroup
-from labpoly.polytope import validate
+from labpoly.lattice import FiniteAbelianGroup, format_rational
+from labpoly.polytope import format_point, validate
 
 from corpus import (
     box,
     doctor_elimination,
+    generated_family,
     interval,
     polytope_to_json,
     raise_first_entry,
     square,
+    standard_corpus,
     t1,
     w2,
 )
@@ -293,6 +295,44 @@ def test_vertices_print_past_the_int_digit_limit(files, capsys):
     assert run(capsys, "vertices", path, "--json")[:2] == (
         0, json.dumps({"vertices": want}, indent=2) + "\n")
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def big_denominator_triangle():
+    # x + y >= 1/p, x - y >= 1/q and x <= 1 for coprime 2,501-digit p and q:
+    # the first two meet at ((p + q) / 2pq, (q - p) / 2pq), whose reduced
+    # denominators pass the interpreter's digit limit
+    p, q = 10**2500 + 1, 10**2500 + 3
+    return validate(2, [((1, 1), Fraction(1, p), 1), ((1, -1), Fraction(1, q), 2),
+                        ((-1, 0), Fraction(-1), 3)])
+
+
+PRINTED = standard_corpus() + generated_family() + [("big_denominators", None)]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in PRINTED])
+def test_printed_vertices_are_format_point_of_the_fraction_vertices(name, files, capsys):
+    """``vertices``, ``betti`` and the vertex faces of ``structure-groups``
+    print each vertex from the walk's integer table, x / D by one gcd: the
+    text must be :func:`format_point` of the Fraction vertex, also past the
+    digit limit."""
+    p = dict(PRINTED)[name] or big_denominator_triangle()
+    path = files["write"]("p.json", polytope_to_json(p))
+    points = [format_point(v) for v in p.vertices]
+    coordinates = [[format_rational(x) for x in v] for v in p.vertices]
+    assert run(capsys, "vertices", path) == (0, "".join(f"{t}\n" for t in points), "")
+    code, out, _ = run(capsys, "vertices", path, "--json")
+    assert (code, json.loads(out)) == (0, {"vertices": coordinates})
+    code, out, _ = run(capsys, "betti", path)
+    assert [line.rpartition(": index ")[0] for line in out.splitlines()[1:-1]] == [
+        f"vertex {t}" for t in points]
+    code, out, _ = run(capsys, "betti", path, "--json")
+    assert [row["vertex"] for row in json.loads(out)["vertex_indices"]] == coordinates
+    code, out, _ = run(capsys, "structure-groups", path)
+    assert [line.partition(": ")[0] for line in out.splitlines() if " vertex (" in line] == [
+        f"face {list(f.active)} vertex {points[f.vertices[0]]}"
+        for f in p.faces if f.codim == p.dim]
+    if name == "big_denominators":
+        assert len(points[0]) > 2 * 5000
 
 
 def test_faces_lists_whole_lattice(files, capsys):
@@ -704,11 +744,11 @@ def test_a_failing_report_leaves_stdout_empty(files, capsys, monkeypatch):
     real = labpoly.cli.format_point
     calls = []
 
-    def third_call_fails(v):
-        calls.append(v)
+    def third_call_fails(*point):  # a vertex's numerators and their denominator
+        calls.append(point)
         if len(calls) == 3:
             raise ValueError("cannot format this vertex")
-        return real(v)
+        return real(*point)
 
     monkeypatch.setattr(labpoly.cli, "format_point", third_call_fails)
     assert run(capsys, "vertices", files["square"]) == (

@@ -271,8 +271,8 @@ def extra_vertex():
 def swapped_vertices():
     # vertices 0 and 7 trade coordinates and keep their tight sets
     p = cube()
-    vertices = (p.vertices[7],) + p.vertices[1:7] + (p.vertices[0],)
-    return (p._replace(vertices=vertices),
+    den, points = p.scaled_vertices
+    return (p._replace(scaled_vertices=(den, (points[7],) + points[1:7] + (points[0],))),
             "vertex (1, 1, 1) minimizes the normals of facets [1, 3, 5], "
             "but its tight set is [0, 2, 4]")
 

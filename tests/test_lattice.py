@@ -32,7 +32,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from labpoly import lattice
@@ -981,6 +981,79 @@ def test_parse_rational_rejects_exponents_and_keeps_decimals():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("-1.25") == Fraction(-5, 4)
     assert parse_rational(" 3/4 ") == Fraction(3, 4)
+
+
+def regex_route(text):
+    """parse_rational with every string read by Fraction's regex parser, as
+    it was before ``-?digits[/digits]`` took ``int``: the reference."""
+    s = str(text).lower()
+    if isinstance(text, (bool, float)) or "e" in s or "_" in s:
+        raise ValueError(f"not a rational number: {text!r}")
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+def parse_outcome(parse, text):
+    """(Fraction, value) or (exception type, message)."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # any type: the types are compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# past the interpreter's digit limit (Python 3.10 before 3.10.7 has none)
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+PAST_LIMIT = ["9" * (_LIMIT + 1), "1" + "0" * _LIMIT]
+DIGITS = st.one_of(st.text(st.sampled_from("0123456789\u0663\u0664\u00b2"), max_size=5),
+                   st.sampled_from(["0", "00", "000", *PAST_LIMIT]))
+
+
+@st.composite
+def rational_texts(draw):
+    """A sign or whitespace, digits (ASCII, Arabic-Indic, a superscript), and
+    often a slash and more digits, or a short string over the same symbols."""
+    if draw(st.booleans()):
+        return draw(st.text(st.sampled_from("01-+/ .e_\u0663\u00b2"), max_size=6))
+    text = draw(st.sampled_from(["", "-", "+", "--", " ", " -", "\t+"])) + draw(DIGITS)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["/", " / ", "/-", "/+", "//"])) + draw(DIGITS)
+    return text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rational_texts())
+@example("\u0663/\u0664")
+@example("5/0")
+@example("1/00")
+@example("-0")
+@example("+7")
+@example(" 3/4 ")
+@example("1/" + PAST_LIMIT[0])
+@example("-" + PAST_LIMIT[1])
+def test_parse_rational_matches_the_regex_route(text):
+    # the same Fraction, or the same exception type and message
+    assert parse_outcome(parse_rational, text) == parse_outcome(regex_route, text)
+
+
+def test_parse_rational_reads_digits_without_the_regex(monkeypatch):
+    class Refusing:
+        def match(self, text):
+            raise AssertionError(f"the regex read {text!r}")
+
+    fractions = sys.modules["fractions"]
+    if not hasattr(fractions, "_RATIONAL_FORMAT"):
+        pytest.skip("this Python's Fraction parses strings another way")
+    monkeypatch.setattr(fractions, "_RATIONAL_FORMAT", Refusing())
+    assert [parse_rational(t) for t in ("12", "-12/8", "0/5", "\u0663")] == [
+        12, Fraction(-3, 2), 0, 3]
+    for bad in ("5/0", "-1/00", "1/" + PAST_LIMIT[0]):  # refused as by the regex route
+        with pytest.raises(ValueError, match=f"^not a rational number: '{bad}'$"):
+            parse_rational(bad)
+    with pytest.raises(AssertionError, match="the regex read"):  # every other string
+        parse_rational(" 12")
 
 
 def test_matrix_coerces_and_rejects():

@@ -20,12 +20,16 @@ of the vertex differences.  Large empty and unbounded inputs are rejected
 with no facet subset scanned.  Edge directions are primitive tuples of plain
 ints and determinants plain ints, and ``validate``, ``betti`` and ``verify``
 succeed with the boundary helpers ``primitive_vector`` and ``dot`` made to
-raise in :mod:`labpoly.polytope`.
+raise in :mod:`labpoly.polytope`.  The walk's integer vertex table is the
+scan's Fraction vertices over the lcm of their denominators, ``validate``
+of the labeled 7-cube forms no Fraction per vertex coordinate, and the face
+lattice built one codimension at a time keeps the order of one sort.
 """
 
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,7 +40,7 @@ from hypothesis import strategies as st
 from labpoly import polytope
 from labpoly.cli import main
 from labpoly.lattice import dot, primitive_vector
-from labpoly.polytope import HalfSpace, ValidationError, _face_lattice, validate
+from labpoly.polytope import Face, HalfSpace, ValidationError, _face_lattice, validate
 
 from corpus import (
     generated_family,
@@ -47,6 +51,7 @@ from corpus import (
     pyramid,
     rational_rank,
     reference_kernel_basis,
+    scaled_table,
     solve_rational,
     standard_corpus,
     subset_scan,
@@ -80,9 +85,50 @@ CASES = standard_corpus() + generated_family()
 def test_walk_matches_subset_scan(name, p):
     vertices, active_sets = subset_scan(p.dim, list(p.halfspaces))
     assert p.vertices == vertices
+    assert p.scaled_vertices == scaled_table(vertices)
     assert tuple(tuple(j for j, _ in edges) for edges in p.edges) == active_sets
     assert p.faces == _face_lattice(p.dim, active_sets)
     assert flat_verdicts(p.dim, vertices, active_sets) == (False, False)
+
+
+def one_sort_face_lattice(dim, active_sets):
+    """The face lattice by one sort on (codimension, tight set) over every face."""
+    face_map = {}
+    for vi, act in enumerate(active_sets):
+        for r in range(dim + 1):
+            for sub in combinations(act, r):
+                face_map.setdefault(sub, []).append(vi)
+    return tuple(Face(active=key, vertices=tuple(vs))
+                 for key, vs in sorted(face_map.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
+def test_face_lattice_by_codimension_keeps_the_one_sort_order(name, p):
+    assert p.faces == one_sort_face_lattice(p.dim, [tuple(j for j, _ in e) for e in p.edges])
+
+
+def test_validate_forms_no_fraction_per_vertex_coordinate():
+    """``validate`` of the labeled 7-cube, its offsets given as strings, forms
+    one Fraction per offset (``parse_rational``) and none for its 896 vertex
+    coordinates, which the walk keeps as one integer table; ``p.vertices``
+    is formed on its first read."""
+    n = 7
+    triples = [(y, str(eta), 2 + k % 3) for k, (y, eta, _) in enumerate(unit_cube(n))]
+    new, formed = Fraction.__new__.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            formed[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        p = validate(n, triples)
+    finally:
+        sys.setprofile(previous)
+    assert formed[0] <= len(triples)
+    assert "vertices" not in vars(p)
+    assert len(p.scaled_vertices[1]) == len(p.vertices) == 2 ** n
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[name for name, _ in CASES])
@@ -196,7 +242,9 @@ def test_rejected_full_dimension_verdict_matches_vertex_rank(name):
         assert walked is None
         return
     flat = message == "not full-dimensional"
-    assert flat_verdicts(dim, *walked[:2]) == (flat, flat)
+    # the walk's numerators over one denominator D: their differences have the rank of D v's
+    (_, points), active_sets, *_ = walked
+    assert flat_verdicts(dim, points, active_sets) == (flat, flat)
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
@@ -233,7 +281,8 @@ def test_random_inputs_agree_with_subset_scan():
         except ValidationError:  # unbounded
             walked = None
         if walked is not None:
-            tight_verdict, rank_verdict = flat_verdicts(dim, *walked[:2])
+            (_, points), active_sets, *_ = walked
+            tight_verdict, rank_verdict = flat_verdicts(dim, points, active_sets)
             assert tight_verdict == rank_verdict, triples
             flat += tight_verdict
         try:
