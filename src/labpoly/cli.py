@@ -134,8 +134,8 @@ def cmd_fan(args, p):
 def cmd_compare(args, p, q):
     """Symplectomorphism by a label-preserving translation, biholomorphism by
     fan equality: two simple polytopes' fans are equal exactly when their sets
-    of vertex cones are, each vertex's tight set checked by (a) of
-    :mod:`labpoly.fan`, so no face lattice is built."""
+    of vertex cones are, the cones whose faces ``fan`` lists, each vertex's
+    tight set checked by (a) of :mod:`labpoly.fan`, so no face lattice is built."""
     do_symp = args.symplectic or not args.biholomorphic
     do_biho = args.biholomorphic or not args.symplectic
     if p.dim != q.dim:
@@ -260,9 +260,11 @@ def cmd_verify(args, p):
     checks.append((f"reduction invariants (level and tight facets at {n_vertices} vertices)",
                    failure is None, failure))
 
+    # (b) alone: the reduction row above proves (a), that each vertex
+    # minimizes exactly its tight facets (labpoly.fan.face_lattice_failure)
     failure = face_lattice_failure(p)
     checks.append((f"face lattice ({len(p.faces)} faces listing {n_vertices << p.dim} "
-                   f"vertices; each vertex minimizes exactly its tight facets)",
+                   f"vertices; each face lists exactly the vertices on its facets)",
                    failure is None, failure))
 
     # face_groups raised above unless every face's scaled normals are

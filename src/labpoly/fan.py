@@ -9,20 +9,21 @@ polytopes of one dimension are biholomorphic exactly when their fans are
 equal sets, the comparison of the ``compare`` command.
 
 The polytope is simple, so its faces are the subsets of the vertices' tight
-sets T(v) and its fan is the set of faces of its vertex cones: two fans are
-equal exactly when their sets of vertex cones are (:func:`vertex_cones`).
-The face lattice is certified in time linear in its size by (a) each vertex
-minimizes the normals of exactly the facets in T(v), and (b) the faces' tight
-sets S are distinct, each face's vertices strictly increase and have S in
-their T(v), and the faces list V * 2^n vertices, one per pair (S, v) with S
-in T(v) (:func:`face_lattice_failure`).  By (b) a face lists exactly the v
-with S in T(v), by (a) the vertices minimizing every normal of S: the
-duality characterization of the face's cone.
+sets T(v) and its fan is the set of faces of its vertex cones (Fulton 1993,
+1.5; Ziegler 1995, 7.1), read off :func:`vertex_cones` after (a): each vertex
+minimizes the normals of exactly the facets in T(v).  No fan reads the face
+lattice, which is certified in time linear in its size by (b): the faces'
+tight sets S are distinct, each face's vertices strictly increase and have S
+in their T(v), and the faces list V * 2^n vertices, one per pair (S, v) with
+S in T(v) (:func:`face_lattice_failure`).  By (b) a face lists exactly the v
+with S in T(v), by (a) the vertices minimizing every normal of S: the duality
+characterization of the face's cone.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import and_, lt, mul
 
 from .polytope import LabeledPolytope
@@ -37,36 +38,19 @@ def _facets(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _vertex_failure(p: LabeledPolytope, tight: list):
-    """(a): the first vertex whose minimized facets are not its tight set, or None.
-
-    The facets whose normal y a vertex minimizes come from the integer
-    pairings <y, D v> with the walk's table :attr:`LabeledPolytope.scaled_vertices`
-    (D the lcm of every vertex denominator).
-    """
-    _, points = p.scaled_vertices
-    minimized = [0] * len(points)
-    for i, h in enumerate(p.halfspaces):
-        y, bit = h.normal, 1 << i
-        values = [sum(map(mul, y, w)) for w in points]
-        low = min(values)
-        for vi, x in enumerate(values):
-            if x == low:
-                minimized[vi] |= bit
-    for vi, (got, want) in enumerate(zip(minimized, tight)):
-        if got != want:
-            return (f"vertex {p.format_vertex(vi)} minimizes the normals of "
-                    f"facets {_facets(got)}, but its tight set is {_facets(want)}")
-    return None
-
-
 def _increasing(seq, stop) -> bool:
     """Whether ``seq`` is strictly increasing within range(stop)."""
     return not seq or 0 <= seq[0] and seq[-1] < stop and all(map(lt, seq, seq[1:]))
 
 
-def _lattice_failure(p: LabeledPolytope, tight: list):
-    """(b): the first face the lattice certificate refuses, named, or None."""
+def face_lattice_failure(p: LabeledPolytope):
+    """(b): the first face the lattice certificate refuses, named, or None.
+
+    (a) follows from ``verify``'s reduction row, which checks that the slacks
+    s_i(v) are nonnegative and zero exactly on T(v): ``validate`` proved every
+    facet tight at some vertex, so s_i, a positive multiple of <y_i, v> - eta_i,
+    has its minimum 0 exactly on {v : i in T(v)}."""
+    tight = _tight_masks(p)
     n_facets, n_vertices = len(p.halfspaces), len(p.scaled_vertices[1])
     faces = {}
     total = 0
@@ -106,28 +90,33 @@ def _lattice_failure(p: LabeledPolytope, tight: list):
     return f"the faces list {total} vertices in all, not V * 2^n = {n_vertices << p.dim}"
 
 
-def face_lattice_failure(p: LabeledPolytope):
-    """The first failure of (a) or (b), naming its vertex or face, or None."""
-    tight = _tight_masks(p)
-    return _vertex_failure(p, tight) or _lattice_failure(p, tight)
-
-
-def _certified(failure):
-    if failure is not None:
-        raise RuntimeError(failure)
-
-
 def vertex_cones(p: LabeledPolytope) -> frozenset:
     """The fan's maximal cones, one per vertex: the sorted normals of its tight
-    set, after (a) has checked each tight set (RuntimeError naming the vertex)."""
-    _certified(_vertex_failure(p, _tight_masks(p)))
+    set, after (a) has checked each tight set (RuntimeError naming the vertex).
+
+    The facets whose normal y a vertex minimizes come from the integer
+    pairings <y, D v> with the walk's table :attr:`LabeledPolytope.scaled_vertices`
+    (D the lcm of every vertex denominator).
+    """
+    _, points = p.scaled_vertices
+    minimized = [0] * len(points)
+    for i, h in enumerate(p.halfspaces):
+        y, bit = h.normal, 1 << i
+        values = [sum(map(mul, y, w)) for w in points]
+        low = min(values)
+        for vi, x in enumerate(values):
+            if x == low:
+                minimized[vi] |= bit
+    for vi, (got, want) in enumerate(zip(minimized, _tight_masks(p))):
+        if got != want:
+            raise RuntimeError(f"vertex {p.format_vertex(vi)} minimizes the normals of "
+                               f"facets {_facets(got)}, but its tight set is {_facets(want)}")
     return frozenset(tuple(sorted(p.halfspaces[j].normal for j, _ in e)) for e in p.edges)
 
 
 def build_fan(p: LabeledPolytope) -> frozenset:
-    """The fan: the frozenset of all face cones (labels and offsets are dropped),
-    after (a) and (b) have certified the face lattice (RuntimeError naming the
-    vertex or the face)."""
-    _certified(face_lattice_failure(p))
-    normals = [h.normal for h in p.halfspaces]
-    return frozenset(tuple(sorted(map(normals.__getitem__, f.active))) for f in p.faces)
+    """The fan: the frozenset of every face of every vertex cone, each a
+    sub-tuple of a sorted cone and so sorted (labels and offsets are dropped;
+    RuntimeError names a vertex that (a) refuses)."""
+    return frozenset(c for cone in vertex_cones(p) for r in range(p.dim + 1)
+                     for c in combinations(cone, r))

@@ -704,7 +704,7 @@ def test_failing_reduction_row_prints_the_full_report_and_exits_3(
     assert (code, err) == (3, "")
     assert out.splitlines() == [
         f"FAIL: {name} ({failure})",
-        "PASS: face lattice (7 faces listing 12 vertices; each vertex minimizes exactly its tight facets)",
+        "PASS: face lattice (7 faces listing 12 vertices; each face lists exactly the vertices on its facets)",
         "PASS: stabilizer/structure-group agreement at a regular level (6 faces, independent scaled normals on each)",
         "PASS: Betti numbers independent of direction (5 draws)",
         "verify: FAIL",

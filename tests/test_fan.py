@@ -63,14 +63,12 @@ def doctored(p, k, face):
     return q
 
 
-def fan_failure(p):
-    """build_fan's refusal message, or None if it passes."""
-    try:
-        build_fan(p)
-    except RuntimeError as exc:
-        assert str(exc) == face_lattice_failure(p)
-        return str(exc)
-    return None
+def lattice_failure(p, q):
+    """The lattice certificate's refusal message for q, a copy of p with a
+    doctored lattice, or None if it passes.  The fan reads no lattice, so q's
+    fan is p's."""
+    assert build_fan(q) == build_fan(p)
+    return face_lattice_failure(q)
 
 
 def reference_passes(p):
@@ -147,9 +145,7 @@ def test_face_listing_every_vertex_is_refused():
     bad = Face(active=(0,), vertices=tuple(range(len(p.vertices))))
     assert not fraction_duality_holds(p, bad, cone_of(p, bad))
     q = doctored(p, p.faces.index(next(f for f in p.faces if f.active == (0,))), bad)
-    with pytest.raises(RuntimeError, match=r"^face \[0\] lists vertex \(1, 0\), "
-                                           r"which is not on facets \[0\]$"):
-        build_fan(q)
+    assert lattice_failure(p, q) == "face [0] lists vertex (1, 0), which is not on facets [0]"
     assert not reference_passes(q)
 
 
@@ -158,7 +154,8 @@ def test_certificate_refuses_every_doctored_face(name, p):
     # each face in turn with vertex 0 toggled, and read as the next face's
     # tight set over its own vertices: the certificate refuses every such
     # lattice and names the doctored face, while the per-face reference
-    # refuses only those whose doctored face has a nonzero cone
+    # refuses only those whose doctored face has a nonzero cone, and the fan,
+    # built from the vertex cones, never reads the doctored lattice
     cones = [cone_of(p, f) for f in p.faces]
     assert build_fan(p) == reference_fan(p) == frozenset(cones)
     verdicts = set()
@@ -168,7 +165,7 @@ def test_certificate_refuses_every_doctored_face(name, p):
         shifted = Face(p.faces[(k + 1) % len(p.faces)].active, face.vertices)
         for f in (toggled, shifted):
             q = doctored(p, k, f)
-            assert fan_failure(q).startswith(f"face {list(f.active)}"), f
+            assert lattice_failure(p, q).startswith(f"face {list(f.active)}"), f
             verdict = reference_passes(q)
             assert verdict == fraction_duality_holds(p, f, cone_of(p, f)) == (not f.active), f
             verdicts.add(verdict)
@@ -282,23 +279,38 @@ def swapped_vertices():
     ((0,), Face((0,), ()), "face [0] lists no vertex"),
     ((0, 2), Face((2, 0), (0, 1)), "face [2, 0]: its facets are not strictly increasing"),
 ], ids=["vertex_twice", "no_vertex", "facets_unordered"])
-def test_certificate_refuses_a_list_out_of_order(active, face, message):
+def test_certificate_refuses_a_list_out_of_order(active, face, message, capsys, monkeypatch):
     # vertex 2 twice in place of vertex 3 keeps the count and every mask test
     p = cube()
     k = next(k for k, f in enumerate(p.faces) if f.active == active)
-    assert fan_failure(doctored(p, k, face)) == message
+    q = doctored(p, k, face)
+    assert lattice_failure(p, q) == message
+    if face.active != active:
+        return  # verify's structure groups read the lattice first, facets in order
+    code, out, err = run_on(capsys, monkeypatch, q, "verify", "q.json")
+    assert (code, err) == (3, "")
+    assert f"FAIL: {LATTICE_ROW} ({message})" in out.splitlines()
 
 
 LATTICE_ROW = ("face lattice (27 faces listing 64 vertices; "
-               "each vertex minimizes exactly its tight facets)")
+               "each face lists exactly the vertices on its facets)")
+REDUCTION_ROW = "reduction invariants (level and tight facets at 8 vertices)"
 
 
-@pytest.mark.parametrize("doctor", [missing_vertex, extra_vertex, swapped_vertices])
 @pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_fan_names_the_failing_face_or_vertex(doctor, flags, capsys, monkeypatch):
-    q, message = doctor()
+def test_fan_names_a_vertex_off_its_tight_set(flags, capsys, monkeypatch):
+    q, message = swapped_vertices()
     assert run_on(capsys, monkeypatch, q, "fan", "q.json", *flags) == (
         3, "", f"internal error: {message}\n")
+
+
+@pytest.mark.parametrize("doctor", [missing_vertex, extra_vertex])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_fan_passes_a_doctored_lattice_it_never_reads(doctor, flags, capsys, monkeypatch):
+    q, _ = doctor()
+    expected = run_on(capsys, monkeypatch, cube(), "fan", "q.json", *flags)
+    assert expected[0] == 0
+    assert run_on(capsys, monkeypatch, q, "fan", "q.json", *flags) == expected
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--biholomorphic"]])
@@ -314,18 +326,27 @@ def test_compare_passes_a_doctored_lattice_it_never_reads(capsys, monkeypatch):
         0, "symplectomorphic (translation by (0, 0, 0))\nfans equal: biholomorphic\n", "")
 
 
-@pytest.mark.parametrize("doctor", [missing_vertex, extra_vertex, swapped_vertices])
-def test_verify_row_names_the_failing_face_or_vertex(doctor, capsys, monkeypatch):
-    q, message = doctor()
+# a vertex off its tight set fails the reduction row, which proves (a) in
+# verify; the lattice row runs (b) alone and passes on the walk's lattice
+@pytest.mark.parametrize("doctor, row, message", [
+    (missing_vertex, LATTICE_ROW, None),
+    (extra_vertex, LATTICE_ROW, None),
+    (swapped_vertices, REDUCTION_ROW,
+     "vertex (1, 1, 1) has zero slacks [1, 3, 5], tight facets [0, 2, 4]"),
+], ids=["missing_vertex", "extra_vertex", "swapped_vertices"])
+def test_verify_row_names_the_failing_face_or_vertex(doctor, row, message, capsys, monkeypatch):
+    q, lattice_message = doctor()
+    message = message or lattice_message
     code, out, err = run_on(capsys, monkeypatch, q, "verify", "q.json")
     assert (code, err) == (3, "")
     lines = out.splitlines()
-    assert f"FAIL: {LATTICE_ROW} ({message})" in lines
+    assert f"FAIL: {row} ({message})" in lines
+    assert (f"PASS: {LATTICE_ROW}" in lines) == (row != LATTICE_ROW)
     assert lines[-1] == "verify: FAIL"
     code, out, err = run_on(capsys, monkeypatch, q, "verify", "q.json", "--json")
     assert (code, err) == (3, "")
     report = json.loads(out)
-    assert {"name": LATTICE_ROW, "passed": False, "detail": message} in report["checks"]
+    assert {"name": row, "passed": False, "detail": message} in report["checks"]
     assert report["passed"] is False
 
 

@@ -7,11 +7,11 @@ recorded once from the release these jobs first ran on; any change to a
 printed byte is a change to the contract.
 
 The same jobs pin when the face lattice is built: never for ``validate``,
-``vertices``, ``betti`` and ``compare``, which read the walk's vertices and
-edges only (``compare`` compares vertex cones), and once per loaded polytope
-for every other command.  The unit 10-cube, whose lattice has 3^10 faces,
-checks the first half on an input where building it would cost more than the
-walk.
+``vertices``, ``betti``, ``fan`` and ``compare``, which read the walk's
+vertices and edges only (``fan`` lists the faces of the vertex cones that
+``compare`` compares), and once per loaded polytope for every other command.
+The unit 10-cube, whose lattice has 3^10 faces, checks the first half on an
+input where building it would cost more than the walk.
 """
 
 import contextlib
@@ -184,7 +184,7 @@ def test_cli_output_matches_golden(key, expected, workdir, monkeypatch):
 
 
 # the commands that print only what the walk stored: vertices and edges
-LATTICE_FREE = {"validate", "vertices", "betti", "compare"}
+LATTICE_FREE = {"validate", "vertices", "betti", "fan", "compare"}
 
 
 def _lattice_builds(argv) -> int:
@@ -243,10 +243,18 @@ def test_lattice_free_commands_never_build_the_lattice_of_the_10_cube(tmp_path, 
     betti = ["xi = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)",
              *(f"vertex {x}: index {2 * sum(v)}" for x, v in zip(points, corners)),
              f"poincare coefficients: {[0 if k % 2 else comb(10, k // 2) for k in range(21)]}"]
+    # a cone picks, per coordinate, no normal, e_i or -e_i: 3^10 cones
+    cones = sorted((tuple(sorted(tuple(s * (j == i) for j in range(10))
+                                 for i, s in enumerate(signs) if s))
+                    for signs in product((0, 1, -1), repeat=10)), key=lambda c: (len(c), c))
+    rays = sorted({g for c in cones for g in c})
+    fan = [f"dim 10, 59049 cones, rays [{', '.join(map(str, rays))}]",
+           *(f"cone {list(map(list, c))}" for c in cones)]
     for argv, lines in [
             (["validate", cube], [f"valid: dim 10, 20 facets, 1024 vertices, labels {[1] * 20}"]),
             (["vertices", cube], points),
             (["betti", cube, "--xi", "1,2,3,4,5,6,7,8,9,10"], betti),
+            (["fan", cube], fan),
             (["compare", cube, moved, "--symplectic"],
              ["symplectomorphic (translation by (1/2, 0, 0, 0, 0, 0, 0, 0, 0, 0))"]),
             (["compare", cube, moved],
