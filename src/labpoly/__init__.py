@@ -22,7 +22,6 @@ from .lattice import (
     format_rational,
     kernel_basis,
     parse_rational,
-    primitive_vector,
 )
 from .local_model import structure_groups
 from .morse import (

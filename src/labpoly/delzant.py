@@ -158,12 +158,13 @@ def face_groups(p: LabeledPolytope) -> tuple:
     last label into the factors of its prefix face (its tight set without
     the last facet), which holds every vertex of the face, so it is the
     improper face or takes the labels' sum too.  A step that loses the
-    product is raised again naming the face.  The walk does not pin d, so
-    each such vertex is certified by Y * E = I, its tight normals as rows and
-    the walk's edges as columns (E is then an integer inverse of Y); a
-    failure raises naming the vertex.  Any other face takes one diagonal
-    form (:func:`face_stabilizer`), which raises if its scaled normals are
-    dependent: a return means a regular level.
+    product, or a prefix face missing before its face, raises naming the
+    face.  The walk does not pin d, so each such vertex is certified by
+    Y * E = I, its tight normals as rows and the walk's edges as columns (E
+    is then an integer inverse of Y); a failure raises naming the vertex.
+    Any other face takes one diagonal form (:func:`face_stabilizer`), which
+    raises if its scaled normals are dependent: a return means a regular
+    level.
     """
     normals = [h.normal for h in p.halfspaces]
     labels = [h.label for h in p.halfspaces]
@@ -183,6 +184,9 @@ def face_groups(p: LabeledPolytope) -> tuple:
             continue
         try:
             factors = level[f.active] = _merge_step(parents[f.active[:-1]], labels[f.active[-1]])
+        except KeyError:  # a face list out of order
+            raise RuntimeError(f"face {list(f.active)}: its prefix face {list(f.active[:-1])} "
+                               f"is missing or out of order") from None
         except RuntimeError as exc:
             raise RuntimeError(f"face {list(f.active)}: {exc}") from exc
         if factors not in groups:

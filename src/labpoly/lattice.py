@@ -46,7 +46,6 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-Vec = tuple  # integer row vector
 Mat = tuple  # tuple of integer row vectors
 
 
@@ -117,9 +116,9 @@ def _ints(v) -> tuple:
     is coerced by :func:`_as_int`, which raises ValueError.
 
     For data entering the package: parsed normals, ``--xi``, the factors
-    handed to :class:`FiniteAbelianGroup`, a recession ray.  The vertex
-    walk's and Morse's per-edge loops read integers the walk made and do
-    not pass them through here."""
+    handed to :class:`FiniteAbelianGroup`.  The vertex walk's and Morse's
+    per-edge loops read integers the walk made and do not pass them through
+    here."""
     v = tuple(v)
     if all(type(e) is int for e in v):
         return v
@@ -158,21 +157,6 @@ def common_denominator(values) -> tuple:
     values = tuple(values)
     scale = math.lcm(*(x.denominator for x in values))
     return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
-def primitive_vector(v) -> Vec:
-    """Divide an integer vector by the gcd of its entries.
-
-    The zero vector is returned unchanged.  Sign is preserved, so the result
-    points the same way as the input.  Entries are checked by :func:`_ints`:
-    this is for vectors entering the package, such as a recession ray; the
-    vertex walk divides its own edge columns by their gcd in place.
-    """
-    v = _ints(v)
-    g = math.gcd(*v)
-    if g <= 1:
-        return v
-    return tuple(e // g for e in v)
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,17 @@ from .polytope import Face, LabeledPolytope
 
 def structure_groups(p: LabeledPolytope) -> tuple:
     """``(face, l / l-hat)`` for every proper face, in face order, each group
-    in invariant-factor form; equal groups are one object."""
+    in invariant-factor form; equal groups are one object.  A face list out
+    of order raises RuntimeError naming a face and its prefix."""
     level, codim, prefix, groups, out = {(): _start(p.dim)}, 0, None, {}, []
     for f in p.proper_faces():
         if f.codim > codim:  # the faces of one codimension are done
             codim, parents, level = f.codim, level, {}
         if f.active[:-1] != prefix:  # and so are the children of the last prefix
             prefix = f.active[:-1]
+            if prefix not in parents:  # absent, or its children are not contiguous
+                raise RuntimeError(f"face {list(f.active)}: its prefix face {list(prefix)} "
+                                   f"is missing or out of order")
             state = parents.pop(prefix)
         level[f.active] = child = _extend(p, f.active, state)
         factors = child[1]

@@ -29,7 +29,6 @@ from .lattice import (
     dot,
     format_rational,
     parse_rational,
-    primitive_vector,
 )
 
 
@@ -70,13 +69,16 @@ class LabeledPolytope(namedtuple("LabeledPolytope",
     holds one ``(facet, direction)`` pair per facet tight at vertex ``vi``, by
     facet index (so the tight facets are ``tuple(j for j, _ in edges[vi])``):
     the primitive integer direction of the edge that leaves that facet and
-    stays on the others (so <y_j, d> > 0).  ``determinants[vi]`` is |det Y_v|
-    for the tight normals Y_v: the scale d that the walk's fraction-free
-    pivots keep for the dictionary there.  The walk does not certify d
-    (:func:`_certify`); :func:`labpoly.delzant.face_groups` certifies each
-    d = 1 it reads.  :attr:`faces`, :attr:`scaled_normals` and the Fraction
-    tuples :attr:`vertices`, read by no command, are built on first read, so
-    this class keeps a ``__dict__`` for its cached properties.
+    stays on the others (so <y_j, d> > 0).  Only Morse (``betti``,
+    ``verify``) and the Y * E = I check of ``face_groups`` (``verify``,
+    ``structure-groups``, ``delzant``, ``stabilizers``) read the directions;
+    ``fan`` and ``compare`` read the tight facets.  ``determinants[vi]`` is
+    |det Y_v| for the tight normals Y_v: the scale d that the walk's
+    fraction-free pivots keep for the dictionary there.  The walk does not
+    certify d (:func:`_certify`); :func:`labpoly.delzant.face_groups`
+    certifies each d = 1 it reads.  :attr:`faces`, :attr:`scaled_normals` and
+    the Fraction tuples :attr:`vertices`, read by no command, are built on
+    first read, so this class keeps a ``__dict__`` for its cached properties.
     """
 
     @cached_property
@@ -495,7 +497,9 @@ def _check_bounded(normals, dim):
     dictionary = _phase_one(_eliminate(dim, [*normals, s], [0] * len(normals) + [1]))
     if dictionary is None:
         return
-    ray = primitive_vector(dictionary[2][dim][-dim:])
+    ray = dictionary[2][dim][-dim:]
+    g = math.gcd(*ray) or 1  # over its gcd, as the walk does each edge column
+    ray = [x // g for x in ray]
     if not any(ray) or any(dot(y, ray) < 0 for y in normals):
         raise RuntimeError(f"recession phase 1: the basic solution {format_point(ray)} "
                            f"is not a recession ray")
@@ -509,11 +513,13 @@ def _check_bounded(normals, dim):
 def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     """(translation, reason) if q = p + c facet-wise with equal labels.
 
-    The translation c solves <c, y_j> = Delta eta_j on the facets tight at
-    vertex 0; the walk's edges e_j there have <y_i, e_j> = 0 for i != j, so
-    c = sum_j (Delta eta_j / <y_j, e_j>) e_j.  Returns (None, reason) when the
-    polytopes are not isomorphic.  Facets are matched by their primitive
-    normal, which is well-defined because duplicate normals are rejected.
+    Both vertex tables are sorted lexicographically over a positive
+    denominator, and a translation keeps that order: if q = p + c, q's vertex
+    0 is p's vertex 0 plus c, so c is read off the two tables, not the edges.
+    If q is not a translate of p, no c passes the offset check.  Returns
+    (None, reason) when the polytopes are not isomorphic.  Facets are matched
+    by their primitive normal, which is well-defined because duplicate
+    normals are rejected.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
@@ -521,16 +527,13 @@ def isomorphism_report(p: LabeledPolytope, q: LabeledPolytope):
     qmap = {h.normal: i for i, h in enumerate(q.halfspaces)}
     if set(pmap) != set(qmap):
         return None, "facet normal sets differ"
-    steps = [(q.halfspaces[qmap[p.halfspaces[j].normal]].offset - p.halfspaces[j].offset,
-              dot(p.halfspaces[j].normal, e), e) for j, e in p.edges[0]]
-    c = tuple(sum(delta / rate * e[k] for delta, rate, e in steps) for k in range(p.dim))
-    for i, h in enumerate(p.halfspaces):
-        j = qmap[h.normal]
-        if q.halfspaces[j].offset != h.offset + dot(c, h.normal):
+    (den_p, points_p), (den_q, points_q) = p.scaled_vertices, q.scaled_vertices
+    c = tuple(Fraction(b, den_q) - Fraction(a, den_p) for a, b in zip(points_p[0], points_q[0]))
+    for h in p.halfspaces:
+        if q.halfspaces[qmap[h.normal]].offset != h.offset + dot(c, h.normal):
             return None, "offsets do not differ by a translation"
-    for i, h in enumerate(p.halfspaces):
-        j = qmap[h.normal]
-        if q.halfspaces[j].label != h.label:
+    for h in p.halfspaces:
+        if q.halfspaces[qmap[h.normal]].label != h.label:
             # str(h.normal) at any size: a 1-D normal reads (1,)
             normal = ", ".join(map(format_rational, h.normal)) + "," * (p.dim == 1)
             return None, f"labels differ on the facet with normal ({normal})"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import labpoly.cli
 from labpoly.cli import main
 from labpoly.fan import build_fan, face_lattice_failure, vertex_cones
+from labpoly.local_model import structure_groups
 from labpoly.lattice import dot
 from labpoly.polytope import Face, validate
 
@@ -286,7 +287,17 @@ def test_certificate_refuses_a_list_out_of_order(active, face, message, capsys, 
     q = doctored(p, k, face)
     assert lattice_failure(p, q) == message
     if face.active != active:
-        return  # verify's structure groups read the lattice first, facets in order
+        # every command that prints groups takes each face's from its prefix
+        # face's first, so face (0, 2) read as (2, 0) leaves (0, 2, 4) no prefix
+        refusal = "face [0, 2, 4]: its prefix face [0, 2] is missing or out of order"
+        for command in ("verify", "structure-groups", "stabilizers", "delzant"):
+            for flags in ([], ["--json"]):
+                assert run_on(capsys, monkeypatch, q, command, "q.json", *flags) == (
+                    3, "", f"internal error: {refusal}\n"), (command, flags)
+        with pytest.raises(RuntimeError, match=r"^face \[2, 4\]: its prefix face \[2\] "
+                                               r"is missing or out of order$"):
+            structure_groups(q)
+        return
     code, out, err = run_on(capsys, monkeypatch, q, "verify", "q.json")
     assert (code, err) == (3, "")
     assert f"FAIL: {LATTICE_ROW} ({message})" in out.splitlines()
@@ -324,6 +335,31 @@ def test_compare_passes_a_doctored_lattice_it_never_reads(capsys, monkeypatch):
     q, _ = missing_vertex()
     assert run_on(capsys, monkeypatch, q, "compare", "q.json", "q.json") == (
         0, "symplectomorphic (translation by (0, 0, 0))\nfans equal: biholomorphic\n", "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_compare_passes_a_doctored_edge_it_never_reads(flags, capsys, monkeypatch):
+    # vertex 0's edge off facet 0 turned from (1, 0, 0) to (1, 1, 0): it still
+    # pairs to 1 with that facet's normal, but a translation solved from the
+    # edges would put c_1 into c_2 as well
+    p = cube()
+    assert p.edges[0][0] == (0, (1, 0, 0))
+    doctored_p = p._replace(edges=(((0, (1, 1, 0)), *p.edges[0][1:]), *p.edges[1:]))
+    q = transformed(p, identity(3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+    runs = []
+    for first in (p, doctored_p):
+        monkeypatch.setattr(labpoly.cli, "load_polytope", {"p.json": first, "q.json": q}.get)
+        code = main(["compare", "p.json", "q.json", *flags])
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[1] == runs[0]
+    code, out, err = runs[1]
+    assert (code, err) == (0, "")
+    if flags:
+        assert json.loads(out)["translation"] == ["1/2", "-1/3", "1/5"]
+    else:
+        assert out == ("symplectomorphic (translation by (1/2, -1/3, 1/5))\n"
+                       "fans equal: biholomorphic\n")
 
 
 # a vertex off its tight set fails the reduction row, which proves (a) in

@@ -42,7 +42,6 @@ from labpoly.lattice import (
     format_rational,
     kernel_basis,
     parse_rational,
-    primitive_vector,
     smith_diagonal,
 )
 
@@ -226,31 +225,6 @@ def is_smith_diagonal(diag):
     nz = [x for x in diag if x != 0]
     return (all(x >= 0 for x in diag) and list(diag[:len(nz)]) == nz
             and all(y % x == 0 for x, y in zip(nz, nz[1:])))
-
-
-# ---------------------------------------------------------------------------
-# primitive vectors
-# ---------------------------------------------------------------------------
-
-def test_primitive_vector_frozen_example():
-    assert primitive_vector((0, -8)) == (0, -1)
-
-
-def test_primitive_vector_keeps_direction_and_zero():
-    assert primitive_vector((4, -6)) == (2, -3)
-    assert primitive_vector((0, 0, 0)) == (0, 0, 0)
-    assert primitive_vector((-5,)) == (-1,)
-
-
-@given(st.lists(st.integers(-40, 40), min_size=1, max_size=5))
-def test_primitive_vector_against_gcd_scan(v):
-    p = primitive_vector(tuple(v))
-    g = oracle_gcd(v)
-    if g == 0:
-        assert p == tuple(v)
-    else:
-        assert p == tuple(e // g for e in v)
-        assert oracle_gcd(p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1041,7 @@ def test_matrix_coerces_and_rejects():
 
 def test_ints_coerces_and_rejects():
     # the one coercion behind validate's normals, morse's xi,
-    # primitive_vector, FiniteAbelianGroup and the tests' matrix
+    # FiniteAbelianGroup and the tests' matrix
     v = lattice._ints([1, Fraction(2, 1), Fraction(-6, 3)])
     assert v == (1, 2, -2)
     assert all(type(e) is int for e in v)
@@ -1076,7 +1050,6 @@ def test_ints_coerces_and_rejects():
     for bad in ([True, 1], [Fraction(1, 2), 1], [1.0], ["3", 2]):
         with pytest.raises(ValueError, match=re.escape(f"not an integer entry: {bad[0]!r}")):
             lattice._ints(bad)
-    assert primitive_vector([Fraction(4), 6]) == (2, 3)
     with pytest.raises(ValueError, match="^not an integer entry: 1.0$"):
         FiniteAbelianGroup([2, 1.0])
 

@@ -323,6 +323,17 @@ def test_translation_detected():
     assert isomorphism_report(q, p)[0] == (Fraction(-2), Fraction(1))
 
 
+def test_translation_at_a_vertex_0_of_determinant_above_1():
+    # x + 2y >= 0, x - 2y >= 0, x <= 4: vertex 0 is the apex (0, 0), where the
+    # tight normals have |det| 4; c is read off the two vertex tables there
+    p = validate(2, [((1, 2), 0, 1), ((1, -2), 0, 2), ((-1, 0), -4, 3)])
+    assert p.vertices[0] == (0, 0) and p.determinants[0] == 4
+    c = (Fraction(1, 3), Fraction(-5, 7))
+    q = validate(2, [(h.normal, h.offset + dot(c, h.normal), h.label) for h in p.halfspaces])
+    assert isomorphism_report(p, q) == ((Fraction(1, 3), Fraction(-5, 7)), "translation")
+    assert isomorphism_report(q, p) == ((Fraction(-1, 3), Fraction(5, 7)), "translation")
+
+
 def test_labels_break_isomorphism():
     p, q = t1(), t1((1, 1, 2))
     trans, reason = isomorphism_report(p, q)
